@@ -19,9 +19,8 @@
 //     the range carries a `//detlint:sorted` directive explaining why
 //     order cannot leak.
 //   - any `time.Now` call not marked with a `//detlint:clock`
-//     directive; the injectable-clock seams (obs.Tracer's default
-//     clock, instrate's wall-clock measurement, which exists to
-//     measure wall time) carry the directive.
+//     directive; the injectable-clock seam (obs.Tracer's default
+//     clock) carries the directive.
 //
 // Pure go/parser + go/ast, no type checker and no dependencies: the
 // map-type inference is syntactic and may miss aliases through

@@ -7,17 +7,16 @@
 //	cyclops-bench -run fig4a,fig7a [-scale full] [-csv outdir]
 //	cyclops-bench -all -scale full [-parallel N]
 //	cyclops-bench -run fig4a -trace-runs trace.json -metrics-out metrics.txt
-//	cyclops-bench -instrate [-samples N] [-bench-json BENCH_sim.json -bench-id pr6]
 //
 // Every experiment point is an independent deterministic simulation, so
 // the sweeps fan out across -parallel workers (default: all CPUs) and the
 // experiments themselves run concurrently. Tables print to stdout in
 // input order and are byte-identical for any -parallel value — and for
-// any -engine, which selects the execution engine (block, decoded or
-// legacy) the sweeps simulate on; the engines differ only in host-side
-// speed. -policy/-switch-penalty select the default issue policy and
-// -lat the default latency model for every sweep (the scenario matrix
-// experiment varies both per point regardless). -cache-dir points the
+// any -engine, which selects the execution engine (block or legacy) the
+// sweeps simulate on; the engines differ only in host-side speed.
+// -policy/-switch-penalty select the default issue policy and -lat the
+// default latency model for every sweep (the scenario matrix experiment
+// varies both per point regardless). -cache-dir points the
 // sweeps at a content-addressed result cache directory (created on
 // first use): warm entries skip simulation entirely, so a repeated
 // -run renders the same bytes from cache alone, and the directory is
@@ -27,12 +26,9 @@
 // (load it in Perfetto); -metrics-out writes the run-layer counters and
 // per-stage/per-workload latency histograms in the same sorted text
 // format cyclops-serve's /metrics speaks. Both files are created up
-// front and tracing stays off — and free — unless asked for.
-// -instrate measures
-// exactly the engines' host-side difference: the median
-// simulated-MIPS of each engine on a dispatch-bound loop, appendable as
-// one entry of the BENCH_sim.json trajectory. Timing and errors go to
-// stderr.
+// front and tracing stays off — and free — unless asked for. Host-side
+// speed is measured by the repository benchmark (benchmark/run.sh), not
+// here. Timing and errors go to stderr.
 package main
 
 import (
@@ -45,6 +41,7 @@ import (
 	"strings"
 	"time"
 
+	"cyclops/internal/cli"
 	"cyclops/internal/harness"
 	"cyclops/internal/harness/sweep"
 	"cyclops/internal/job"
@@ -71,11 +68,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory; warm entries skip simulation")
 	traceRuns := flag.String("trace-runs", "", "record every experiment point's run stages as spans and write a Chrome trace-event JSON to this file (- = stdout)")
 	metricsOut := flag.String("metrics-out", "", "write the run-layer counters and latency histograms in /metrics text format to this file (- = stdout)")
-	instrate := flag.Bool("instrate", false, "measure the per-engine host-side instruction rate (simMIPS) instead of running experiments")
-	samples := flag.Int("samples", 5, "with -instrate: samples per engine (the median is reported)")
-	benchJSON := flag.String("bench-json", "", "with -instrate: append the measurement to this BENCH_sim.json trajectory file")
-	benchID := flag.String("bench-id", "", "with -instrate -bench-json: id tag for the appended entry")
-	benchNote := flag.String("bench-note", "", "with -instrate -bench-json: free-form note for the appended entry")
 	flag.Parse()
 
 	// Workloads build their chips from the process defaults deep inside
@@ -97,11 +89,11 @@ func main() {
 	// path must fail before hours of sweeps, not after. Tracing stays off
 	// — and free — unless asked for; -metrics-out implies it because the
 	// stage histograms are fed from span durations.
-	outTrace, err := createOut(*traceRuns)
+	outTrace, err := cli.CreateOut(*traceRuns)
 	if err != nil {
 		fatal(err)
 	}
-	outMetrics, err := createOut(*metricsOut)
+	outMetrics, err := cli.CreateOut(*metricsOut)
 	if err != nil {
 		fatal(err)
 	}
@@ -114,7 +106,7 @@ func main() {
 		harness.Runner.Instrument(metrics)
 	}
 	flushTelemetry := func() {
-		if err := outTrace.emit(func(w io.Writer) error {
+		if err := outTrace.Emit(func(w io.Writer) error {
 			tr := harness.Runner.Tracer
 			if n := tr.Dropped(); n > 0 {
 				fmt.Fprintf(os.Stderr, "cyclops-bench: trace ring overflowed, oldest %d spans dropped\n", n)
@@ -123,20 +115,9 @@ func main() {
 		}); err != nil {
 			fatal(err)
 		}
-		if err := outMetrics.emit(metrics.WriteText); err != nil {
+		if err := outMetrics.Emit(metrics.WriteText); err != nil {
 			fatal(err)
 		}
-	}
-
-	if *instrate {
-		if *benchJSON != "" && *benchID == "" {
-			fatal(fmt.Errorf("-bench-json needs -bench-id to tag the appended entry"))
-		}
-		if err := runInstrate(*samples, *benchJSON, *benchID, *benchNote); err != nil {
-			fatal(err)
-		}
-		flushTelemetry()
-		return
 	}
 
 	if *list {

@@ -46,6 +46,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"cyclops/internal/cli"
 	"cyclops/internal/job"
 	"cyclops/internal/obs"
 	"cyclops/internal/serve"
@@ -83,7 +84,7 @@ func main() {
 		defer f.Close()
 		logW = f
 	}
-	outTrace, err := createOut(*traceOut)
+	outTrace, err := cli.CreateOut(*traceOut)
 	if err != nil {
 		fatal(err)
 	}
@@ -127,7 +128,7 @@ func main() {
 	if err := httpSrv.Shutdown(context.Background()); err != nil {
 		fmt.Fprintln(os.Stderr, "cyclops-serve: shutdown:", err)
 	}
-	if err := outTrace.emit(func(w io.Writer) error {
+	if err := outTrace.Emit(func(w io.Writer) error {
 		tr := srv.Tracer()
 		if n := tr.Dropped(); n > 0 {
 			fmt.Fprintf(os.Stderr, "cyclops-serve: trace ring overflowed, oldest %d spans dropped\n", n)

@@ -19,12 +19,12 @@
 // its host wall time in the same sorted text format cyclops-serve's
 // /metrics endpoint speaks. Every output file is
 // created up front, so a bad path fails before the simulation runs
-// rather than after. -engine selects the execution engine (block,
-// decoded or legacy); all three are cycle-exact, they differ only in
-// host-side speed. -policy selects the issue policy (fine, blocked or
-// switchmiss) with -switch-penalty cycles per context switch, and -lat
-// sweeps the Table 2 latencies ("miss=48,rmiss=72"); every engine
-// honors any (policy, latency) point identically.
+// rather than after. -engine selects the execution engine (block or
+// legacy); both are cycle-exact, they differ only in host-side speed.
+// -policy selects the issue policy (fine, blocked or switchmiss) with
+// -switch-penalty cycles per context switch, and -lat sweeps the Table 2
+// latencies ("miss=48,rmiss=72"); both engines honor any (policy,
+// latency) point identically.
 package main
 
 import (
@@ -37,6 +37,7 @@ import (
 
 	"cyclops/internal/arch"
 	"cyclops/internal/asm"
+	"cyclops/internal/cli"
 	"cyclops/internal/core"
 	"cyclops/internal/image"
 	"cyclops/internal/job"
@@ -119,23 +120,23 @@ func run(path string, o options) error {
 
 	// Create every requested output up front: a bad path must fail
 	// before the simulation runs, not lose the results after it.
-	outStats, err := createOut(o.statsJSON)
+	outStats, err := cli.CreateOut(o.statsJSON)
 	if err != nil {
 		return err
 	}
-	outTrace, err := createOut(o.traceOut)
+	outTrace, err := cli.CreateOut(o.traceOut)
 	if err != nil {
 		return err
 	}
-	outProfile, err := createOut(o.profileOut)
+	outProfile, err := cli.CreateOut(o.profileOut)
 	if err != nil {
 		return err
 	}
-	outTimeline, err := createOut(o.timelineOut)
+	outTimeline, err := cli.CreateOut(o.timelineOut)
 	if err != nil {
 		return err
 	}
-	outMetrics, err := createOut(o.metricsOut)
+	outMetrics, err := cli.CreateOut(o.metricsOut)
 	if err != nil {
 		return err
 	}
@@ -193,20 +194,20 @@ func run(path string, o options) error {
 		fmt.Printf("profile: %d samples every %d cycles\n", pr.TotalSamples(), pr.Interval)
 		pr.Report(prog).WriteText(os.Stdout, 10)
 	}
-	if err := outStats.emit(func(w io.Writer) error {
+	if err := outStats.Emit(func(w io.Writer) error {
 		return k.Machine().Snapshot().WriteJSON(w)
 	}); err != nil {
 		return err
 	}
-	if err := outTrace.emit(k.Machine().ChromeTrace); err != nil {
+	if err := outTrace.Emit(k.Machine().ChromeTrace); err != nil {
 		return err
 	}
-	if err := outProfile.emit(func(w io.Writer) error {
+	if err := outProfile.Emit(func(w io.Writer) error {
 		return pr.WritePprof(w, prog)
 	}); err != nil {
 		return err
 	}
-	if err := outTimeline.emit(func(w io.Writer) error {
+	if err := outTimeline.Emit(func(w io.Writer) error {
 		if strings.HasSuffix(o.timelineOut, ".json") {
 			return tl.WriteJSON(w)
 		}
@@ -214,7 +215,7 @@ func run(path string, o options) error {
 	}); err != nil {
 		return err
 	}
-	if err := outMetrics.emit(func(w io.Writer) error {
+	if err := outMetrics.Emit(func(w io.Writer) error {
 		return writeRunMetrics(w, k.Machine(), wall)
 	}); err != nil {
 		return err
@@ -236,47 +237,6 @@ func writeRunMetrics(w io.Writer, m *sim.Machine, wall time.Duration) error {
 	}
 	reg.Histogram("sim_wall_seconds").Observe(wall)
 	return reg.WriteText(w)
-}
-
-// outFile is a pre-created output destination ("-" = stdout, nil = off).
-type outFile struct {
-	path string
-	f    *os.File
-}
-
-// createOut creates (truncating) the named output file immediately, so
-// an unwritable path fails before the run instead of discarding its
-// results afterwards.
-func createOut(path string) (*outFile, error) {
-	if path == "" {
-		return nil, nil
-	}
-	if path == "-" {
-		return &outFile{path: path, f: os.Stdout}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("cannot create output file: %w", err)
-	}
-	return &outFile{path: path, f: f}, nil
-}
-
-// emit streams the output and closes the file; a nil receiver is off.
-func (o *outFile) emit(fn func(io.Writer) error) error {
-	if o == nil {
-		return nil
-	}
-	if o.f == os.Stdout {
-		return fn(o.f)
-	}
-	if err := fn(o.f); err != nil {
-		o.f.Close()
-		return fmt.Errorf("writing %s: %w", o.path, err)
-	}
-	if err := o.f.Close(); err != nil {
-		return fmt.Errorf("writing %s: %w", o.path, err)
-	}
-	return nil
 }
 
 func printStats(m *sim.Machine, chip *core.Chip) {

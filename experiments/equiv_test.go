@@ -26,11 +26,11 @@ func render(t *testing.T) map[string]string {
 	return out
 }
 
-// TestEngineEquivalence checks that all three execution engines — the
-// seed interpreter, the decoded-cache event-driven engine, and the
-// block-compiling engine — produce byte-identical tables for every
-// experiment. This is the contract that lets the fast tiers replace the
-// original: same cycle counts, same stats, same rendered output.
+// TestEngineEquivalence checks that both execution engines — the seed
+// interpreter and the block-compiling engine — produce byte-identical
+// tables for every experiment. This is the contract that lets the fast
+// tier replace the original: same cycle counts, same stats, same
+// rendered output.
 func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment once per engine")
@@ -38,13 +38,11 @@ func TestEngineEquivalence(t *testing.T) {
 	prev := sim.SetDefaultEngine(sim.EngineLegacy)
 	defer sim.SetDefaultEngine(prev)
 	legacy := render(t)
-	for _, e := range []sim.Engine{sim.EngineDecoded, sim.EngineBlock} {
-		sim.SetDefaultEngine(e)
-		fast := render(t)
-		for id, want := range legacy {
-			if got := fast[id]; got != want {
-				t.Errorf("%s: %s engine output differs from seed engine\n--- seed ---\n%s--- %s ---\n%s", id, e, want, e, got)
-			}
+	sim.SetDefaultEngine(sim.EngineBlock)
+	block := render(t)
+	for id, want := range legacy {
+		if got := block[id]; got != want {
+			t.Errorf("%s: block engine output differs from seed engine\n--- seed ---\n%s--- block ---\n%s", id, want, got)
 		}
 	}
 }

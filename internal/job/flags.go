@@ -24,7 +24,7 @@ type Flags struct {
 func AddFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
 		engine: fs.String("engine", sim.DefaultEngine().String(),
-			"execution engine: block, decoded or legacy"),
+			"execution engine: block or legacy"),
 		policy: fs.String("policy", "fine",
 			"issue policy: fine, blocked or switchmiss"),
 		switchPenalty: fs.Uint64("switch-penalty", timing.DefaultSwitchPenalty,

@@ -30,7 +30,7 @@ func smallStreamSpec(t *testing.T, engine string) *job.Spec {
 
 // The hit≡miss contract, per engine: the bytes a cold execution returns
 // are the bytes the warm cache returns, and — the simulator's
-// cross-engine contract — all three engines produce them identically.
+// cross-engine contract — both engines produce them identically.
 func TestHitMissByteIdenticalAcrossEngines(t *testing.T) {
 	var ref []byte
 	for _, e := range sim.Engines() {

@@ -61,8 +61,8 @@ type Spec struct {
 	// process default at canonicalization time" — Canonicalize captures
 	// it, so keys are always computed over an explicit configuration.
 	Config *arch.Config `json:"config,omitempty"`
-	// Engine is the execution engine's flag spelling (block, decoded,
-	// legacy); empty defaults to the process default engine.
+	// Engine is the execution engine's flag spelling (block or legacy);
+	// empty defaults to the process default engine.
 	Engine string `json:"engine,omitempty"`
 	// Policy is the issue policy's canonical spec ("fine", "blocked/8");
 	// empty defaults to the process default policy.

@@ -2,6 +2,7 @@ package job_test
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"cyclops/internal/arch"
@@ -214,30 +215,37 @@ func TestCanonicalizeRejections(t *testing.T) {
 	bad := []struct {
 		name string
 		spec job.Spec
+		want string // substring the error must carry; "" = any error
 	}{
-		{"unknown workload", job.Spec{Workload: "nonesuch"}},
-		{"unknown engine", job.Spec{Workload: "stream", Engine: "warp",
+		{name: "unknown workload", spec: job.Spec{Workload: "nonesuch"}},
+		{name: "unknown engine", spec: job.Spec{Workload: "stream", Engine: "warp",
+			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}, want: "want block or legacy"},
+		{name: "removed engine", spec: job.Spec{Workload: "stream", Engine: "decoded",
+			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}, want: "want block or legacy"},
+		{name: "unknown policy", spec: job.Spec{Workload: "stream", Policy: "eager",
 			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}},
-		{"unknown policy", job.Spec{Workload: "stream", Policy: "eager",
-			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}},
-		{"unknown args field", job.Spec{Workload: "stream",
+		{name: "unknown args field", spec: job.Spec{Workload: "stream",
 			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128,"warp":9}`)}},
-		{"program image on named workload", job.Spec{Workload: "stream", Program: []byte("CYC1"),
+		{name: "program image on named workload", spec: job.Spec{Workload: "stream", Program: []byte("CYC1"),
 			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}},
-		{"balanced on named workload", job.Spec{Workload: "stream", Balanced: true,
+		{name: "balanced on named workload", spec: job.Spec{Workload: "stream", Balanced: true,
 			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}},
-		{"max-cycles on named workload", job.Spec{Workload: "stream", MaxCycles: 10,
+		{name: "max-cycles on named workload", spec: job.Spec{Workload: "stream", MaxCycles: 10,
 			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}},
-		{"outputs on named workload", job.Spec{Workload: "stream", Outputs: []string{"snapshot"},
+		{name: "outputs on named workload", spec: job.Spec{Workload: "stream", Outputs: []string{"snapshot"},
 			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}},
-		{"program workload without image", job.Spec{Workload: "program"}},
-		{"splash n on nbody kernel", job.Spec{Workload: "splash",
+		{name: "program workload without image", spec: job.Spec{Workload: "program"}},
+		{name: "splash n on nbody kernel", spec: job.Spec{Workload: "splash",
 			Args: json.RawMessage(`{"kernel":"barnes","threads":2,"n":64}`)}},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := tc.spec.Canonicalize(); err == nil {
+			_, err := tc.spec.Canonicalize()
+			if err == nil {
 				t.Fatal("Canonicalize accepted the spec")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want it to carry %q", err, tc.want)
 			}
 		})
 	}

@@ -134,10 +134,11 @@ func (m *Memory) Read(addr uint32, p []byte) error {
 }
 
 // WatchCode widens the watched text range to cover [lo, hi). Consumers
-// that cache decoded instructions (internal/sim's decode cache) register
-// the ranges they have cached; any later write overlapping the watched
-// range bumps the generation counter returned by CodeGen, signalling that
-// cached decodings may be stale (self-modifying code, program reload).
+// that cache translated instructions (internal/sim's compiled blocks)
+// register the ranges they have cached; any later write overlapping the
+// watched range bumps the generation counter returned by CodeGen,
+// signalling that the cached code may be stale (self-modifying code,
+// program reload).
 func (m *Memory) WatchCode(lo, hi uint32) {
 	if !m.watchSet {
 		m.watchLo, m.watchHi, m.watchSet = lo, hi, true

@@ -9,9 +9,9 @@ import (
 	"cyclops/internal/timing"
 )
 
-// The block-compiling engine. The decoded engine still pays one trip
-// through the big issue switch per instruction; for long-lived loops
-// that dispatch is the dominant host-side cost. This engine discovers
+// The block-compiling engine. The legacy engine pays a fetch, a decode
+// and a trip through the big issue switch per instruction; for long-lived
+// loops that dispatch is the dominant host-side cost. This engine discovers
 // basic blocks at runtime (block boundaries are isa.EndsBlock, the same
 // definition internal/vet's CFG uses for leaders), translates each block
 // once into a slice of pre-bound Go closures — threaded code — and runs
@@ -27,17 +27,17 @@ import (
 // Timing stays exact by construction, not by approximation:
 //
 //   - Every closure drives the shared timing.Ledger exactly as the
-//     per-issue engines do (ChargeRun, WaitReady, ChargeMemStall,
+//     legacy per-issue engine does (ChargeRun, WaitReady, ChargeMemStall,
 //     ObserveAccess), so every table, snapshot and profile is
 //     byte-identical across engines.
 //   - Ops are 1:1 with instructions — a block never commits more than
-//     the per-issue engines would. Each issue attempt replicates one
+//     the per-issue engine would. Each issue attempt replicates one
 //     scheduler iteration: inline continuation advances m.cycle, bumps
 //     the round-robin counter and ticks the timeline exactly as a trip
-//     through Run's outer loop would, and is only taken when the event
+//     through runBlock's outer loop would, and is only taken when the event
 //     queue proves no other unit is due first.
 //   - Multi-unit batches fall back to one issue per unit per cycle, the
-//     decoded engine's exact regime, so contention, tie order and
+//     legacy engine's exact regime, so contention, tie order and
 //     compaction are untouched.
 //   - Fused superinstructions bypass the per-attempt observability
 //     hooks, so they are compiled in but only dispatched when no tracer,
@@ -45,11 +45,10 @@ import (
 //     inline conditions itself and commits only its first instruction
 //     when the second may not run this dispatch.
 //
-// Compiled blocks invalidate with the decode cache: both sit behind
-// mem.WatchCode's code-generation counter, checked before any op that
-// follows a possible memory write, so self-modifying stores, DMA
-// reloads and program reloads flush blocks exactly when they flush
-// decodings (see flushDecode).
+// Compiled blocks sit behind mem.WatchCode's code-generation counter,
+// checked before any op that follows a possible memory write, so
+// self-modifying stores, DMA reloads and program reloads flush them
+// before a stale op can issue (see decode.go).
 
 // opFn executes one issue attempt at cycle; the closure performs the
 // instruction's scoreboard wait, charges, effects and PC advance. It
@@ -84,12 +83,15 @@ type simBlock struct {
 // enters the next block.
 const maxBlockOps = 256
 
-// runBlock is the block engine's scheduler: the decoded engine's
-// event-driven loop, with stepBlock in place of step. A batch of one —
-// the steady state of any single-thread phase — lifts the issue limit so
-// stepBlock runs whole blocks inline; multi-unit batches issue exactly
-// one instruction per unit, preserving contention and tie order
-// bit-for-bit.
+// runBlock is the block engine's scheduler, and the one event-driven
+// loop: a min-heap over the units' next issue cycles replaces the legacy
+// per-cycle scan of the whole active list, so cost scales with units
+// actually issuing rather than units merely alive. Tie order is the
+// legacy rotating round-robin over active-list positions, reproduced
+// bit-for-bit (see sortBatch). A batch of one — the steady state of any
+// single-thread phase — lifts the issue limit so stepBlock runs whole
+// blocks inline; multi-unit batches issue exactly one instruction per
+// unit, preserving contention and tie order bit-for-bit.
 func (m *Machine) runBlock() error {
 	for len(m.active) > 0 && m.trap == nil {
 		// Advance to the earliest pending issue cycle.
@@ -98,6 +100,10 @@ func (m *Machine) runBlock() error {
 			return fmt.Errorf("sim: cycle limit %d exceeded", m.MaxCycles)
 		}
 		m.tickTimeline()
+		// Pop every unit due this cycle and issue in round-robin order.
+		// Units started by a syscall during the batch land in the queue
+		// at the current cycle and form their own batch next iteration,
+		// exactly as the legacy engine's captured-length loop behaves.
 		m.batch = m.batch[:0]
 		for m.eq.Len() > 0 && m.eq.min().nextAt == m.cycle {
 			m.batch = append(m.batch, m.eq.pop())
@@ -157,9 +163,9 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 	clean := false
 	for {
 		if !clean {
-			if g := memory.CodeGen(); g != m.decGen {
-				m.decGen = g
-				m.flushDecode()
+			if g := memory.CodeGen(); g != m.codeGen {
+				m.codeGen = g
+				m.flushBlocks()
 				blk = nil
 			}
 		}
@@ -248,15 +254,15 @@ func (m *Machine) blockFor(pc uint32) *simBlock {
 // Precompile compiles blocks for the given leader PCs (typically
 // vet.Leaders of the loaded program) ahead of execution. Compilation has
 // no timing effect — it only fills host-side caches — so this is purely
-// a warm-up; lazily discovered blocks behave identically. Engines other
-// than the block engine ignore it.
+// a warm-up; lazily discovered blocks behave identically. The legacy
+// engine ignores it.
 func (m *Machine) Precompile(pcs []uint32) {
 	if m.engine != EngineBlock {
 		return
 	}
-	if g := m.Chip.Mem.CodeGen(); g != m.decGen {
-		m.decGen = g
-		m.flushDecode()
+	if g := m.Chip.Mem.CodeGen(); g != m.codeGen {
+		m.codeGen = g
+		m.flushBlocks()
 	}
 	for _, pc := range pcs {
 		if pc%4 == 0 {
@@ -272,18 +278,17 @@ func (m *Machine) Precompile(pcs []uint32) {
 func (m *Machine) compileBlock(base uint32) *simBlock {
 	m.blockCompiles++
 	b := &simBlock{base: base}
-	var ents []*decEntry
+	var ins []isa.Inst // ins[i].Op == isa.OpInvalid marks a trap op
 	pc := base
 	for len(b.ops) < maxBlockOps {
-		e, word, err := m.decodeAt(pc)
-		if e == nil {
+		in, word, err := m.decodeAt(pc)
+		ins = append(ins, in)
+		if in.Op == isa.OpInvalid {
 			b.ops = append(b.ops, blockOp{fn: trapOp(pc, word, err)})
-			ents = append(ents, nil)
 			break
 		}
-		b.ops = append(b.ops, blockOp{fn: m.compileOp(pc, e)})
-		ents = append(ents, e)
-		if isa.EndsBlock(e.in) {
+		b.ops = append(b.ops, blockOp{fn: m.compileOp(pc, in, word)})
+		if isa.EndsBlock(in) {
 			break
 		}
 		pc += 4
@@ -300,11 +305,11 @@ func (m *Machine) compileBlock(base uint32) *simBlock {
 		fns[i] = b.ops[i].fn
 	}
 	for i := 0; i+1 < len(b.ops); i++ {
-		if ents[i] == nil || ents[i+1] == nil || !canLeadFuse(ents[i].in) {
+		if ins[i+1].Op == isa.OpInvalid || !canLeadFuse(ins[i]) {
 			continue
 		}
 		j := i + 1
-		for j+1 < len(b.ops) && j-i+1 < maxFuse && ents[j+1] != nil && canLeadFuse(ents[j].in) {
+		for j+1 < len(b.ops) && j-i+1 < maxFuse && ins[j+1].Op != isa.OpInvalid && canLeadFuse(ins[j]) {
 			j++
 		}
 		b.ops[i].fused = fuseChain(fns[i : j+1])
@@ -364,7 +369,7 @@ func canLeadFuse(in isa.Inst) bool {
 	return false
 }
 
-// trapOp reproduces the per-issue fetch path's trap lazily: compilation
+// trapOp reproduces the legacy fetch path's trap lazily: compilation
 // runs ahead of execution, so an illegal word only traps if the program
 // actually reaches it.
 func trapOp(pc, word uint32, err error) opFn {
@@ -381,9 +386,9 @@ func trapOp(pc, word uint32, err error) opFn {
 // compileOp translates one instruction into its closure: a fully
 // specialized form for the hot ALU/branch/memory ops, or a generic op
 // that calls the shared issue path — semantically identical to the
-// per-issue engines by construction.
-func (m *Machine) compileOp(pc uint32, e *decEntry) opFn {
-	in, info, word := e.in, e.info, e.word
+// legacy engine by construction.
+func (m *Machine) compileOp(pc uint32, in isa.Inst, word uint32) opFn {
+	info := isa.InfoRef(in.Op)
 	lat := &m.Chip.Cfg.Latencies
 	if fn := compileALU(pc, in, word); fn != nil {
 		return fn

@@ -2,122 +2,45 @@ package sim
 
 import "cyclops/internal/isa"
 
-// The decoded-instruction cache. The legacy engine re-read and re-decoded
-// the instruction word from embedded memory on every issue; for long-lived
-// loops that is the single largest host-side cost per simulated
-// instruction. The cache decodes each text word once into a page of ready
-// entries, and each thread unit keeps a hint to its current page so the
-// steady-state fetch is one array index.
+// Compile-time decoding for the block engine, and the invalidation of what
+// it compiled. The legacy engine re-reads and re-decodes the instruction
+// word from embedded memory on every issue; the block compiler decodes each
+// text word once, when the block containing it is compiled.
 //
-// Correctness under self-modifying code: every cached page registers its
-// address range with mem.Memory.WatchCode. Any write overlapping a watched
+// Correctness under self-modifying code: every decoded word registers its
+// text page with mem.Memory.WatchCode. Any write overlapping a watched
 // range — a store instruction, an off-chip DMA block, a program reload —
 // bumps the memory's code generation; the engine compares that generation
-// on every issue and flushes the whole cache when it moves. Flushes are
-// rare (text stores only), so the common path pays one load and compare.
+// before any op that may follow a write and flushes every compiled block
+// when it moves. Flushes are rare (text stores only), so the common path
+// pays one load and compare.
 
-const (
-	// decPageShift sizes a page at 1 KB of text = 256 instruction words.
-	decPageShift = 10
-	decPageWords = 1 << (decPageShift - 2)
-	decPageMask  = decPageWords - 1
-)
+// codePageShift sizes the watch granule at 1 KB of text.
+const codePageShift = 10
 
-// decEntry is one pre-decoded instruction.
-type decEntry struct {
-	info *isa.Info
-	in   isa.Inst
-	word uint32 // raw instruction word, kept for tracing
-	ok   bool
+// decodeAt reads and decodes the instruction word at pc for the block
+// compiler, watching its text page. It never traps: an illegal word
+// decodes to isa.OpInvalid, an unreadable one returns OpInvalid with the
+// fetch error, and the compiler turns either into a trap op that fires
+// only if execution actually reaches pc.
+func (m *Machine) decodeAt(pc uint32) (isa.Inst, uint32, error) {
+	pk := pc >> codePageShift
+	m.Chip.Mem.WatchCode(pk<<codePageShift, (pk+1)<<codePageShift)
+	word, err := m.Chip.Mem.Read32(pc)
+	if err != nil {
+		return isa.Inst{}, 0, err
+	}
+	return isa.Decode(word), word, nil
 }
 
-// decPage holds the decodings of one aligned 1 KB text page.
-type decPage struct {
-	entries [decPageWords]decEntry
-}
-
-// decPageFor returns (creating and watching on demand) the decode page
-// covering pc.
-func (m *Machine) decPageFor(pc uint32) *decPage {
-	pk := pc >> decPageShift
-	pg := m.decPages[pk]
-	if pg == nil {
-		if m.decPages == nil {
-			m.decPages = make(map[uint32]*decPage)
-		}
-		pg = new(decPage)
-		m.decPages[pk] = pg
-		m.Chip.Mem.WatchCode(pk<<decPageShift, (pk+1)<<decPageShift)
-	}
-	return pg
-}
-
-// fetchDecoded returns the decoded instruction at tu.PC, filling the cache
-// on a miss. It returns nil after raising a trap (fetch fault or illegal
-// instruction), exactly where the legacy fetch path trapped.
-func (m *Machine) fetchDecoded(tu *TU) *decEntry {
-	memory := m.Chip.Mem
-	if g := memory.CodeGen(); g != m.decGen {
-		m.decGen = g
-		m.flushDecode()
-	}
-	pk := tu.PC >> decPageShift
-	pg := tu.decPage
-	if pg == nil || tu.decPageKey != pk {
-		pg = m.decPageFor(tu.PC)
-		tu.decPage, tu.decPageKey = pg, pk
-	}
-	e := &pg.entries[(tu.PC>>2)&decPageMask]
-	if !e.ok {
-		word, err := memory.Read32(tu.PC)
-		if err != nil {
-			m.Trap("sim: thread %d: fetch at %#x: %v", tu.ID, tu.PC, err)
-			return nil
-		}
-		in := isa.Decode(word)
-		if in.Op == isa.OpInvalid {
-			m.Trap("sim: thread %d: illegal instruction %#08x at %#x", tu.ID, word, tu.PC)
-			return nil
-		}
-		e.in, e.word, e.info, e.ok = in, word, isa.InfoRef(in.Op), true
-	}
-	return e
-}
-
-// decodeAt fills and returns the decode-cache entry at pc for the block
-// compiler. Unlike fetchDecoded it never traps: an unreadable or illegal
-// word returns a nil entry plus the raw word and fetch error, which the
-// compiler turns into a trap op that fires only if execution actually
-// reaches pc.
-func (m *Machine) decodeAt(pc uint32) (*decEntry, uint32, error) {
-	pg := m.decPageFor(pc)
-	e := &pg.entries[(pc>>2)&decPageMask]
-	if !e.ok {
-		word, err := m.Chip.Mem.Read32(pc)
-		if err != nil {
-			return nil, 0, err
-		}
-		in := isa.Decode(word)
-		if in.Op == isa.OpInvalid {
-			return nil, word, nil
-		}
-		e.in, e.word, e.info, e.ok = in, word, isa.InfoRef(in.Op), true
-	}
-	return e, e.word, nil
-}
-
-// flushDecode drops every cached decoding, compiled block and per-thread
-// hint. Called when the memory's code generation moves (a write landed
-// in watched text): decodings and compiled blocks invalidate together,
-// on the same WatchCode counter.
-func (m *Machine) flushDecode() {
-	m.decPages = nil
+// flushBlocks drops every compiled block and per-thread block hint. Called
+// when the memory's code generation moves (a write landed in watched text).
+func (m *Machine) flushBlocks() {
 	if m.blocks != nil {
 		m.blocks = nil
 		m.blockFlushes++
 	}
 	for _, tu := range m.TUs {
-		tu.decPage, tu.decPageKey = nil, 0
 		tu.blk = nil
 	}
 }

@@ -13,12 +13,12 @@ import (
 	"cyclops/internal/timing"
 )
 
-// The differential harness: the same program runs to completion on every
-// engine — under the same issue policy and latency model — and
+// The differential harness: the same program runs to completion on both
+// engines — under the same issue policy and latency model — and
 // everything observable: the run error, the statistics snapshot, and
 // each unit's final PC, state and register file, must match
-// byte-for-byte. The legacy interpreter is the oracle; the decoded and
-// block engines must be indistinguishable from it.
+// byte-for-byte. The legacy interpreter is the oracle; the block engine
+// must be indistinguishable from it.
 
 // diffScenario is one (issue policy, latency model) point a differential
 // case runs under.
@@ -113,18 +113,16 @@ func diffState(m *Machine, err error) string {
 	return sb.String()
 }
 
-// diffCompare runs src on every engine under scenario sc and fails the
-// test on the first divergence from the legacy oracle.
+// diffCompare runs src on both engines under scenario sc and fails the
+// test when the block engine diverges from the legacy oracle.
 func diffCompare(t *testing.T, name, src string, sc diffScenario) {
 	t.Helper()
 	ref, refErr := diffRun(src, EngineLegacy, sc)
 	want := diffState(ref, refErr)
-	for _, e := range []Engine{EngineDecoded, EngineBlock} {
-		m, err := diffRun(src, e, sc)
-		if got := diffState(m, err); got != want {
-			t.Fatalf("%s (%s): %s engine diverges from legacy\nprogram:\n%s\n--- legacy ---\n%s--- %s ---\n%s",
-				name, sc, e, src, want, e, got)
-		}
+	m, err := diffRun(src, EngineBlock, sc)
+	if got := diffState(m, err); got != want {
+		t.Fatalf("%s (%s): block engine diverges from legacy\nprogram:\n%s\n--- legacy ---\n%s--- block ---\n%s",
+			name, sc, src, want, got)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// Engine selects a Machine's execution engine. The three tiers share
+// Engine selects a Machine's execution engine. The two tiers share
 // every model component — the timing.Ledger charge rules, the cache and
 // FPU contention models, the scheduler's round-robin tie order — and are
 // required (and tested) to be cycle- and byte-identical; they differ
@@ -16,15 +16,12 @@ const (
 	// EngineBlock is the production engine: basic blocks compiled once
 	// into slices of pre-bound closures (threaded code) with fused
 	// superinstructions, executed a whole block per dispatch while the
-	// thread unit is provably the only one due (see block.go).
+	// thread unit is provably the only one due, under the event-driven
+	// min-heap scheduler (see block.go).
 	EngineBlock Engine = iota
-	// EngineDecoded dispatches one decoded-cache entry per issue through
-	// the event-driven min-heap scheduler (the PR 1 engine, kept as the
-	// first-tier oracle).
-	EngineDecoded
 	// EngineLegacy is the seed interpreter: per-issue fetch+decode and an
-	// O(active) min-scan scheduler. Kept as the root oracle the faster
-	// tiers are pinned against.
+	// O(active) min-scan scheduler. Kept as the oracle the block engine is
+	// pinned against.
 	EngineLegacy
 )
 
@@ -33,8 +30,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineBlock:
 		return "block"
-	case EngineDecoded:
-		return "decoded"
 	case EngineLegacy:
 		return "legacy"
 	}
@@ -46,22 +41,20 @@ func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "block":
 		return EngineBlock, nil
-	case "decoded":
-		return EngineDecoded, nil
 	case "legacy":
 		return EngineLegacy, nil
 	}
-	return EngineBlock, fmt.Errorf("sim: unknown engine %q (want block, decoded or legacy)", s)
+	return EngineBlock, fmt.Errorf("sim: unknown engine %q (want block or legacy)", s)
 }
 
-// Engines lists every engine, fastest first — the order benchmark and
-// equivalence sweeps iterate.
-func Engines() []Engine { return []Engine{EngineBlock, EngineDecoded, EngineLegacy} }
+// Engines lists every engine, fastest first — the order equivalence
+// sweeps iterate.
+func Engines() []Engine { return []Engine{EngineBlock, EngineLegacy} }
 
 // defaultEngine is the process-wide default New gives fresh machines.
 // Machine construction happens deep inside the harness (every experiment
 // point builds its own chip and kernel), so harness-wide engine sweeps —
-// the equivalence tests, the bench-smoke lane — set the default rather
+// the equivalence tests, the matrix-smoke lane — set the default rather
 // than thread a parameter through every layer. The zero value is
 // EngineBlock.
 var defaultEngine atomic.Uint32
@@ -79,7 +72,7 @@ func SetDefaultEngine(e Engine) Engine {
 
 // SetEngine selects this machine's engine. Must be called before any
 // thread is started: the legacy scheduler scans the active list while
-// the other tiers pull from the event queue, so switching mid-run would
+// the block engine pulls from the event queue, so switching mid-run would
 // lose queued units.
 func (m *Machine) SetEngine(e Engine) {
 	if len(m.active) > 0 {
@@ -94,7 +87,7 @@ func (m *Machine) Engine() Engine { return m.engine }
 // BlockStats reports the block engine's host-side cache activity: blocks
 // compiled (including recompiles after a flush) and whole-cache flushes
 // forced by the code-generation counter (self-modifying stores, DMA
-// reloads). Zero on the other engines.
+// reloads). Zero on the legacy engine.
 func (m *Machine) BlockStats() (compiles, flushes uint64) {
 	return m.blockCompiles, m.blockFlushes
 }

@@ -16,15 +16,19 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
 		}
 	}
-	got, err := ParseEngine("turbo")
-	if err == nil {
-		t.Fatal("ParseEngine(turbo): no error")
-	}
-	if !strings.Contains(err.Error(), `"turbo"`) || !strings.Contains(err.Error(), "block, decoded or legacy") {
-		t.Errorf("error = %v, want the flag spelling hint", err)
-	}
-	if got != EngineBlock {
-		t.Errorf("error case returns %v, want the EngineBlock zero value", got)
+	// "decoded" names no engine: it must fail like any other unknown
+	// spelling, not resolve to one.
+	for _, bad := range []string{"turbo", "decoded"} {
+		got, err := ParseEngine(bad)
+		if err == nil {
+			t.Fatalf("ParseEngine(%s): no error", bad)
+		}
+		if !strings.Contains(err.Error(), `"`+bad+`"`) || !strings.Contains(err.Error(), "want block or legacy") {
+			t.Errorf("error = %v, want the flag spelling hint", err)
+		}
+		if got != EngineBlock {
+			t.Errorf("error case returns %v, want the EngineBlock zero value", got)
+		}
 	}
 }
 
@@ -69,8 +73,19 @@ func TestSetDefaultEngine(t *testing.T) {
 	if got := m.Engine(); got != EngineLegacy {
 		t.Errorf("new machine engine = %v, want the process default legacy", got)
 	}
-	m.SetEngine(EngineDecoded)
-	if got := m.Engine(); got != EngineDecoded {
-		t.Errorf("per-machine engine = %v, want decoded", got)
+	m.SetEngine(EngineBlock)
+	if got := m.Engine(); got != EngineBlock {
+		t.Errorf("per-machine engine = %v, want block", got)
+	}
+}
+
+// TestRunRejectsUnknownEngine pins Run's engine switch as exhaustive: a
+// value outside Engines() is an error, not a silent fallback to some loop.
+func TestRunRejectsUnknownEngine(t *testing.T) {
+	m := New(core.MustNew(arch.Default()), nil)
+	m.SetEngine(Engine(2))
+	err := m.Run()
+	if err == nil || !strings.Contains(err.Error(), "unknown engine Engine(2)") {
+		t.Fatalf("Run with Engine(2) = %v, want an unknown-engine error", err)
 	}
 }

@@ -118,7 +118,8 @@ func memSize(op isa.Op) uint32 {
 	}
 }
 
-// step attempts to issue one instruction for tu at the current cycle.
+// step attempts to issue one instruction for tu at the current cycle: the
+// legacy engine's per-issue fetch and decode.
 func (m *Machine) step(tu *TU) {
 	cycle := m.cycle
 	if obs.Enabled && tu.Samp != nil {
@@ -133,29 +134,17 @@ func (m *Machine) step(tu *TU) {
 		return
 	}
 
-	var in isa.Inst
-	var info *isa.Info
-	var word uint32
-	if m.engine == EngineLegacy {
-		w, err := m.Chip.Mem.Read32(tu.PC)
-		if err != nil {
-			m.Trap("sim: thread %d: fetch at %#x: %v", tu.ID, tu.PC, err)
-			return
-		}
-		in = isa.Decode(w)
-		if in.Op == isa.OpInvalid {
-			m.Trap("sim: thread %d: illegal instruction %#08x at %#x", tu.ID, w, tu.PC)
-			return
-		}
-		info, word = isa.InfoRef(in.Op), w
-	} else {
-		e := m.fetchDecoded(tu)
-		if e == nil {
-			return
-		}
-		in, info, word = e.in, e.info, e.word
+	word, err := m.Chip.Mem.Read32(tu.PC)
+	if err != nil {
+		m.Trap("sim: thread %d: fetch at %#x: %v", tu.ID, tu.PC, err)
+		return
 	}
-	m.issue(tu, in, info, word, cycle)
+	in := isa.Decode(word)
+	if in.Op == isa.OpInvalid {
+		m.Trap("sim: thread %d: illegal instruction %#08x at %#x", tu.ID, word, tu.PC)
+		return
+	}
+	m.issue(tu, in, isa.InfoRef(in.Op), word, cycle)
 }
 
 // fetchPIB refills the thread's prefetch instruction buffer at tu.PC,
@@ -180,7 +169,7 @@ func (m *Machine) fetchPIB(tu *TU, cycle uint64) {
 
 // issue executes one fetched instruction: the scoreboard wait, the
 // per-class execution and charge rules, and the PC advance. It is the
-// semantic core all three engines share — the block compiler's generic
+// semantic core both engines share — the block compiler's generic
 // ops call it directly, so any instruction without a specialized closure
 // is equivalent by construction.
 func (m *Machine) issue(tu *TU, in isa.Inst, info *isa.Info, word uint32, cycle uint64) {

@@ -53,9 +53,6 @@ type TU struct {
 	// event-driven scheduler uses it to reproduce the legacy positional
 	// round-robin tie order.
 	pos int
-	// decPage / decPageKey hint the unit's current decode-cache page.
-	decPage    *decPage
-	decPageKey uint32
 	// blk hints the unit's current compiled block (block engine only).
 	blk *simBlock
 
@@ -115,22 +112,20 @@ type Machine struct {
 	active []*TU
 	rr     int
 
-	// Event-driven scheduler state: eq orders running units by their next
-	// issue cycle; batch is the reused buffer of units due at the current
-	// cycle.
+	// Event-driven scheduler state (block engine): eq orders running units
+	// by their next issue cycle; batch is the reused buffer of units due
+	// at the current cycle.
 	eq    eventQueue
 	batch []*TU
 
-	// Decoded-instruction cache (see decode.go).
-	decPages map[uint32]*decPage
-	decGen   uint64
-
-	// Compiled-block cache (see block.go), keyed by entry PC.
+	// Compiled-block cache (see block.go), keyed by entry PC; codeGen is
+	// the memory code generation it was compiled under (see decode.go).
 	blocks        map[uint32]*simBlock
+	codeGen       uint64
 	blockCompiles uint64
 	blockFlushes  uint64
 
-	// engine selects the execution engine tier (see engine.go). All
+	// engine selects the execution engine tier (see engine.go). Both
 	// tiers are cycle- and byte-identical; they differ in host cost.
 	engine Engine
 
@@ -258,7 +253,7 @@ func (m *Machine) Start(tid int, pc uint32) error {
 	}
 	tu.pos = len(m.active)
 	m.active = append(m.active, tu)
-	if m.engine != EngineLegacy {
+	if m.engine == EngineBlock {
 		m.eq.push(tu)
 	}
 	return nil
@@ -274,61 +269,14 @@ func (m *Machine) Trap(format string, args ...interface{}) {
 
 // Run executes until every started thread halts, a trap fires, or the
 // cycle limit is hit. It returns the first trap, if any.
-//
-// The decoded engine is event-driven: a min-heap over the units' next
-// issue cycles replaces the legacy per-cycle scan of the whole active
-// list, so cost scales with units actually issuing rather than units
-// merely alive. Tie order is the legacy rotating round-robin over
-// active-list positions, reproduced bit-for-bit (see sortBatch). The
-// block engine (block.go) keeps this scheduler but replaces per-issue
-// dispatch with compiled basic blocks.
 func (m *Machine) Run() error {
 	switch m.engine {
-	case EngineLegacy:
-		return m.runLegacy()
 	case EngineBlock:
 		return m.runBlock()
+	case EngineLegacy:
+		return m.runLegacy()
 	}
-	for len(m.active) > 0 && m.trap == nil {
-		// Advance to the earliest pending issue cycle.
-		m.cycle = m.eq.min().nextAt
-		if m.MaxCycles > 0 && m.cycle > m.MaxCycles {
-			return fmt.Errorf("sim: cycle limit %d exceeded", m.MaxCycles)
-		}
-		m.tickTimeline()
-		// Pop every unit due this cycle and issue in round-robin order.
-		// Units started by a syscall during the batch land in the queue
-		// at the current cycle and form their own batch next iteration,
-		// exactly as the legacy engine's captured-length loop behaved.
-		m.batch = m.batch[:0]
-		for m.eq.Len() > 0 && m.eq.min().nextAt == m.cycle {
-			m.batch = append(m.batch, m.eq.pop())
-		}
-		n := len(m.active)
-		m.rr++
-		m.sortBatch(n)
-		anyHalted := false
-		for bi, tu := range m.batch {
-			m.step(tu)
-			if tu.State == Running {
-				m.eq.push(tu)
-			} else {
-				anyHalted = true
-			}
-			if m.trap != nil {
-				// Requeue the units this batch never reached.
-				for _, rest := range m.batch[bi+1:] {
-					m.eq.push(rest)
-				}
-				break
-			}
-		}
-		if anyHalted {
-			m.compact()
-		}
-	}
-	m.finishTimeline()
-	return m.trap
+	return fmt.Errorf("sim: unknown engine %v", m.engine)
 }
 
 // sortBatch orders the due units the way the legacy engine visited them:
@@ -374,8 +322,9 @@ func (m *Machine) compact() {
 }
 
 // runLegacy is the seed engine, byte-for-byte: linear min-scan over the
-// active list every cycle plus unconditional compaction. The equivalence
-// tests run every experiment through both engines and diff the tables.
+// active list every cycle, per-issue fetch+decode (step) and unconditional
+// compaction. The equivalence tests run every experiment through both
+// engines and diff the tables.
 func (m *Machine) runLegacy() error {
 	for len(m.active) > 0 && m.trap == nil {
 		// Advance to the earliest pending issue cycle.

@@ -7,7 +7,7 @@ import "cyclops/internal/timing"
 // The abstraction and its charge rules live in internal/timing, shared
 // with the direct-execution runtime; this alias and the re-exports below
 // let simulator callers select policies without importing timing.
-// Policies are honored identically by all three engines: every penalty
+// Policies are honored identically by both engines: every penalty
 // flows through the shared Ledger and the unit's resume time, both of
 // which the engines already agree on by construction.
 type Policy = timing.Policy

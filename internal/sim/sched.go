@@ -1,11 +1,11 @@
 package sim
 
 // eventQueue is a binary min-heap of running thread units keyed by
-// tu.nextAt. The engine uses it to jump straight to the earliest pending
-// issue cycle instead of scanning every active unit each cycle: Run pops
-// the whole batch of units due at the minimum cycle, issues them in the
-// rotating round-robin order, and pushes the survivors back with their
-// new wakeup cycles.
+// tu.nextAt. The block engine uses it to jump straight to the earliest
+// pending issue cycle instead of scanning every active unit each cycle:
+// runBlock pops the whole batch of units due at the minimum cycle, issues
+// them in the rotating round-robin order, and pushes the survivors back
+// with their new wakeup cycles.
 //
 // The heap is deliberately order-agnostic for ties — batch issue order is
 // decided by Machine.sortBatch, which reproduces the legacy engine's

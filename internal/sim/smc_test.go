@@ -6,10 +6,10 @@ import (
 	"cyclops/internal/asm"
 )
 
-// smcSrc executes the instruction at patch: (so it lands in the decode
-// cache), overwrites it with a store, jumps back, and records what the
-// second pass computed. The decode cache must notice the store into
-// cached text — a stale decode would write 7 instead of 42.
+// smcSrc executes the instruction at patch: (so it lands in a compiled
+// block), overwrites it with a store, jumps back, and records what the
+// second pass computed. The block cache must notice the store into
+// compiled text — a stale block would write 7 instead of 42.
 const smcSrc = `
 	la   r20, out
 	la   r21, patch
@@ -19,7 +19,7 @@ patch:	addi r11, r0, 7		; executed twice; rewritten between passes
 	bne  r9, r0, done
 	li   r9, 1
 	lw   r10, 0(r22)	; template word: "addi r11, r0, 42"
-	sw   r10, 0(r21)	; store into text -> must flush the decode cache
+	sw   r10, 0(r21)	; store into text -> must flush the block cache
 	j    patch
 done:	sw   r11, 0(r20)
 	halt
@@ -37,10 +37,9 @@ func smcOut(t *testing.T) uint32 {
 }
 
 // TestSelfModifyingCode checks the WatchCode invalidation property on
-// every engine: the legacy interpreter (which re-reads memory each issue
-// and so is correct trivially — the pinned reference), the decoded
-// engine (stale decode entries must flush), and the block engine (stale
-// compiled blocks must flush and recompile).
+// both engines: the legacy interpreter (which re-reads memory each issue
+// and so is correct trivially — the pinned reference) and the block
+// engine (stale compiled blocks must flush and recompile).
 func TestSelfModifyingCode(t *testing.T) {
 	for _, e := range Engines() {
 		t.Run(e.String(), func(t *testing.T) {
@@ -50,12 +49,8 @@ func TestSelfModifyingCode(t *testing.T) {
 			}
 			switch e {
 			case EngineLegacy:
-				if m.decPages != nil {
-					t.Fatal("legacy engine populated the decode cache")
-				}
-			case EngineDecoded:
-				if m.decPages == nil {
-					t.Fatal("decode cache was never populated (legacy path taken?)")
+				if m.blocks != nil || m.blockCompiles != 0 {
+					t.Fatal("legacy engine compiled blocks")
 				}
 			case EngineBlock:
 				if m.blocks == nil {

@@ -80,10 +80,10 @@ func (g *graph) barrierReadFollows(i int) bool {
 }
 
 // Pass smc: stores whose address constant-propagation proves to be inside
-// the instruction stream. The simulator's decoded-instruction model never
-// re-reads patched words, so self-modifying stores silently diverge from
-// real hardware; they are reported as warnings because a program may
-// legitimately patch code it never re-executes.
+// the instruction stream. The simulator executes patched words (a write
+// into compiled text flushes the block engine's code), but a store into
+// text is far more often a stray pointer than an overlay; they are
+// reported as warnings because a program may legitimately patch code.
 func passSMC(g *graph, diags *[]Diagnostic) {
 	in, have := g.solveConsts()
 	for b := range g.blocks {
