@@ -63,7 +63,6 @@ func main() {
 	scaleStr := flag.String("scale", "small", "experiment scale: small | full (paper parameters)")
 	csvDir := flag.String("csv", "", "also write each table as CSV into this directory")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "sweep worker pool size (1 = fully serial)")
-	stats := flag.Bool("stats", false, "report the run/stall cycle breakdown for STREAM and FFT (shorthand for -run breakdown)")
 	jf := job.AddFlags(flag.CommandLine)
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory; warm entries skip simulation")
 	traceRuns := flag.String("trace-runs", "", "record every experiment point's run stages as spans and write a Chrome trace-event JSON to this file (- = stdout)")
@@ -122,7 +121,7 @@ func main() {
 
 	if *list {
 		for _, e := range harness.Experiments() {
-			fmt.Printf("%-13s %s\n", e.ID, e.Brief)
+			fmt.Printf("%-15s %s\n", e.ID, e.Brief)
 		}
 		flushTelemetry()
 		return
@@ -144,11 +143,8 @@ func main() {
 			}
 			exps = append(exps, e)
 		}
-	case *stats:
-		e, _ := harness.Lookup("breakdown")
-		exps = append(exps, e)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: cyclops-bench -list | -run id[,id...] | -all | -stats  [-scale small|full] [-csv dir] [-parallel N]")
+		fmt.Fprintln(os.Stderr, "usage: cyclops-bench -list | -run id[,id...] | -all  [-scale small|full] [-csv dir] [-parallel N]")
 		os.Exit(2)
 	}
 
@@ -157,7 +153,7 @@ func main() {
 	failed := 0
 	for i, e := range exps {
 		r := results[i]
-		fmt.Fprintf(os.Stderr, "cyclops-bench: %-13s %8.2fs\n", e.ID, r.elapsed.Seconds())
+		fmt.Fprintf(os.Stderr, "cyclops-bench: %-15s %8.2fs\n", e.ID, r.elapsed.Seconds())
 		if r.err != nil {
 			// Report and keep going; a broken experiment must not cost
 			// the rest of the run.

@@ -1,7 +1,9 @@
 package experiments_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"cyclops/experiments"
@@ -9,21 +11,54 @@ import (
 	"cyclops/internal/sim"
 )
 
-// render runs every experiment at Small scale and returns the rendered
-// tables keyed by ID.
-func render(t *testing.T) map[string]string {
-	t.Helper()
+// render runs every registered experiment at Small scale on the given
+// engine and sweep pool size, and returns the rendered tables keyed by
+// ID. Both process-wide settings are restored on return.
+func render(engine sim.Engine, workers int) (map[string]string, error) {
+	defer sim.SetDefaultEngine(sim.SetDefaultEngine(engine))
+	defer sweep.SetWorkers(sweep.Workers())
+	sweep.SetWorkers(workers)
 	out := make(map[string]string)
 	for _, info := range experiments.List() {
 		tab, err := experiments.Run(info.ID, experiments.Small)
 		if err != nil {
-			t.Fatalf("%s: %v", info.ID, err)
+			return nil, fmt.Errorf("%s (%s engine, %d workers): %w", info.ID, engine, workers, err)
 		}
 		var sb strings.Builder
 		tab.Fprint(&sb)
 		out[info.ID] = sb.String()
 	}
-	return out
+	return out, nil
+}
+
+// The reference render — block engine, 8 sweep workers: the production
+// path — is shared by both equivalence tests, so a full test run renders
+// the registry three times (reference, legacy, serial), and either test
+// still works alone under -run.
+var (
+	refOnce sync.Once
+	refTabs map[string]string
+	refErr  error
+)
+
+// checkAgainstReference renders the registry on engine with the given
+// pool size and fails for every table that differs from the reference.
+func checkAgainstReference(t *testing.T, engine sim.Engine, workers int, what string) {
+	t.Helper()
+	refOnce.Do(func() { refTabs, refErr = render(sim.EngineBlock, 8) })
+	if refErr != nil {
+		t.Fatal(refErr)
+	}
+	got, err := render(engine, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range experiments.List() {
+		if want := refTabs[info.ID]; got[info.ID] != want {
+			t.Errorf("%s: %s\n--- block engine, 8 workers ---\n%s--- %s engine, %d workers ---\n%s",
+				info.ID, what, want, engine, workers, got[info.ID])
+		}
+	}
 }
 
 // TestEngineEquivalence checks that both execution engines — the seed
@@ -33,18 +68,9 @@ func render(t *testing.T) map[string]string {
 // rendered output.
 func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment once per engine")
+		t.Skip("renders every experiment on the legacy engine")
 	}
-	prev := sim.SetDefaultEngine(sim.EngineLegacy)
-	defer sim.SetDefaultEngine(prev)
-	legacy := render(t)
-	sim.SetDefaultEngine(sim.EngineBlock)
-	block := render(t)
-	for id, want := range legacy {
-		if got := block[id]; got != want {
-			t.Errorf("%s: block engine output differs from seed engine\n--- seed ---\n%s--- block ---\n%s", id, want, got)
-		}
-	}
+	checkAgainstReference(t, sim.EngineLegacy, 8, "seed engine output differs from block engine")
 }
 
 // TestSweepWorkerEquivalence checks that the rendered tables do not
@@ -52,16 +78,7 @@ func TestEngineEquivalence(t *testing.T) {
 // multi-worker run must be byte-identical.
 func TestSweepWorkerEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment twice")
+		t.Skip("renders every experiment serially")
 	}
-	defer sweep.SetWorkers(sweep.Workers())
-	sweep.SetWorkers(1)
-	serial := render(t)
-	sweep.SetWorkers(8)
-	parallel := render(t)
-	for id, want := range serial {
-		if got := parallel[id]; got != want {
-			t.Errorf("%s: output depends on sweep worker count\n--- serial ---\n%s--- 8 workers ---\n%s", id, want, got)
-		}
-	}
+	checkAgainstReference(t, sim.EngineBlock, 1, "output depends on sweep worker count")
 }

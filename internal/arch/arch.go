@@ -3,8 +3,8 @@
 // map, and the interest-group address encoding of Table 1.
 //
 // Every other package derives sizes, latencies and peaks from a Config
-// value so that design-space exploration (cmd/cyclops-explore) can vary a
-// single parameter and rebuild the whole machine.
+// value so that design-space exploration (the harness's ablate-*
+// experiments) can vary a single parameter and rebuild the whole machine.
 package arch
 
 import (

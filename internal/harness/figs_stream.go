@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"cyclops/internal/arch"
 	"cyclops/internal/harness/sweep"
 	"cyclops/internal/job/workloads"
 	"cyclops/internal/kernel"
@@ -13,37 +14,43 @@ import (
 // streamKernels is the STREAM column order of every figure.
 var streamKernels = [4]stream.Kernel{stream.Copy, stream.Scale, stream.Add, stream.Triad}
 
-// streamPoint is one (params, kernel) cell of a STREAM sweep grid.
+// streamPoint is one STREAM simulation of a sweep: the parameters, the
+// thread allocation policy and, for sweeps that modify the chip, the
+// configuration to run on (nil = the process default).
 type streamPoint struct {
 	p      stream.Params
 	policy kernel.Policy
+	cfg    *arch.Config
+}
+
+// run executes the point through the job layer, so a warm result cache
+// answers it without simulating.
+func (q streamPoint) run() (*stream.Result, error) {
+	spec, err := workloads.StreamSpec(q.p, q.policy)
+	if err != nil {
+		return nil, fmt.Errorf("%v: %w", q.p.Kernel, err)
+	}
+	spec.Config = q.cfg
+	r, err := runStreamJob(spec, q.p)
+	if err != nil {
+		return nil, fmt.Errorf("%v: %w", q.p.Kernel, err)
+	}
+	return r, nil
 }
 
 // streamGrid fans rows×4 STREAM simulations across the sweep pool — each
 // point builds its own chip — and regroups the results one row of four
-// kernels per input row, in input order. Points go through the job
-// layer, so a warm result cache answers repeated grids without
-// simulating.
+// kernels per input row, in input order.
 func streamGrid(rows []stream.Params, policy kernel.Policy) ([][4]*stream.Result, error) {
 	pts := make([]streamPoint, 0, 4*len(rows))
 	for _, base := range rows {
 		for _, k := range streamKernels {
 			p := base
 			p.Kernel = k
-			pts = append(pts, streamPoint{p, policy})
+			pts = append(pts, streamPoint{p: p, policy: policy})
 		}
 	}
-	res, err := sweep.Map(pts, func(q streamPoint) (*stream.Result, error) {
-		spec, err := workloads.StreamSpec(q.p, q.policy)
-		if err != nil {
-			return nil, fmt.Errorf("%v: %w", q.p.Kernel, err)
-		}
-		r, err := runStreamJob(spec, q.p)
-		if err != nil {
-			return nil, fmt.Errorf("%v: %w", q.p.Kernel, err)
-		}
-		return r, nil
-	})
+	res, err := sweep.Map(pts, streamPoint.run)
 	if err != nil {
 		return nil, err
 	}

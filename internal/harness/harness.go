@@ -1,13 +1,15 @@
 // Package harness regenerates every table and figure of the paper's
-// evaluation (Section 3). Each experiment returns a Table that renders as
-// aligned text or CSV; cmd/cyclops-bench is the CLI front end and the
-// root bench_test.go wires each experiment to a testing.B benchmark.
+// evaluation (Section 3), plus the extension and design-point ablation
+// experiments, from one registry (Experiments). Each experiment returns a
+// Table that renders as aligned text or CSV; cmd/cyclops-bench is the CLI
+// front end.
 //
-// Experiments run at two scales: Small keeps unit tests and benchmarks
-// fast; Full uses the paper's parameters.
+// Experiments run at two scales: Small keeps unit tests fast; Full uses
+// the paper's parameters.
 package harness
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -88,15 +90,13 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// CSV renders the table as comma-separated values.
+// CSV renders the table as RFC 4180 comma-separated values: cells that
+// hold a comma or a quote (the matrix's "miss=48,rmiss=72") are quoted.
 func (t *Table) CSV() string {
 	var sb strings.Builder
-	sb.WriteString(strings.Join(t.Columns, ","))
-	sb.WriteByte('\n')
-	for _, row := range t.Rows {
-		sb.WriteString(strings.Join(row, ","))
-		sb.WriteByte('\n')
-	}
+	w := csv.NewWriter(&sb)
+	w.Write(t.Columns)
+	w.WriteAll(t.Rows) // flushes; a strings.Builder cannot fail
 	return sb.String()
 }
 
@@ -111,7 +111,8 @@ type Experiment struct {
 	Run   func(Scale) (*Table, error)
 }
 
-// Experiments lists every table and figure in paper order.
+// Experiments lists every table and figure in paper order, then the
+// extensions and the design-point ablations.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"table1", "Interest group encoding (semantic check)", func(Scale) (*Table, error) { return Table1() }},
@@ -134,6 +135,12 @@ func Experiments() []Experiment {
 		{"apps", "Section 5 target applications (extension)", Apps},
 		{"fault", "Degraded-chip bandwidth (extension)", Fault},
 		{"mesh", "Multi-chip weak scaling (extension)", Mesh},
+		{"ablate-fpu", "Ablation: threads per FPU and data cache", ablateFPU},
+		{"ablate-banks", "Ablation: memory bank count at 8 MB", ablateBanks},
+		{"ablate-burst", "Ablation: DRAM burst occupancy", ablateBurst},
+		{"ablate-writebuf", "Ablation: per-bank write buffer depth", ablateWriteBuf},
+		{"ablate-policy", "Ablation: thread allocation policy", ablatePolicy},
+		{"ablate-dcache", "Ablation: data cache size per quad", ablateDCache},
 	}
 }
 

@@ -32,15 +32,21 @@ func TestTableRendering(t *testing.T) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
 		}
 	}
-	csv := tab.CSV()
-	if csv != "a,bb\n1,2\n" {
+	if csv := tab.CSV(); csv != "a,bb\n1,2\n" {
 		t.Errorf("CSV = %q", csv)
+	}
+	// Cells holding the separator or a quote are quoted, so every record
+	// keeps the header's field count.
+	tab.AddRow("miss=48,rmiss=72", `say "hi"`)
+	if csv, want := tab.CSV(), "a,bb\n1,2\n\"miss=48,rmiss=72\",\"say \"\"hi\"\"\"\n"; csv != want {
+		t.Errorf("CSV = %q, want %q", csv, want)
 	}
 }
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	want := []string{"table1", "table2", "fig3", "fig4a", "fig4b", "fig5a", "fig5b", "fig5c", "fig5d", "fig6a", "fig6b", "fig7a", "fig7b", "microbarrier", "breakdown", "profile", "matrix", "apps", "fault", "mesh"}
+	want := []string{"table1", "table2", "fig3", "fig4a", "fig4b", "fig5a", "fig5b", "fig5c", "fig5d", "fig6a", "fig6b", "fig7a", "fig7b", "microbarrier", "breakdown", "profile", "matrix", "apps", "fault", "mesh",
+		"ablate-fpu", "ablate-banks", "ablate-burst", "ablate-writebuf", "ablate-policy", "ablate-dcache"}
 	if len(exps) != len(want) {
 		t.Fatalf("%d experiments, want %d", len(exps), len(want))
 	}

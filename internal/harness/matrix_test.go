@@ -13,22 +13,23 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestMatrixGolden pins the Small-scale scenario matrix byte-exact: the
-// cycle counts and stall attributions of every (policy, latency,
-// workload) point are part of the repo's contract, regenerated only by
-// an intentional `go test -run MatrixGolden -update ./internal/harness`.
-func TestMatrixGolden(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
+// checkGolden renders experiment id at Small scale and compares it byte
+// for byte with testdata/<id>_small.golden, rewriting the file first
+// under -update. It returns the rendered table for shape assertions.
+func checkGolden(t *testing.T, id string) *Table {
+	t.Helper()
+	e, ok := Lookup(id)
+	if !ok {
+		t.Fatalf("no experiment %q", id)
 	}
-	tab, err := Matrix(Small)
+	tab, err := e.Run(Small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
 	tab.Fprint(&sb)
 	got := sb.String()
-	path := filepath.Join("testdata", "matrix_small.golden")
+	path := filepath.Join("testdata", id+"_small.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -39,11 +40,23 @@ func TestMatrixGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run `go test -run MatrixGolden -update ./internal/harness` to create it)", err)
+		t.Fatalf("%v (run `go test -run Golden -update ./internal/harness` to create it)", err)
 	}
 	if got != string(want) {
-		t.Errorf("matrix table drifted from golden\n--- golden ---\n%s--- got ---\n%s", want, got)
+		t.Errorf("%s table drifted from golden\n--- golden ---\n%s--- got ---\n%s", id, want, got)
 	}
+	return tab
+}
+
+// TestMatrixGolden pins the Small-scale scenario matrix byte-exact: the
+// cycle counts and stall attributions of every (policy, latency,
+// workload) point are part of the repo's contract, regenerated only by
+// an intentional `go test -run MatrixGolden -update ./internal/harness`.
+func TestMatrixGolden(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("counters compiled out")
+	}
+	checkGolden(t, "matrix")
 }
 
 // TestMatrixShares checks the structural invariants of every matrix row:

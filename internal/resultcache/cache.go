@@ -406,14 +406,6 @@ func (c *Cache) Stats() Counters {
 	}
 }
 
-// MemLen reports the number of memory-tier entries (for tests and the
-// serve metrics endpoint).
-func (c *Cache) MemLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
 // MemBytes reports the memory tier's current byte footprint.
 func (c *Cache) MemBytes() int {
 	c.mu.Lock()

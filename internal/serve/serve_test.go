@@ -252,7 +252,8 @@ func waitPending(t *testing.T, base, name string, want int) {
 	t.Fatalf("%s never reached %d (now %d)", name, want, metricValue(t, base, name))
 }
 
-func metricValue(t *testing.T, base, name string) int {
+// scrapeMetrics fetches the /metrics text export.
+func scrapeMetrics(t *testing.T, base string) string {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -263,7 +264,12 @@ func metricValue(t *testing.T, base, name string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(string(data), "\n") {
+	return string(data)
+}
+
+func metricValue(t *testing.T, base, name string) int {
+	t.Helper()
+	for _, line := range strings.Split(scrapeMetrics(t, base), "\n") {
 		f := strings.Fields(line)
 		if len(f) == 2 && f[0] == name {
 			v, err := strconv.Atoi(f[1])
@@ -277,14 +283,46 @@ func metricValue(t *testing.T, base, name string) int {
 }
 
 func TestMetricsAndHealthAndWorkloads(t *testing.T) {
-	_, ts := newTestServer(t, serve.Config{})
-	decodeRun(t, postSpec(t, ts.URL, streamSpec(), ""))
-
-	if v := metricValue(t, ts.URL, "job_executions"); v != 1 {
-		t.Errorf("job_executions = %d; want 1", v)
+	// A disk-backed daemon takes a cold and a warm pass over the same
+	// specs: the warm pass must simulate nothing, the latency histograms
+	// must have counted every request and the execute stage every
+	// simulation, and the export must not move between idle scrapes.
+	srv, ts := newTestServer(t, serve.Config{CacheDir: t.TempDir()})
+	triad := map[string]any{
+		"workload": "stream",
+		"args":     map[string]any{"kernel": "triad", "threads": 4, "n": 256, "partition": "cyclic", "reps": 2},
 	}
-	if v := metricValue(t, ts.URL, "serve_requests"); v < 1 {
-		t.Errorf("serve_requests = %d; want >= 1", v)
+	specs := []map[string]any{streamSpec(), triad}
+	for pass := 0; pass < 2; pass++ {
+		for _, spec := range specs {
+			if rb := decodeRun(t, postSpec(t, ts.URL, spec, "")); rb.Cached != (pass == 1) {
+				t.Errorf("pass %d: cached = %t", pass, rb.Cached)
+			}
+		}
+	}
+	requests := 2 * len(specs)
+	execs := int(srv.Runner().Stats().Executions)
+	if execs != len(specs) {
+		t.Errorf("runner executed %d simulations; want %d (the warm pass runs none)", execs, len(specs))
+	}
+	for name, want := range map[string]int{
+		"job_executions":                                 execs,
+		"job_errors":                                     0,
+		`run_seconds_count{workload="stream"}`:           requests,
+		"serve_request_seconds_count":                    requests,
+		`job_stage_seconds_count{stage="execute"}`:       execs,
+		`job_stage_seconds_count{stage="store"}`:         execs,
+		`job_stage_seconds_count{stage="coalesce_wait"}`: 0,
+	} {
+		if v := metricValue(t, ts.URL, name); v != want {
+			t.Errorf("%s = %d; want %d", name, v, want)
+		}
+	}
+	if v := metricValue(t, ts.URL, "serve_requests"); v < requests {
+		t.Errorf("serve_requests = %d; want >= %d", v, requests)
+	}
+	if a, b := scrapeMetrics(t, ts.URL), scrapeMetrics(t, ts.URL); a != b {
+		t.Errorf("/metrics not byte-stable across idle scrapes:\n--- first ---\n%s--- second ---\n%s", a, b)
 	}
 
 	resp, err := http.Get(ts.URL + "/healthz")

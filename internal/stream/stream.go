@@ -420,10 +420,3 @@ func (g *gen) stores(off int) {
 		g.f("\tsd   d%d, %d(r8)", v1, off)
 	}
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
