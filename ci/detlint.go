@@ -7,10 +7,10 @@
 // The repo's contract is byte-identical output — tables, metrics,
 // traces, goldens — for any parallelism, cache state or host. Two Go
 // constructs quietly break that: iterating a map while emitting, and
-// reading the wall clock on a deterministic path. detlint walks the
-// deterministic packages (internal/harness, internal/obs, internal/
-// serve, internal/prof, internal/vet, internal/job, internal/
-// resultcache, internal/timing by default) and reports:
+// reading the wall clock on a deterministic path. A third makes a run
+// depend on more than its spec: a mutable process-wide selection. detlint
+// walks the deterministic host packages and the model packages (see
+// defaultPkgs) and reports:
 //
 //   - `for … range m` where m is syntactically map-typed (named map
 //     types, map-typed struct fields, package vars, parameters, and
@@ -21,6 +21,11 @@
 //   - any `time.Now` call not marked with a `//detlint:clock`
 //     directive; the injectable-clock seam (obs.Tracer's default
 //     clock) carries the directive.
+//   - a package-level `var` of a sync/atomic type: state every run in
+//     the process shares, so a result could depend on who ran before.
+//     The engine, issue-policy and configuration defaults were three
+//     such; a selection belongs on the job.Runner (Defaults) or in the
+//     spec. No escape directive exists; add one when something needs it.
 //
 // Pure go/parser + go/ast, no type checker and no dependencies: the
 // map-type inference is syntactic and may miss aliases through
@@ -51,6 +56,22 @@ var defaultPkgs = []string{
 	"internal/job",
 	"internal/resultcache",
 	"internal/timing",
+	// The model: every package a simulated cycle count flows through.
+	"internal/arch",
+	"internal/sim",
+	"internal/perf",
+	"internal/core",
+	"internal/cache",
+	"internal/mem",
+	"internal/stream",
+	"internal/splash",
+	"internal/md",
+	"internal/ray",
+	"internal/kernel",
+	"internal/barrier",
+	"internal/link",
+	"internal/isa",
+	"internal/asm",
 }
 
 func main() {
@@ -64,14 +85,16 @@ func main() {
 	if len(pkgs) == 0 {
 		pkgs = defaultPkgs
 	}
-	var files []string
+	// One universe per directory: type and field names are package-scoped
+	// (sim's `blocks` map must not make vet's `blocks` slice a finding).
+	byDir := map[string][]string{}
 	for _, dir := range pkgs {
 		err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
 			if err != nil {
 				return err
 			}
 			if !info.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				files = append(files, path)
+				byDir[filepath.Dir(path)] = append(byDir[filepath.Dir(path)], path)
 			}
 			return nil
 		})
@@ -80,8 +103,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	sort.Strings(files)
-	findings := lintFiles(files)
+	var findings []string
+	for _, files := range byDir {
+		sort.Strings(files)
+		findings = append(findings, lintFiles(files)...)
+	}
+	sort.Strings(findings)
 	for _, f := range findings {
 		fmt.Println(f)
 	}
@@ -91,9 +118,9 @@ func main() {
 	}
 }
 
-// lintFiles parses every file and lints them with a shared map-type
-// universe, so a named map type declared in one file is recognized
-// when ranged over in another.
+// lintFiles parses one package's files and lints them with a shared
+// map-type universe, so a named map type declared in one file is
+// recognized when ranged over in another.
 func lintFiles(paths []string) []string {
 	fset := token.NewFileSet()
 	var parsed []*ast.File
@@ -188,6 +215,8 @@ func lintFile(fset *token.FileSet, f *ast.File, path string, u *universe) []stri
 			}
 		}
 	}
+
+	findings = append(findings, atomicGlobals(fset, f, path)...)
 
 	for _, decl := range f.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
@@ -304,6 +333,51 @@ func lintFile(fset *token.FileSet, f *ast.File, path string, u *universe) []stri
 			}
 			return true
 		})
+	}
+	return findings
+}
+
+// atomicGlobals reports the file's package-level variables declared with
+// a sync/atomic type (atomic.Uint32, atomic.Value, atomic.Pointer[T], …),
+// under whatever name the file imports the package.
+func atomicGlobals(fset *token.FileSet, f *ast.File, path string) []string {
+	pkg := ""
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"sync/atomic"` {
+			pkg = "atomic"
+			if imp.Name != nil {
+				pkg = imp.Name.Name
+			}
+		}
+	}
+	if pkg == "" {
+		return nil
+	}
+	var findings []string
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			t := vs.Type
+			if ix, ok := t.(*ast.IndexExpr); ok { // atomic.Pointer[T]
+				t = ix.X
+			}
+			sel, ok := t.(*ast.SelectorExpr)
+			if !ok {
+				continue
+			}
+			if id, ok := sel.X.(*ast.Ident); !ok || id.Name != pkg {
+				continue
+			}
+			for _, name := range vs.Names {
+				findings = append(findings, fmt.Sprintf(
+					"%s:%d: package-level %s.%s %q is process-wide mutable state (carry the selection on the job.Runner or in the spec)",
+					path, fset.Position(name.Pos()).Line, pkg, sel.Sel.Name, name.Name))
+			}
+		}
 	}
 	return findings
 }
@@ -446,6 +520,21 @@ func f(counters []string) {
 		fmt.Println(c)
 	}
 }`, 0},
+	{"atomic-global", `package p
+import "sync/atomic"
+var defaultEngine atomic.Uint32
+func f() uint32 { return defaultEngine.Load() }`, 1},
+	{"atomic-global-generic-renamed", `package p
+import a "sync/atomic"
+type cfg struct{}
+var (
+	override a.Pointer[cfg]
+	plain    int
+)`, 1},
+	{"atomic-field-clean", `package p
+import "sync/atomic"
+type runner struct{ hits atomic.Uint64 }
+func (r *runner) f() { var n atomic.Int32; n.Add(1); r.hits.Add(1) }`, 0},
 	{"array-receiver-clean", `package p
 type A [4]uint64
 type B struct{ m map[string]int }

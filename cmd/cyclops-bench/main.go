@@ -69,13 +69,15 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the run-layer counters and latency histograms in /metrics text format to this file (- = stdout)")
 	flag.Parse()
 
-	// Workloads build their chips from the process defaults deep inside
-	// the experiment points; installing the selections reaches them all.
-	// The matrix experiment's own points pass explicit configurations
-	// and are unaffected.
-	if err := jf.InstallDefaults(); err != nil {
+	// Every experiment point is a spec resolved by harness.Runner, so the
+	// selections reach them all as the defaults blank spec fields
+	// inherit. The matrix experiment's points name their own policies
+	// and are unaffected by -policy.
+	defaults, err := jf.Defaults()
+	if err != nil {
 		fatal(err)
 	}
+	harness.Runner.Defaults = defaults
 	if *cacheDir != "" {
 		c, err := resultcache.Open(*cacheDir, job.SemanticsVersion, 0)
 		if err != nil {

@@ -67,7 +67,8 @@ func main() {
 	if flag.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected arguments %q", flag.Args()))
 	}
-	if err := jf.InstallDefaults(); err != nil {
+	defaults, err := jf.Defaults()
+	if err != nil {
 		fatal(err)
 	}
 
@@ -100,6 +101,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	srv.Runner().Defaults = defaults
 	if *debugAddr != "" {
 		// http.DefaultServeMux carries the pprof handlers registered by
 		// the net/http/pprof import.

@@ -7,15 +7,19 @@ import (
 	"testing"
 
 	"cyclops/experiments"
+	"cyclops/internal/harness"
 	"cyclops/internal/harness/sweep"
 	"cyclops/internal/sim"
 )
 
 // render runs every registered experiment at Small scale on the given
-// engine and sweep pool size, and returns the rendered tables keyed by
-// ID. Both process-wide settings are restored on return.
+// engine — selected the way cyclops-bench -engine does, as the harness
+// runner's default — and sweep pool size, and returns the rendered tables
+// keyed by ID. Both settings are restored on return.
 func render(engine sim.Engine, workers int) (map[string]string, error) {
-	defer sim.SetDefaultEngine(sim.SetDefaultEngine(engine))
+	prev := harness.Runner.Defaults
+	defer func() { harness.Runner.Defaults = prev }()
+	harness.Runner.Defaults.Engine = engine
 	defer sweep.SetWorkers(sweep.Workers())
 	sweep.SetWorkers(workers)
 	out := make(map[string]string)

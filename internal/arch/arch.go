@@ -7,10 +7,7 @@
 // experiments) can vary a single parameter and rebuild the whole machine.
 package arch
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Fixed structural constants of the evaluated design point. These are the
 // quantities the paper treats as given by silicon area; the variable ones
@@ -100,6 +97,15 @@ type Config struct {
 	// Barriers is the number of independent hardware barriers provided
 	// by the 8-bit wired-OR SPR (4: two bits per barrier).
 	Barriers int
+
+	// FailedBanks and DisabledQuads are the Section 5 fault model as
+	// boot-time configuration: the chip comes up with its first
+	// FailedBanks memory banks re-mapped out of the address space and its
+	// first DisabledQuads quads (FPU, data cache and thread units) out of
+	// service. Zero — the healthy chip — is omitted from the encoding, so
+	// fault-free configurations keep their spec keys.
+	FailedBanks   int `json:"FailedBanks,omitempty"`
+	DisabledQuads int `json:"DisabledQuads,omitempty"`
 }
 
 // LatencyTable holds per-class instruction costs following Table 2 of the
@@ -129,36 +135,9 @@ type LatencyTable struct {
 	OtherExec int // every remaining operation: 1 cycle, no latency
 }
 
-// defaultOverride, when set, replaces the paper's design point as the
-// process-wide default configuration. CLI latency sweeps set it once at
-// startup (cyclops-bench -lat-*), before any machine is built; workloads
-// that construct chips deep inside the harness then pick the swept
-// latencies up through Default with no parameter threading.
-var defaultOverride atomic.Pointer[Config]
-
-// SetDefault installs cfg as the configuration Default returns, after
-// validating it; nil restores the paper's Table 2 point. It returns the
-// previous override (nil when the paper's point was active) so tests can
-// defer-restore. Concurrent sweep points needing *different* latencies
-// must instead pass explicit chips; this override is process-wide.
-func SetDefault(cfg *Config) (*Config, error) {
-	if cfg != nil {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		cc := *cfg
-		cfg = &cc
-	}
-	return defaultOverride.Swap(cfg), nil
-}
-
-// Default returns the process default configuration: the design point
-// evaluated in the paper — 128 threads, 32 quads, 16 banks, the Table 2
-// latencies — unless SetDefault installed an override.
+// Default returns the design point evaluated in the paper: 128 threads,
+// 32 quads, 16 banks, the Table 2 latencies.
 func Default() Config {
-	if c := defaultOverride.Load(); c != nil {
-		return *c
-	}
 	return Config{
 		Threads:            128,
 		ThreadsPerQuad:     4,
@@ -236,6 +215,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("arch: Barriers must be in 1..4, got %d", c.Barriers)
 	case c.OffChipBytes < 0 || (c.OffChipBytes > 0 && c.OffChipBytes%c.OffChipBlock != 0):
 		return fmt.Errorf("arch: OffChipBytes (%d) must be a multiple of OffChipBlock (%d)", c.OffChipBytes, c.OffChipBlock)
+	case c.FailedBanks < 0 || c.FailedBanks >= c.MemBanks:
+		return fmt.Errorf("arch: FailedBanks %d out of range for %d banks (one must survive)", c.FailedBanks, c.MemBanks)
+	case c.DisabledQuads < 0 || c.DisabledQuads >= c.Quads():
+		return fmt.Errorf("arch: DisabledQuads %d out of range for %d quads (one must survive)", c.DisabledQuads, c.Quads())
 	}
 	return nil
 }

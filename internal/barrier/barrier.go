@@ -59,14 +59,6 @@ func (w *Wired) Read() uint8 {
 // last wrote, used when composing the next write.
 func (w *Wired) Own(tid int) uint8 { return w.spr[tid] }
 
-// Reset clears every contribution.
-func (w *Wired) Reset() {
-	for i := range w.spr {
-		w.spr[i] = 0
-	}
-	w.counts = [8]int{}
-}
-
 // CurBit and NextBit return the bit masks of barrier k (0..3) for a given
 // phase parity. Roles interchange after each use: in even phases the lower
 // bit of the pair is "current", in odd phases the upper bit.

@@ -28,10 +28,6 @@ func TestWiredOR(t *testing.T) {
 	if w.Own(1) != 0b0010 {
 		t.Errorf("Own(1) = %#b", w.Own(1))
 	}
-	w.Reset()
-	if w.Read() != 0 {
-		t.Error("Reset left bits driven")
-	}
 }
 
 func TestBitRolesInterchange(t *testing.T) {

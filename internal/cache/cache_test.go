@@ -259,19 +259,6 @@ func TestDisableQuadRedirects(t *testing.T) {
 	}
 }
 
-func TestSystemReset(t *testing.T) {
-	s := newSystem(t)
-	s.Load(0, eaAll(0x1000), 8, 0)
-	s.Reset()
-	if s.Counts[LocalMiss]+s.Counts[RemoteMiss] != 0 {
-		t.Error("Reset kept access counts")
-	}
-	a := s.Load(0, eaAll(0x1000), 8, 0)
-	if a.Where != LocalMiss && a.Where != RemoteMiss {
-		t.Error("Reset kept cache contents")
-	}
-}
-
 func TestICacheFetch(t *testing.T) {
 	cfg := arch.Default()
 	ic := NewICache(cfg)

@@ -121,13 +121,10 @@ func (d *DCache) Install(addr uint32, ready uint64) {
 	d.readyAt[base+victim] = ready
 }
 
-// InvalidateAll empties the cache (used between experiment runs).
+// InvalidateAll empties the cache (a disabled quad loses its contents).
 func (d *DCache) InvalidateAll() {
 	for i := range d.tags {
 		d.tags[i] = 0
 		d.lru[i] = 0
 	}
 }
-
-// ResetStats clears the hit/miss counters.
-func (d *DCache) ResetStats() { d.Hits, d.Misses = 0, 0 }

@@ -289,18 +289,3 @@ func (s *System) PortStats(c int) obs.ResourceStats {
 		WaitCycles: s.portWait[c],
 	}
 }
-
-// Reset clears timing and tag state for a fresh experiment run.
-func (s *System) Reset() {
-	for i := range s.Caches {
-		s.Caches[i].InvalidateAll()
-		s.Caches[i].ResetStats()
-		s.port[i] = 0
-		s.portBusy[i] = 0
-		s.portGrants[i] = 0
-		s.portConflicts[i] = 0
-		s.portWait[i] = 0
-	}
-	s.Counts = [5]uint64{}
-	s.Mem.ResetTiming()
-}

@@ -93,9 +93,6 @@ func (f *FPU) Stats(id int) obs.ResourceStats {
 	}
 }
 
-// Reset clears timing state.
-func (f *FPU) Reset() { *f = FPU{} }
-
 // Chip is a fully assembled Cyclops cell.
 type Chip struct {
 	Cfg     arch.Config
@@ -110,7 +107,8 @@ type Chip struct {
 	disabledQuad []bool
 }
 
-// NewChip builds a chip for the configuration.
+// NewChip builds a chip for the configuration, booted with the
+// configuration's failed banks and disabled quads already out of service.
 func NewChip(cfg arch.Config) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -133,6 +131,16 @@ func NewChip(cfg arch.Config) (*Chip, error) {
 	}
 	for i := range c.FPUs {
 		c.FPUs[i] = &FPU{}
+	}
+	for b := 0; b < cfg.FailedBanks; b++ {
+		if err := m.FailBank(b); err != nil {
+			return nil, err
+		}
+	}
+	for q := 0; q < cfg.DisabledQuads; q++ {
+		if err := c.DisableQuad(q); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -182,16 +190,6 @@ func (c *Chip) UsableThreads() int {
 		}
 	}
 	return n
-}
-
-// ResetTiming clears all shared-resource timing (not memory contents or
-// fault state) for back-to-back experiment runs.
-func (c *Chip) ResetTiming() {
-	c.Data.Reset()
-	for _, f := range c.FPUs {
-		f.Reset()
-	}
-	c.Barrier.Reset()
 }
 
 // ResourceStats collects the telemetry of every contended shared resource

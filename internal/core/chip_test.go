@@ -81,15 +81,6 @@ func TestDivideUnitIsNotPipelined(t *testing.T) {
 	}
 }
 
-func TestFPUReset(t *testing.T) {
-	var f FPU
-	f.Dispatch(0, isa.PipeDiv, 56)
-	f.Reset()
-	if s := f.Dispatch(0, isa.PipeDiv, 56); s != 0 {
-		t.Errorf("post-reset divide start = %d", s)
-	}
-}
-
 func TestDisableQuad(t *testing.T) {
 	c := MustNew(arch.Default())
 	if err := c.DisableQuad(2); err != nil {
@@ -115,7 +106,31 @@ func TestDisableQuad(t *testing.T) {
 	}
 }
 
-func TestLoadImageAndResetTiming(t *testing.T) {
+// Faults named in the configuration are in force from construction, the
+// same state FailBank and DisableQuad calls would have left.
+func TestNewChipBootsWithConfiguredFaults(t *testing.T) {
+	cfg := arch.Default()
+	cfg.FailedBanks, cfg.DisabledQuads = 2, 3
+	c := MustNew(cfg)
+	if got := c.Mem.LiveBanks(); got != 14 {
+		t.Errorf("LiveBanks = %d, want 14", got)
+	}
+	if got, want := c.Mem.Size(), uint32(14*cfg.MemBankBytes); got != want {
+		t.Errorf("memory size = %d, want %d", got, want)
+	}
+	if !c.QuadDisabled(0) || !c.QuadDisabled(2) || c.QuadDisabled(3) {
+		t.Error("quads 0-2 should be out of service and quad 3 alive")
+	}
+	if got := c.UsableThreads(); got != 116 {
+		t.Errorf("UsableThreads = %d, want 116", got)
+	}
+	cfg.FailedBanks = cfg.MemBanks
+	if _, err := NewChip(cfg); err == nil {
+		t.Error("a chip with every bank failed was built")
+	}
+}
+
+func TestLoadImage(t *testing.T) {
 	c := MustNew(arch.Default())
 	if err := c.LoadImage(0x100, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
@@ -123,19 +138,6 @@ func TestLoadImageAndResetTiming(t *testing.T) {
 	w, err := c.Mem.Read32(0x100)
 	if err != nil || w != 0x04030201 {
 		t.Fatalf("image word = %#x, %v", w, err)
-	}
-	c.FPUs[0].Dispatch(0, isa.PipeDiv, 56)
-	c.Barrier.Write(0, 1)
-	c.ResetTiming()
-	if c.Barrier.Read() != 0 {
-		t.Error("ResetTiming left barrier bits")
-	}
-	if s := c.FPUs[0].Dispatch(0, isa.PipeDiv, 1); s != 0 {
-		t.Error("ResetTiming left FPU busy")
-	}
-	// Memory contents survive.
-	if w, _ := c.Mem.Read32(0x100); w != 0x04030201 {
-		t.Error("ResetTiming wiped memory")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // were fixed "from instruction mixes and silicon area" — and measure what
 // the choice buys. Every point is a job spec with an arch.Config override
 // (as in Matrix), so the points cache, coalesce and fan out like the
-// figure sweeps. Chips start from arch.Default, so -lat applies.
+// figure sweeps. Chips start from Runner.Defaults.Config, so -lat applies.
 
 // ablateCopy is the in-cache probe: an unrolled local-cache Copy over
 // 504 elements per thread, which four threads just fit in a 16 KB quad
@@ -49,7 +49,7 @@ func ablateTriad(s Scale) stream.Params {
 func configSweep(t *Table, vals []int, peak bool, p stream.Params, set func(*arch.Config, int)) (*Table, error) {
 	pts := make([]streamPoint, len(vals))
 	for i, v := range vals {
-		cfg := arch.Default()
+		cfg := Runner.Defaults.Config
 		set(&cfg, v)
 		pts[i] = streamPoint{p, kernel.Sequential, &cfg}
 	}
@@ -82,7 +82,7 @@ func ablateFPU(s Scale) (*Table, error) {
 	shares := []int{1, 2, 4, 8}
 	cfgs := make([]arch.Config, len(shares))
 	for i, share := range shares {
-		cfgs[i] = arch.Default()
+		cfgs[i] = Runner.Defaults.Config
 		cfgs[i].ThreadsPerQuad = share
 	}
 	cycles, err := sweep.Map(cfgs, func(cfg arch.Config) (uint64, error) {

@@ -4,11 +4,10 @@ import (
 	"fmt"
 
 	"cyclops/internal/arch"
-	"cyclops/internal/core"
 	"cyclops/internal/harness/sweep"
+	"cyclops/internal/job/workloads"
 	"cyclops/internal/kernel"
 	"cyclops/internal/link"
-	"cyclops/internal/splash"
 	"cyclops/internal/stream"
 )
 
@@ -29,47 +28,32 @@ func Fault(s Scale) (*Table, error) {
 	faults := []struct{ banks, quads int }{
 		{0, 0}, {1, 0}, {2, 0}, {4, 0}, {0, 4}, {0, 8}, {4, 8},
 	}
-	type faultResult struct {
-		threads int
-		memMB   float64
-		gbps    float64
-	}
-	res, err := sweep.Map(faults, func(f struct{ banks, quads int }) (faultResult, error) {
-		chip := core.MustNew(arch.Default())
-		for b := 0; b < f.banks; b++ {
-			if err := chip.Mem.FailBank(b); err != nil {
-				return faultResult{}, err
-			}
-		}
-		for q := 0; q < f.quads; q++ {
-			if err := chip.DisableQuad(q); err != nil {
-				return faultResult{}, err
-			}
-		}
-		threads := chip.UsableThreads() - 2
-		if threads > chip.Cfg.WorkerThreads() {
-			threads = chip.Cfg.WorkerThreads()
-		}
+	// A fault is boot-time configuration, so each row is one more
+	// config-override point (as in figs_ablate.go); the threads that
+	// survive and the memory left follow from the configuration alone.
+	pts := make([]streamPoint, len(faults))
+	for i, f := range faults {
+		cfg := Runner.Defaults.Config
+		cfg.FailedBanks, cfg.DisabledQuads = f.banks, f.quads
+		threads := (cfg.Quads()-f.quads)*cfg.ThreadsPerQuad - cfg.ReservedThreads
 		n := perThread * threads
 		n -= n % (8 * threads)
-		r, err := stream.RunOn(chip, stream.Params{
+		pts[i] = streamPoint{stream.Params{
 			Kernel: stream.Triad, Threads: threads, N: n,
 			Local: true, Unroll: 4, Reps: 2,
-		}, kernel.Sequential)
-		if err != nil {
-			return faultResult{}, err
-		}
-		return faultResult{threads, float64(chip.Mem.Size()) / (1 << 20), r.GBps()}, nil
-	})
+		}, kernel.Sequential, &cfg}
+	}
+	res, err := sweep.Map(pts, streamPoint.run)
 	if err != nil {
 		return nil, err
 	}
-	healthy := res[0].gbps
+	healthy := res[0].GBps()
 	for i, f := range faults {
-		r := res[i]
+		cfg, gbps := pts[i].cfg, res[i].GBps()
+		memMB := float64((cfg.MemBanks-f.banks)*cfg.MemBankBytes) / (1 << 20)
 		t.AddRow(fmt.Sprintf("%d", f.banks), fmt.Sprintf("%d", f.quads),
-			fmt.Sprintf("%d", r.threads), fmt.Sprintf("%.1f", r.memMB),
-			f1(r.gbps), f1(100*r.gbps/healthy))
+			fmt.Sprintf("%d", pts[i].p.Threads), fmt.Sprintf("%.1f", memMB),
+			f1(gbps), f1(100*gbps/healthy))
 	}
 	t.Note("failed banks shrink and re-map the address space; a broken FPU disables its quad")
 	return t, nil
@@ -89,10 +73,13 @@ func Mesh(s Scale) (*Table, error) {
 	if threads > block {
 		threads = block
 	}
-	r, err := splash.RunOcean(splash.OceanOpts{
-		Config: splash.Config{Threads: threads},
-		N:      block, Iters: 1,
+	spec, err := workloads.SplashSpec(workloads.SplashArgs{
+		Kernel: "ocean", Threads: threads, N: block, Iters: 1,
 	})
+	if err != nil {
+		return nil, err
+	}
+	r, err := runSplashJob(spec)
 	if err != nil {
 		return nil, err
 	}

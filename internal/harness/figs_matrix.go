@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"cyclops/internal/arch"
 	"cyclops/internal/harness/sweep"
 	"cyclops/internal/job/workloads"
 	"cyclops/internal/kernel"
@@ -23,17 +22,18 @@ func matrixPolicies() []timing.Policy {
 	}
 }
 
-// matrixLatencies is the latency axis: the Table 2 point plus a
-// slow-memory point (miss latencies doubled), and at Full scale a
-// slow-FPU point (result latencies doubled). Labels are the models'
-// canonical specs, so the table is self-describing.
+// matrixLatencies is the latency axis: the default point (Table 2
+// unless -lat moved it) plus a slow-memory point (miss latencies
+// doubled), and at Full scale a slow-FPU point (result latencies
+// doubled). Rows label each point by its diff from the first.
 func matrixLatencies(s Scale) []timing.LatencyModel {
-	slowmem := timing.DefaultLatencies()
+	base := timing.LatenciesOf(Runner.Defaults.Config)
+	slowmem := base
 	slowmem.LocalMiss *= 2
 	slowmem.RemoteMiss *= 2
-	pts := []timing.LatencyModel{timing.DefaultLatencies(), slowmem}
+	pts := []timing.LatencyModel{base, slowmem}
 	if s == Full {
-		slowfpu := timing.DefaultLatencies()
+		slowfpu := base
 		slowfpu.FPU *= 2
 		slowfpu.FMA *= 2
 		pts = append(pts, slowfpu)
@@ -50,9 +50,8 @@ func matrixLatencies(s Scale) []timing.LatencyModel {
 // making visible which stall buckets each policy trades for switch
 // overhead as the memory gets slower.
 //
-// Policies and latencies are threaded per point (Params.Issue, explicit
-// chips, splash.Config), never through the process defaults: sweep
-// workers run different scenario points concurrently.
+// Policies and latencies are per point: each spec names its policy and
+// carries its configuration.
 func Matrix(s Scale) (*Table, error) {
 	streamThreads, fftThreads, fftN := 4, 8, 1024
 	if s == Full {
@@ -81,16 +80,17 @@ func Matrix(s Scale) (*Table, error) {
 	type point struct {
 		workload, engine string
 		pol              timing.Policy
-		lat              timing.LatencyModel
+		lat              string
 		threads          int
 		run              func() (bd, error)
 	}
 	var pts []point
+	lats := matrixLatencies(s)
 	for _, pol := range matrixPolicies() {
 		pol := pol
-		for _, lat := range matrixLatencies(s) {
-			lat := lat
-			cfg := lat.Apply(arch.Default())
+		for _, model := range lats {
+			cfg := model.Apply(Runner.Defaults.Config)
+			lat := model.Diff(lats[0])
 			pts = append(pts, point{"STREAM Triad", "sim", pol, lat, streamThreads, func() (bd, error) {
 				p := stream.Params{
 					Kernel: stream.Triad, Threads: streamThreads, N: streamThreads * 1000,
@@ -142,7 +142,7 @@ func Matrix(s Scale) (*Table, error) {
 			}
 			return f1(100 * float64(v) / float64(total))
 		}
-		row := []string{p.workload, p.engine, p.pol.String(), p.lat.String(),
+		row := []string{p.workload, p.engine, p.pol.String(), p.lat,
 			fmt.Sprintf("%d", p.threads), pct(r.run)}
 		for _, v := range r.stalls {
 			row = append(row, pct(v))

@@ -4,10 +4,11 @@ import (
 	"fmt"
 
 	"cyclops/internal/harness/sweep"
+	"cyclops/internal/job"
+	"cyclops/internal/job/workloads"
 	"cyclops/internal/kernel"
 	"cyclops/internal/obs"
 	"cyclops/internal/prof"
-	"cyclops/internal/splash"
 	"cyclops/internal/stream"
 )
 
@@ -48,35 +49,33 @@ func Profile(s Scale) (*Table, error) {
 
 	type point struct {
 		workload, engine string
-		run              func() (*prof.Report, error)
+		spec             *job.Spec
 	}
-	pts := []point{
-		{"STREAM Copy", "sim", func() (*prof.Report, error) {
-			r, err := stream.Run(stream.Params{
-				Kernel: stream.Copy, Threads: streamThreads, N: streamN,
-				Local: true, Reps: 2, ProfileEvery: every,
-			}, kernel.Sequential)
-			if err != nil {
-				return nil, err
-			}
-			return r.Profile.Report(r.Prog), nil
-		}},
+	spec, err := workloads.StreamSpec(stream.Params{
+		Kernel: stream.Copy, Threads: streamThreads, N: streamN,
+		Local: true, Reps: 2, ProfileEvery: every,
+	}, kernel.Sequential)
+	if err != nil {
+		return nil, err
 	}
-	for _, kind := range []splash.BarrierKind{splash.HW, splash.SW} {
-		kind := kind
-		pts = append(pts, point{"FFT " + kind.String() + " barrier", "perf", func() (*prof.Report, error) {
-			r, err := splash.RunFFT(splash.FFTOpts{
-				Config: splash.Config{Threads: fftThreads, Barrier: kind, ProfileEvery: every},
-				N:      fftN,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return r.Profile.Report(r.Regions), nil
-		}})
+	pts := []point{{"STREAM Copy", "sim", spec}}
+	for _, kind := range []string{"hw", "sw"} {
+		spec, err := workloads.SplashSpec(workloads.SplashArgs{
+			Kernel: "fft", Threads: fftThreads, Barrier: kind, N: fftN, ProfileEvery: every,
+		})
+		if err != nil {
+			return nil, err
+		}
+		pts = append(pts, point{"FFT " + kind + " barrier", "perf", spec})
 	}
 
-	reports, err := sweep.Map(pts, func(p point) (*prof.Report, error) { return p.run() })
+	reports, err := sweep.Map(pts, func(p point) (*prof.Report, error) {
+		res, err := Runner.Run(p.spec)
+		if err != nil {
+			return nil, err
+		}
+		return workloads.ProfileReport(res)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ var streamKernels = [4]stream.Kernel{stream.Copy, stream.Scale, stream.Add, stre
 
 // streamPoint is one STREAM simulation of a sweep: the parameters, the
 // thread allocation policy and, for sweeps that modify the chip, the
-// configuration to run on (nil = the process default).
+// configuration to run on (nil = Runner.Defaults.Config).
 type streamPoint struct {
 	p      stream.Params
 	policy kernel.Policy

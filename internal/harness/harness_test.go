@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cyclops/internal/obs"
+	"cyclops/internal/resultcache"
 )
 
 func TestParseScale(t *testing.T) {
@@ -274,10 +275,7 @@ func TestAppsExtension(t *testing.T) {
 }
 
 func TestFaultExtension(t *testing.T) {
-	tab, err := Fault(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := checkGolden(t, "fault")
 	// The healthy row is 100%; degraded rows stay above half.
 	if v := cell(t, tab, 0, 5); v != 100.0 {
 		t.Errorf("healthy baseline = %v%%", v)
@@ -290,10 +288,7 @@ func TestFaultExtension(t *testing.T) {
 }
 
 func TestMeshExtension(t *testing.T) {
-	tab, err := Mesh(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := checkGolden(t, "mesh")
 	// Aggregate throughput grows with cells; comm share stays bounded.
 	first, last := cell(t, tab, 0, 4), cell(t, tab, len(tab.Rows)-1, 4)
 	if last < 10*first {
@@ -302,6 +297,33 @@ func TestMeshExtension(t *testing.T) {
 	for i := 1; i < len(tab.Rows); i++ {
 		if v := cell(t, tab, i, 3); v > 60 {
 			t.Errorf("row %d spends %v%% on communication", i, v)
+		}
+	}
+}
+
+// profile, fault and mesh were the last experiments to run outside the
+// job layer. Through it, their points are content-addressed like every
+// other: a second render with a cache attached executes nothing and
+// prints the same bytes.
+func TestProfileFaultMeshWarmFromCache(t *testing.T) {
+	UseCache(resultcache.OpenMemory(0))
+	defer UseCache(nil)
+	for _, id := range []string{"profile", "fault", "mesh"} {
+		if id == "profile" && !obs.Enabled {
+			continue // a note-only table under cyclops_noobs: no points
+		}
+		start := Runner.Stats().Executions
+		_, cold := renderSmall(t, id)
+		afterCold := Runner.Stats().Executions
+		if afterCold == start {
+			t.Errorf("%s: cold render executed nothing through the Runner", id)
+		}
+		_, warm := renderSmall(t, id)
+		if n := Runner.Stats().Executions - afterCold; n != 0 {
+			t.Errorf("%s: warm render executed %d points, want 0", id, n)
+		}
+		if warm != cold {
+			t.Errorf("%s: warm render differs from cold\n--- cold ---\n%s--- warm ---\n%s", id, cold, warm)
 		}
 	}
 }

@@ -8,17 +8,20 @@ import (
 	"cyclops/internal/stream"
 )
 
-// Runner executes every cacheable experiment point. The figure sweeps
-// keep their own sweep.Map fan-out and call Runner.Run per point (Run
-// is pool-free, so the nesting is safe); attaching a cache via UseCache
-// makes repeated sweeps — re-runs, engine cross-checks, CI lanes —
-// reuse earlier results instead of re-simulating. Tables are
-// byte-identical either way: the Runner returns results decoded from
-// the same canonical encoding on every path.
+// Runner executes every simulation of every experiment: a point is a
+// job spec, and no experiment builds a chip or calls a workload package
+// itself. The figure sweeps keep their own sweep.Map fan-out and call
+// Runner.Run per point (Run is pool-free, so the nesting is safe);
+// attaching a cache via UseCache makes repeated sweeps — re-runs, engine
+// cross-checks, CI lanes — reuse earlier results instead of
+// re-simulating. Tables are byte-identical either way: the Runner
+// returns results decoded from the same canonical encoding on every
+// path.
 //
-// Experiments that produce live profiler objects (profile) or mutate
-// chips statefully (fault, mesh) stay on the direct path; their points
-// are not content-addressable.
+// Runner.Defaults is the one place a harness-wide engine, issue policy or
+// latency selection lives (cyclops-bench sets it from its flags): specs
+// leave those fields blank to inherit it, and experiments that override
+// the configuration start from Runner.Defaults.Config.
 var Runner = job.NewRunner()
 
 // UseCache attaches a result cache to the experiment runner.

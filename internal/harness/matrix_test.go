@@ -13,10 +13,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// checkGolden renders experiment id at Small scale and compares it byte
-// for byte with testdata/<id>_small.golden, rewriting the file first
-// under -update. It returns the rendered table for shape assertions.
-func checkGolden(t *testing.T, id string) *Table {
+// renderSmall runs experiment id at Small scale and returns the table
+// with its printed form.
+func renderSmall(t *testing.T, id string) (*Table, string) {
 	t.Helper()
 	e, ok := Lookup(id)
 	if !ok {
@@ -28,7 +27,15 @@ func checkGolden(t *testing.T, id string) *Table {
 	}
 	var sb strings.Builder
 	tab.Fprint(&sb)
-	got := sb.String()
+	return tab, sb.String()
+}
+
+// checkGolden renders experiment id at Small scale and compares it byte
+// for byte with testdata/<id>_small.golden, rewriting the file first
+// under -update. It returns the rendered table for shape assertions.
+func checkGolden(t *testing.T, id string) *Table {
+	t.Helper()
+	tab, got := renderSmall(t, id)
 	path := filepath.Join("testdata", id+"_small.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

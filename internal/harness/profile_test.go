@@ -36,17 +36,15 @@ func TestProfileTableDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The table's shape: every workload contributes rows, the hottest STREAM
-// symbol is a generated loop label, the hottest FFT symbol is a kernel
-// phase, and each row's run+stall percentages account for the symbol.
+// The table is pinned byte-exact, and its shape checked: every workload
+// contributes rows, the hottest STREAM symbol is a generated loop label,
+// the hottest FFT symbol is a kernel phase, and each row's run+stall
+// percentages account for the symbol.
 func TestProfileTableShape(t *testing.T) {
 	if !obs.Enabled {
-		t.Skip("observability compiled out")
+		t.Skip("observability compiled out: the table is a note")
 	}
-	tbl, err := Profile(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := checkGolden(t, "profile")
 	perWorkload := map[string][]string{}
 	for _, row := range tbl.Rows {
 		perWorkload[row[0]] = append(perWorkload[row[0]], row[2])

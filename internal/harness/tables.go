@@ -45,7 +45,7 @@ func Table1() (*Table, error) {
 // Table2 renders the simulation parameters actually in force, mirroring
 // the paper's Table 2.
 func Table2() (*Table, error) {
-	c := arch.Default()
+	c := Runner.Defaults.Config
 	l := c.Latencies
 	t := &Table{
 		ID:      "table2",

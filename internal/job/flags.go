@@ -2,7 +2,6 @@ package job
 
 import (
 	"flag"
-	"fmt"
 
 	"cyclops/internal/arch"
 	"cyclops/internal/sim"
@@ -23,7 +22,7 @@ type Flags struct {
 // AddFlags registers -engine, -policy, -switch-penalty and -lat on fs.
 func AddFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
-		engine: fs.String("engine", sim.DefaultEngine().String(),
+		engine: fs.String("engine", sim.EngineBlock.String(),
 			"execution engine: block or legacy"),
 		policy: fs.String("policy", "fine",
 			"issue policy: fine, blocked or switchmiss"),
@@ -68,31 +67,16 @@ func (f *Flags) Resolve() (sim.Engine, timing.Policy, timing.LatencyModel, error
 // CLIs' usage lines.
 const Usage = "[-engine E] [-policy P] [-switch-penalty N] [-lat SPEC]"
 
-// InstallDefaults makes the resolved selections the process-wide
-// defaults: the engine and policy for subsequently built machines, and —
-// when the latency model differs from Table 2 — the architectural
-// configuration returned by arch.Default. This is the cyclops-bench and
-// cyclops-serve pattern: machines are built deep inside experiment
-// points and request handlers, so CLI-wide selection installs defaults
-// rather than threading parameters through every layer.
-func (f *Flags) InstallDefaults() error {
+// Defaults resolves the selections into the value a Runner's blank spec
+// fields inherit: the engine, the policy, and the paper's configuration
+// with the -lat model applied. This is the cyclops-bench and
+// cyclops-serve pattern — chips are built deep inside experiment points
+// and request handlers, all of them from specs, so the CLI-wide
+// selection is one field on the Runner those specs resolve through.
+func (f *Flags) Defaults() (Defaults, error) {
 	eng, pol, lat, err := f.Resolve()
 	if err != nil {
-		return err
+		return Defaults{}, err
 	}
-	return InstallDefaults(eng, pol, lat)
-}
-
-// InstallDefaults installs explicit selections process-wide (see
-// Flags.InstallDefaults).
-func InstallDefaults(eng sim.Engine, pol timing.Policy, lat timing.LatencyModel) error {
-	sim.SetDefaultEngine(eng)
-	timing.SetDefaultPolicy(pol)
-	if lat != timing.DefaultLatencies() {
-		cfg := lat.Apply(arch.Default())
-		if _, err := arch.SetDefault(&cfg); err != nil {
-			return fmt.Errorf("job: installing latency model: %w", err)
-		}
-	}
-	return nil
+	return Defaults{Engine: eng, Policy: pol, Config: lat.Apply(arch.Default())}, nil
 }

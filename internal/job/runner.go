@@ -54,6 +54,11 @@ var Stages = []string{
 // concurrent use; RunAll additionally fans specs across the process-wide
 // harness/sweep worker pool.
 type Runner struct {
+	// Defaults fills the blank engine, policy and configuration of every
+	// spec this Runner resolves (see Resolve). NewRunner starts it at
+	// the paper's design point; set it before the first Run.
+	Defaults Defaults
+
 	// Cache, when non-nil, fronts execution. Set it before the first Run;
 	// results are stored under Spec.Key in the canonical Result encoding.
 	Cache *resultcache.Cache
@@ -83,9 +88,24 @@ type call struct {
 	err  error
 }
 
-// NewRunner returns a Runner with no cache attached.
+// NewRunner returns a Runner on the paper's design point (block engine,
+// fine-grained issue, arch.Default) with no cache attached.
 func NewRunner() *Runner {
-	return &Runner{inflight: make(map[resultcache.Key]*call)}
+	return &Runner{Defaults: paperDefaults(), inflight: make(map[resultcache.Key]*call)}
+}
+
+// Resolve turns a submission into what it runs as: the canonical spec,
+// blank engine, policy and configuration filled from r.Defaults, and its
+// content key. Every path that keys a spec for this Runner — run, cache
+// probe, the serve handler — goes through here, so they cannot disagree
+// about what a blank field means.
+func (r *Runner) Resolve(spec *Spec) (*Spec, resultcache.Key, error) {
+	canon, err := spec.canonicalize(r.Defaults)
+	if err != nil {
+		return nil, resultcache.Key{}, err
+	}
+	key, err := canon.Key()
+	return canon, key, err
 }
 
 // Instrument registers the runner's operational series into m: the
@@ -198,11 +218,7 @@ func (r *Runner) RunEncodedTraced(spec *Spec, parent *obs.ActiveSpan) ([]byte, R
 // runTraced is the staged body of RunEncodedTraced.
 func (r *Runner) runTraced(spec *Spec, root *obs.ActiveSpan, info *RunInfo) ([]byte, error) {
 	csp := root.Child("canonicalize")
-	canon, err := spec.Canonicalize()
-	var key resultcache.Key
-	if err == nil {
-		key, err = canon.Key()
-	}
+	canon, key, err := r.Resolve(spec)
 	if err != nil {
 		csp.Attr("error", err.Error())
 		r.observeStage("canonicalize", csp.End())
@@ -285,11 +301,7 @@ func (r *Runner) CachedTraced(spec *Spec, parent *obs.ActiveSpan) ([]byte, bool)
 	if r.Cache == nil {
 		return nil, false
 	}
-	canon, err := spec.Canonicalize()
-	if err != nil {
-		return nil, false
-	}
-	key, err := canon.Key()
+	canon, key, err := r.Resolve(spec)
 	if err != nil {
 		return nil, false
 	}
@@ -325,7 +337,7 @@ func (r *Runner) execute(canon *Spec) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("job: unknown workload %q", canon.Workload)
 	}
-	engine := sim.DefaultEngine()
+	var engine sim.Engine // engine-neutral workloads carry none and ignore it
 	if canon.Engine != "" {
 		var err error
 		if engine, err = canon.engine(); err != nil {

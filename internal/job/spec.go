@@ -57,19 +57,22 @@ type Spec struct {
 	// through the workload's argument schema so equivalent spellings
 	// (field order, whitespace, defaulted fields) key identically.
 	Args json.RawMessage `json:"args,omitempty"`
-	// Config is the full architectural configuration. nil means "the
-	// process default at canonicalization time" — Canonicalize captures
-	// it, so keys are always computed over an explicit configuration.
+	// Config is the full architectural configuration, boot-time faults
+	// included. nil inherits the resolving Runner's Defaults.Config (the
+	// paper's design point under a bare Canonicalize); the canonical form
+	// always carries it, so keys are computed over an explicit
+	// configuration.
 	Config *arch.Config `json:"config,omitempty"`
 	// Engine is the execution engine's flag spelling (block or legacy);
-	// empty defaults to the process default engine.
+	// empty inherits Defaults.Engine (block).
 	Engine string `json:"engine,omitempty"`
 	// Policy is the issue policy's canonical spec ("fine", "blocked/8");
-	// empty defaults to the process default policy.
+	// empty inherits Defaults.Policy (fine).
 	Policy string `json:"policy,omitempty"`
-	// Latency is an optional latency-model spec ("miss=48,rmiss=72");
-	// Canonicalize folds it into Config and clears it, so it is an input
-	// convenience, never part of a canonical spec.
+	// Latency is an optional spec of latency overrides
+	// ("miss=48,rmiss=72") on top of the configuration; Canonicalize
+	// folds it into Config and clears it, so it is an input convenience,
+	// never part of a canonical spec.
 	Latency string `json:"latency,omitempty"`
 	// Balanced selects the balanced kernel thread-placement policy
 	// (program workload; named workloads carry placement in Args).
@@ -85,13 +88,33 @@ type Spec struct {
 	canonical bool
 }
 
+// Defaults is what blank Engine, Policy and Config fields of a spec
+// resolve to. A Runner carries one (the CLIs' -engine/-policy/-lat
+// selection lands there); nothing else in the process influences a run.
+type Defaults struct {
+	Engine sim.Engine
+	Policy timing.Policy // nil is fine-grained
+	Config arch.Config
+}
+
+// paperDefaults is the paper's design point — block engine, fine-grained
+// issue, the Table 2 configuration: what a bare Canonicalize and a fresh
+// Runner assume.
+func paperDefaults() Defaults {
+	return Defaults{Engine: sim.EngineBlock, Policy: timing.FineGrain{}, Config: arch.Default()}
+}
+
 // Canonicalize validates the spec and returns its canonical form: every
-// defaultable field made explicit (engine, policy, configuration), the
-// latency convenience folded into the configuration, workload arguments
-// re-encoded through the workload's schema, outputs sorted. Two specs
-// describing the same run canonicalize to equal values, which is what
-// makes Key a content address. The receiver is not modified.
-func (s *Spec) Canonicalize() (*Spec, error) {
+// defaultable field made explicit (engine, policy, configuration — blanks
+// take the paper's design point; Runner.Resolve fills them from the
+// Runner's Defaults instead), the latency convenience folded into the
+// configuration, workload arguments re-encoded through the workload's
+// schema, outputs sorted. Two specs describing the same run canonicalize
+// to equal values, which is what makes Key a content address. The
+// receiver is not modified.
+func (s *Spec) Canonicalize() (*Spec, error) { return s.canonicalize(paperDefaults()) }
+
+func (s *Spec) canonicalize(d Defaults) (*Spec, error) {
 	if s.canonical {
 		return s, nil
 	}
@@ -138,24 +161,27 @@ func (s *Spec) Canonicalize() (*Spec, error) {
 		// every -engine selection keys (and caches) the same run.
 		c.Engine = ""
 	case c.Engine == "":
-		c.Engine = sim.DefaultEngine().String()
+		c.Engine = d.Engine.String()
 	}
-	if c.Policy == "" {
-		c.Policy = timing.DefaultPolicy().String()
-	} else {
+	switch {
+	case c.Policy != "":
 		pol, err := timing.ParsePolicySpec(c.Policy)
 		if err != nil {
 			return nil, err
 		}
 		c.Policy = pol.String()
+	case d.Policy != nil:
+		c.Policy = d.Policy.String()
+	default: // nil is fine-grained, as for SetPolicy
+		c.Policy = timing.FineGrain{}.String()
 	}
 
-	cfg := arch.Default()
+	cfg := d.Config
 	if c.Config != nil {
 		cfg = *c.Config
 	}
 	if c.Latency != "" {
-		lat, err := timing.ParseLatencies(c.Latency)
+		lat, err := timing.LatenciesOf(cfg).With(c.Latency)
 		if err != nil {
 			return nil, err
 		}

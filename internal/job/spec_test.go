@@ -68,7 +68,7 @@ func TestEquivalentSpellingsKeyIdentically(t *testing.T) {
 			"partition": "blocked", "unroll": 1, "reps": 2,
 			"placement": "sequential", "threads": 2
 		}`),
-		Engine: sim.DefaultEngine().String(),
+		Engine: "block",
 		Policy: "fine",
 		Config: &cfg,
 	}

@@ -52,9 +52,10 @@ func DecodeResult(data []byte) (*Result, error) {
 }
 
 // RunContext hands a workload its resolved execution parameters: the
-// canonical spec plus the parsed configuration, engine and policy, so
-// workloads never consult process defaults (sweep workers and serve
-// handlers run different points concurrently).
+// canonical spec plus the parsed configuration, engine and policy. These
+// are a run's whole input: there is no process state for a workload to
+// consult (sweep workers and serve handlers run different points
+// concurrently).
 type RunContext struct {
 	Spec   *Spec
 	Config arch.Config

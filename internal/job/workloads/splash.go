@@ -14,7 +14,8 @@ const SplashName = "splash"
 // SplashArgs is the canonical argument schema of the "splash" workload.
 // Problem sizes use the field matching the kernel: N for fft/lu/ocean/
 // radix, Bodies (plus Steps) for barnes, Bodies for fmm. Zero sub-option
-// fields (Steps for barnes) take the kernel's own default.
+// fields (Steps for barnes, Iters for ocean) take the kernel's own
+// default.
 type SplashArgs struct {
 	// Kernel is barnes, fft, fmm, lu, ocean or radix.
 	Kernel  string `json:"kernel"`
@@ -30,6 +31,12 @@ type SplashArgs struct {
 	Steps int `json:"steps,omitempty"`
 	// Levels is the fmm quadtree depth (0 = kernel default).
 	Levels int `json:"levels,omitempty"`
+	// Iters is the ocean relaxation sweep count (0 = kernel default).
+	Iters int `json:"iters,omitempty"`
+	// ProfileEvery, when nonzero, samples the guest profiler every N
+	// cycles per thread; the report over the kernel's T.Region phases
+	// rides in the result (see ProfileReport).
+	ProfileEvery uint64 `json:"profile_every,omitempty"`
 }
 
 func init() {
@@ -82,6 +89,9 @@ func canonSplash(args json.RawMessage) (json.RawMessage, error) {
 	if a.Kernel != "fmm" && a.Levels != 0 {
 		return nil, fmt.Errorf("levels applies to fmm only")
 	}
+	if a.Kernel != "ocean" && a.Iters != 0 {
+		return nil, fmt.Errorf("iters applies to ocean only")
+	}
 	return json.Marshal(a)
 }
 
@@ -99,11 +109,12 @@ func runSplash(ctx *job.RunContext) (*job.Result, error) {
 		return nil, err
 	}
 	cfg := splash.Config{
-		Threads:  a.Threads,
-		Barrier:  barrier,
-		Balanced: a.Balanced,
-		Chip:     chip,
-		Issue:    ctx.Policy,
+		Threads:      a.Threads,
+		Barrier:      barrier,
+		Balanced:     a.Balanced,
+		Chip:         chip,
+		Issue:        ctx.Policy,
+		ProfileEvery: a.ProfileEvery,
 	}
 	var r *splash.Result
 	switch a.Kernel {
@@ -116,7 +127,7 @@ func runSplash(ctx *job.RunContext) (*job.Result, error) {
 	case "lu":
 		r, err = splash.RunLU(splash.LUOpts{Config: cfg, N: a.N})
 	case "ocean":
-		r, err = splash.RunOcean(splash.OceanOpts{Config: cfg, N: a.N})
+		r, err = splash.RunOcean(splash.OceanOpts{Config: cfg, N: a.N, Iters: a.Iters})
 	case "radix":
 		r, err = splash.RunRadix(splash.RadixOpts{Config: cfg, N: a.N})
 	default:
@@ -125,7 +136,11 @@ func runSplash(ctx *job.RunContext) (*job.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return splashResult(r), nil
+	res := splashResult(r)
+	if r.Profile != nil {
+		res.Extra, err = json.Marshal(profileExtra{r.Profile.Report(r.Regions)})
+	}
+	return res, err
 }
 
 // SplashSpec builds the job spec for one SPLASH-2 kernel run.

@@ -7,6 +7,7 @@ import (
 
 	"cyclops/internal/job"
 	"cyclops/internal/kernel"
+	"cyclops/internal/prof"
 	"cyclops/internal/stream"
 )
 
@@ -34,6 +35,10 @@ type StreamArgs struct {
 	// Placement is the kernel thread-placement policy: sequential or
 	// balanced.
 	Placement string `json:"placement"`
+	// ProfileEvery, when nonzero, samples the guest profiler every N
+	// cycles per thread unit; the symbolized report rides in the result
+	// (see ProfileReport).
+	ProfileEvery uint64 `json:"profile_every,omitempty"`
 }
 
 // StreamExtra is the STREAM-specific payload carried in Result.Extra.
@@ -41,6 +46,8 @@ type StreamExtra struct {
 	BestCycles uint64   `json:"best_cycles"`
 	RepCycles  []uint64 `json:"rep_cycles"`
 	TotalBytes int      `json:"total_bytes"`
+	// Profile is the hot-spot report of a profile_every run.
+	Profile *prof.Report `json:"profile,omitempty"`
 }
 
 func init() {
@@ -94,14 +101,15 @@ func (a StreamArgs) streamParams() (stream.Params, kernel.Policy, error) {
 		return stream.Params{}, 0, fmt.Errorf("partition %q (want blocked or cyclic)", a.Partition)
 	}
 	p := stream.Params{
-		Kernel:      k,
-		Threads:     a.Threads,
-		N:           a.N,
-		Partition:   part,
-		Local:       a.Local,
-		Unroll:      a.Unroll,
-		Independent: a.Independent,
-		Reps:        a.Reps,
+		Kernel:       k,
+		Threads:      a.Threads,
+		N:            a.N,
+		Partition:    part,
+		Local:        a.Local,
+		Unroll:       a.Unroll,
+		Independent:  a.Independent,
+		Reps:         a.Reps,
+		ProfileEvery: a.ProfileEvery,
 	}
 	return p, place, nil
 }
@@ -155,11 +163,15 @@ func runStream(ctx *job.RunContext) (*job.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	extra, err := json.Marshal(StreamExtra{
+	x := StreamExtra{
 		BestCycles: r.BestCycles,
 		RepCycles:  r.RepCycles,
 		TotalBytes: r.TotalBytes,
-	})
+	}
+	if r.Profile != nil {
+		x.Profile = r.Profile.Report(r.Prog)
+	}
+	extra, err := json.Marshal(x)
 	if err != nil {
 		return nil, err
 	}
@@ -176,11 +188,12 @@ func runStream(ctx *job.RunContext) (*job.Result, error) {
 
 // StreamSpec builds the job spec for one STREAM measurement. The
 // parameters' per-run Issue and Engine overrides fold into the spec's
-// canonical policy/engine fields; profiled runs are not cacheable and
-// must keep calling stream.Run directly.
+// policy/engine fields (nil leaves them blank for the Runner's
+// defaults). A timeline is a live object no result carries, so
+// TimelineEvery runs must keep calling stream.Run directly.
 func StreamSpec(p stream.Params, place kernel.Policy) (*job.Spec, error) {
-	if p.ProfileEvery != 0 || p.TimelineEvery != 0 {
-		return nil, fmt.Errorf("workloads: profiled STREAM runs are not cacheable; call stream.Run directly")
+	if p.TimelineEvery != 0 {
+		return nil, fmt.Errorf("workloads: STREAM runs with a timeline have no spec; call stream.Run directly")
 	}
 	placement := "sequential"
 	if place == kernel.Balanced {
@@ -191,15 +204,16 @@ func StreamSpec(p stream.Params, place kernel.Policy) (*job.Spec, error) {
 		partition = "cyclic"
 	}
 	args, err := json.Marshal(StreamArgs{
-		Kernel:      strings.ToLower(p.Kernel.String()),
-		Threads:     p.Threads,
-		N:           p.N,
-		Partition:   partition,
-		Local:       p.Local,
-		Unroll:      p.Unroll,
-		Independent: p.Independent,
-		Reps:        p.Reps,
-		Placement:   placement,
+		Kernel:       strings.ToLower(p.Kernel.String()),
+		Threads:      p.Threads,
+		N:            p.N,
+		Partition:    partition,
+		Local:        p.Local,
+		Unroll:       p.Unroll,
+		Independent:  p.Independent,
+		Reps:         p.Reps,
+		Placement:    placement,
+		ProfileEvery: p.ProfileEvery,
 	})
 	if err != nil {
 		return nil, err

@@ -18,6 +18,7 @@ import (
 
 	"cyclops/internal/core"
 	"cyclops/internal/job"
+	"cyclops/internal/prof"
 	"cyclops/internal/splash"
 )
 
@@ -78,4 +79,25 @@ func SplashResult(r *job.Result) *splash.Result {
 		Stalls:   r.Stalls,
 		MemWaits: r.MemWaits,
 	}
+}
+
+// profileExtra is the Result.Extra of a profiled direct-execution run;
+// StreamExtra carries its report under the same key.
+type profileExtra struct {
+	Profile *prof.Report `json:"profile,omitempty"`
+}
+
+// ProfileReport extracts the guest-profiler report from the result of a
+// "stream" or "splash" run whose args set profile_every.
+func ProfileReport(r *job.Result) (*prof.Report, error) {
+	var x profileExtra
+	if len(r.Extra) > 0 {
+		if err := json.Unmarshal(r.Extra, &x); err != nil {
+			return nil, err
+		}
+	}
+	if x.Profile == nil {
+		return nil, fmt.Errorf("workloads: result carries no profile (profile_every unset, or built with cyclops_noobs)")
+	}
+	return x.Profile, nil
 }

@@ -272,12 +272,3 @@ func (m *Mesh) LinkBusy(cell Coord, d Direction) (uint64, error) {
 	}
 	return m.busy[idx][d], nil
 }
-
-// ResetTiming clears link occupancy between experiments.
-func (m *Mesh) ResetTiming() {
-	for i := range m.freeAt {
-		m.freeAt[i] = [numDirections]uint64{}
-		m.busy[i] = [numDirections]uint64{}
-	}
-	m.Messages, m.HopCount = 0, 0
-}

@@ -118,7 +118,7 @@ func TestSendTiming(t *testing.T) {
 		t.Errorf("one-hop 1 KB delivered at %d, want 522", done)
 	}
 	// Two hops: store-and-forward doubles transfer plus two latencies.
-	m.ResetTiming()
+	m = mustMesh(t, 4, 1, 1, false)
 	done, _ = m.Send(0, Coord{0, 0, 0}, Coord{2, 0, 0}, 1024)
 	if done != 2*522 {
 		t.Errorf("two-hop 1 KB delivered at %d, want 1044", done)
@@ -158,10 +158,6 @@ func TestLinkStats(t *testing.T) {
 	}
 	if _, err := m.LinkBusy(Coord{9, 9, 9}, XPlus); err == nil {
 		t.Error("bad coordinate accepted")
-	}
-	m.ResetTiming()
-	if b, _ := m.LinkBusy(Coord{0, 0, 0}, XPlus); b != 0 {
-		t.Error("ResetTiming kept occupancy")
 	}
 }
 

@@ -76,14 +76,13 @@ func Run(opts Opts) (*splash.Result, *State, error) {
 		return nil, nil, fmt.Errorf("md: %d threads exceed %d cells", opts.Threads, cellsPerSide*cellsPerSide*cellsPerSide)
 	}
 
-	chipless := opts.Config
-	mach, err := newMachine(&chipless)
+	mach, err := opts.Config.Machine()
 	if err != nil {
 		return nil, nil, err
 	}
 	eaPos := mach.SharedAlloc(32 * n) // padded particle records
 	eaCells := mach.SharedAlloc(16 * cellsPerSide * cellsPerSide * cellsPerSide)
-	bar := newBarrier(mach, opts.Threads, opts.Barrier)
+	bar := splash.NewBarrier(mach, opts.Threads, opts.Barrier)
 
 	sim := &mdSim{st: st, n: n, cells: cellsPerSide, dt: dt}
 	T := opts.Threads
@@ -97,11 +96,11 @@ func Run(opts Opts) (*splash.Result, *State, error) {
 				t.Work(4 * n)
 				t.StoreBlock(eaCells, len(sim.heads), 4, 16)
 			}
-			bar.wait(t, p)
+			bar.Wait(t, p)
 
 			// Phase 2: forces over my cell range.
 			nc := len(sim.heads)
-			lo, hi := cellSpan(nc, p, T)
+			lo, hi := splash.Span(nc, p, T)
 			for c := lo; c < hi; c++ {
 				pairs := sim.cellForces(c)
 				if pairs == 0 {
@@ -113,15 +112,15 @@ func Run(opts Opts) (*splash.Result, *State, error) {
 				t.FPBlock(isa.PipeBoth, 12*pairs)
 				t.Work(3 * pairs)
 			}
-			bar.wait(t, p)
+			bar.Wait(t, p)
 
 			// Phase 3: velocity-Verlet integration of my particles.
-			plo, phi := cellSpan(n, p, T)
+			plo, phi := splash.Span(n, p, T)
 			v := t.LoadBlock(eaPos+uint32(32*plo), phi-plo, 8, 32)
 			sim.integrate(plo, phi)
 			f := t.FPBlock(isa.PipeBoth, 9*(phi-plo), v)
 			t.StoreBlock(eaPos+uint32(32*plo), phi-plo, 8, 32, f)
-			bar.wait(t, p)
+			bar.Wait(t, p)
 		}
 	})
 	if err != nil {

@@ -3,58 +3,9 @@ package md
 import (
 	"fmt"
 
-	"cyclops/internal/arch"
-	"cyclops/internal/core"
 	"cyclops/internal/perf"
 	"cyclops/internal/splash"
 )
-
-// newMachine mirrors the splash kernels' machine construction.
-func newMachine(c *splash.Config) (*perf.Machine, error) {
-	chip := c.Chip
-	if chip == nil {
-		chip = core.MustNew(arch.Default())
-	}
-	if c.Threads < 1 || c.Threads > chip.Cfg.WorkerThreads() {
-		return nil, fmt.Errorf("md: %d threads out of range (1..%d)", c.Threads, chip.Cfg.WorkerThreads())
-	}
-	m := perf.New(chip)
-	m.Balanced = c.Balanced
-	return m, nil
-}
-
-// mdBarrier adapts the two barrier implementations.
-type mdBarrier struct {
-	hw *perf.HWBarrier
-	sw *perf.SWBarrier
-}
-
-func newBarrier(m *perf.Machine, n int, kind splash.BarrierKind) *mdBarrier {
-	if kind == splash.SW {
-		return &mdBarrier{sw: perf.NewSWBarrier(m, n, 4)}
-	}
-	return &mdBarrier{hw: perf.NewHWBarrier(n)}
-}
-
-func (b *mdBarrier) wait(t *perf.T, index int) {
-	if b.sw != nil {
-		t.SWBarrier(b.sw, index)
-	} else {
-		t.HWBarrier(b.hw)
-	}
-}
-
-// cellSpan splits n items across nThreads, balancing remainders.
-func cellSpan(n, p, nThreads int) (lo, hi int) {
-	base := n / nThreads
-	rem := n % nThreads
-	lo = p*base + minI(p, rem)
-	hi = lo + base
-	if p < rem {
-		hi++
-	}
-	return lo, hi
-}
 
 // resultFor packages the standard metrics.
 func resultFor(threads, n, steps int, m *perf.Machine) *splash.Result {

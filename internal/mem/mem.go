@@ -300,13 +300,3 @@ func (m *Memory) BusyCycles() uint64 {
 	}
 	return t
 }
-
-// ResetTiming clears bank timing state (not contents), for back-to-back
-// experiment runs on one chip.
-func (m *Memory) ResetTiming() {
-	for i := range m.banks {
-		m.banks[i] = bank{}
-	}
-	m.LineFills = 0
-	m.WriteBursts = 0
-}

@@ -176,18 +176,6 @@ func TestFailBankShrinksAndRemaps(t *testing.T) {
 	}
 }
 
-func TestResetTiming(t *testing.T) {
-	m := New(arch.Default())
-	m.FillLine(0, 0)
-	m.ResetTiming()
-	if m.LineFills != 0 || m.BusyCycles() != 0 {
-		t.Error("ResetTiming did not clear stats")
-	}
-	if done := m.FillLine(0, 0); done != 12 {
-		t.Errorf("fill after reset done at %d, want 12", done)
-	}
-}
-
 func TestOffChipTransfers(t *testing.T) {
 	cfg := arch.Default()
 	cfg.OffChipBytes = 1 << 20

@@ -74,8 +74,8 @@ type Machine struct {
 	nextTid int
 }
 
-// New builds a runtime machine over a chip, on the process default issue
-// policy (timing.SetDefaultPolicy).
+// New builds a runtime machine over a chip, on the fine-grained issue
+// policy until SetPolicy selects another.
 func New(chip *core.Chip) *Machine {
 	m := &Machine{
 		Chip:       chip,
@@ -83,7 +83,7 @@ func New(chip *core.Chip) *Machine {
 		brk:        0x1000,
 		allocLimit: chip.Mem.Size() - uint32(chip.Cfg.Threads*(8<<10)),
 	}
-	m.SetPolicy(timing.DefaultPolicy())
+	m.SetPolicy(nil)
 	return m
 }
 

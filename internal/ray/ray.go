@@ -113,7 +113,7 @@ func Render(opts Opts) (*splash.Result, []Vec, error) {
 	scene := DefaultScene(nSph)
 	img := make([]Vec, w*h)
 
-	mach, err := newMachine(&opts.Config)
+	mach, err := opts.Config.Machine()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -124,7 +124,7 @@ func Render(opts Opts) (*splash.Result, []Vec, error) {
 	T := opts.Threads
 
 	err = mach.SpawnN(T, func(t *perf.T, p int) {
-		lo, hi := scanSpan(h, p, T)
+		lo, hi := splash.Span(h, p, T)
 		tr := tracer{scene: scene, t: t, eaScene: eaScene, depth: depth}
 		for y := lo; y < hi; y++ {
 			for x := 0; x < w; x++ {

@@ -3,44 +3,9 @@ package ray
 import (
 	"fmt"
 
-	"cyclops/internal/arch"
-	"cyclops/internal/core"
 	"cyclops/internal/perf"
 	"cyclops/internal/splash"
 )
-
-// newMachine mirrors the splash kernels' machine construction.
-func newMachine(c *splash.Config) (*perf.Machine, error) {
-	chip := c.Chip
-	if chip == nil {
-		chip = core.MustNew(arch.Default())
-	}
-	if c.Threads < 1 || c.Threads > chip.Cfg.WorkerThreads() {
-		return nil, fmt.Errorf("ray: %d threads out of range (1..%d)", c.Threads, chip.Cfg.WorkerThreads())
-	}
-	m := perf.New(chip)
-	m.Balanced = c.Balanced
-	return m, nil
-}
-
-// scanSpan splits n scanlines across nThreads.
-func scanSpan(n, p, nThreads int) (lo, hi int) {
-	base := n / nThreads
-	rem := n % nThreads
-	lo = p*base + min(p, rem)
-	hi = lo + base
-	if p < rem {
-		hi++
-	}
-	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // resultFor packages the standard metrics.
 func resultFor(threads, w, h int, m *perf.Machine) *splash.Result {

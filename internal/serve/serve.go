@@ -169,7 +169,8 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Runner exposes the underlying runner (tests and in-process CI lanes).
+// Runner exposes the underlying runner: cyclops-serve sets its Defaults
+// from the selection flags before listening, and tests read its stats.
 func (s *Server) Runner() *job.Runner { return s.runner }
 
 // Tracer exposes the span recorder (the -trace-out shutdown dump and
@@ -232,14 +233,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec.Workload = spec.Workload
-	canon, err := spec.Canonicalize()
-	if err != nil {
-		s.badRequests.Inc()
-		httpError(w, http.StatusBadRequest, err)
-		finish(http.StatusBadRequest, err.Error())
-		return
-	}
-	key, err := canon.Key()
+	canon, key, err := s.runner.Resolve(&spec)
 	if err != nil {
 		s.badRequests.Inc()
 		httpError(w, http.StatusBadRequest, err)

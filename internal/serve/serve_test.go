@@ -15,6 +15,7 @@ import (
 
 	"cyclops/internal/job"
 	"cyclops/internal/serve"
+	"cyclops/internal/timing"
 )
 
 // runBody is the decoded POST /v1/run response.
@@ -77,6 +78,29 @@ func streamSpec() map[string]any {
 	return map[string]any{
 		"workload": "stream",
 		"args":     map[string]any{"kernel": "copy", "threads": 2, "n": 128, "reps": 2},
+	}
+}
+
+// The daemon-wide -engine/-policy/-lat selection is the runner's Defaults:
+// a request that leaves the fields blank is keyed, cached and run as the
+// explicit spelling, and one that spells its own is unaffected.
+func TestRunnerDefaultsFillBlankRequestFields(t *testing.T) {
+	srv, ts := newTestServer(t, serve.Config{})
+	srv.Runner().Defaults.Policy = timing.Blocked{Pen: 8}
+
+	blank := decodeRun(t, postSpec(t, ts.URL, streamSpec(), ""))
+	spelled := streamSpec()
+	spelled["policy"] = "blocked/8"
+	same := decodeRun(t, postSpec(t, ts.URL, spelled, ""))
+	if same.Key != blank.Key || !same.Cached {
+		t.Errorf("explicit blocked/8 (key %s, cached %t) is not the run the blank request made (key %s)",
+			same.Key, same.Cached, blank.Key)
+	}
+	fine := streamSpec()
+	fine["policy"] = "fine"
+	other := decodeRun(t, postSpec(t, ts.URL, fine, ""))
+	if other.Key == blank.Key || bytes.Equal(other.Result, blank.Result) {
+		t.Errorf("explicit fine shares the blocked/8 default's key or result: %s", other.Result)
 	}
 }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Engine selects a Machine's execution engine. The two tiers share
 // every model component — the timing.Ledger charge rules, the cache and
@@ -17,7 +14,8 @@ const (
 	// into slices of pre-bound closures (threaded code) with fused
 	// superinstructions, executed a whole block per dispatch while the
 	// thread unit is provably the only one due, under the event-driven
-	// min-heap scheduler (see block.go).
+	// min-heap scheduler (see block.go). It is the zero value: what New
+	// gives a machine until SetEngine says otherwise.
 	EngineBlock Engine = iota
 	// EngineLegacy is the seed interpreter: per-issue fetch+decode and an
 	// O(active) min-scan scheduler. Kept as the oracle the block engine is
@@ -50,25 +48,6 @@ func ParseEngine(s string) (Engine, error) {
 // Engines lists every engine, fastest first — the order equivalence
 // sweeps iterate.
 func Engines() []Engine { return []Engine{EngineBlock, EngineLegacy} }
-
-// defaultEngine is the process-wide default New gives fresh machines.
-// Machine construction happens deep inside the harness (every experiment
-// point builds its own chip and kernel), so harness-wide engine sweeps —
-// the equivalence tests, the matrix-smoke lane — set the default rather
-// than thread a parameter through every layer. The zero value is
-// EngineBlock.
-var defaultEngine atomic.Uint32
-
-// DefaultEngine returns the engine New currently assigns.
-func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
-
-// SetDefaultEngine changes the engine for subsequently built machines
-// and returns the previous default, for defer-restore in tests. Existing
-// machines are unaffected; use Machine.SetEngine for per-machine
-// selection.
-func SetDefaultEngine(e Engine) Engine {
-	return Engine(defaultEngine.Swap(uint32(e)))
-}
 
 // SetEngine selects this machine's engine. Must be called before any
 // thread is started: the legacy scheduler scans the active list while

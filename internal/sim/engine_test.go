@@ -63,22 +63,6 @@ func TestSetEngineAfterStartPanics(t *testing.T) {
 	m.SetEngine(EngineLegacy)
 }
 
-func TestSetDefaultEngine(t *testing.T) {
-	prev := SetDefaultEngine(EngineLegacy)
-	defer SetDefaultEngine(prev)
-	if got := DefaultEngine(); got != EngineLegacy {
-		t.Errorf("default = %v after set, want legacy", got)
-	}
-	m := New(core.MustNew(arch.Default()), nil)
-	if got := m.Engine(); got != EngineLegacy {
-		t.Errorf("new machine engine = %v, want the process default legacy", got)
-	}
-	m.SetEngine(EngineBlock)
-	if got := m.Engine(); got != EngineBlock {
-		t.Errorf("per-machine engine = %v, want block", got)
-	}
-}
-
 // TestRunRejectsUnknownEngine pins Run's engine switch as exhaustive: a
 // value outside Engines() is an error, not a silent fallback to some loop.
 func TestRunRejectsUnknownEngine(t *testing.T) {

@@ -149,12 +149,11 @@ type Machine struct {
 	trap error
 }
 
-// New builds a machine over a chip, running the process default engine
-// and issue policy (see SetDefaultEngine / SetDefaultPolicy and the
-// per-machine SetEngine / SetPolicy). Kernel may be nil for programs
-// that make no syscalls.
+// New builds a machine over a chip, on the block engine and the
+// fine-grained issue policy until SetEngine / SetPolicy select others.
+// Kernel may be nil for programs that make no syscalls.
 func New(chip *core.Chip, kernel Syscaller) *Machine {
-	m := &Machine{Chip: chip, Kernel: kernel, engine: DefaultEngine()}
+	m := &Machine{Chip: chip, Kernel: kernel}
 	pibWords := uint32(chip.Cfg.PIBEntries * 4)
 	for i := 0; i < chip.Cfg.Threads; i++ {
 		m.TUs = append(m.TUs, &TU{
@@ -163,7 +162,7 @@ func New(chip *core.Chip, kernel Syscaller) *Machine {
 			pib:  pibState{base: pibEmpty, words: pibWords},
 		})
 	}
-	m.SetPolicy(DefaultPolicy())
+	m.SetPolicy(nil)
 	return m
 }
 

@@ -5,7 +5,7 @@ import "cyclops/internal/timing"
 // Policy is the thread-unit issue policy — fine-grained round-robin (the
 // paper's design), blocked switch-on-stall, or hybrid switch-on-miss.
 // The abstraction and its charge rules live in internal/timing, shared
-// with the direct-execution runtime; this alias and the re-exports below
+// with the direct-execution runtime; this alias and the re-export below
 // let simulator callers select policies without importing timing.
 // Policies are honored identically by both engines: every penalty
 // flows through the shared Ledger and the unit's resume time, both of
@@ -16,15 +16,6 @@ type Policy = timing.Policy
 func ParsePolicy(name string, penalty uint64) (Policy, error) {
 	return timing.ParsePolicy(name, penalty)
 }
-
-// DefaultPolicy returns the process-wide policy New currently assigns.
-func DefaultPolicy() Policy { return timing.DefaultPolicy() }
-
-// SetDefaultPolicy changes the policy for subsequently built machines
-// (both frontends) and returns the previous default, for defer-restore
-// in tests. Existing machines are unaffected; concurrent sweep points
-// with differing policies must use Machine.SetPolicy instead.
-func SetDefaultPolicy(p Policy) Policy { return timing.SetDefaultPolicy(p) }
 
 // SetPolicy selects this machine's issue policy. Must be called before
 // any thread is started: the compiled trigger tables are installed per

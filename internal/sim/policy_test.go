@@ -206,11 +206,10 @@ func TestSetPolicyAfterStartPanics(t *testing.T) {
 }
 
 func TestSetPolicyDefaults(t *testing.T) {
-	prev := SetDefaultPolicy(timing.SwitchOnMiss{Pen: 4})
-	defer SetDefaultPolicy(prev)
 	m := New(core.MustNew(arch.Default()), nil)
+	m.SetPolicy(timing.SwitchOnMiss{Pen: 4})
 	if got := m.Policy().String(); got != "switchmiss/4" {
-		t.Errorf("new machine policy = %s, want the process default switchmiss/4", got)
+		t.Errorf("machine policy = %s, want switchmiss/4", got)
 	}
 	// nil resets to fine-grained explicitly.
 	m.SetPolicy(nil)

@@ -22,7 +22,7 @@ func run(t *testing.T, src string) *Machine {
 }
 
 func tryRun(src string) (*Machine, error) {
-	return tryRunEngine(src, DefaultEngine())
+	return tryRunEngine(src, EngineBlock)
 }
 
 func tryRunEngine(src string, e Engine) (*Machine, error) {

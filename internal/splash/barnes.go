@@ -64,7 +64,7 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 	if theta == 0 {
 		theta = 0.7
 	}
-	mach, err := opts.machine()
+	mach, err := opts.Machine()
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 	eaBodies := mach.SharedAlloc(64 * n) // one padded line per body
 	eaTree := mach.SharedAlloc(64 * 2 * n)
 	tree := &octTree{}
-	bar := newBarrier(mach, opts.Threads, opts.Barrier)
+	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
 
 	err = mach.SpawnN(opts.Threads, func(t *perf.T, p int) {
 		for s := 0; s < steps; s++ {
@@ -92,10 +92,10 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 				t.Work(12 * len(tree.nodes))
 				t.StoreBlock(eaTree, len(tree.nodes), 8, 64)
 			}
-			bar.wait(t, p)
+			bar.Wait(t, p)
 
 			// Phase 2: forces over my body span.
-			lo, hi := span(n, p, opts.Threads)
+			lo, hi := Span(n, p, opts.Threads)
 			for b := lo; b < hi; b++ {
 				visited, interactions := tree.force(&bodies[b], b, theta)
 				// Traversal loads: one line per visited node,
@@ -114,7 +114,7 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 				// (r^2, NR rsqrt, accumulate).
 				t.FPBlock(isa.PipeBoth, 16*interactions)
 			}
-			bar.wait(t, p)
+			bar.Wait(t, p)
 
 			// Phase 3: leapfrog integration of my span.
 			v := t.LoadBlock(eaBodies+uint32(64*lo), hi-lo, 8, 64)
@@ -126,7 +126,7 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 			}
 			f := t.FPBlock(isa.PipeBoth, 6*(hi-lo), v)
 			t.StoreBlock(eaBodies+uint32(64*lo), hi-lo, 8, 64, f)
-			bar.wait(t, p)
+			bar.Wait(t, p)
 		}
 	})
 	if err != nil {

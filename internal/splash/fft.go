@@ -43,7 +43,7 @@ func RunFFT(opts FFTOpts) (*Result, error) {
 	if opts.Threads > m {
 		return nil, fmt.Errorf("splash: FFT of %d points supports at most %d threads (points per processor >= sqrt(n))", n, m)
 	}
-	mach, err := opts.machine()
+	mach, err := opts.Machine()
 	if err != nil {
 		return nil, err
 	}
@@ -75,10 +75,10 @@ func RunFFT(opts FFTOpts) (*Result, error) {
 		scratch[p] = mach.MustAlloc(16*m, arch.InterestGroup{Mode: arch.GroupOwn})
 	}
 	tw := twiddles(m)
-	bar := newBarrier(mach, opts.Threads, opts.Barrier)
+	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
 
 	err = mach.SpawnN(opts.Threads, func(t *perf.T, p int) {
-		lo, hi := span(m, p, opts.Threads)
+		lo, hi := Span(m, p, opts.Threads)
 		// Each six-step phase is a named profiling region, so the
 		// profiler's folded stacks and the harness profile table
 		// attribute cycles to the paper's algorithm phases.
@@ -87,7 +87,7 @@ func RunFFT(opts FFTOpts) (*Result, error) {
 			fn()
 			end()
 			endB := t.Region("barrier")
-			bar.wait(t, p)
+			bar.Wait(t, p)
 			endB()
 		}
 

@@ -67,7 +67,7 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 	if levels < 2 || levels > 8 {
 		return nil, fmt.Errorf("splash: fmm levels %d out of range [2,8]", levels)
 	}
-	mach, err := opts.machine()
+	mach, err := opts.Machine()
 	if err != nil {
 		return nil, err
 	}
@@ -93,13 +93,13 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 	boxEA := func(l, idx int) uint32 {
 		return eaLevel[l] + uint32(idx*(2*coefBytes+64))
 	}
-	bar := newBarrier(mach, opts.Threads, opts.Barrier)
+	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
 	T := opts.Threads
 
 	err = mach.SpawnN(T, func(t *perf.T, th int) {
 		// Phase 1: P2M at the leaves.
 		nl := boxCount(levels)
-		lo, hi := span(nl, th, T)
+		lo, hi := Span(nl, th, T)
 		for b := lo; b < hi; b++ {
 			box := &tree.boxes[levels][b]
 			tree.p2m(levels, b)
@@ -110,12 +110,12 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 			}
 			t.Work(8)
 		}
-		bar.wait(t, th)
+		bar.Wait(t, th)
 
 		// Phase 2: M2M upward.
 		for l := levels - 1; l >= 0; l-- {
 			nb := boxCount(l)
-			lo, hi := span(nb, th, T)
+			lo, hi := Span(nb, th, T)
 			for b := lo; b < hi; b++ {
 				tree.m2m(l, b)
 				t.LoadBlock(boxEA(l+1, childIdx(l, b, 0)), 8*(p+1), 8, 8)
@@ -123,13 +123,13 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 				t.StoreBlock(boxEA(l, b), 2*(p+1), 8, 8)
 				t.Work(8)
 			}
-			bar.wait(t, th)
+			bar.Wait(t, th)
 		}
 
 		// Phase 3: M2L over interaction lists, top down, then L2L.
 		for l := 2; l <= levels; l++ {
 			nb := boxCount(l)
-			lo, hi := span(nb, th, T)
+			lo, hi := Span(nb, th, T)
 			for b := lo; b < hi; b++ {
 				ilist := interactionList(l, b)
 				for _, s := range ilist {
@@ -144,12 +144,12 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 				t.StoreBlock(boxEA(l, b), 2*(p+1), 8, 8)
 				t.Work(8 + 4*len(ilist))
 			}
-			bar.wait(t, th)
+			bar.Wait(t, th)
 		}
 
 		// Phase 4: evaluation — local expansion plus near field.
 		nlBoxes := boxCount(levels)
-		lo, hi = span(nlBoxes, th, T)
+		lo, hi = Span(nlBoxes, th, T)
 		for b := lo; b < hi; b++ {
 			box := &tree.boxes[levels][b]
 			if len(box.bodies) == 0 {
@@ -182,7 +182,7 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 			t.StoreBlock(eaCh, len(box.bodies), 8, 32)
 			t.Work(4 * len(box.bodies))
 		}
-		bar.wait(t, th)
+		bar.Wait(t, th)
 	})
 	if err != nil {
 		return nil, err

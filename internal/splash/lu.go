@@ -33,7 +33,7 @@ func RunLU(opts LUOpts) (*Result, error) {
 	if n <= 0 || n%bs != 0 {
 		return nil, fmt.Errorf("splash: LU size %d is not a multiple of block %d", n, bs)
 	}
-	mach, err := opts.machine()
+	mach, err := opts.Machine()
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +49,7 @@ func RunLU(opts LUOpts) (*Result, error) {
 	ea := mach.SharedAlloc(8 * n * n)
 	addr := func(i, j int) uint32 { return ea + uint32(8*(i*n+j)) }
 	owner := func(bi, bj int) int { return (bi + bj*nb) % opts.Threads }
-	bar := newBarrier(mach, opts.Threads, opts.Barrier)
+	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
 
 	err = mach.SpawnN(opts.Threads, func(t *perf.T, p int) {
 		for k := 0; k < nb; k++ {
@@ -58,7 +58,7 @@ func RunLU(opts LUOpts) (*Result, error) {
 			if owner(k, k) == p {
 				factorDiag(t, a, n, d, bs, addr)
 			}
-			bar.wait(t, p)
+			bar.Wait(t, p)
 			// Phase 2: perimeter solves.
 			for j := k + 1; j < nb; j++ {
 				if owner(k, j) == p {
@@ -70,7 +70,7 @@ func RunLU(opts LUOpts) (*Result, error) {
 					solveColBlock(t, a, n, i*bs, d, bs, addr)
 				}
 			}
-			bar.wait(t, p)
+			bar.Wait(t, p)
 			// Phase 3: interior updates.
 			for i := k + 1; i < nb; i++ {
 				for j := k + 1; j < nb; j++ {
@@ -79,7 +79,7 @@ func RunLU(opts LUOpts) (*Result, error) {
 					}
 				}
 			}
-			bar.wait(t, p)
+			bar.Wait(t, p)
 		}
 	})
 	if err != nil {

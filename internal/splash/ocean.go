@@ -44,7 +44,7 @@ func RunOcean(opts OceanOpts) (*Result, error) {
 	if omega == 0 {
 		omega = 1.5
 	}
-	mach, err := opts.machine()
+	mach, err := opts.Machine()
 	if err != nil {
 		return nil, err
 	}
@@ -61,10 +61,10 @@ func RunOcean(opts OceanOpts) (*Result, error) {
 	}
 	ea := mach.SharedAlloc(8 * stride * stride)
 	addr := func(i, j int) uint32 { return ea + uint32(8*(i*stride+j)) }
-	bar := newBarrier(mach, opts.Threads, opts.Barrier)
+	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
 
 	err = mach.SpawnN(opts.Threads, func(t *perf.T, p int) {
-		lo, hi := span(n, p, opts.Threads)
+		lo, hi := Span(n, p, opts.Threads)
 		lo++ // grid rows are 1-based (row 0 is boundary)
 		hi++
 		for it := 0; it < iters; it++ {
@@ -94,7 +94,7 @@ func RunOcean(opts OceanOpts) (*Result, error) {
 					t.StoreBlock(addr(i, jStart), count, 8, 16, f)
 					t.Work(2 * count)
 				}
-				bar.wait(t, p)
+				bar.Wait(t, p)
 			}
 		}
 	})

@@ -38,7 +38,7 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("splash: radix key count %d", n)
 	}
-	mach, err := opts.machine()
+	mach, err := opts.Machine()
 	if err != nil {
 		return nil, err
 	}
@@ -73,11 +73,11 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 	}
 	// bucketBase[d]: prefix over all lower digits (built each pass).
 	bucketBase := make([]int, buckets+1)
-	bar := newBarrier(mach, T, opts.Barrier)
+	bar := NewBarrier(mach, T, opts.Barrier)
 
 	const chunk = 64
 	err = mach.SpawnN(T, func(t *perf.T, p int) {
-		lo, hi := span(n, p, T)
+		lo, hi := Span(n, p, T)
 		// Per-thread views of the ping-pong buffers; the backing
 		// arrays are shared, the swap below is thread-local.
 		src, dst := src, dst
@@ -100,11 +100,11 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 				t.Work(3 * c) // shift, mask, increment
 			}
 			t.StoreBlock(eaHist[p], buckets, 4, 4)
-			bar.wait(t, p)
+			bar.Wait(t, p)
 
 			// Phase 2: parallel prefix. Thread p ranks its slice of
 			// the digit space by reading all threads' histograms.
-			dLo, dHi := span(buckets, p, T)
+			dLo, dHi := Span(buckets, p, T)
 			for d := dLo; d < dHi; d++ {
 				sum := 0
 				eas := make([]uint32, T)
@@ -119,7 +119,7 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 				bucketBase[d+1] = sum // per-digit total for now
 				t.Work(2 * T)
 			}
-			bar.wait(t, p)
+			bar.Wait(t, p)
 			// Every thread folds digit totals into global bases; this
 			// is small, serial work replicated rather than shared.
 			if p == 0 {
@@ -132,7 +132,7 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 				bucketBase[buckets] = run
 				t.Work(3 * buckets)
 			}
-			bar.wait(t, p)
+			bar.Wait(t, p)
 
 			// Phase 3: permute into dst.
 			next := make([]int, buckets)
@@ -152,7 +152,7 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 				t.StoreScatter(eas, 4)
 				t.Work(4 * c)
 			}
-			bar.wait(t, p)
+			bar.Wait(t, p)
 
 			// Swap roles for the next pass (thread-local views).
 			src, dst = dst, src

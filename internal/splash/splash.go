@@ -82,13 +82,9 @@ type Config struct {
 	// Chip, when non-nil, supplies a custom chip (design exploration);
 	// otherwise a fresh default chip is built.
 	Chip *core.Chip
-	// Issue, when non-nil, overrides the process-default issue policy
-	// (fine-grained, blocked, switch-on-miss) for this run's machine.
+	// Issue is this run's issue policy (fine-grained, blocked,
+	// switch-on-miss); nil is fine-grained.
 	Issue timing.Policy
-	// Latency, when non-nil, substitutes a swept latency model into the
-	// default chip configuration. Ignored when Chip is supplied — a
-	// custom chip already fixes its own latencies.
-	Latency *timing.LatencyModel
 	// ProfileEvery, when nonzero, attaches the guest profiler sampling
 	// every N cycles per thread; kernels annotate their phases with
 	// T.Region and the profile lands in the Result. TimelineEvery
@@ -98,25 +94,19 @@ type Config struct {
 	TimelineEvery uint64
 }
 
-func (c Config) machine() (*perf.Machine, error) {
+// Machine builds the direct-execution machine the options describe —
+// chip, issue policy, thread placement, attached profilers. The Section 5
+// applications (internal/md, internal/ray) build theirs here too.
+func (c Config) Machine() (*perf.Machine, error) {
 	chip := c.Chip
 	if chip == nil {
-		cfg := arch.Default()
-		if c.Latency != nil {
-			if err := c.Latency.Validate(); err != nil {
-				return nil, err
-			}
-			cfg = c.Latency.Apply(cfg)
-		}
-		chip = core.MustNew(cfg)
+		chip = core.MustNew(arch.Default())
 	}
 	if c.Threads < 1 || c.Threads > chip.Cfg.WorkerThreads() {
 		return nil, fmt.Errorf("splash: %d threads out of range (1..%d)", c.Threads, chip.Cfg.WorkerThreads())
 	}
 	m := perf.New(chip)
-	if c.Issue != nil {
-		m.SetPolicy(c.Issue)
-	}
+	m.SetPolicy(c.Issue)
 	m.Balanced = c.Balanced
 	if c.ProfileEvery > 0 {
 		m.AttachProfile(prof.New(c.ProfileEvery))
@@ -127,20 +117,22 @@ func (c Config) machine() (*perf.Machine, error) {
 	return m, nil
 }
 
-// barrier adapts the two implementations behind one call.
-type barrier struct {
+// Barrier adapts the two implementations behind one call.
+type Barrier struct {
 	hw *perf.HWBarrier
 	sw *perf.SWBarrier
 }
 
-func newBarrier(m *perf.Machine, n int, kind BarrierKind) *barrier {
+// NewBarrier builds an n-thread barrier of the given kind on m.
+func NewBarrier(m *perf.Machine, n int, kind BarrierKind) *Barrier {
 	if kind == SW {
-		return &barrier{sw: perf.NewSWBarrier(m, n, 4)}
+		return &Barrier{sw: perf.NewSWBarrier(m, n, 4)}
 	}
-	return &barrier{hw: perf.NewHWBarrier(n)}
+	return &Barrier{hw: perf.NewHWBarrier(n)}
 }
 
-func (b *barrier) wait(t *perf.T, index int) {
+// Wait blocks thread t (participant index) until all n have arrived.
+func (b *Barrier) Wait(t *perf.T, index int) {
 	if b.sw != nil {
 		t.SWBarrier(b.sw, index)
 	} else {
@@ -166,9 +158,9 @@ func result(name, problem string, threads int, m *perf.Machine) *Result {
 	}
 }
 
-// span returns the half-open index range [lo, hi) that thread p of nThreads
+// Span returns the half-open index range [lo, hi) that thread p of nThreads
 // owns out of n items, balancing remainders.
-func span(n, p, nThreads int) (lo, hi int) {
+func Span(n, p, nThreads int) (lo, hi int) {
 	base := n / nThreads
 	rem := n % nThreads
 	lo = p*base + minInt(p, rem)

@@ -84,16 +84,12 @@ func RunOn(chip *core.Chip, p Params, policy Policy) (*Result, error) {
 	}
 	k := kernel.New(chip)
 	k.Policy = policy
+	// Both must precede Boot: the engine and the per-unit trigger tables
+	// of the issue policy cannot change once threads are started.
 	if p.Engine != nil {
-		// Must precede Boot, like SetPolicy below: engines cannot change
-		// once threads are started.
 		k.Machine().SetEngine(*p.Engine)
 	}
-	if p.Issue != nil {
-		// Must precede Boot: the issue policy installs per-unit trigger
-		// tables and cannot change once threads are started.
-		k.Machine().SetPolicy(p.Issue)
-	}
+	k.Machine().SetPolicy(p.Issue)
 	// A generous ceiling: the slowest kernels move ~1 element per ~100
 	// cycles per thread at worst.
 	k.Machine().MaxCycles = 500_000_000

@@ -111,15 +111,12 @@ type Params struct {
 	// ignored under cyclops_noobs.
 	ProfileEvery  uint64
 	TimelineEvery uint64
-	// Issue, when non-nil, overrides the process-default issue policy
-	// (fine-grained, blocked, switch-on-miss) for this run's machine.
-	// Distinct from the kernel.Policy parameter of Run, which selects
-	// thread *placement*.
+	// Issue is this run's issue policy (fine-grained, blocked,
+	// switch-on-miss); nil is fine-grained. Distinct from the
+	// kernel.Policy parameter of Run, which selects thread *placement*.
 	Issue timing.Policy
-	// Engine, when non-nil, selects the simulator execution engine for
-	// this run's machine instead of the process default. The job layer
-	// threads it per point so concurrent runs on different engines never
-	// race on the default.
+	// Engine, when non-nil, selects the simulator execution engine of
+	// this run's machine; nil is block.
 	Engine *sim.Engine
 }
 

@@ -104,11 +104,15 @@ var latencyFields = []struct {
 // String renders the model as its canonical spec, listing only the
 // fields that differ from Table 2 — the default point reads "table2".
 // The output round-trips through ParseLatencies.
-func (m LatencyModel) String() string {
-	def := DefaultLatencies()
+func (m LatencyModel) String() string { return m.Diff(DefaultLatencies()) }
+
+// Diff is String against an arbitrary base point: the fields where m
+// differs from base, "table2" when none does. Sweeps that start from a
+// swept default (-lat) label their points with it.
+func (m LatencyModel) Diff(base LatencyModel) string {
 	var parts []string
 	for _, f := range latencyFields {
-		if v := *f.get(&m); v != *f.get(&def) {
+		if v := *f.get(&m); v != *f.get(&base) {
 			parts = append(parts, f.key+"="+strconv.Itoa(v))
 		}
 	}
@@ -123,8 +127,11 @@ func (m LatencyModel) String() string {
 // spec and "table2" are the default point. Keys are the canonical String
 // spellings; unknown keys and non-positive syntax are errors, and the
 // resulting model must validate.
-func ParseLatencies(spec string) (LatencyModel, error) {
-	m := DefaultLatencies()
+func ParseLatencies(spec string) (LatencyModel, error) { return DefaultLatencies().With(spec) }
+
+// With is ParseLatencies over m instead of Table 2: m with the spec's
+// overrides applied.
+func (m LatencyModel) With(spec string) (LatencyModel, error) {
 	if spec == "" || spec == "table2" {
 		return m, nil
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // Policy is the thread-unit issue policy: the rule deciding what happens
@@ -138,36 +137,4 @@ func ParsePolicy(name string, penalty uint64) (Policy, error) {
 		return SwitchOnMiss{Pen: penalty}, nil
 	}
 	return nil, fmt.Errorf("timing: unknown policy %q (want fine, blocked or switchmiss)", name)
-}
-
-// defaultPolicy is the process-wide default both frontends give fresh
-// machines, mirroring sim's default-engine pattern: machine construction
-// happens deep inside the harness, so CLI-wide policy selection sets the
-// default rather than threading a parameter through every layer.
-// Per-point overrides (the matrix experiment) use the machines' SetPolicy
-// instead — sweep points with different policies run concurrently, so
-// they must not touch this global.
-var defaultPolicy atomic.Value // polBox
-
-// polBox keeps atomic.Value's concrete type fixed while the boxed
-// Policy implementations vary.
-type polBox struct{ p Policy }
-
-// DefaultPolicy returns the policy new machines currently assume.
-func DefaultPolicy() Policy {
-	if b, ok := defaultPolicy.Load().(polBox); ok {
-		return b.p
-	}
-	return FineGrain{}
-}
-
-// SetDefaultPolicy changes the policy for subsequently built machines and
-// returns the previous default, for defer-restore in tests.
-func SetDefaultPolicy(p Policy) Policy {
-	prev := DefaultPolicy()
-	if p == nil {
-		p = FineGrain{}
-	}
-	defaultPolicy.Store(polBox{p})
-	return prev
 }

@@ -60,26 +60,6 @@ func TestPolicyTables(t *testing.T) {
 	}
 }
 
-func TestDefaultPolicy(t *testing.T) {
-	if got := DefaultPolicy(); got.String() != "fine" {
-		t.Fatalf("initial default = %s, want fine", got)
-	}
-	prev := SetDefaultPolicy(Blocked{Pen: 4})
-	defer SetDefaultPolicy(prev)
-	if prev.String() != "fine" {
-		t.Errorf("previous default = %s, want fine", prev)
-	}
-	if got := DefaultPolicy(); got.String() != "blocked/4" {
-		t.Errorf("default after set = %s, want blocked/4", got)
-	}
-	if got := SetDefaultPolicy(nil); got.String() != "blocked/4" {
-		t.Errorf("swap out = %s, want blocked/4", got)
-	}
-	if got := DefaultPolicy(); got.String() != "fine" {
-		t.Errorf("nil restores fine, got %s", got)
-	}
-}
-
 // microTrace drives one hand-built stall sequence through a ledger: a
 // dependence wait, an FPU structural wait, a store backpressure with a
 // known port/bank split, a clean local-miss load, and an unmet-operand
