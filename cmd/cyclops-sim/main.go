@@ -251,6 +251,11 @@ func printStats(m *sim.Machine, chip *core.Chip) {
 	printMemWaits(m.TotalMemWaits())
 	printResources(chip.ResourceStats())
 	fmt.Print(chip.Utilization(m.Cycle()))
+	// Host-side engine activity: what the simulator did, not the chip.
+	compiles, flushes := m.BlockStats()
+	ss := m.SchedStats()
+	fmt.Printf("host: engine=%s block_compiles=%d block_flushes=%d sched_batches=%d sched_units=%d sched_overflow=%d sched_rebuilds=%d\n",
+		m.Engine(), compiles, flushes, ss.Batches, ss.Units, ss.Overflow, ss.Rebuilds)
 }
 
 // printBreakdown lists the stall cycles by reason, largest contribution

@@ -27,8 +27,28 @@ func TestRunSourceWithStatsAndTrace(t *testing.T) {
 	if err := os.WriteFile(src, []byte(helloSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(src, options{maxCycles: 100000, stats: true, trace: 8}); err != nil {
+	// -stats goes to stdout; capture it to check the host-activity line.
+	out, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run(src, options{maxCycles: 100000, stats: true, trace: 8})
+	os.Stdout = stdout
+	out.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A lone thread unit runs inline from its one batch to its exit, whose
+	// compaction is the one rebuild; each syscall ends a block.
+	want := "host: engine=block block_compiles=2 block_flushes=0 sched_batches=1 sched_units=1 sched_overflow=0 sched_rebuilds=1\n"
+	if !strings.Contains(string(printed), want) {
+		t.Errorf("-stats output lacks %q:\n%s", want, printed)
 	}
 	if err := run(src, options{maxCycles: 100000, balanced: true}); err != nil {
 		t.Fatal(err)

@@ -84,33 +84,28 @@ type simBlock struct {
 const maxBlockOps = 256
 
 // runBlock is the block engine's scheduler, and the one event-driven
-// loop: a min-heap over the units' next issue cycles replaces the legacy
-// per-cycle scan of the whole active list, so cost scales with units
-// actually issuing rather than units merely alive. Tie order is the
-// legacy rotating round-robin over active-list positions, reproduced
-// bit-for-bit (see sortBatch). A batch of one — the steady state of any
+// loop: a timing wheel over the units' next issue cycles (sched.go)
+// replaces the legacy per-cycle scan of the whole active list, so cost
+// scales with units actually issuing rather than units merely alive. Tie
+// order is the legacy rotating round-robin over active-list positions,
+// which popBatch emits directly. A batch of one — the steady state of any
 // single-thread phase — lifts the issue limit so stepBlock runs whole
 // blocks inline; multi-unit batches issue exactly one instruction per
 // unit, preserving contention and tie order bit-for-bit.
 func (m *Machine) runBlock() error {
 	for len(m.active) > 0 && m.trap == nil {
 		// Advance to the earliest pending issue cycle.
-		m.cycle = m.eq.min().nextAt
+		m.cycle = m.eq.minAt
 		if m.MaxCycles > 0 && m.cycle > m.MaxCycles {
 			return fmt.Errorf("sim: cycle limit %d exceeded", m.MaxCycles)
 		}
 		m.tickTimeline()
-		// Pop every unit due this cycle and issue in round-robin order.
-		// Units started by a syscall during the batch land in the queue
-		// at the current cycle and form their own batch next iteration,
-		// exactly as the legacy engine's captured-length loop behaves.
-		m.batch = m.batch[:0]
-		for m.eq.Len() > 0 && m.eq.min().nextAt == m.cycle {
-			m.batch = append(m.batch, m.eq.pop())
-		}
-		n := len(m.active)
+		// Take every unit due this cycle, in round-robin order. Units
+		// started by a syscall during the batch land in the queue at the
+		// current cycle and form their own batch next iteration, exactly
+		// as the legacy engine's captured-length loop behaves.
 		m.rr++
-		m.sortBatch(n)
+		m.batch = m.eq.popBatch(m.batch, m.active, m.rr%len(m.active))
 		limit := m.cycle
 		if len(m.batch) == 1 && m.polInline {
 			// A lone ready unit may run unboundedly inline — but only when
@@ -201,7 +196,7 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 		if next >= limit {
 			return
 		}
-		if m.eq.Len() > 0 && m.eq.min().nextAt <= next {
+		if m.eq.minAt <= next {
 			return
 		}
 		if m.MaxCycles > 0 && next > m.MaxCycles {
@@ -224,7 +219,7 @@ func (m *Machine) fuseStep(c2, limit uint64) bool {
 	if c2 >= limit {
 		return false
 	}
-	if m.eq.Len() > 0 && m.eq.min().nextAt <= c2 {
+	if m.eq.minAt <= c2 {
 		return false
 	}
 	if m.MaxCycles > 0 && c2 > m.MaxCycles {

@@ -7,25 +7,23 @@ import "cyclops/internal/isa"
 // word from embedded memory on every issue; the block compiler decodes each
 // text word once, when the block containing it is compiled.
 //
-// Correctness under self-modifying code: every decoded word registers its
-// text page with mem.Memory.WatchCode. Any write overlapping a watched
-// range — a store instruction, an off-chip DMA block, a program reload —
-// bumps the memory's code generation; the engine compares that generation
-// before any op that may follow a write and flushes every compiled block
-// when it moves. Flushes are rare (text stores only), so the common path
-// pays one load and compare.
-
-// codePageShift sizes the watch granule at 1 KB of text.
-const codePageShift = 10
+// Correctness under self-modifying code: every decoded word registers
+// itself with mem.Memory.WatchCode, which keeps the one range spanning all
+// of them. Any write overlapping that range — a store instruction, an
+// off-chip DMA block, a program reload — bumps the memory's code
+// generation; the engine compares that generation before any op that may
+// follow a write and flushes every compiled block when it moves. The watch
+// is exactly the decoded words, not their pages, so data assembled right
+// after the text (a result array, a lock word) can be stored to without
+// flushing; the common path pays one load and compare.
 
 // decodeAt reads and decodes the instruction word at pc for the block
-// compiler, watching its text page. It never traps: an illegal word
+// compiler, watching that word. It never traps: an illegal word
 // decodes to isa.OpInvalid, an unreadable one returns OpInvalid with the
 // fetch error, and the compiler turns either into a trap op that fires
 // only if execution actually reaches pc.
 func (m *Machine) decodeAt(pc uint32) (isa.Inst, uint32, error) {
-	pk := pc >> codePageShift
-	m.Chip.Mem.WatchCode(pk<<codePageShift, (pk+1)<<codePageShift)
+	m.Chip.Mem.WatchCode(pc, pc+4)
 	word, err := m.Chip.Mem.Read32(pc)
 	if err != nil {
 		return isa.Inst{}, 0, err

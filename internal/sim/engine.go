@@ -14,8 +14,8 @@ const (
 	// into slices of pre-bound closures (threaded code) with fused
 	// superinstructions, executed a whole block per dispatch while the
 	// thread unit is provably the only one due, under the event-driven
-	// min-heap scheduler (see block.go). It is the zero value: what New
-	// gives a machine until SetEngine says otherwise.
+	// timing-wheel scheduler (see block.go, sched.go). It is the zero
+	// value: what New gives a machine until SetEngine says otherwise.
 	EngineBlock Engine = iota
 	// EngineLegacy is the seed interpreter: per-issue fetch+decode and an
 	// O(active) min-scan scheduler. Kept as the oracle the block engine is
@@ -70,3 +70,8 @@ func (m *Machine) Engine() Engine { return m.engine }
 func (m *Machine) BlockStats() (compiles, flushes uint64) {
 	return m.blockCompiles, m.blockFlushes
 }
+
+// SchedStats reports the block engine scheduler's host-side activity (see
+// the type). Like BlockStats it describes the simulator, not the simulated
+// chip, so it stays out of Snapshot and every cross-engine comparison.
+func (m *Machine) SchedStats() SchedStats { return m.eq.stats }

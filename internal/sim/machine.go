@@ -49,9 +49,8 @@ type TU struct {
 
 	pib pibState
 
-	// pos is the unit's index in the machine's active list; the
-	// event-driven scheduler uses it to reproduce the legacy positional
-	// round-robin tie order.
+	// pos is the unit's index in the machine's active list, and its bit
+	// in the event queue's per-cycle bitmaps (see sched.go).
 	pos int
 	// blk hints the unit's current compiled block (block engine only).
 	blk *simBlock
@@ -112,9 +111,9 @@ type Machine struct {
 	active []*TU
 	rr     int
 
-	// Event-driven scheduler state (block engine): eq orders running units
+	// Event-driven scheduler state (block engine): eq holds running units
 	// by their next issue cycle; batch is the reused buffer of units due
-	// at the current cycle.
+	// at the current cycle, in issue order.
 	eq    eventQueue
 	batch []*TU
 
@@ -153,7 +152,7 @@ type Machine struct {
 // fine-grained issue policy until SetEngine / SetPolicy select others.
 // Kernel may be nil for programs that make no syscalls.
 func New(chip *core.Chip, kernel Syscaller) *Machine {
-	m := &Machine{Chip: chip, Kernel: kernel}
+	m := &Machine{Chip: chip, Kernel: kernel, eq: newEventQueue(chip.Cfg.Threads)}
 	pibWords := uint32(chip.Cfg.PIBEntries * 4)
 	for i := 0; i < chip.Cfg.Threads; i++ {
 		m.TUs = append(m.TUs, &TU{
@@ -278,35 +277,8 @@ func (m *Machine) Run() error {
 	return fmt.Errorf("sim: unknown engine %v", m.engine)
 }
 
-// sortBatch orders the due units the way the legacy engine visited them:
-// positions (i+rr)%n over the active list, i ascending. Batches are
-// almost always tiny, so an insertion sort beats sort.Slice here.
-func (m *Machine) sortBatch(n int) {
-	if len(m.batch) < 2 {
-		return
-	}
-	r := m.rr % n
-	key := func(tu *TU) int {
-		k := tu.pos - r
-		if k < 0 {
-			k += n
-		}
-		return k
-	}
-	for i := 1; i < len(m.batch); i++ {
-		tu := m.batch[i]
-		k := key(tu)
-		j := i - 1
-		for j >= 0 && key(m.batch[j]) > k {
-			m.batch[j+1] = m.batch[j]
-			j--
-		}
-		m.batch[j+1] = tu
-	}
-}
-
-// compact removes halted units from the active list, preserving order and
-// refreshing each survivor's position.
+// compact removes halted units from the active list, preserving order,
+// and re-files the survivors in the event queue under their new positions.
 func (m *Machine) compact() {
 	live := m.active[:0]
 	for _, tu := range m.active {
@@ -318,6 +290,7 @@ func (m *Machine) compact() {
 		}
 	}
 	m.active = live
+	m.eq.rebuild(live)
 }
 
 // runLegacy is the seed engine, byte-for-byte: linear min-scan over the

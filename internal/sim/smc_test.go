@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"cyclops/internal/asm"
@@ -62,6 +63,46 @@ func TestSelfModifyingCode(t *testing.T) {
 			}
 			if got := word(t, m, smcOut(t)); got != 42 {
 				t.Fatalf("%s: out = %d, want 42 (stale code executed)", e, got)
+			}
+		})
+	}
+}
+
+// codeWatchSrc stores three times through r20+%d; the stored word is the
+// one already there, so the program's behaviour never changes. `j loop`
+// is the last text word and is first decoded when the first iteration
+// falls through to it, so iterations two and three store with the watched
+// range ending exactly at buf.
+const codeWatchSrc = `
+_start:	la   r20, buf
+	lw   r9, %[1]d(r20)
+	li   r8, 3
+	j    loop
+done:	halt
+loop:	sw   r9, %[1]d(r20)
+	addi r8, r8, -1
+	beq  r8, r0, done
+	j    loop
+buf:	.space 4
+`
+
+// TestCodeWatchIsExact pins the watch granule at the decoded words
+// themselves: data assembled directly after the text can be stored to
+// without flushing a single block, while a store one word lower — into
+// compiled text — still flushes.
+func TestCodeWatchIsExact(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		off     int
+		flushes uint64
+	}{
+		{"adjacent data", 0, 0},
+		{"last text word", -4, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := run(t, fmt.Sprintf(codeWatchSrc, tc.off))
+			if _, flushes := m.BlockStats(); flushes != tc.flushes {
+				t.Errorf("store at buf%+d: %d block-cache flushes, want %d", tc.off, flushes, tc.flushes)
 			}
 		})
 	}
