@@ -9,8 +9,8 @@
 // constructs quietly break that: iterating a map while emitting, and
 // reading the wall clock on a deterministic path. A third makes a run
 // depend on more than its spec: a mutable process-wide selection. detlint
-// walks the deterministic host packages and the model packages (see
-// defaultPkgs) and reports:
+// walks the deterministic host packages and the model packages (hostPkgs
+// and modelPkgs) and reports:
 //
 //   - `for … range m` where m is syntactically map-typed (named map
 //     types, map-typed struct fields, package vars, parameters, and
@@ -26,6 +26,11 @@
 //     The engine, issue-policy and configuration defaults were three
 //     such; a selection belongs on the job.Runner (Defaults) or in the
 //     spec. No escape directive exists; add one when something needs it.
+//   - in the model packages only: a `go` statement or a channel type. A
+//     simulated cycle count must come from one host thread of control
+//     (internal/perf runs its simulated threads as coroutines for that
+//     reason); host concurrency belongs to the packages that run whole
+//     simulations side by side. No escape directive either.
 //
 // Pure go/parser + go/ast, no type checker and no dependencies: the
 // map-type inference is syntactic and may miss aliases through
@@ -47,7 +52,7 @@ import (
 	"strings"
 )
 
-var defaultPkgs = []string{
+var hostPkgs = []string{
 	"internal/harness",
 	"internal/obs",
 	"internal/serve",
@@ -56,7 +61,11 @@ var defaultPkgs = []string{
 	"internal/job",
 	"internal/resultcache",
 	"internal/timing",
-	// The model: every package a simulated cycle count flows through.
+}
+
+// modelPkgs is the model: every package a simulated cycle count flows
+// through. These get the single-thread-of-control rule on top.
+var modelPkgs = []string{
 	"internal/arch",
 	"internal/sim",
 	"internal/perf",
@@ -83,18 +92,24 @@ func main() {
 	}
 	pkgs := flag.Args()
 	if len(pkgs) == 0 {
-		pkgs = defaultPkgs
+		pkgs = append(append([]string{}, hostPkgs...), modelPkgs...)
 	}
 	// One universe per directory: type and field names are package-scoped
 	// (sim's `blocks` map must not make vet's `blocks` slice a finding).
 	byDir := map[string][]string{}
+	model := map[string]bool{} // directories under a model package
 	for _, dir := range pkgs {
+		isModel := false
+		for _, m := range modelPkgs {
+			isModel = isModel || filepath.Clean(dir) == filepath.FromSlash(m)
+		}
 		err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
 			if err != nil {
 				return err
 			}
 			if !info.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
 				byDir[filepath.Dir(path)] = append(byDir[filepath.Dir(path)], path)
+				model[filepath.Dir(path)] = isModel
 			}
 			return nil
 		})
@@ -104,9 +119,9 @@ func main() {
 		}
 	}
 	var findings []string
-	for _, files := range byDir {
+	for dir, files := range byDir {
 		sort.Strings(files)
-		findings = append(findings, lintFiles(files)...)
+		findings = append(findings, lintFiles(files, model[dir])...)
 	}
 	sort.Strings(findings)
 	for _, f := range findings {
@@ -120,8 +135,9 @@ func main() {
 
 // lintFiles parses one package's files and lints them with a shared
 // map-type universe, so a named map type declared in one file is
-// recognized when ranged over in another.
-func lintFiles(paths []string) []string {
+// recognized when ranged over in another. model adds the model packages'
+// rule.
+func lintFiles(paths []string, model bool) []string {
 	fset := token.NewFileSet()
 	var parsed []*ast.File
 	var names []string
@@ -137,6 +153,9 @@ func lintFiles(paths []string) []string {
 	var findings []string
 	for i, f := range parsed {
 		findings = append(findings, lintFile(fset, f, names[i], u)...)
+		if model {
+			findings = append(findings, hostConcurrency(fset, f, names[i])...)
+		}
 	}
 	sort.Strings(findings)
 	return findings
@@ -382,6 +401,29 @@ func atomicGlobals(fset *token.FileSet, f *ast.File, path string) []string {
 	return findings
 }
 
+// hostConcurrency reports every `go` statement and channel type in a model
+// package's file: declarations, fields, parameters and make(chan …) alike
+// all contain an *ast.ChanType.
+func hostConcurrency(fset *token.FileSet, f *ast.File, path string) []string {
+	var findings []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		what := ""
+		switch n.(type) {
+		case *ast.GoStmt:
+			what = "go statement"
+		case *ast.ChanType:
+			what = "channel type"
+		default:
+			return true
+		}
+		findings = append(findings, fmt.Sprintf(
+			"%s:%d: %s in a model package (simulated time advances on one host thread of control; see internal/perf for coroutines)",
+			path, fset.Position(n.Pos()).Line, what))
+		return true
+	})
+	return findings
+}
+
 // isMapExpr reports whether an expression syntactically produces a map:
 // make(map…), a map composite literal, or a call to make with a named
 // map type.
@@ -438,11 +480,13 @@ func exprString(x ast.Expr) string {
 
 // Each fixture seeds exactly one violation (or none); the selftest
 // fails if the linter's verdict ever drifts.
-var selftests = []struct {
+type fixture struct {
 	name string
 	src  string
 	want int // findings expected
-}{
+}
+
+var selftests = []fixture{
 	{"range-map-local", `package p
 func f() []string {
 	m := map[string]int{}
@@ -545,20 +589,49 @@ func (m *A) total() uint64 {
 	}
 	return t
 }`, 0},
+	// The same constructs are the host packages' business.
+	{"host-goroutine-clean", `package p
+func run(done chan struct{}) { go func() { close(done) }() }`, 0},
+}
+
+// modelSelftests are linted as a model package's files.
+var modelSelftests = []fixture{
+	// The channel-engine shape internal/perf had: a channel field, a make,
+	// a goroutine per simulated thread.
+	{"model-goroutine-and-channels", `package p
+type machine struct{ msgs chan int }
+func run(n int) *machine {
+	m := &machine{msgs: make(chan int)}
+	for i := 0; i < n; i++ {
+		go func() { m.msgs <- i }()
+	}
+	return m
+}`, 3},
+	{"model-coroutine-clean", `package p
+import "iter"
+func run(body iter.Seq[int]) int {
+	next, stop := iter.Pull(body)
+	defer stop()
+	v, _ := next()
+	return v
+}`, 0},
 }
 
 func runSelftest() {
 	failed := false
-	for _, tc := range selftests {
+	check := func(tc fixture, model bool) {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, tc.name+".go", tc.src, parser.ParseComments)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "selftest %s: parse: %v\n", tc.name, err)
 			failed = true
-			continue
+			return
 		}
 		u := newUniverse([]*ast.File{f})
 		got := lintFile(fset, f, tc.name+".go", u)
+		if model {
+			got = append(got, hostConcurrency(fset, f, tc.name+".go")...)
+		}
 		if len(got) != tc.want {
 			fmt.Fprintf(os.Stderr, "selftest %s: %d finding(s), want %d:\n", tc.name, len(got), tc.want)
 			for _, g := range got {
@@ -566,6 +639,12 @@ func runSelftest() {
 			}
 			failed = true
 		}
+	}
+	for _, tc := range selftests {
+		check(tc, false)
+	}
+	for _, tc := range modelSelftests {
+		check(tc, true)
 	}
 	if failed {
 		os.Exit(1)

@@ -43,7 +43,7 @@ func (t *T) HWBarrier(b *HWBarrier) {
 		release := b.maxEnter + 1
 		for _, p := range b.parked {
 			p.now = release
-			t.wakes = append(t.wakes, event{at: release, t: p})
+			t.wakes = append(t.wakes, p)
 		}
 		t.ChargeRun(release - enter)
 		t.now = release

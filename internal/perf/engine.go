@@ -1,3 +1,11 @@
+//go:build go1.23
+
+// The constraint above is for iter.Pull, which arrived in Go 1.23: it
+// raises this file's language version, because the go.mod directive has
+// to stay at 1.22 (benchmark/go.mod says 1.22 and builds this module
+// through a replace; with the root at 1.23 it fails with "updates to
+// go.mod needed").
+
 // Package perf is the direct-execution timing runtime: SPLASH-2-style
 // kernels are written as Go functions against a thread API whose every
 // operation charges the Table 2 costs through the same chip model —
@@ -14,12 +22,18 @@
 //
 // # Determinism
 //
-// The engine is a conservative discrete-event scheduler: simulated
-// threads run as goroutines, but exactly one executes at a time and
-// every shared-resource operation first yields to the engine, which
-// always resumes the thread with the globally minimal (time, id) key.
-// State observed at time T is therefore final, and runs are bit-for-bit
-// reproducible.
+// The engine is a conservative discrete-event scheduler, and the whole
+// machine is one host thread of control: each simulated thread is a
+// coroutine (iter.Pull over its body), not a goroutine, so exactly one
+// body executes at a time by construction rather than by locking. Every
+// shared-resource operation first yields to the engine, which always
+// resumes the thread with the globally minimal key in the total order
+// (time, tie hash of (time, unit), unit). A hand-off is a direct switch
+// into that body and back — no channel, no wake-up, nothing for the Go
+// scheduler to place — so state observed at time T is final and runs are
+// bit-for-bit reproducible whatever GOMAXPROCS is. Run unwinds every
+// coroutine it started before it returns, on success, deadlock or a
+// panicking body alike.
 //
 // Bulk operations (LoadBlock, StoreBlock, FPBlock) reserve several
 // accesses under a single scheduling point. Within one bulk call other
@@ -28,8 +42,9 @@
 package perf
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"runtime/debug"
 
 	"cyclops/internal/arch"
 	"cyclops/internal/core"
@@ -43,9 +58,14 @@ type Machine struct {
 	Chip *core.Chip
 
 	threads []*T
-	msgs    chan msg
 	pq      eventQueue
+	stats   SchedStats
 	running bool
+	// failed is the first thread body's panic, as the error Run returns.
+	failed error
+	// onResume, when set, sees every hand-off before it happens; only
+	// the hand-off order test sets it.
+	onResume func(at uint64, unit int)
 
 	// brk is the bump allocator cursor for Alloc.
 	brk uint32
@@ -71,6 +91,9 @@ type Machine struct {
 	pol    timing.Policy
 	polTab timing.PolicyTable
 
+	// order is the placement order of the usable worker units, built at
+	// the first Spawn; nextTid indexes it.
+	order   []int
 	nextTid int
 }
 
@@ -79,7 +102,6 @@ type Machine struct {
 func New(chip *core.Chip) *Machine {
 	m := &Machine{
 		Chip:       chip,
-		msgs:       make(chan msg),
 		brk:        0x1000,
 		allocLimit: chip.Mem.Size() - uint32(chip.Cfg.Threads*(8<<10)),
 	}
@@ -140,25 +162,21 @@ func (m *Machine) SharedAlloc(n int) uint32 {
 	return m.MustAlloc(n, arch.InterestGroup{Mode: arch.GroupAll})
 }
 
-// msgKind discriminates thread-to-engine messages.
+// msgKind discriminates what a thread yields to the engine. A body that
+// returns yields nothing: its coroutine simply ends.
 type msgKind uint8
 
 const (
 	// msgYield: the thread wants to continue at msg.at.
 	msgYield msgKind = iota
-	// msgDone: the thread body returned.
-	msgDone
 	// msgBlock: the thread parked on a synchronisation object; a peer
-	// will wake it by carrying an event in a later message.
+	// will wake it by listing it in its own wakes.
 	msgBlock
 )
 
 type msg struct {
-	t    *T
 	kind msgKind
 	at   uint64
-	// wakes carries threads the sender unparked (barrier releases).
-	wakes []event
 }
 
 // Spawn registers a simulated thread that will run fn when Run is called.
@@ -173,11 +191,10 @@ func (m *Machine) Spawn(fn func(t *T)) (*T, error) {
 		return nil, err
 	}
 	t := &T{
-		m:      m,
-		ID:     tid,
-		Quad:   m.Chip.Cfg.QuadOf(tid),
-		fn:     fn,
-		resume: make(chan struct{}),
+		m:    m,
+		ID:   tid,
+		Quad: m.Chip.Cfg.QuadOf(tid),
+		fn:   fn,
 	}
 	t.Pol = m.polTab
 	if obs.Enabled && m.Prof != nil {
@@ -214,8 +231,7 @@ func (m *Machine) AttachTimeline(t *prof.Timeline) {
 }
 
 // counters gathers the chip-wide telemetry the timeline samples. Only
-// called from the engine loop while every thread is parked, so the
-// ledger reads are race-free.
+// called from the engine loop, between hand-offs.
 func (m *Machine) counters() prof.Counters {
 	var c prof.Counters
 	for _, t := range m.threads {
@@ -250,6 +266,20 @@ func (m *Machine) SpawnN(n int, fn func(t *T, index int)) error {
 
 // placeThread returns the hardware unit for the next spawned thread.
 func (m *Machine) placeThread() (int, error) {
+	if m.order == nil {
+		m.order = m.placementOrder()
+	}
+	if m.nextTid >= len(m.order) {
+		return 0, fmt.Errorf("perf: no free thread units (have %d)", len(m.order))
+	}
+	tid := m.order[m.nextTid]
+	m.nextTid++
+	return tid, nil
+}
+
+// placementOrder lists the usable worker units in the order Spawn hands
+// them out: quad by quad, or dealt across quads when Balanced.
+func (m *Machine) placementOrder() []int {
 	cfg := m.Chip.Cfg
 	order := make([]int, 0, cfg.Threads)
 	if m.Balanced {
@@ -268,38 +298,31 @@ func (m *Machine) placeThread() (int, error) {
 			}
 		}
 	}
-	if m.nextTid >= len(order) {
-		return 0, fmt.Errorf("perf: no free thread units (have %d)", len(order))
-	}
-	tid := order[m.nextTid]
-	m.nextTid++
-	return tid, nil
+	return order
 }
 
-// event queue: min-heap on (time, thread id).
+// event is a queued resume: thread t continues at cycle at. h is the tie
+// hash of (at, t.ID), computed once when the event is pushed.
 type event struct {
 	at uint64
+	h  uint32
 	t  *T
 }
 
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-
-// Less orders by time; ties break by a deterministic hash of (time, id)
-// rather than the id itself, so no thread systematically wins simultaneous
-// resource races — the engine's analogue of the hardware's rotating
-// round-robin priority (Section 2).
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before is the engine's total order: by time; ties break by a
+// deterministic hash of (time, id) rather than the id itself, so no thread
+// systematically wins simultaneous resource races — the engine's analogue
+// of the hardware's rotating round-robin priority (Section 2). A thread is
+// queued at most once, so no two queued events compare equal, and any
+// correct priority queue pops the same sequence.
+func (a event) before(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	hi := tieHash(q[i].at, q[i].t.ID)
-	hj := tieHash(q[j].at, q[j].t.ID)
-	if hi != hj {
-		return hi < hj
+	if a.h != b.h {
+		return a.h < b.h
 	}
-	return q[i].t.ID < q[j].t.ID
+	return a.t.ID < b.t.ID
 }
 
 func tieHash(at uint64, id int) uint32 {
@@ -307,67 +330,159 @@ func tieHash(at uint64, id int) uint32 {
 	h ^= h >> 15
 	return h * 0x85ebca6b
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of events under before, typed so that
+// neither push nor pop allocates once the slice has grown to the thread
+// count.
+type eventQueue []event
+
+func (q *eventQueue) push(at uint64, t *T) {
+	e := event{at: at, h: tieHash(at, t.ID), t: t}
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	*q = h
+}
+
+// pop removes and returns the minimum; the queue must not be empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	e := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = e
+	}
+	*q = h
+	return top
+}
+
+// SchedStats counts the engine's host-side activity over the last Run.
+// Like sim.Machine.SchedStats it describes what the simulator did, not
+// the chip, and is kept out of obs.Snapshot and every golden.
+type SchedStats struct {
+	Resumes  uint64 // hand-offs: events popped, each one switch into a thread body
+	Pushes   uint64 // events queued: initial starts, yields and barrier wake-ups
+	Wakes    uint64 // of those, threads a barrier release unparked
+	MaxDepth int    // most events queued at once
+}
+
+// SchedStats reports the engine's host-side activity (see the type).
+func (m *Machine) SchedStats() SchedStats { return m.stats }
+
+// schedule queues t to continue at cycle at.
+func (m *Machine) schedule(at uint64, t *T) {
+	m.pq.push(at, t)
+	m.stats.Pushes++
+	if n := len(m.pq); n > m.stats.MaxDepth {
+		m.stats.MaxDepth = n
+	}
+}
+
+// stopped is the panic value that unwinds a thread body whose coroutine
+// was stopped mid-run; T.coro recovers it.
+type stopped struct{}
+
+// coro is the thread's coroutine: the body, with every scheduling point a
+// yield to the engine. It never lets a panic out: being stopped ends it
+// quietly, anything else is recorded for Run to return, with the stack
+// of the body that raised it.
+func (t *T) coro(yield func(msg) bool) {
+	t.yield = yield
+	defer func() {
+		r := recover()
+		if _, ok := r.(stopped); r == nil || ok {
+			return
+		}
+		if t.m.failed == nil {
+			t.m.failed = fmt.Errorf("perf: thread on unit %d panicked: %v\n\n%s", t.ID, r, debug.Stack())
+		}
+	}()
+	t.fn(t)
 }
 
 // Run executes every spawned thread to completion. It returns an error on
-// deadlock (threads blocked with no runnable peer).
+// deadlock (threads blocked with no runnable peer) and when a thread body
+// panics; either way the threads still suspended are unwound first, their
+// deferred calls run, and no coroutine outlives the call.
 func (m *Machine) Run() error {
 	if len(m.threads) == 0 {
 		return fmt.Errorf("perf: no threads spawned")
 	}
 	m.running = true
 	defer func() { m.running = false }()
-	live := len(m.threads)
+	m.pq, m.stats, m.failed = m.pq[:0], SchedStats{}, nil
 	for _, t := range m.threads {
-		tt := t
-		heap.Push(&m.pq, event{at: 0, t: tt})
-		go func() {
-			<-tt.resume
-			tt.fn(tt)
-			m.send(tt, msgDone, 0)
-		}()
+		t.next, t.stop = iter.Pull(t.coro)
+		m.schedule(0, t)
 	}
-	for live > 0 {
-		if m.pq.Len() == 0 {
+	// Deferred, so that a runtime.Goexit from a body (a test's t.Fatal),
+	// which iter.Pull re-raises in next, also leaves nothing behind.
+	defer func() {
+		for _, t := range m.threads {
+			t.stop()
+		}
+	}()
+	for live := len(m.threads); live > 0; {
+		if len(m.pq) == 0 {
 			return fmt.Errorf("perf: deadlock: %d threads blocked on synchronisation", live)
 		}
-		ev := heap.Pop(&m.pq).(event)
+		ev := m.pq.pop()
 		if m.TL != nil && m.TL.Due(ev.at) {
 			m.TL.Tick(ev.at, m.counters())
 		}
-		ev.t.resume <- struct{}{}
-		mg := <-m.msgs
-		for _, w := range mg.wakes {
-			heap.Push(&m.pq, w)
+		if m.onResume != nil {
+			m.onResume(ev.at, ev.t.ID)
 		}
-		switch mg.kind {
-		case msgYield:
-			heap.Push(&m.pq, event{at: mg.at, t: mg.t})
-		case msgDone:
+		t := ev.t
+		m.stats.Resumes++
+		mg, ok := t.next()
+		// Only t ran, so the threads it released are on its own list.
+		for _, w := range t.wakes {
+			m.schedule(w.now, w)
+		}
+		m.stats.Wakes += uint64(len(t.wakes))
+		t.wakes = t.wakes[:0]
+		switch {
+		case !ok:
+			if m.failed != nil {
+				return m.failed
+			}
 			live--
-		case msgBlock:
-			// Parked: a peer's wakes will requeue it.
+		case mg.kind == msgYield:
+			m.schedule(mg.at, t)
+		default:
+			// msgBlock: parked until a peer's wakes requeue it.
 		}
 	}
 	if m.TL != nil {
 		m.TL.Finish(m.Elapsed(), m.counters())
 	}
 	return nil
-}
-
-// send delivers a message to the engine, attaching any pending wakes.
-func (m *Machine) send(t *T, kind msgKind, at uint64) {
-	wakes := t.wakes
-	t.wakes = nil
-	m.msgs <- msg{t: t, kind: kind, at: at, wakes: wakes}
 }
 
 // Elapsed returns the latest virtual time reached by any thread.

@@ -15,9 +15,15 @@ type T struct {
 	// ID is the hardware thread unit; Quad its quad (cache + FPU home).
 	ID, Quad int
 
-	fn     func(*T)
-	resume chan struct{}
-	wakes  []event
+	fn func(*T)
+	// next and stop drive the body's coroutine from the engine (see
+	// T.coro); yield is the body's way back.
+	next  func() (msg, bool)
+	stop  func()
+	yield func(msg) bool
+	// wakes lists the threads this one unparked (barrier releases) since
+	// it was last resumed; the engine queues them when it yields.
+	wakes []*T
 
 	now uint64
 	// Ledger is the thread's cycle account; the charge rules live in
@@ -80,15 +86,18 @@ func (t *T) settleLoad(a cache.Access) {
 
 // acquire yields to the engine; on return this thread holds the globally
 // minimal virtual time and may touch shared resources at t.now.
-func (t *T) acquire() {
-	t.m.send(t, msgYield, t.now)
-	<-t.resume
-}
+func (t *T) acquire() { t.handOff(msg{kind: msgYield, at: t.now}) }
 
 // block parks the thread on a synchronisation object; a peer wakes it.
-func (t *T) block() {
-	t.m.send(t, msgBlock, 0)
-	<-t.resume
+func (t *T) block() { t.handOff(msg{kind: msgBlock}) }
+
+// handOff switches to the engine and returns when it resumes this thread.
+// If Run is unwinding instead (deadlock, another body's panic), the body
+// must not run on: it is unwound through its deferred calls.
+func (t *T) handOff(mg msg) {
+	if !t.yield(mg) {
+		panic(stopped{})
+	}
 }
 
 // waitVals charges the in-order scoreboard stall until every operand is
