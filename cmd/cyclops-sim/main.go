@@ -253,9 +253,25 @@ func printStats(m *sim.Machine, chip *core.Chip) {
 	fmt.Print(chip.Utilization(m.Cycle()))
 	// Host-side engine activity: what the simulator did, not the chip.
 	compiles, flushes := m.BlockStats()
+	gs := m.GenericStats()
 	ss := m.SchedStats()
-	fmt.Printf("host: engine=%s block_compiles=%d block_flushes=%d sched_batches=%d sched_units=%d sched_overflow=%d sched_rebuilds=%d\n",
-		m.Engine(), compiles, flushes, ss.Batches, ss.Units, ss.Overflow, ss.Rebuilds)
+	fmt.Printf("host: engine=%s block_compiles=%d block_flushes=%d generic=%d%s sched_batches=%d sched_units=%d sched_overflow=%d sched_rebuilds=%d\n",
+		m.Engine(), compiles, flushes, gs.Attempts, genericTop(gs), ss.Batches, ss.Units, ss.Overflow, ss.Rebuilds)
+}
+
+// genericTop names the (at most three) opcodes that took the block
+// engine's generic closure most often, as "(syscall=2,mul=1)"; empty when
+// nothing did.
+func genericTop(gs sim.GenericStats) string {
+	ops := gs.Ops()
+	if len(ops) == 0 {
+		return ""
+	}
+	var parts []string
+	for _, op := range ops[:min(3, len(ops))] {
+		parts = append(parts, fmt.Sprintf("%s=%d", op, gs.ByOp[op]))
+	}
+	return "(" + strings.Join(parts, ",") + ")"
 }
 
 // printBreakdown lists the stall cycles by reason, largest contribution

@@ -45,8 +45,9 @@ func TestRunSourceWithStatsAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A lone thread unit runs inline from its one batch to its exit, whose
-	// compaction is the one rebuild; each syscall ends a block.
-	want := "host: engine=block block_compiles=2 block_flushes=0 sched_batches=1 sched_units=1 sched_overflow=0 sched_rebuilds=1\n"
+	// compaction is the one rebuild; each syscall ends a block, and is the
+	// one instruction here without a specialized body.
+	want := "host: engine=block block_compiles=2 block_flushes=0 generic=2(syscall=2) sched_batches=1 sched_units=1 sched_overflow=0 sched_rebuilds=1\n"
 	if !strings.Contains(string(printed), want) {
 		t.Errorf("-stats output lacks %q:\n%s", want, printed)
 	}

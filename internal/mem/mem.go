@@ -13,6 +13,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"cyclops/internal/arch"
@@ -25,8 +26,10 @@ type Memory struct {
 	data []byte
 
 	// live maps logical bank -> physical bank after failures; len(live)
-	// banks remain.
+	// banks remain. size is their capacity in bytes, the working memory:
+	// FailBank shrinks it, while len(data) stays sized for every bank.
 	live []int
+	size uint32
 
 	banks []bank
 
@@ -66,15 +69,14 @@ func New(cfg arch.Config) *Memory {
 		cfg:   cfg,
 		data:  make([]byte, cfg.MemBytes()),
 		live:  live,
+		size:  uint32(len(live) * cfg.MemBankBytes),
 		banks: make([]bank, cfg.MemBanks),
 	}
 }
 
 // Size returns the currently working memory size in bytes; bank failures
 // reduce it (the value the SPRMemSize register reports).
-func (m *Memory) Size() uint32 {
-	return uint32(len(m.live) * m.cfg.MemBankBytes)
-}
+func (m *Memory) Size() uint32 { return m.size }
 
 // FailBank removes physical bank pb from service. The hardware re-maps the
 // remaining banks so that the address space stays contiguous (Section 5);
@@ -86,6 +88,7 @@ func (m *Memory) FailBank(pb int) error {
 	for i, b := range m.live {
 		if b == pb {
 			m.live = append(m.live[:i:i], m.live[i+1:]...)
+			m.size = uint32(len(m.live) * m.cfg.MemBankBytes)
 			return nil
 		}
 	}
@@ -99,37 +102,39 @@ func (m *Memory) LiveBanks() int { return len(m.live) }
 // fault re-map: the XOR-folded interleave (see arch.Config.BankOf) runs
 // over the surviving banks only.
 func (m *Memory) bankOf(addr uint32) (int, error) {
-	if addr >= m.Size() {
-		return 0, fmt.Errorf("mem: address %#x beyond working memory %#x", addr, m.Size())
+	if addr >= m.size {
+		return 0, m.rangeErr(addr)
 	}
 	line := addr >> m.cfg.MemInterleaveShift
 	logical := int(line^line>>4^line>>8) % len(m.live)
 	return m.live[logical], nil
 }
 
-// backingOffset maps a physical address to an offset in the storage
-// array. Storage layout is independent of bank assignment (the array is
-// sized for all banks and stays a simple identity map), which keeps the
-// mapping bijective after bank failures shrink the address space; data is
-// not preserved across a failure, as on the real hardware.
-func (m *Memory) backingOffset(addr uint32) (int, error) {
-	if addr >= m.Size() {
-		return 0, fmt.Errorf("mem: address %#x beyond working memory %#x", addr, m.Size())
-	}
-	return int(addr), nil
+// --- Functional storage ---------------------------------------------------
+//
+// The storage array is an identity map of the physical address space, so
+// an access is one range check against the working size and a word-wide
+// load, store or copy. An access that ends past the working size fails
+// whole: nothing is read or written and the code generation does not move.
+
+// inRange reports whether the n bytes at addr lie inside working memory;
+// the sum is taken in 64 bits so an address near 2^32 cannot wrap.
+func (m *Memory) inRange(addr uint32, n int) bool {
+	return uint64(addr)+uint64(n) <= uint64(m.size)
 }
 
-// --- Functional storage ---------------------------------------------------
+// rangeErr names the first byte of a failed access at addr that is beyond
+// working memory.
+func (m *Memory) rangeErr(addr uint32) error {
+	return fmt.Errorf("mem: address %#x beyond working memory %#x", max(addr, m.size), m.size)
+}
 
 // Read copies len(p) bytes at physical address addr into p.
 func (m *Memory) Read(addr uint32, p []byte) error {
-	for i := range p {
-		off, err := m.backingOffset(addr + uint32(i))
-		if err != nil {
-			return err
-		}
-		p[i] = m.data[off]
+	if !m.inRange(addr, len(p)) {
+		return m.rangeErr(addr)
 	}
+	copy(p, m.data[addr:])
 	return nil
 }
 
@@ -156,52 +161,59 @@ func (m *Memory) WatchCode(lo, hi uint32) {
 // time a write overlaps the watched text range.
 func (m *Memory) CodeGen() uint64 { return m.codeGen }
 
-// Write stores p at physical address addr.
-func (m *Memory) Write(addr uint32, p []byte) error {
-	if m.watchSet && addr < m.watchHi && addr+uint32(len(p)) > m.watchLo {
+// noteWrite bumps the code generation when the n bytes about to be
+// written at addr overlap the watched range. Every write calls it, after
+// its range check and before it stores.
+func (m *Memory) noteWrite(addr uint32, n int) {
+	if m.watchSet && addr < m.watchHi && uint64(addr)+uint64(n) > uint64(m.watchLo) {
 		m.codeGen++
 	}
-	for i := range p {
-		off, err := m.backingOffset(addr + uint32(i))
-		if err != nil {
-			return err
-		}
-		m.data[off] = p[i]
+}
+
+// Write stores p at physical address addr.
+func (m *Memory) Write(addr uint32, p []byte) error {
+	if !m.inRange(addr, len(p)) {
+		return m.rangeErr(addr)
 	}
+	m.noteWrite(addr, len(p))
+	copy(m.data[addr:], p)
 	return nil
 }
 
 // Read32 loads a naturally aligned 32-bit word.
 func (m *Memory) Read32(addr uint32) (uint32, error) {
-	var b [4]byte
-	if err := m.Read(addr, b[:]); err != nil {
-		return 0, err
+	if !m.inRange(addr, 4) {
+		return 0, m.rangeErr(addr)
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
+	return binary.LittleEndian.Uint32(m.data[addr:]), nil
 }
 
 // Write32 stores a naturally aligned 32-bit word.
 func (m *Memory) Write32(addr uint32, v uint32) error {
-	b := [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-	return m.Write(addr, b[:])
+	if !m.inRange(addr, 4) {
+		return m.rangeErr(addr)
+	}
+	m.noteWrite(addr, 4)
+	binary.LittleEndian.PutUint32(m.data[addr:], v)
+	return nil
 }
 
 // Read64 loads a naturally aligned 64-bit doubleword.
 func (m *Memory) Read64(addr uint32) (uint64, error) {
-	lo, err := m.Read32(addr)
-	if err != nil {
-		return 0, err
+	if !m.inRange(addr, 8) {
+		return 0, m.rangeErr(addr)
 	}
-	hi, err := m.Read32(addr + 4)
-	return uint64(hi)<<32 | uint64(lo), err
+	return binary.LittleEndian.Uint64(m.data[addr:]), nil
 }
 
 // Write64 stores a naturally aligned 64-bit doubleword.
 func (m *Memory) Write64(addr uint32, v uint64) error {
-	if err := m.Write32(addr, uint32(v)); err != nil {
-		return err
+	if !m.inRange(addr, 8) {
+		return m.rangeErr(addr)
 	}
-	return m.Write32(addr+4, uint32(v>>32))
+	m.noteWrite(addr, 8)
+	binary.LittleEndian.PutUint64(m.data[addr:], v)
+	return nil
 }
 
 // --- Timing ---------------------------------------------------------------

@@ -227,3 +227,133 @@ func TestOffChipValidation(t *testing.T) {
 		t.Error("out-of-range external address accepted")
 	}
 }
+
+// TestAccessEdges pins the range check every functional access shares: an
+// access that ends at Size() works, one that ends past it fails whole —
+// nothing read, nothing written, the code generation unmoved — and the
+// end is computed in 64 bits.
+func TestAccessEdges(t *testing.T) {
+	m := New(arch.Default())
+	size := m.Size()
+	m.WatchCode(0, size) // every successful write bumps the generation
+
+	// The last word and doubleword of memory.
+	if err := m.Write64(size-8, 0x1122334455667788); err != nil {
+		t.Fatalf("last doubleword: %v", err)
+	}
+	if v, err := m.Read64(size - 8); err != nil || v != 0x1122334455667788 {
+		t.Fatalf("last doubleword reads %#x, %v", v, err)
+	}
+	if err := m.Write32(size-4, 0xa1b2c3d4); err != nil {
+		t.Fatalf("last word: %v", err)
+	}
+	if v, err := m.Read32(size - 4); err != nil || v != 0xa1b2c3d4 {
+		t.Fatalf("last word reads %#x, %v", v, err)
+	}
+	tail := make([]byte, 4)
+	if err := m.Read(size-4, tail); err != nil || tail[0] != 0xd4 || tail[3] != 0xa1 {
+		t.Fatalf("last bytes read %x, %v", tail, err)
+	}
+
+	// Accesses ending past Size(): a slice straddling it, a word and a
+	// doubleword starting inside, and addresses whose 32-bit end would wrap.
+	gen := m.CodeGen()
+	buf := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, addr := range []uint32{size - 4, size - 1, size, 0xfffffff8, 0xfffffffc, 0xffffffff} {
+		if err := m.Write(addr, buf); err == nil {
+			t.Errorf("Write of 8 bytes at %#x succeeded", addr)
+		}
+		if err := m.Write64(addr, 0); err == nil {
+			t.Errorf("Write64 at %#x succeeded", addr)
+		}
+		got := []byte{9, 9, 9, 9, 9, 9, 9, 9}
+		if err := m.Read(addr, got); err == nil || got[0] != 9 || got[7] != 9 {
+			t.Errorf("Read of 8 bytes at %#x: %v, buffer now %v", addr, err, got)
+		}
+		if _, err := m.Read64(addr); err == nil {
+			t.Errorf("Read64 at %#x succeeded", addr)
+		}
+	}
+	for _, addr := range []uint32{size - 2, size, 0xfffffffe} {
+		if err := m.Write32(addr, 0); err == nil {
+			t.Errorf("Write32 at %#x succeeded", addr)
+		}
+		if _, err := m.Read32(addr); err == nil {
+			t.Errorf("Read32 at %#x succeeded", addr)
+		}
+	}
+	if m.CodeGen() != gen {
+		t.Errorf("failed writes moved the code generation %d -> %d", gen, m.CodeGen())
+	}
+	if v, _ := m.Read32(size - 4); v != 0xa1b2c3d4 {
+		t.Errorf("a failed straddling write stored its in-range prefix: last word now %#x", v)
+	}
+
+	// After a bank failure the old top of memory is out of range, although
+	// the storage array still has bytes there.
+	if err := m.FailBank(0); err != nil {
+		t.Fatal(err)
+	}
+	if m.Size() >= size {
+		t.Fatalf("Size %#x did not shrink", m.Size())
+	}
+	if _, err := m.Read64(size - 8); err == nil {
+		t.Error("old top of memory still readable after FailBank")
+	}
+	if err := m.Write32(size-4, 0); err == nil {
+		t.Error("old top of memory still writable after FailBank")
+	}
+	if err := m.Write64(m.Size()-8, 1); err != nil {
+		t.Errorf("new last doubleword: %v", err)
+	}
+	if err := m.Write64(m.Size()-4, 1); err == nil {
+		t.Error("doubleword straddling the new Size() accepted")
+	}
+}
+
+// TestWatchEdges: a write bumps the code generation exactly when it
+// overlaps the watched range [lo, hi), whatever its width.
+func TestWatchEdges(t *testing.T) {
+	const lo, hi = 0x1000, 0x1010
+	writes := map[string]func(m *Memory, addr uint32) error{
+		"Write32": func(m *Memory, addr uint32) error { return m.Write32(addr, 0xffffffff) },
+		"Write64": func(m *Memory, addr uint32) error { return m.Write64(addr, ^uint64(0)) },
+		"Write":   func(m *Memory, addr uint32) error { return m.Write(addr, []byte{1, 2, 3}) },
+	}
+	widths := map[string]uint32{"Write32": 4, "Write64": 8, "Write": 3}
+	m := New(arch.Default())
+	m.WatchCode(lo, hi)
+	for name, write := range writes {
+		w := widths[name]
+		for _, tc := range []struct {
+			what string
+			addr uint32
+			hit  bool
+		}{
+			{"ends at lo", lo - w, false},
+			{"last byte is the first watched", lo - w + 1, true},
+			{"starts at lo", lo, true},
+			{"inside, neither edge", lo + 4, true},
+			{"ends at hi", hi - w, true},
+			{"first byte is the last watched", hi - 1, true},
+			{"starts at hi", hi, false},
+		} {
+			before := m.CodeGen()
+			if err := write(m, tc.addr); err != nil {
+				t.Fatalf("%s %s: %v", name, tc.what, err)
+			}
+			if got := m.CodeGen() != before; got != tc.hit {
+				t.Errorf("%s at %#x (%s): generation moved = %v, want %v", name, tc.addr, tc.what, got, tc.hit)
+			}
+		}
+	}
+	// A doubleword half inside the range bumps, as its two word writes did.
+	before := m.CodeGen()
+	if m.Write64(lo-4, 0); m.CodeGen() == before {
+		t.Error("doubleword with only its high word watched did not bump the generation")
+	}
+	// No watch set, no bump.
+	if m := New(arch.Default()); m.Write32(lo, 1) != nil || m.CodeGen() != 0 {
+		t.Error("write with no watch moved the generation")
+	}
+}

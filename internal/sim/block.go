@@ -17,12 +17,27 @@ import (
 // once into a slice of pre-bound Go closures — threaded code — and runs
 // closure after closure, block after block, without returning to the
 // scheduler, for as long as the thread unit is provably the only one
-// due. The hot ops (single-cycle ALU, conditional branches, lw/ld/sw)
-// compile to fully specialized closures: one indirect call per
-// instruction, everything else straight-line. Adjacent pairs led by a
-// fall-through op additionally compile to fused superinstructions that
-// commit two issues per dispatch — that covers lui+ori, addi+bne,
-// ld+fma and every other back-to-back idiom.
+// due.
+//
+// Which ops have bodies. Fully specialized closures — one indirect call
+// per instruction, everything else straight-line — exist for the
+// single-cycle integer ALU ops and lui, the six conditional branches, jal
+// and jalr, lw/ld/sw/sd, fadd/fmul/fma into a legal non-zero pair, mfspr
+// of the cycle and barrier SPRs and mtspr of the barrier SPR: everything
+// stream.Generate and the hardware barrier execute. Every other
+// instruction (mul, div, syscall, atomics, sub-word memory, the other FP
+// ops and SPRs, and every encoding whose trap is decided by its operand
+// fields) compiles to the generic closure, which calls Machine.issue —
+// the legacy engine's core — and counts the attempt in GenericStats.
+//
+// Which ops lead chains. A run of fall-through ops that never write
+// memory (canLeadFuse: the ALU ops, lw/ld and the branches on their
+// not-taken path) plus one arbitrary final op compiles to a fused
+// superinstruction that commits up to maxFuse issues per dispatch —
+// lui+ori, addi+bne, ld+ld and every other back-to-back idiom. A
+// superinstruction can commit its second issue only while the unit is
+// alone, so fused dispatch is single-unit only: a multi-unit batch calls
+// the plain op directly.
 //
 // Timing stays exact by construction, not by approximation:
 //
@@ -147,9 +162,11 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 	tl := m.TL
 	// Fused superinstructions skip the per-attempt observability hooks
 	// (SetPC, trace records, timeline ticks), so they dispatch only when
-	// none of those observers is attached — and only when the issue
-	// policy permits inline continuation (InlineOK).
-	fuse := m.polInline && m.Trace == nil && tl == nil && !(obs.Enabled && tu.Samp != nil)
+	// none of those observers is attached — and only when the unit may
+	// continue inline at all: in a multi-unit batch (limit == m.cycle, as
+	// under a policy without InlineOK) fuseStep can never book a second
+	// issue, and the plain op commits the same state for one call less.
+	fuse := limit > m.cycle && m.Trace == nil && tl == nil && !(obs.Enabled && tu.Samp != nil)
 	blk := tu.blk
 	// clean is opFn's contract: the last op provably wrote no memory, so
 	// the code generation cannot have moved and need not be re-read.
@@ -402,8 +419,25 @@ func (m *Machine) compileOp(pc uint32, in isa.Inst, word uint32) opFn {
 		return mkLD(pc, word, in.A, in.B, uint32(in.Imm), uint64(lat.MemExec))
 	case isa.OpSW:
 		return mkSW(pc, word, in.A, in.B, uint32(in.Imm), uint64(lat.MemExec))
+	case isa.OpSD:
+		return mkSD(pc, word, in.A, in.B, uint32(in.Imm), uint64(lat.MemExec))
+	case isa.OpFADD, isa.OpFMUL, isa.OpFMA:
+		// A destination that is not a legal non-zero pair traps after its
+		// charges; that arm stays with the generic closure.
+		if FRegOK(in.A) && in.A != 0 {
+			return mkFP(pc, word, in, info, lat)
+		}
+	case isa.OpMFSPR:
+		if in.Imm == isa.SPRCycle || in.Imm == isa.SPRBarrier {
+			return mkMFSPR(pc, word, in.A, in.Imm)
+		}
+	case isa.OpMTSPR:
+		if in.Imm == isa.SPRBarrier {
+			return mkMTSPRBarrier(pc, word, in.A)
+		}
 	}
 	return func(m *Machine, tu *TU, cycle uint64) bool {
+		m.generic[in.Op]++
 		m.issue(tu, in, info, word, cycle)
 		return false
 	}
@@ -1034,5 +1068,123 @@ func mkSW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 		tu.nextAt = tu.SettleAccess(acc, cyc+memExec, acc.Done)
 		tu.PC = pc + 4
 		return false
+	}
+}
+
+func mkSD(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
+	return func(m *Machine, tu *TU, cyc uint64) bool {
+		if r := timing.MaxReady(timing.MaxReady(tu.regReady(a), tu.regReady(b)), tu.regReady(a+1)); r > cyc {
+			tu.nextAt = tu.WaitReady(cyc, r)
+			return false
+		}
+		tu.Insts++
+		if m.Trace != nil {
+			m.Trace.record(TraceEntry{Cycle: cyc, TID: tu.ID, PC: pc, Word: word})
+		}
+		ea := tu.reg(b) + imm
+		phys := arch.Phys(ea)
+		if phys%8 != 0 {
+			m.Trap("sim: thread %d: unaligned %d-byte access to %#x at pc %#x", tu.ID, 8, ea, pc)
+			return false
+		}
+		if err := m.Chip.Mem.Write64(phys, uint64(tu.reg(a))|uint64(tu.reg(a+1))<<32); err != nil {
+			m.Trap("sim: thread %d: %v at pc %#x", tu.ID, err, pc)
+			return false
+		}
+		// False for the same reason as sw: the store may have landed in
+		// watched text.
+		acc := m.Chip.Data.Store(cyc, ea, 8, tu.Quad)
+		tu.ObserveAccess(acc)
+		tu.ChargeRun(memExec)
+		tu.nextAt = tu.SettleAccess(acc, cyc+memExec, acc.Done)
+		tu.PC = pc + 4
+		return false
+	}
+}
+
+// mkFP builds fadd, fmul or fma into the pair at in.A, which the caller
+// has checked is a legal non-zero pair. The thread issues in one cycle and
+// the quad's FPU pipe carries the rest, exactly as execFP: dispatch, the
+// structural wait and its switch penalty, one run cycle, then the result
+// at the pipe's completion time.
+func mkFP(pc, word uint32, in isa.Inst, info *isa.Info, lat *arch.LatencyTable) opFn {
+	a, b, c, d := in.A, in.B, in.C, in.D
+	op, pipe := in.Op, info.Pipe
+	exec, total := lat.FPExec, uint64(lat.FPExec+lat.FPLatency)
+	if op == isa.OpFMA {
+		exec, total = lat.FMAExec, uint64(lat.FMAExec+lat.FMALatency)
+	}
+	return func(m *Machine, tu *TU, cyc uint64) bool {
+		r := timing.MaxReady(
+			timing.MaxReady(tu.regReady(b), tu.regReady(b+1)),
+			timing.MaxReady(tu.regReady(c), tu.regReady(c+1)))
+		if op == isa.OpFMA {
+			r = timing.MaxReady(r, timing.MaxReady(tu.regReady(d), tu.regReady(d+1)))
+		}
+		if r > cyc {
+			tu.nextAt = tu.WaitReady(cyc, r)
+			return false
+		}
+		tu.Insts++
+		if m.Trace != nil {
+			m.Trace.record(TraceEntry{Cycle: cyc, TID: tu.ID, PC: pc, Word: word})
+		}
+		start := m.Chip.FPUs[tu.Quad].Dispatch(cyc, pipe, exec)
+		resume := tu.WaitFPU(cyc, start)
+		tu.ChargeRun(1)
+		tu.nextAt = resume + 1
+		var f float64
+		switch op {
+		case isa.OpFADD:
+			f = tu.freg(b) + tu.freg(c)
+		case isa.OpFMUL:
+			f = tu.freg(b) * tu.freg(c)
+		case isa.OpFMA:
+			f = tu.freg(b)*tu.freg(c) + tu.freg(d)
+		}
+		tu.setFReg(a, f, start+total)
+		tu.PC = pc + 4
+		return true
+	}
+}
+
+// mkMFSPR reads the cycle counter's low word or the wired-OR barrier
+// register (the barrier spin's load); the caller has checked spr is one of
+// the two. m.cycle is the issue cycle on every path: the scheduler, inline
+// continuation and fuseStep all move it before the op runs.
+func mkMFSPR(pc, word uint32, a uint8, spr int32) opFn {
+	return func(m *Machine, tu *TU, cyc uint64) bool {
+		tu.Insts++ // mfspr has no sources, never waits
+		if m.Trace != nil {
+			m.Trace.record(TraceEntry{Cycle: cyc, TID: tu.ID, PC: pc, Word: word})
+		}
+		v := uint32(m.cycle)
+		if spr == isa.SPRBarrier {
+			v = uint32(m.Chip.Barrier.Read())
+		}
+		tu.setReg(a, v, cyc+1)
+		tu.ChargeRun(1)
+		tu.nextAt = cyc + 1
+		tu.PC = pc + 4
+		return true
+	}
+}
+
+// mkMTSPRBarrier deposits the unit's contribution to the barrier register.
+func mkMTSPRBarrier(pc, word uint32, a uint8) opFn {
+	return func(m *Machine, tu *TU, cyc uint64) bool {
+		if r := tu.regReady(a); r > cyc {
+			tu.nextAt = tu.WaitReady(cyc, r)
+			return false
+		}
+		tu.Insts++
+		if m.Trace != nil {
+			m.Trace.record(TraceEntry{Cycle: cyc, TID: tu.ID, PC: pc, Word: word})
+		}
+		m.Chip.Barrier.Write(tu.ID, uint8(tu.reg(a)))
+		tu.ChargeRun(1)
+		tu.nextAt = cyc + 1
+		tu.PC = pc + 4
+		return true
 	}
 }

@@ -1,10 +1,17 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"cyclops/internal/arch"
 	"cyclops/internal/asm"
+	"cyclops/internal/core"
+	"cyclops/internal/isa"
+	"cyclops/internal/obs"
+	"cyclops/internal/prof"
+	"cyclops/internal/timing"
 )
 
 func TestSPRReads(t *testing.T) {
@@ -217,5 +224,268 @@ out:	.word 1
 	`)
 	if v := word(t, m, pp.Symbols["out"]); v != 0 {
 		t.Errorf("r0 = %d after write, want 0", v)
+	}
+}
+
+// bodyScenarios are the issue policies every specialized-body case runs
+// under: fine-grained, and the two that add a switch penalty to the
+// stall events the bodies can raise (dependence, FPU structural wait and
+// store backpressure under blocked; a data miss under switch-on-miss).
+func bodyScenarios() []diffScenario {
+	lat := timing.DefaultLatencies()
+	return []diffScenario{
+		{pol: timing.FineGrain{}, lat: lat},
+		{pol: timing.Blocked{Pen: 5}, lat: lat},
+		{pol: timing.SwitchOnMiss{Pen: 7}, lat: lat},
+	}
+}
+
+// quad1 is four thread units sharing one FPU and one cache port, so
+// their same-cycle fp ops and stores collide.
+var quad1 = []int{4, 5, 6, 7}
+
+// bodyPrologue gives each unit r16 = &data (one line every unit shares)
+// and r17 = its own line behind it; the tid read is the one mfspr with
+// no specialized body.
+const bodyPrologue = `
+_start:	la   r16, data
+	mfspr r20, 0
+	andi r20, r20, 3
+	slli r21, r20, 6
+	add  r17, r16, r21
+`
+
+const bodyData = `
+	.align 64
+data:	.double 1.5, 2.25, -0.75, 1024.0
+	.word 1, 2, 3, 4
+	.space 16
+	.space 4*64
+`
+
+// TestSpecializedBodies runs every arm — commit, dependence stall on each
+// source, structural and backpressure waits — of the sd, fadd/fmul/fma,
+// mfspr and mtspr bodies, one unit alone (whole blocks inline, fused
+// dispatch) and four colliding units (one issue per batch), block engine
+// against the legacy oracle on snapshot, registers and memory.
+func TestSpecializedBodies(t *testing.T) {
+	cases := []struct {
+		name, body string
+	}{
+		{"sd", `
+	ld   d32, 0(r16)
+	sd   d32, 64(r17)	; waits on the pair the load fills
+	lw   r35, 32(r16)
+	sd   d34, 72(r17)	; waits on the high half alone
+	li   r19, 1
+	mul  r18, r17, r19
+	sd   d32, 80(r18)	; waits on the base register
+	li   r22, 24
+burst:	sd   d32, 48(r16)	; every unit, one line: port and bank backpressure
+	sd   d34, 88(r17)
+	addi r22, r22, -1
+	bne  r22, r0, burst
+	halt
+`},
+		{"fp", `
+	ld   d32, 0(r16)
+	ld   d34, 8(r16)
+	fadd d36, d32, d34	; waits on both source pairs
+	ld   d38, 16(r16)
+	fmul d40, d36, d38	; waits on the pipe result and a load
+	ld   d42, 24(r16)
+	fma  d44, d32, d34, d42	; waits on the addend pair alone
+	fma  d46, d44, d40, d36
+	li   r22, 6
+chain:	fadd d36, d36, d32	; units of one quad collide on the pipes
+	fmul d40, d40, d34
+	fma  d44, d36, d40, d44
+	addi r22, r22, -1
+	bne  r22, r0, chain
+	sd   d36, 64(r17)
+	sd   d40, 72(r17)
+	sd   d44, 80(r17)
+	sd   d46, 88(r17)
+	halt
+`},
+		{"spr", `
+	add  r8, r20, r20
+	add  r9, r8, r20
+	mfspr r10, 2		; ends a fused chain: fuseStep has moved the clock
+	mfspr r11, 2
+	sub  r12, r11, r10
+	lw   r27, 32(r16)
+	mtspr r27, 4		; waits on the load
+	mfspr r13, 4
+	addi r14, r13, 1
+	mfspr r15, 4		; mid-block, behind a fused pair
+	li   r27, 0
+	mtspr r27, 4
+	mfspr r23, 4
+	sw   r10, 64(r17)
+	sw   r12, 68(r17)
+	sw   r13, 72(r17)
+	sw   r23, 76(r17)
+	halt
+`},
+	}
+	fast := []isa.Op{isa.OpSD, isa.OpFADD, isa.OpFMUL, isa.OpFMA, isa.OpMTSPR}
+	for _, tc := range cases {
+		for _, sc := range bodyScenarios() {
+			for _, tids := range [][]int{{4}, quad1} {
+				name := fmt.Sprintf("%s/%s/%d units", tc.name, sc, len(tids))
+				m, err := diffCompare(t, name, bodyPrologue+tc.body+bodyData, sc, tids...)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				gs := m.GenericStats()
+				for _, op := range fast {
+					if gs.ByOp[op] != 0 {
+						t.Errorf("%s: %d attempts of %s took the generic path", name, gs.ByOp[op], op)
+					}
+				}
+				// Only the prologue's tid read: once per unit, never stalled.
+				if got := gs.ByOp[isa.OpMFSPR]; got != uint64(len(tids)) {
+					t.Errorf("%s: %d generic mfspr attempts, want %d", name, got, len(tids))
+				}
+				if tc.name != "spr" && m.TUs[tids[0]].Stall == 0 {
+					t.Errorf("%s: no stall cycle was charged; the wait arms did not run", name)
+				}
+			}
+		}
+	}
+}
+
+// TestSpecializedBodyTraps: the trap arms of the memory ops stay in their
+// bodies; an fp destination that is not a legal non-zero pair, and every SPR without a
+// body, keep the generic closure and so Machine.issue's trap.
+func TestSpecializedBodyTraps(t *testing.T) {
+	cases := []struct {
+		name, body, want string
+		generic          isa.Op // the opcode that must have trapped generically
+	}{
+		{"unaligned sd", "sd d32, 4(r16)", "unaligned 8-byte access", 0},
+		{"sd beyond memory", "li r18, 0x800000\n\tsd d32, 0(r18)", "beyond working memory", 0},
+		{"unaligned sw", "sw r32, 2(r16)", "unaligned 4-byte access", 0},
+		{"sw beyond memory", "li r18, 0x800000\n\tsw r32, 0(r18)", "beyond working memory", 0},
+		{"lw beyond memory", "li r18, 0x800000\n\tlw r8, 0(r18)", "beyond working memory", 0},
+		{"ld beyond memory", "li r18, 0x800000\n\tld d36, 0(r18)", "beyond working memory", 0},
+		{"odd fadd destination", "fadd r9, d32, d34", "bad fp destination r9", isa.OpFADD},
+		{"r0 fmul destination", "fmul r0, d32, d34", "bad fp destination r0", isa.OpFMUL},
+		{"r63 fma destination", "fma r63, d32, d34, d32", "bad fp destination r63", isa.OpFMA},
+		{"mfspr of an undefined SPR", "mfspr r9, 7", "mfspr 7", isa.OpMFSPR},
+		{"mtspr of a read-only SPR", "mtspr r9, 2", "not writable", isa.OpMTSPR},
+	}
+	for _, tc := range cases {
+		for _, sc := range bodyScenarios() {
+			src := "_start:\tla r16, data\n\tld d32, 0(r16)\n\tld d34, 8(r16)\n\t" + tc.body + "\n\thalt\n" + bodyData
+			m, err := diffCompare(t, tc.name, src, sc)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s (%s): error %v, want one mentioning %q", tc.name, sc, err, tc.want)
+			}
+			gs := m.GenericStats()
+			if tc.generic != 0 && gs.ByOp[tc.generic] == 0 {
+				t.Errorf("%s (%s): the trap did not come from the generic closure", tc.name, sc)
+			}
+			if tc.generic == 0 && gs.Attempts != 0 {
+				t.Errorf("%s (%s): %d generic attempts (%v), want the body's own trap arm", tc.name, sc, gs.Attempts, gs.Ops())
+			}
+		}
+	}
+}
+
+// observedSrc issues every op that has a specialized body, with the
+// dependence-stall arm of the indirect jump and the loads, so that a run
+// with a tracer or a profiler attached executes their observer hooks.
+const observedSrc = `
+_start:	la   r16, data
+	ld   d32, 0(r16)
+	ld   d34, 8(r16)
+	lw   r18, 32(r16)
+	jalr r31, 0(r18)	; waits on the load: an indirect call
+	jal  r31, fn		; a direct call
+	jal  r0, over		; a plain jump: no frame
+over:	lw   r19, 36(r16)
+	ld   d36, 16(r19)	; waits on its base
+	lw   r21, 36(r16)
+	lw   r8, 40(r21)	; waits on its base
+	fadd d38, d32, d34
+	fmul d40, d32, d36
+	fma  d42, d38, d40, d34
+	sd   d42, 64(r16)
+	sw   r8, 72(r16)
+	mtspr r8, 4
+	mfspr r9, 4
+	mfspr r10, 2
+	mtspr r0, 4
+	halt
+fn:	add  r8, r8, r8
+	jalr r0, 0(r31)		; the return idiom
+	.align 64
+data:	.double 1.5, 2.25, -0.75, 1024.0
+	.word fn, data, 3, 4
+	.space 64
+`
+
+// TestOpBodiesUnderObservers: the specialized bodies record the same
+// trace and feed the profiler the same charges and call frames as the
+// legacy engine's issue path.
+func TestOpBodiesUnderObservers(t *testing.T) {
+	p, err := asm.Assemble(observedSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe := func(e Engine, trace *TraceBuffer, pr *prof.Profile) string {
+		chip := core.MustNew(arch.Default())
+		m := New(chip, nil)
+		m.SetEngine(e)
+		m.MaxCycles = 100_000
+		m.Trace = trace
+		if pr != nil {
+			m.AttachProfile(pr)
+		}
+		if err := chip.LoadImage(p.Origin, p.Bytes); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Start(2, p.Entry); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(); err != nil {
+			t.Fatalf("%s: %v", e, err)
+		}
+		if gs := m.GenericStats(); e == EngineBlock && (len(gs.Ops()) != 1 || gs.ByOp[isa.OpHALT] != 1) {
+			t.Errorf("generic attempts %v, want the halt alone", gs.Ops())
+		}
+		return diffState(m, nil)
+	}
+	var traces, folded, states [2]string
+	for i, e := range Engines() {
+		buf := NewTraceBuffer(256)
+		states[i] = observe(e, buf, nil)
+		traces[i] = buf.Dump()
+		if obs.Enabled {
+			pr := prof.New(1)
+			var sb strings.Builder
+			states[i] += observe(e, nil, pr)
+			if err := pr.WriteFolded(&sb, p); err != nil {
+				t.Fatal(err)
+			}
+			folded[i] = sb.String()
+		}
+	}
+	if traces[0] != traces[1] {
+		t.Errorf("traces differ\n--- block ---\n%s--- legacy ---\n%s", traces[0], traces[1])
+	}
+	if n := strings.Count(traces[0], "\n"); n < 25 {
+		t.Errorf("trace holds %d lines, want every issue of the program", n)
+	}
+	if folded[0] != folded[1] {
+		t.Errorf("profiles differ\n--- block ---\n%s--- legacy ---\n%s", folded[0], folded[1])
+	}
+	if obs.Enabled && !strings.Contains(folded[0], "fn;") {
+		t.Errorf("no sample carries fn's call frame:\n%s", folded[0])
+	}
+	if states[0] != states[1] {
+		t.Errorf("final state differs\n--- block ---\n%s--- legacy ---\n%s", states[0], states[1])
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"cyclops/internal/arch"
 	"cyclops/internal/asm"
 	"cyclops/internal/core"
+	"cyclops/internal/isa"
 	"cyclops/internal/timing"
 )
 
@@ -70,8 +72,9 @@ func scenarioFor(polDraw, latDraw int) diffScenario {
 
 // diffRun assembles src and runs it on engine e under scenario sc with a
 // tight cycle budget (random programs may loop forever; the identical
-// cycle-limit error is then part of the compared state).
-func diffRun(src string, e Engine, sc diffScenario) (*Machine, error) {
+// cycle-limit error is then part of the compared state). Every unit in
+// tids starts at the entry point; none means unit 2 alone.
+func diffRun(src string, e Engine, sc diffScenario, tids ...int) (*Machine, error) {
 	p, err := asm.Assemble(src)
 	if err != nil {
 		return nil, err
@@ -84,14 +87,25 @@ func diffRun(src string, e Engine, sc diffScenario) (*Machine, error) {
 	if err := chip.LoadImage(p.Origin, p.Bytes); err != nil {
 		return nil, err
 	}
-	if err := m.Start(2, p.Entry); err != nil {
-		return nil, err
+	if len(tids) == 0 {
+		tids = []int{2}
+	}
+	for _, tid := range tids {
+		if err := m.Start(tid, p.Entry); err != nil {
+			return nil, err
+		}
 	}
 	return m, m.Run()
 }
 
+// diffMemBytes is how much of low memory diffState compares: the text and
+// data of every differential program, and everything their raw-address
+// stores can reach.
+const diffMemBytes = 64 << 10
+
 // diffState flattens a finished machine into a comparable string: run
-// error, deterministic snapshot, and per-unit architectural state.
+// error, deterministic snapshot, per-unit architectural state, and the
+// contents of low memory.
 func diffState(m *Machine, err error) string {
 	var sb strings.Builder
 	if err != nil {
@@ -110,20 +124,27 @@ func diffState(m *Machine, err error) string {
 		fmt.Fprintf(&sb, "tu%d state=%d pc=%#x insts=%d regs=%v\n",
 			tu.ID, tu.State, tu.PC, tu.Insts, tu.Regs)
 	}
+	low := make([]byte, diffMemBytes)
+	if merr := m.Chip.Mem.Read(0, low); merr != nil {
+		fmt.Fprintf(&sb, "memory-error=%v\n", merr)
+	}
+	fmt.Fprintf(&sb, "mem[:%#x]=%x\n", len(low), sha256.Sum256(low))
 	return sb.String()
 }
 
 // diffCompare runs src on both engines under scenario sc and fails the
-// test when the block engine diverges from the legacy oracle.
-func diffCompare(t *testing.T, name, src string, sc diffScenario) {
+// test when the block engine diverges from the legacy oracle. It returns
+// the block-engine machine and its run error.
+func diffCompare(t *testing.T, name, src string, sc diffScenario, tids ...int) (*Machine, error) {
 	t.Helper()
-	ref, refErr := diffRun(src, EngineLegacy, sc)
+	ref, refErr := diffRun(src, EngineLegacy, sc, tids...)
 	want := diffState(ref, refErr)
-	m, err := diffRun(src, EngineBlock, sc)
+	m, err := diffRun(src, EngineBlock, sc, tids...)
 	if got := diffState(m, err); got != want {
 		t.Fatalf("%s (%s): block engine diverges from legacy\nprogram:\n%s\n--- legacy ---\n%s--- block ---\n%s",
 			name, sc, src, want, got)
 	}
+	return m, err
 }
 
 // randomProgram emits a short pseudo-random but valid program: ALU ops
@@ -131,8 +152,9 @@ func diffCompare(t *testing.T, name, src string, sc diffScenario) {
 // forward, so most programs terminate; the rest hit the cycle limit
 // identically on every engine), loads and stores through a data window
 // — and through small raw addresses, which smashes program text and
-// exercises compiled-code invalidation — plus the occasional jal or
-// kernel-less syscall trap.
+// exercises compiled-code invalidation — word and doubleword wide, reads
+// of the cycle and barrier SPRs and writes of the barrier SPR, plus the
+// occasional jal or kernel-less syscall trap.
 func randomProgram(rng *rand.Rand) string {
 	n := 5 + rng.Intn(36)
 	nlabels := 1 + rng.Intn(4)
@@ -151,7 +173,7 @@ func randomProgram(rng *rand.Rand) string {
 		if l, ok := labelAt[i]; ok {
 			fmt.Fprintf(&sb, "L%d:", l)
 		}
-		switch rng.Intn(16) {
+		switch rng.Intn(20) {
 		case 0, 1, 2:
 			ops := []string{"add", "sub", "and", "or", "xor", "nor", "slt", "sltu", "sll", "srl", "sra"}
 			fmt.Fprintf(&sb, "\t%s r%d, r%d, r%d\n", ops[rng.Intn(len(ops))], reg(), reg(), reg())
@@ -181,6 +203,15 @@ func randomProgram(rng *rand.Rand) string {
 			} else {
 				fmt.Fprintf(&sb, "\tjal r%d, L%d\n", reg(), rng.Intn(nlabels))
 			}
+		case 16:
+			fmt.Fprintf(&sb, "\tsd r%d, %d(r16)\n", reg(), 8*rng.Intn(8))
+		case 17:
+			// A doubleword through a small raw address: two text words.
+			fmt.Fprintf(&sb, "\tsd r%d, %d(r0)\n", reg(), 8*rng.Intn(32))
+		case 18:
+			fmt.Fprintf(&sb, "\tmfspr r%d, %d\n", reg(), []int{isa.SPRCycle, isa.SPRBarrier}[rng.Intn(2)])
+		case 19:
+			fmt.Fprintf(&sb, "\tmtspr r%d, %d\n", reg(), isa.SPRBarrier)
 		}
 	}
 	sb.WriteString("\thalt\n")
@@ -226,6 +257,22 @@ _start:	la r16, d
 	halt
 d:	.word 7
 	.space 4
+`))
+	f.Add(seed(`
+_start:	la r16, d
+	ld d32, 0(r16)
+	fadd d34, d32, d32
+	fmul d36, d34, d32
+	fma d38, d34, d36, d32
+	sd d38, 8(r16)
+	mtspr r32, 4
+	mfspr r8, 4
+	mfspr r9, 2
+	sd r8, 16(r0)
+	halt
+	.align 8
+d:	.double 1.5
+	.space 8
 `))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

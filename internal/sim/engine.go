@@ -1,6 +1,11 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+
+	"cyclops/internal/isa"
+)
 
 // Engine selects a Machine's execution engine. The two tiers share
 // every model component — the timing.Ledger charge rules, the cache and
@@ -71,7 +76,41 @@ func (m *Machine) BlockStats() (compiles, flushes uint64) {
 	return m.blockCompiles, m.blockFlushes
 }
 
+// GenericStats counts the block engine's issue attempts (commits, stalls
+// and traps alike) that found no specialized body and went through the
+// generic closure into Machine.issue. The count is kept inside that
+// closure, so no fast path pays for it. Zero on the legacy engine.
+type GenericStats struct {
+	Attempts uint64
+	ByOp     [isa.NumOps]uint64
+}
+
+// Ops lists the opcodes with a non-zero count, most attempts first and by
+// opcode number among equals.
+func (g GenericStats) Ops() []isa.Op {
+	var ops []isa.Op
+	for op, n := range g.ByOp {
+		if n > 0 {
+			ops = append(ops, isa.Op(op))
+		}
+	}
+	sort.SliceStable(ops, func(i, j int) bool { return g.ByOp[ops[i]] > g.ByOp[ops[j]] })
+	return ops
+}
+
+// GenericStats reports which instructions the block engine still hands to
+// Machine.issue (see the type): beside BlockStats, the answer to "which
+// engine path ran".
+func (m *Machine) GenericStats() GenericStats {
+	g := GenericStats{ByOp: m.generic}
+	for _, n := range g.ByOp {
+		g.Attempts += n
+	}
+	return g
+}
+
 // SchedStats reports the block engine scheduler's host-side activity (see
-// the type). Like BlockStats it describes the simulator, not the simulated
-// chip, so it stays out of Snapshot and every cross-engine comparison.
+// the type). Like BlockStats and GenericStats it describes the simulator,
+// not the simulated chip, so it stays out of Snapshot and every
+// cross-engine comparison.
 func (m *Machine) SchedStats() SchedStats { return m.eq.stats }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"cyclops/internal/core"
+	"cyclops/internal/isa"
 	"cyclops/internal/obs"
 	"cyclops/internal/prof"
 	"cyclops/internal/timing"
@@ -50,8 +51,11 @@ type TU struct {
 	pib pibState
 
 	// pos is the unit's index in the machine's active list, and its bit
-	// in the event queue's per-cycle bitmaps (see sched.go).
-	pos int
+	// in the event queue's per-cycle bitmaps (see sched.go). listed is
+	// whether the unit is on that list at all: from Start until the
+	// compaction after its halt, which is later than State says.
+	pos    int
+	listed bool
 	// blk hints the unit's current compiled block (block engine only).
 	blk *simBlock
 
@@ -119,10 +123,13 @@ type Machine struct {
 
 	// Compiled-block cache (see block.go), keyed by entry PC; codeGen is
 	// the memory code generation it was compiled under (see decode.go).
+	// generic counts, by opcode, the issue attempts that took the generic
+	// closure rather than a specialized body (see GenericStats).
 	blocks        map[uint32]*simBlock
 	codeGen       uint64
 	blockCompiles uint64
 	blockFlushes  uint64
+	generic       [isa.NumOps]uint64
 
 	// engine selects the execution engine tier (see engine.go). Both
 	// tiers are cycle- and byte-identical; they differ in host cost.
@@ -228,8 +235,10 @@ func (m *Machine) finishTimeline() {
 }
 
 // Start begins execution of thread unit tid at pc, from the current cycle.
-// It returns an error if the unit is unusable (disabled quad) or already
-// running.
+// It returns an error if the unit is unusable (disabled quad), already
+// running, or halted so recently that the engine has not yet retired it:
+// a unit that halts stays on the active list until the cycle's issues are
+// done, and listing it twice would issue it twice per cycle.
 func (m *Machine) Start(tid int, pc uint32) error {
 	if tid < 0 || tid >= len(m.TUs) {
 		return fmt.Errorf("sim: no thread unit %d", tid)
@@ -241,6 +250,9 @@ func (m *Machine) Start(tid int, pc uint32) error {
 	if tu.State == Running {
 		return fmt.Errorf("sim: thread unit %d already running", tid)
 	}
+	if tu.listed {
+		return fmt.Errorf("sim: thread unit %d halted in cycle %d and is not retired yet", tid, m.cycle)
+	}
 	tu.State = Running
 	tu.PC = pc
 	tu.nextAt = m.cycle
@@ -249,7 +261,7 @@ func (m *Machine) Start(tid int, pc uint32) error {
 	for r := range tu.ready {
 		tu.ready[r] = 0
 	}
-	tu.pos = len(m.active)
+	tu.pos, tu.listed = len(m.active), true
 	m.active = append(m.active, tu)
 	if m.engine == EngineBlock {
 		m.eq.push(tu)
@@ -286,7 +298,7 @@ func (m *Machine) compact() {
 			tu.pos = len(live)
 			live = append(live, tu)
 		} else {
-			tu.EndCycle = m.cycle
+			tu.EndCycle, tu.listed = m.cycle, false
 		}
 	}
 	m.active = live
@@ -330,7 +342,7 @@ func (m *Machine) runLegacy() error {
 			if tu.State == Running {
 				live = append(live, tu)
 			} else {
-				tu.EndCycle = m.cycle
+				tu.EndCycle, tu.listed = m.cycle, false
 			}
 		}
 		m.active = live

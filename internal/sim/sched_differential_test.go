@@ -47,14 +47,15 @@ func (k *schedKernel) arm(tu *TU, p schedPlan) {
 	tu.Regs[20], tu.Regs[21], tu.Regs[22], tu.Regs[23] = uint32(tu.ID), p.iters, p.action, p.arg
 }
 
-func (k *schedKernel) start(m *Machine, tid int, p schedPlan) {
-	k.arm(m.TUs[tid], p)
+func (k *schedKernel) start(m *Machine, tid int, p schedPlan) error {
 	if err := m.Start(tid, k.entry); err != nil {
-		m.Trap("schedKernel: %v", err)
+		return err
 	}
+	k.arm(m.TUs[tid], p)
 	if len(m.batch) > 1 {
 		k.midBatch++
 	}
+	return nil
 }
 
 func (k *schedKernel) Syscall(m *Machine, tu *TU) SysResult {
@@ -64,21 +65,18 @@ func (k *schedKernel) Syscall(m *Machine, tu *TU) SysResult {
 		if len(k.pending) > 0 {
 			tid := k.pending[0]
 			k.pending = k.pending[1:]
-			k.start(m, tid, k.plans[tid])
+			if err := k.start(m, tid, k.plans[tid]); err != nil {
+				m.Trap("schedKernel: %v", err)
+			}
 		}
 		return SysResult{Cost: 10}
 	case actRestart:
-		victim := m.TUs[arg]
-		// Only a unit compaction has already removed: one that halted
-		// earlier in this very batch is still on the active list, and
-		// Start would list it twice.
-		listed := false
-		for _, a := range m.active {
-			listed = listed || a == victim
-		}
-		if victim.State == Halted && !listed && !k.restarted[victim.ID] {
+		// Start refuses a victim that halted earlier in this very cycle
+		// and is not retired yet: that is "not yet", like a victim still
+		// running, and identically so on both engines.
+		if victim := m.TUs[arg]; victim.State == Halted && !k.restarted[victim.ID] &&
+			k.start(m, victim.ID, schedPlan{iters: 2}) == nil {
 			k.restarted[victim.ID] = true
-			k.start(m, victim.ID, schedPlan{iters: 2})
 		}
 		return SysResult{Cost: 6}
 	case actSleep:
@@ -91,8 +89,9 @@ func (k *schedKernel) Syscall(m *Machine, tu *TU) SysResult {
 // schedProgram generates the loop every unit runs. r20 is the unit's tid,
 // r21 its iteration count, r22/r23 its action; r16 points at a window all
 // units share (one line, so one bank and, through the shared mapping, one
-// cache), r17 at the unit's own slot. Shared stores make later loads
-// depend on the order units issued in.
+// cache), r17 at the unit's own slot. Shared stores — and every unit's
+// writes to the wired-OR barrier register — make later loads and SPR
+// reads depend on the order units issued in.
 func schedProgram(rng *rand.Rand) string {
 	var sb strings.Builder
 	sb.WriteString(`_start:	la   r16, shared
@@ -106,7 +105,7 @@ loop:
 `)
 	reg := func() int { return 8 + rng.Intn(8) }
 	for i, n := 0, 3+rng.Intn(8); i < n; i++ {
-		switch rng.Intn(12) {
+		switch rng.Intn(16) {
 		case 0, 1:
 			ops := []string{"add", "sub", "xor", "or", "sltu"}
 			fmt.Fprintf(&sb, "\t%s r%d, r%d, r%d\n", ops[rng.Intn(len(ops))], reg(), reg(), reg())
@@ -128,6 +127,14 @@ loop:
 			fmt.Fprintf(&sb, "\tdiv r%d, r%d, r19\n", reg(), reg())
 		case 11:
 			fmt.Fprintf(&sb, "\tmul r%d, r%d, r%d\n", reg(), reg(), reg())
+		case 12:
+			fmt.Fprintf(&sb, "\tsd r%d, %d(r16)\n", reg(), 16+8*rng.Intn(6))
+		case 13:
+			fmt.Fprintf(&sb, "\tsd d36, 64(r17)\n\tlw r%d, 68(r17)\n", reg())
+		case 14:
+			fmt.Fprintf(&sb, "\tmfspr r%d, %d\n", reg(), []int{isa.SPRCycle, isa.SPRBarrier}[rng.Intn(2)])
+		case 15:
+			fmt.Fprintf(&sb, "\tmtspr r%d, %d\n", reg(), isa.SPRBarrier)
 		}
 	}
 	sb.WriteString(`	addi r21, r21, -1

@@ -548,6 +548,89 @@ func TestStartValidation(t *testing.T) {
 	}
 }
 
+// restartKernel drives the one case Start must refuse on a halted unit:
+// the victim halts at its syscall, and the attacker, spinning on its own
+// syscall every cycle, tries to restart it — first, whenever the rotation
+// visits the victim before the attacker, in the very cycle of the halt.
+type restartKernel struct {
+	entry     uint32
+	victim    int
+	attacked  uint64 // last cycle the attacker issued in
+	haltedAt  uint64 // cycle of the victim's first halt
+	sameCycle error  // what Start said in that cycle
+	restarted bool
+}
+
+func (k *restartKernel) Syscall(m *Machine, tu *TU) SysResult {
+	if tu.ID == k.victim {
+		// Halt the first time the attacker is still to come this cycle;
+		// the second life halts at once.
+		if k.restarted || (m.Cycle() > 50 && k.attacked != m.Cycle()) {
+			if !k.restarted {
+				k.haltedAt = m.Cycle()
+			}
+			return SysResult{Halt: true}
+		}
+		return SysResult{Cost: 1, Retry: true}
+	}
+	k.attacked = m.Cycle()
+	if m.TUs[k.victim].State != Halted {
+		return SysResult{Cost: 1, Retry: true}
+	}
+	err := m.Start(k.victim, k.entry)
+	if m.Cycle() == k.haltedAt {
+		k.sameCycle = err
+	}
+	if err != nil {
+		return SysResult{Cost: 1, Retry: true}
+	}
+	k.restarted = true
+	return SysResult{Halt: true}
+}
+
+// TestStartRefusesUnretiredUnit: a unit that halted earlier in the same
+// cycle is still on the active list; starting it then would list it twice
+// and issue it twice per cycle from then on.
+func TestStartRefusesUnretiredUnit(t *testing.T) {
+	p, err := asm.Assemble("spin:\tsyscall\n\tj spin\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range Engines() {
+		t.Run(e.String(), func(t *testing.T) {
+			chip := core.MustNew(arch.Default())
+			k := &restartKernel{entry: p.Entry, victim: 2}
+			m := New(chip, k)
+			m.SetEngine(e)
+			m.MaxCycles = 10_000
+			if err := chip.LoadImage(p.Origin, p.Bytes); err != nil {
+				t.Fatal(err)
+			}
+			for _, tid := range []int{2, 3} {
+				if err := m.Start(tid, p.Entry); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if k.haltedAt == 0 {
+				t.Fatal("the victim never halted ahead of the attacker")
+			}
+			if k.sameCycle == nil || !strings.Contains(k.sameCycle.Error(), "not retired") {
+				t.Errorf("Start in the cycle of the halt: %v, want a not-retired error", k.sameCycle)
+			}
+			if !k.restarted {
+				t.Error("Start never succeeded once the unit was retired")
+			}
+			// One syscall per life, none retried as an instruction.
+			if got := m.TUs[2].Insts; got != 2 {
+				t.Errorf("victim issued %d instructions over two lives, want 2", got)
+			}
+		})
+	}
+}
+
 func TestRunStallAccounting(t *testing.T) {
 	m := run(t, `
 	li r8, 50

@@ -107,3 +107,102 @@ func TestCodeWatchIsExact(t *testing.T) {
 		})
 	}
 }
+
+// sdSMC are doubleword stores into compiled text. Each rewrites code the
+// block engine has already compiled (patch: falls on a doubleword
+// boundary), and a stale op would leave a 7 in out.
+var sdSMC = []struct {
+	name, src string
+	want      []uint32 // the words at out
+}{
+	// The two instructions after the store sit in its own block, compiled
+	// before the store issued.
+	{"own block", `
+_start:	la   r20, out
+	la   r21, patch
+	la   r22, tmpl
+	ld   d32, 0(r22)
+	sd   d32, 0(r21)
+patch:	addi r11, r0, 7
+	addi r12, r0, 7
+	sw   r11, 0(r20)
+	sw   r12, 4(r20)
+	halt
+	.align 8
+tmpl:	addi r11, r0, 42
+	addi r12, r0, 43
+out:	.space 8
+`, []uint32{42, 43}},
+	// The patched pair is a block of its own, executed (so compiled) once
+	// before the store and once after.
+	{"next block", `
+_start:	la   r20, out
+	la   r21, patch
+	la   r22, tmpl
+	ld   d32, 0(r22)
+	li   r9, 0
+	nop			; patch: to a doubleword boundary
+	j    patch
+patch:	addi r11, r0, 7
+	addi r12, r0, 7
+	bne  r9, r0, done
+	li   r9, 1
+	sd   d32, 0(r21)
+	j    patch
+done:	sw   r11, 0(r20)
+	sw   r12, 4(r20)
+	halt
+	.align 8
+tmpl:	addi r11, r0, 42
+	addi r12, r0, 43
+out:	.space 8
+`, []uint32{42, 43}},
+	// The doubleword straddles the bottom of the watched range: its low
+	// word is data no block decoded, its high word the first instruction.
+	{"half inside the watch", `
+pre:	.word 0
+_start:
+patch:	addi r11, r0, 7
+	bne  r9, r0, done
+	li   r9, 1
+	la   r22, tmpl
+	ld   d32, 0(r22)
+	sd   d32, 0(r0)
+	j    patch
+done:	la   r20, out
+	lw   r12, 0(r0)
+	sw   r11, 0(r20)
+	sw   r12, 4(r20)
+	halt
+	.align 8
+tmpl:	.word 99
+	addi r11, r0, 42
+out:	.space 8
+`, []uint32{42, 99}},
+}
+
+// TestSelfModifyingDoublewordStore: sd's body reports a possible write,
+// and a doubleword that overlaps the watched range anywhere flushes the
+// compiled blocks, on the engine that has any.
+func TestSelfModifyingDoublewordStore(t *testing.T) {
+	for _, tc := range sdSMC {
+		p, err := asm.Assemble(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, e := range Engines() {
+			m, err := tryRunEngine(tc.src, e)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", tc.name, e, err)
+			}
+			for i, want := range tc.want {
+				if got := word(t, m, p.Symbols["out"]+uint32(4*i)); got != want {
+					t.Errorf("%s on %s: out[%d] = %d, want %d (stale code executed)", tc.name, e, i, got, want)
+				}
+			}
+			if _, flushes := m.BlockStats(); e == EngineBlock && flushes == 0 {
+				t.Errorf("%s: the store into compiled text did not flush the block cache", tc.name)
+			}
+		}
+	}
+}

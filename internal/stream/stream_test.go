@@ -1,10 +1,15 @@
 package stream
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"cyclops/internal/arch"
 	"cyclops/internal/asm"
+	"cyclops/internal/core"
+	"cyclops/internal/isa"
+	"cyclops/internal/kernel"
 )
 
 func TestGenerateAssemblesForAllVariants(t *testing.T) {
@@ -200,5 +205,62 @@ func TestGeneratedSourceMentionsConfig(t *testing.T) {
 	}
 	if !strings.Contains(src, "Triad") || !strings.Contains(src, "local=true") {
 		t.Error("generated header does not describe the configuration")
+	}
+}
+
+// TestGeneratedCodeStaysOffGenericIssue is the regression test for "no
+// instruction the paper measures reaches Machine.issue from the block
+// engine": every program Generate can emit runs with specialized bodies
+// for everything but the thread-management syscalls and the index
+// arithmetic of the prologue.
+func TestGeneratedCodeStaysOffGenericIssue(t *testing.T) {
+	allowed := map[isa.Op]bool{isa.OpSYSCALL: true, isa.OpMUL: true, isa.OpDIVU: true}
+	mappings := []struct {
+		name string
+		set  func(*Params)
+	}{
+		{"blocked", func(p *Params) {}},
+		{"cyclic", func(p *Params) { p.Partition = Cyclic }},
+		{"independent", func(p *Params) { p.Independent, p.N = true, 32 }},
+		{"local", func(p *Params) { p.Local = true }},
+	}
+	for _, threads := range []int{1, 126} {
+		for _, k := range Kernels {
+			for _, mp := range mappings {
+				for _, unroll := range []int{1, 4} {
+					p := Params{Kernel: k, Threads: threads, N: 32 * threads, Unroll: unroll, Reps: 1}
+					mp.set(&p)
+					name := fmt.Sprintf("%s/%s/unroll%d/%dt", k, mp.name, unroll, threads)
+					src, err := Generate(p)
+					if err != nil {
+						if p.Partition == Cyclic && unroll == 4 {
+							continue // the paper unrolls only the blocked variants
+						}
+						t.Fatalf("%s: %v", name, err)
+					}
+					prog, err := asm.Assemble(src)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					kn := kernel.New(core.MustNew(arch.Default()))
+					kn.Machine().MaxCycles = 10_000_000
+					if err := kn.Boot(prog); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if err := kn.Run(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					gs := kn.Machine().GenericStats()
+					for _, op := range gs.Ops() {
+						if !allowed[op] {
+							t.Errorf("%s: %d issue attempts of %s took the generic path", name, gs.ByOp[op], op)
+						}
+					}
+					if gs.ByOp[isa.OpSYSCALL] == 0 {
+						t.Errorf("%s: no syscall counted; is the generic counter wired?", name)
+					}
+				}
+			}
+		}
 	}
 }
