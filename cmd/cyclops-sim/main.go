@@ -46,7 +46,6 @@ import (
 	"cyclops/internal/prof"
 	"cyclops/internal/sim"
 	"cyclops/internal/timing"
-	"cyclops/internal/vet"
 )
 
 func main() {
@@ -99,7 +98,7 @@ type options struct {
 	lat                        timing.LatencyModel
 }
 
-// traceBufferLen sizes the ring when only -trace-out asks for tracing: big
+// traceBufferLen sizes the ring when -trace-out asks for tracing: big
 // enough to hold every issue of a typical run, small enough to stay cheap.
 const traceBufferLen = 1 << 20
 
@@ -149,10 +148,14 @@ func run(path string, o options) error {
 	k.Machine().SetEngine(o.engine)
 	k.Machine().SetPolicy(o.policy)
 	k.Machine().MaxCycles = o.maxCycles
-	if o.trace > 0 {
-		k.Machine().Trace = sim.NewTraceBuffer(o.trace)
-	} else if o.traceOut != "" {
-		k.Machine().Trace = sim.NewTraceBuffer(traceBufferLen)
+	// One ring serves both consumers, so it is sized by the larger demand:
+	// -trace N prints the last N entries of it, -trace-out renders it all.
+	ring := o.trace
+	if o.traceOut != "" {
+		ring = max(ring, traceBufferLen)
+	}
+	if ring > 0 {
+		k.Machine().Trace = sim.NewTraceBuffer(ring)
 	}
 	var pr *prof.Profile
 	var tl *prof.Timeline
@@ -173,16 +176,12 @@ func run(path string, o options) error {
 	if err := k.Boot(prog); err != nil {
 		return err
 	}
-	// Warm the block engine's code cache from the program's static CFG
-	// (the other engines ignore this). Purely host-side: lazily compiled
-	// blocks would behave identically.
-	k.Machine().Precompile(vet.Leaders(prog))
 	wallStart := time.Now()
 	runErr := k.Run()
 	wall := time.Since(wallStart)
 	os.Stdout.Write(k.Output)
 	if o.trace > 0 {
-		fmt.Print(k.Machine().Trace.Dump())
+		fmt.Print(k.Machine().Trace.DumpLast(o.trace))
 	}
 	fmt.Printf("\n[%d cycles, %d instructions, %.3f ms at 500 MHz]\n",
 		k.Machine().Cycle(), k.Machine().TotalInsts(),

@@ -21,20 +21,27 @@ const helloSrc = `
 	syscall
 `
 
-func TestRunSourceWithStatsAndTrace(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "p.s")
-	if err := os.WriteFile(src, []byte(helloSrc), 0o644); err != nil {
+// writeProgram puts src in a fresh directory as p.s and returns its path.
+func writeProgram(t *testing.T, src string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "p.s")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// -stats goes to stdout; capture it to check the host-activity line.
-	out, err := os.Create(filepath.Join(dir, "stdout"))
+	return path
+}
+
+// runCaptured runs the program at path under o and returns what it
+// printed to stdout (console output, -trace dump, -stats tables).
+func runCaptured(t *testing.T, path string, o options) string {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	stdout := os.Stdout
 	os.Stdout = out
-	err = run(src, options{maxCycles: 100000, stats: true, trace: 8})
+	err = run(path, o)
 	os.Stdout = stdout
 	out.Close()
 	if err != nil {
@@ -44,11 +51,18 @@ func TestRunSourceWithStatsAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return string(printed)
+}
+
+func TestRunSourceWithStatsAndTrace(t *testing.T) {
+	src := writeProgram(t, helloSrc)
+	dir := filepath.Dir(src)
+	printed := runCaptured(t, src, options{maxCycles: 100000, stats: true, trace: 8})
 	// A lone thread unit runs inline from its one batch to its exit, whose
 	// compaction is the one rebuild; each syscall ends a block, and is the
 	// one instruction here without a specialized body.
 	want := "host: engine=block block_compiles=2 block_flushes=0 generic=2(syscall=2) sched_batches=1 sched_units=1 sched_overflow=0 sched_rebuilds=1\n"
-	if !strings.Contains(string(printed), want) {
+	if !strings.Contains(printed, want) {
 		t.Errorf("-stats output lacks %q:\n%s", want, printed)
 	}
 	if err := run(src, options{maxCycles: 100000, balanced: true}); err != nil {
@@ -69,6 +83,52 @@ func TestRunSourceWithStatsAndTrace(t *testing.T) {
 		if err := json.Unmarshal(data, &v); err != nil {
 			t.Errorf("%s: not valid JSON: %v", filepath.Base(p), err)
 		}
+	}
+}
+
+// TestTraceWithTraceOut: -trace N beside -trace-out prints the last N
+// issues and still writes every issue to the Chrome trace; the ring is
+// sized for the file, not for N.
+func TestTraceWithTraceOut(t *testing.T) {
+	src := writeProgram(t, helloSrc)
+	tracePath := filepath.Join(filepath.Dir(src), "trace.json")
+	printed := runCaptured(t, src, options{maxCycles: 100000, trace: 2, traceOut: tracePath})
+	if !strings.Contains(printed, " 5 instructions,") {
+		t.Fatalf("the program no longer issues 5 instructions:\n%s", printed)
+	}
+	if n := strings.Count(printed, "  t002  "); n != 2 {
+		t.Errorf("-trace 2 printed %d entries, want 2:\n%s", n, printed)
+	}
+	data, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte(`"ph":"X"`)); n != 5 {
+		t.Errorf("Chrome trace holds %d issues, want all 5:\n%s", n, data)
+	}
+}
+
+// branchySrc exits without ever taking its branch: the block at never is
+// a leader of the static CFG that no thread reaches.
+const branchySrc = `
+	li  r8, 1
+	beq r8, r0, never
+	li  a0, 0
+	syscall
+never:	li  a0, 1
+	li  a1, 'x'
+	syscall
+	li  a0, 0
+	syscall
+`
+
+// TestBlockCompilesCountsBlocksThatRan: blocks are compiled when a thread
+// first reaches them, so block_compiles is the two that ran, not the four
+// the program's text holds.
+func TestBlockCompilesCountsBlocksThatRan(t *testing.T) {
+	printed := runCaptured(t, writeProgram(t, branchySrc), options{maxCycles: 100000, stats: true})
+	if want := "host: engine=block block_compiles=2 "; !strings.Contains(printed, want) {
+		t.Errorf("-stats output lacks %q:\n%s", want, printed)
 	}
 }
 

@@ -289,47 +289,6 @@ func TestICacheEvictsLRU(t *testing.T) {
 	}
 }
 
-func TestPIBWindow(t *testing.T) {
-	cfg := arch.Default()
-	pib := NewPIB(cfg)
-	if pib.Contains(0) {
-		t.Fatal("empty PIB contains address")
-	}
-	pib.Refill(0x100)
-	if !pib.Contains(0x100) || !pib.Contains(0x13c) {
-		t.Error("PIB window too small: 16 instructions = 64 bytes")
-	}
-	if pib.Contains(0x140) || pib.Contains(0xfc) {
-		t.Error("PIB window too large")
-	}
-	pib.Invalidate()
-	if pib.Contains(0x100) {
-		t.Error("invalidated PIB still hits")
-	}
-}
-
-func TestFetchPathCosts(t *testing.T) {
-	cfg := arch.Default()
-	m := mem.New(cfg)
-	fp := &FetchPath{IC: NewICache(cfg), Mem: m, ICHitCycles: 2}
-	pib := NewPIB(cfg)
-
-	// Cold fetch: PIB miss + I-cache miss -> bubble includes the burst.
-	stall := fp.Fetch(0, &pib, 0x200)
-	if stall != 2+uint64(cfg.MemBurstCycles) {
-		t.Errorf("cold fetch stall = %d, want %d", stall, 2+cfg.MemBurstCycles)
-	}
-	// Within the PIB window: free.
-	if stall := fp.Fetch(20, &pib, 0x204); stall != 0 {
-		t.Errorf("PIB hit stall = %d, want 0", stall)
-	}
-	// Past the window but in the I-cache line: refill bubble only.
-	pib.Refill(0x1000)
-	if stall := fp.Fetch(30, &pib, 0x204); stall != 2 {
-		t.Errorf("I-cache hit stall = %d, want 2", stall)
-	}
-}
-
 func TestPartitionScratchShrinksCapacity(t *testing.T) {
 	s := newSystem(t)
 	if !s.PartitionScratch(3, 6) {

@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"cyclops/internal/arch"
-	"cyclops/internal/mem"
-)
+import "cyclops/internal/arch"
 
 // ICache is one 32 KB instruction cache shared by two quads (private to
 // the quad pair, unlike the data caches). Each thread fetches through its
@@ -60,53 +57,4 @@ func (ic *ICache) Fetch(addr uint32) bool {
 	ic.tags[base+victim] = line
 	ic.lru[base+victim] = ic.stamp
 	return false
-}
-
-// PIB is a per-thread prefetch instruction buffer: it holds a window of
-// sequential instructions starting at base.
-type PIB struct {
-	base  uint32 // word address of entry 0; pibInvalid when empty
-	words uint32 // window size in bytes
-}
-
-const pibInvalid = ^uint32(0)
-
-// NewPIB sizes a buffer for cfg.PIBEntries instructions.
-func NewPIB(cfg arch.Config) PIB {
-	return PIB{base: pibInvalid, words: uint32(cfg.PIBEntries * arch.WordSize)}
-}
-
-// Contains reports whether the buffer currently covers addr.
-func (p *PIB) Contains(addr uint32) bool {
-	return p.base != pibInvalid && addr >= p.base && addr < p.base+p.words
-}
-
-// Refill repoints the buffer at the window starting at addr.
-func (p *PIB) Refill(addr uint32) { p.base = addr }
-
-// Invalidate empties the buffer.
-func (p *PIB) Invalidate() { p.base = pibInvalid }
-
-// FetchPath times one instruction fetch for a thread: PIB hit is free;
-// a PIB refill that hits the I-cache costs icHitCycles; an I-cache miss
-// additionally waits for the memory burst. Returns the added fetch stall.
-type FetchPath struct {
-	IC  *ICache
-	Mem *mem.Memory
-	// ICHitCycles is the refill bubble on a PIB miss that hits (2).
-	ICHitCycles uint64
-}
-
-// Fetch charges the fetch of the instruction at addr at cycle now through
-// pib, returning the cycles of fetch stall to add before issue.
-func (f *FetchPath) Fetch(now uint64, pib *PIB, addr uint32) uint64 {
-	if pib.Contains(addr) {
-		return 0
-	}
-	pib.Refill(addr)
-	if f.IC.Fetch(addr) {
-		return f.ICHitCycles
-	}
-	done := f.Mem.FillLine(now, addr)
-	return f.ICHitCycles + done - now
 }

@@ -99,7 +99,6 @@ type Chip struct {
 	Mem     *mem.Memory
 	Data    *cache.System
 	ICaches []*cache.ICache
-	Fetch   []*cache.FetchPath
 	FPUs    []*FPU
 	Barrier *barrier.Wired
 	OffChip *mem.OffChip
@@ -119,7 +118,6 @@ func NewChip(cfg arch.Config) (*Chip, error) {
 		Mem:          m,
 		Data:         cache.NewSystem(cfg, m),
 		ICaches:      make([]*cache.ICache, cfg.ICaches()),
-		Fetch:        make([]*cache.FetchPath, cfg.ICaches()),
 		FPUs:         make([]*FPU, cfg.Quads()),
 		Barrier:      barrier.NewWired(cfg.Threads),
 		OffChip:      mem.NewOffChip(cfg),
@@ -127,7 +125,6 @@ func NewChip(cfg arch.Config) (*Chip, error) {
 	}
 	for i := range c.ICaches {
 		c.ICaches[i] = cache.NewICache(cfg)
-		c.Fetch[i] = &cache.FetchPath{IC: c.ICaches[i], Mem: m, ICHitCycles: 2}
 	}
 	for i := range c.FPUs {
 		c.FPUs[i] = &FPU{}

@@ -8,7 +8,6 @@ import (
 	"cyclops/internal/core"
 	"cyclops/internal/image"
 	"cyclops/internal/kernel"
-	"cyclops/internal/vet"
 )
 
 func init() {
@@ -42,24 +41,17 @@ func runProgram(ctx *RunContext) (*Result, error) {
 	if err := k.Boot(prog); err != nil {
 		return nil, err
 	}
-	// Warm the block engine's code cache from the static CFG (the other
-	// engines ignore this); purely host-side.
-	k.Machine().Precompile(vet.Leaders(prog))
 	if err := k.Run(); err != nil {
 		// A guest trap is deterministic too, but a failed run has no
 		// stats contract; report it as an error and cache nothing.
 		return nil, fmt.Errorf("job: program run: %w", err)
 	}
+	t := k.Machine().Totals()
 	res := &Result{
 		Cycles: k.Machine().Cycle(),
 		Insts:  k.Machine().TotalInsts(),
 		Output: k.Output,
-	}
-	for _, tu := range k.Machine().TUs {
-		res.Run += tu.Run
-		res.Stall += tu.Stall
-		res.Stalls.AddAll(tu.Stalls)
-		res.MemWaits.AddAll(tu.MemWaits)
+		Run:    t.Run, Stall: t.Stall, Stalls: t.Stalls, MemWaits: t.MemWaits,
 	}
 	if ctx.Spec.wantOutput(SnapshotOutput) {
 		var buf bytes.Buffer

@@ -30,15 +30,6 @@ import (
 // fields) compiles to the generic closure, which calls Machine.issue —
 // the legacy engine's core — and counts the attempt in GenericStats.
 //
-// Which ops lead chains. A run of fall-through ops that never write
-// memory (canLeadFuse: the ALU ops, lw/ld and the branches on their
-// not-taken path) plus one arbitrary final op compiles to a fused
-// superinstruction that commits up to maxFuse issues per dispatch —
-// lui+ori, addi+bne, ld+ld and every other back-to-back idiom. A
-// superinstruction can commit its second issue only while the unit is
-// alone, so fused dispatch is single-unit only: a multi-unit batch calls
-// the plain op directly.
-//
 // Timing stays exact by construction, not by approximation:
 //
 //   - Every closure drives the shared timing.Ledger exactly as the
@@ -54,11 +45,9 @@ import (
 //   - Multi-unit batches fall back to one issue per unit per cycle, the
 //     legacy engine's exact regime, so contention, tie order and
 //     compaction are untouched.
-//   - Fused superinstructions bypass the per-attempt observability
-//     hooks, so they are compiled in but only dispatched when no tracer,
-//     profiler sampler or timeline is attached; each re-checks the
-//     inline conditions itself and commits only its first instruction
-//     when the second may not run this dispatch.
+//   - There is one dispatch path: stepBlock calls the instruction's
+//     closure whether or not a tracer, profiler sampler or timeline is
+//     attached, so an observer can never select different code.
 //
 // Compiled blocks sit behind mem.WatchCode's code-generation counter,
 // checked before any op that follows a possible memory write, so
@@ -66,31 +55,19 @@ import (
 // before a stale op can issue (see decode.go).
 
 // opFn executes one issue attempt at cycle; the closure performs the
-// instruction's scoreboard wait, charges, effects and PC advance. It
-// returns true only when the instruction committed, fell through to
-// pc+4 AND could not have written memory — the conditions under which a
-// fused successor may issue without another trip through the dispatch
-// loop, and the code-generation re-check may be skipped. Stalls, traps,
-// taken branches, stores and generic ops report false.
+// instruction's scoreboard wait, charges, effects and PC advance. A true
+// return is a promise that the attempt cannot have written memory, so
+// stepBlock may skip re-reading the code generation before the next op.
+// False promises nothing: stores and generic ops must report it, and the
+// bodies also report it for stalls, traps and taken branches, where the
+// re-read is merely redundant.
 type opFn func(m *Machine, tu *TU, cycle uint64) bool
 
-// fusedFn is a superinstruction: it always commits its first
-// instruction, and commits the second only after fuseStep proves the
-// unit is still alone and books the scheduler iteration. The returned
-// bool has opFn's meaning, for whichever instruction ran last.
-type fusedFn func(m *Machine, tu *TU, cycle, limit uint64) bool
-
-// blockOp is one compiled instruction slot. fn is always set; fused,
-// when non-nil, is the superinstruction starting at this slot.
-type blockOp struct {
-	fn    opFn
-	fused fusedFn
-}
-
-// simBlock is one compiled basic block covering text [base, end).
+// simBlock is one compiled basic block covering text [base, end), one op
+// per instruction.
 type simBlock struct {
 	base, end uint32
-	ops       []blockOp
+	ops       []opFn
 }
 
 // maxBlockOps caps a block when no isa.EndsBlock instruction shows up
@@ -160,13 +137,6 @@ func (m *Machine) runBlock() error {
 func (m *Machine) stepBlock(tu *TU, limit uint64) {
 	memory := m.Chip.Mem
 	tl := m.TL
-	// Fused superinstructions skip the per-attempt observability hooks
-	// (SetPC, trace records, timeline ticks), so they dispatch only when
-	// none of those observers is attached — and only when the unit may
-	// continue inline at all: in a multi-unit batch (limit == m.cycle, as
-	// under a policy without InlineOK) fuseStep can never book a second
-	// issue, and the plain op commits the same state for one call less.
-	fuse := limit > m.cycle && m.Trace == nil && tl == nil && !(obs.Enabled && tu.Samp != nil)
 	blk := tu.blk
 	// clean is opFn's contract: the last op provably wrote no memory, so
 	// the code generation cannot have moved and need not be re-read.
@@ -190,12 +160,7 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 				blk = m.blockFor(pc)
 				tu.blk = blk
 			}
-			op := &blk.ops[(pc-blk.base)>>2]
-			if fuse && op.fused != nil {
-				clean = op.fused(m, tu, m.cycle, limit)
-			} else {
-				clean = op.fn(m, tu, m.cycle)
-			}
+			clean = blk.ops[(pc-blk.base)>>2](m, tu, m.cycle)
 			if m.trap != nil || tu.State != Running {
 				return
 			}
@@ -228,25 +193,6 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 	}
 }
 
-// fuseStep books the scheduler iteration a fused pair's second issue
-// occupies: legal only when the unit is still the only one due at c2 and
-// the cycle limit is unreached. The dispatcher already verified no
-// timeline is attached, so no tick is needed here.
-func (m *Machine) fuseStep(c2, limit uint64) bool {
-	if c2 >= limit {
-		return false
-	}
-	if m.eq.minAt <= c2 {
-		return false
-	}
-	if m.MaxCycles > 0 && c2 > m.MaxCycles {
-		return false
-	}
-	m.cycle = c2
-	m.rr++
-	return true
-}
-
 // blockFor returns (compiling on demand) the block whose base is pc.
 // Mid-block jump targets simply compile an overlapping suffix block —
 // the ops are position-independent, so the duplication is memory, not
@@ -263,26 +209,6 @@ func (m *Machine) blockFor(pc uint32) *simBlock {
 	return b
 }
 
-// Precompile compiles blocks for the given leader PCs (typically
-// vet.Leaders of the loaded program) ahead of execution. Compilation has
-// no timing effect — it only fills host-side caches — so this is purely
-// a warm-up; lazily discovered blocks behave identically. The legacy
-// engine ignores it.
-func (m *Machine) Precompile(pcs []uint32) {
-	if m.engine != EngineBlock {
-		return
-	}
-	if g := m.Chip.Mem.CodeGen(); g != m.codeGen {
-		m.codeGen = g
-		m.flushBlocks()
-	}
-	for _, pc := range pcs {
-		if pc%4 == 0 {
-			m.blockFor(pc)
-		}
-	}
-}
-
 // compileBlock translates the straight-line run starting at base into
 // ops, stopping after the first isa.EndsBlock instruction, at the first
 // unfetchable or illegal word (compiled to a trap op that fires only if
@@ -290,95 +216,21 @@ func (m *Machine) Precompile(pcs []uint32) {
 func (m *Machine) compileBlock(base uint32) *simBlock {
 	m.blockCompiles++
 	b := &simBlock{base: base}
-	var ins []isa.Inst // ins[i].Op == isa.OpInvalid marks a trap op
 	pc := base
 	for len(b.ops) < maxBlockOps {
 		in, word, err := m.decodeAt(pc)
-		ins = append(ins, in)
 		if in.Op == isa.OpInvalid {
-			b.ops = append(b.ops, blockOp{fn: trapOp(pc, word, err)})
+			b.ops = append(b.ops, trapOp(pc, word, err))
 			break
 		}
-		b.ops = append(b.ops, blockOp{fn: m.compileOp(pc, in, word)})
+		b.ops = append(b.ops, m.compileOp(pc, in, word))
 		if isa.EndsBlock(in) {
 			break
 		}
 		pc += 4
 	}
 	b.end = base + uint32(4*len(b.ops))
-	// Superinstruction pass: any run of ops whose leading members are
-	// fuse leaders — ops that can commit a fall-through without writing
-	// memory — becomes a superinstruction of up to maxFuse issues; the
-	// final member is arbitrary. Chains may overlap (every leader slot
-	// starts its own); the dispatcher naturally enters whichever slot
-	// execution reaches, so a mid-chain branch target loses nothing.
-	fns := make([]opFn, len(b.ops))
-	for i := range b.ops {
-		fns[i] = b.ops[i].fn
-	}
-	for i := 0; i+1 < len(b.ops); i++ {
-		if ins[i+1].Op == isa.OpInvalid || !canLeadFuse(ins[i]) {
-			continue
-		}
-		j := i + 1
-		for j+1 < len(b.ops) && j-i+1 < maxFuse && ins[j+1].Op != isa.OpInvalid && canLeadFuse(ins[j]) {
-			j++
-		}
-		b.ops[i].fused = fuseChain(fns[i : j+1])
-	}
 	return b
-}
-
-// maxFuse caps a superinstruction's length; longer straight runs simply
-// chain superinstructions across dispatches.
-const maxFuse = 8
-
-// fuseChain composes a run of compiled ops into a superinstruction. All
-// ops but the last are fuse leaders (canLeadFuse): each returns true
-// only when it committed, fell through and wrote no memory — so the
-// next issue may skip the dispatch loop's per-attempt hooks (all gated
-// off by the dispatcher) and the code-generation re-check. The final op
-// is arbitrary: every op performs its own scoreboard wait and charges,
-// so a dependent instruction mid-chain commits its predecessors plus
-// its own dep stall, exactly as the plain path would, and issues on a
-// later dispatch.
-func fuseChain(ops []opFn) fusedFn {
-	return func(m *Machine, tu *TU, cyc, limit uint64) bool {
-		if !ops[0](m, tu, cyc) {
-			return true // fuse leaders never write memory, even on false
-		}
-		for k := 1; k < len(ops); k++ {
-			c := tu.nextAt
-			if !tu.pib.contains(tu.PC) || !m.fuseStep(c, limit) {
-				return true // committed exactly the plain ops' state
-			}
-			if ok := ops[k](m, tu, c); !ok {
-				// A false from a leader is a stall, trap or taken
-				// branch — never a write. A false from the final op may
-				// be a store or a generic issue: not clean.
-				return k != len(ops)-1
-			}
-		}
-		return true
-	}
-}
-
-// canLeadFuse reports whether in can lead a superinstruction: its
-// compiled op never writes memory and reports fall-through commits
-// (single-cycle ALU ops, lw/ld, and conditional branches on their
-// not-taken path). Stores write, jumps always redirect, and everything
-// generic may do either — none can lead.
-func canLeadFuse(in isa.Inst) bool {
-	switch in.Op {
-	case isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpNOR,
-		isa.OpSLL, isa.OpSRL, isa.OpSRA, isa.OpSLT, isa.OpSLTU,
-		isa.OpADDI, isa.OpANDI, isa.OpORI, isa.OpXORI,
-		isa.OpSLLI, isa.OpSRLI, isa.OpSRAI, isa.OpSLTI, isa.OpSLTIU,
-		isa.OpLUI, isa.OpLW, isa.OpLD,
-		isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE, isa.OpBLTU, isa.OpBGEU:
-		return true
-	}
-	return false
 }
 
 // trapOp reproduces the legacy fetch path's trap lazily: compilation
@@ -795,9 +647,7 @@ func compileALU(pc uint32, in isa.Inst, word uint32) opFn {
 }
 
 // compileBranch builds the complete closure for a conditional branch,
-// nil for any other op. A branch reports a fall-through commit (true)
-// only when not taken, so an untaken branch can lead a fused pair while
-// a taken one ends the dispatch.
+// nil for any other op.
 func compileBranch(pc uint32, in isa.Inst, word uint32, be uint64) opFn {
 	ra, rb := in.A, in.B
 	target := pc + 4 + uint32(in.Imm)*4
@@ -1150,8 +1000,8 @@ func mkFP(pc, word uint32, in isa.Inst, info *isa.Info, lat *arch.LatencyTable) 
 
 // mkMFSPR reads the cycle counter's low word or the wired-OR barrier
 // register (the barrier spin's load); the caller has checked spr is one of
-// the two. m.cycle is the issue cycle on every path: the scheduler, inline
-// continuation and fuseStep all move it before the op runs.
+// the two. m.cycle is the issue cycle on every path: the scheduler and
+// inline continuation both move it before the op runs.
 func mkMFSPR(pc, word uint32, a uint8, spr int32) opFn {
 	return func(m *Machine, tu *TU, cyc uint64) bool {
 		tu.Insts++ // mfspr has no sources, never waits

@@ -70,11 +70,12 @@ func scenarioFor(polDraw, latDraw int) diffScenario {
 	return diffScenario{pol: pol, lat: lats[latDraw%len(lats)]}
 }
 
-// diffRun assembles src and runs it on engine e under scenario sc with a
-// tight cycle budget (random programs may loop forever; the identical
-// cycle-limit error is then part of the compared state). Every unit in
-// tids starts at the entry point; none means unit 2 alone.
-func diffRun(src string, e Engine, sc diffScenario, tids ...int) (*Machine, error) {
+// diffBoot assembles src and loads it on a fresh machine for engine e
+// under scenario sc with a tight cycle budget (random programs may loop
+// forever; the identical cycle-limit error is then part of the compared
+// state). Every unit in tids is started at the entry point; none means
+// unit 2 alone.
+func diffBoot(src string, e Engine, sc diffScenario, tids ...int) (*Machine, error) {
 	p, err := asm.Assemble(src)
 	if err != nil {
 		return nil, err
@@ -94,6 +95,15 @@ func diffRun(src string, e Engine, sc diffScenario, tids ...int) (*Machine, erro
 		if err := m.Start(tid, p.Entry); err != nil {
 			return nil, err
 		}
+	}
+	return m, nil
+}
+
+// diffRun boots src as diffBoot does and runs it to completion.
+func diffRun(src string, e Engine, sc diffScenario, tids ...int) (*Machine, error) {
+	m, err := diffBoot(src, e, sc, tids...)
+	if err != nil {
+		return nil, err
 	}
 	return m, m.Run()
 }

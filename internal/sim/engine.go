@@ -16,11 +16,11 @@ type Engine uint8
 
 const (
 	// EngineBlock is the production engine: basic blocks compiled once
-	// into slices of pre-bound closures (threaded code) with fused
-	// superinstructions, executed a whole block per dispatch while the
-	// thread unit is provably the only one due, under the event-driven
-	// timing-wheel scheduler (see block.go, sched.go). It is the zero
-	// value: what New gives a machine until SetEngine says otherwise.
+	// into slices of pre-bound closures (threaded code), run closure after
+	// closure without returning to the scheduler while the thread unit is
+	// provably the only one due, under the event-driven timing-wheel
+	// scheduler (see block.go, sched.go). It is the zero value: what New
+	// gives a machine until SetEngine says otherwise.
 	EngineBlock Engine = iota
 	// EngineLegacy is the seed interpreter: per-issue fetch+decode and an
 	// O(active) min-scan scheduler. Kept as the oracle the block engine is

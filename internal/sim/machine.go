@@ -199,13 +199,8 @@ func (m *Machine) AttachTimeline(t *prof.Timeline) {
 
 // counters gathers the chip-wide telemetry the timeline samples.
 func (m *Machine) counters() prof.Counters {
-	var c prof.Counters
-	for _, tu := range m.TUs {
-		c.Run += tu.Run
-		c.Stall += tu.Stall
-		c.Stalls.AddAll(tu.Stalls)
-		c.MemWaits.AddAll(tu.MemWaits)
-	}
+	t := m.Totals()
+	c := prof.Counters{Run: t.Run, Stall: t.Stall, Stalls: t.Stalls, MemWaits: t.MemWaits}
 	for _, r := range m.Chip.ResourceStats() {
 		switch r.Kind {
 		case "cacheport":
@@ -369,23 +364,31 @@ func (m *Machine) TotalInsts() uint64 {
 	return n
 }
 
-// TotalBreakdown sums the per-reason stall buckets over all units.
-func (m *Machine) TotalBreakdown() obs.Breakdown {
-	var b obs.Breakdown
-	for _, tu := range m.TUs {
-		b.AddAll(tu.Stalls)
-	}
-	return b
+// Totals is the cycle accounting summed over all units: run and stall
+// cycles, the stall split by reason and the memory-wait attribution.
+type Totals struct {
+	Run, Stall uint64
+	Stalls     obs.Breakdown
+	MemWaits   obs.MemWaits
 }
 
-// TotalMemWaits sums the memory-wait attribution over all units.
-func (m *Machine) TotalMemWaits() obs.MemWaits {
-	var w obs.MemWaits
+// Totals sums every unit's ledger.
+func (m *Machine) Totals() Totals {
+	var t Totals
 	for _, tu := range m.TUs {
-		w.AddAll(tu.MemWaits)
+		t.Run += tu.Run
+		t.Stall += tu.Stall
+		t.Stalls.AddAll(tu.Stalls)
+		t.MemWaits.AddAll(tu.MemWaits)
 	}
-	return w
+	return t
 }
+
+// TotalBreakdown sums the per-reason stall buckets over all units.
+func (m *Machine) TotalBreakdown() obs.Breakdown { return m.Totals().Stalls }
+
+// TotalMemWaits sums the memory-wait attribution over all units.
+func (m *Machine) TotalMemWaits() obs.MemWaits { return m.Totals().MemWaits }
 
 // Snapshot captures the run's cycle accounting and resource telemetry in
 // the deterministic export form. Units that never issued are omitted.

@@ -164,10 +164,15 @@ func (m *Machine) ChromeTrace(w io.Writer) error {
 }
 
 // Dump renders the buffer, oldest first.
-func (tb *TraceBuffer) Dump() string {
+func (tb *TraceBuffer) Dump() string { return tb.DumpLast(tb.Len()) }
+
+// DumpLast renders the n most recent entries, oldest first.
+func (tb *TraceBuffer) DumpLast(n int) string {
+	entries := tb.Entries()
+	entries = entries[max(0, len(entries)-n):]
 	var sb strings.Builder
 	sb.WriteString("     cycle  unit      pc  instruction\n")
-	for _, e := range tb.Entries() {
+	for _, e := range entries {
 		sb.WriteString(e.String())
 		sb.WriteByte('\n')
 	}

@@ -120,12 +120,10 @@ func RunOn(chip *core.Chip, p Params, policy Policy) (*Result, error) {
 		}
 		stamps[i] = uint64(v)
 	}
-	res := &Result{Params: p, Insts: k.Machine().TotalInsts(), Profile: pr, Timeline: tl, Prog: prog}
-	for _, tu := range k.Machine().TUs {
-		res.Run += tu.Run
-		res.Stall += tu.Stall
-		res.Stalls.AddAll(tu.Stalls)
-		res.MemWaits.AddAll(tu.MemWaits)
+	t := k.Machine().Totals()
+	res := &Result{
+		Params: p, Insts: k.Machine().TotalInsts(), Profile: pr, Timeline: tl, Prog: prog,
+		Run: t.Run, Stall: t.Stall, Stalls: t.Stalls, MemWaits: t.MemWaits,
 	}
 	total := p.N
 	if p.Independent {

@@ -23,7 +23,7 @@ import (
 // policy overhead separately instead of smearing it into the resource
 // buckets. A penalty of zero is therefore bit-identical to fine-grained,
 // and all timing flows through Ledger charges plus resume times — which
-// is what keeps the three sim engines cycle-identical under any policy.
+// is what keeps the two sim engines cycle-identical under any policy.
 type Policy interface {
 	// Name returns the flag spelling: fine, blocked or switchmiss.
 	Name() string
@@ -34,7 +34,7 @@ type Policy interface {
 	Table() PolicyTable
 	// InlineOK reports whether the policy's timing effects flow entirely
 	// through Ledger charges and resume times. The block engine's
-	// inline-continuation rule consults this before running whole fused
+	// inline-continuation rule consults this before running whole
 	// blocks without returning to the scheduler; a policy returning
 	// false forces one-issue-per-dispatch conservative execution. All
 	// shipped policies return true.

@@ -287,28 +287,9 @@ func buildCFG(p *asm.Program) (*graph, []Diagnostic) {
 }
 
 // isControl reports instructions that end a basic block. The definition
-// itself lives in isa.EndsBlock, shared with the simulator's block
-// compiler so both derive the same leaders.
+// itself lives in isa.EndsBlock, which the simulator's block compiler
+// also ends its blocks on.
 func isControl(in isa.Inst) bool { return isa.EndsBlock(in) }
-
-// Leaders returns the sorted basic-block leader addresses of p's text:
-// the boot entry, every materialised code address (spawn targets and
-// indirect callees), every in-text static branch/jump target, and the
-// instruction after each control transfer. The simulator's block engine
-// uses this to precompile a program's blocks before execution; the set
-// is exactly the block starts buildCFG derives.
-func Leaders(p *asm.Program) []uint32 {
-	g, _ := buildCFG(p)
-	if g == nil {
-		return nil
-	}
-	out := make([]uint32, 0, len(g.blocks))
-	for b := range g.blocks {
-		out = append(out, g.insts[g.blocks[b].first].pc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // branchStatics classifies compare-and-branch instructions whose operands
 // are the same register: beq/bge/bgeu r,r always branch (the assembler's
