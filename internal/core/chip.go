@@ -189,6 +189,31 @@ func (c *Chip) UsableThreads() int {
 	return n
 }
 
+// WorkerOrder lists the schedulable worker units — usable and past the
+// reserved ones — in allocation order: quad by quad, or, balanced, dealt
+// one slot at a time across the quads.
+func (c *Chip) WorkerOrder(balanced bool) []int {
+	cfg := c.Cfg
+	order := make([]int, 0, cfg.Threads)
+	if balanced {
+		for slot := 0; slot < cfg.ThreadsPerQuad; slot++ {
+			for q := 0; q < cfg.Quads(); q++ {
+				tid := q*cfg.ThreadsPerQuad + slot
+				if tid >= cfg.ReservedThreads && c.ThreadUsable(tid) {
+					order = append(order, tid)
+				}
+			}
+		}
+	} else {
+		for tid := cfg.ReservedThreads; tid < cfg.Threads; tid++ {
+			if c.ThreadUsable(tid) {
+				order = append(order, tid)
+			}
+		}
+	}
+	return order
+}
+
 // ResourceStats collects the telemetry of every contended shared resource
 // — quad cache ports, DRAM banks, quad FPUs — in a fixed deterministic
 // order (cache ports, then banks, then FPUs, each by ID).

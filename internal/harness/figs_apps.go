@@ -27,12 +27,11 @@ func Apps(s Scale) (*Table, error) {
 		Title:   "Section 5 target applications: speedups (balanced placement)",
 		Columns: []string{"threads", "MD", "Raytrace", "LU"},
 	}
-	// One point per (thread count, application); the leading tc=1 triple
-	// is the speedup baseline.
+	// One point per (thread count, application); the sweep starts at one
+	// thread, so its first triple is the speedup baseline.
 	type appPoint struct{ tc, app int }
-	tcs := append([]int{1}, threads...)
-	pts := make([]appPoint, 0, 3*len(tcs))
-	for _, tc := range tcs {
+	pts := make([]appPoint, 0, 3*len(threads))
+	for _, tc := range threads {
 		for app := 0; app < 3; app++ {
 			pts = append(pts, appPoint{tc, app})
 		}
@@ -72,7 +71,7 @@ func Apps(s Scale) (*Table, error) {
 	}
 	baseMD, baseRay, baseLU := res[0], res[1], res[2]
 	for i, tc := range threads {
-		m, r, l := res[3*(i+1)], res[3*(i+1)+1], res[3*(i+1)+2]
+		m, r, l := res[3*i], res[3*i+1], res[3*i+2]
 		t.AddRow(fmt.Sprintf("%d", tc),
 			f2(m.Speedup(baseMD)), f2(r.Speedup(baseRay)), f2(l.Speedup(baseLU)))
 	}

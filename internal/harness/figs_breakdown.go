@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"cyclops/internal/harness/sweep"
 	"cyclops/internal/job/workloads"
@@ -10,6 +11,54 @@ import (
 	"cyclops/internal/splash"
 	"cyclops/internal/stream"
 )
+
+// bd is one workload's accounting: run and stall cycles summed over all
+// thread units, the stall cycles by reason and the memory-wait
+// attribution.
+type bd struct {
+	run, stall uint64
+	stalls     obs.Breakdown
+	memWaits   obs.MemWaits
+}
+
+// bdColumns returns lead followed by the columns bd.row fills: the run
+// share, a share per stall reason, a count per memory-wait location and
+// the cycle total.
+func bdColumns(lead ...string) []string {
+	cols := append(lead, "run %")
+	for _, r := range obs.ReasonNames() {
+		cols = append(cols, r+" %")
+	}
+	for _, k := range obs.MemWaitNames() {
+		cols = append(cols, "w:"+k)
+	}
+	return append(cols, "cycles")
+}
+
+// row returns lead followed by r's cells, each share taken over the
+// run+stall total. It fails when the per-reason stalls do not sum to the
+// stall total.
+func (r bd) row(lead ...string) ([]string, error) {
+	if got := r.stalls.Total(); obs.Enabled && got != r.stall {
+		return nil, fmt.Errorf("harness: %s: per-reason stalls sum to %d, legacy total is %d",
+			strings.Join(lead, ", "), got, r.stall)
+	}
+	total := r.run + r.stall
+	pct := func(v uint64) string {
+		if total == 0 {
+			return "-"
+		}
+		return f1(100 * float64(v) / float64(total))
+	}
+	row := append(lead, pct(r.run))
+	for _, v := range r.stalls {
+		row = append(row, pct(v))
+	}
+	for _, v := range r.memWaits {
+		row = append(row, fmt.Sprintf("%d", v))
+	}
+	return append(row, fmt.Sprintf("%d", total)), nil
+}
 
 // Breakdown regenerates the Figure-7-style run/stall decomposition
 // directly from the stall-reason counters, on both engines: STREAM Copy
@@ -25,27 +74,12 @@ func Breakdown(s Scale) (*Table, error) {
 		fftN, fftThreads = 65536, 64
 	}
 
-	cols := []string{"workload", "engine", "threads", "run %"}
-	for _, r := range obs.ReasonNames() {
-		cols = append(cols, r+" %")
-	}
-	for _, k := range obs.MemWaitNames() {
-		cols = append(cols, "w:"+k)
-	}
-	cols = append(cols, "cycles")
 	t := &Table{
 		ID:      "breakdown",
 		Title:   "Run/stall decomposition by reason (% of accounted cycles)",
-		Columns: cols,
+		Columns: bdColumns("workload", "engine", "threads"),
 	}
 
-	// bd is one workload's accounting; cycles is the run+stall total the
-	// percentages are taken over.
-	type bd struct {
-		run, stall uint64
-		stalls     obs.Breakdown
-		memWaits   obs.MemWaits
-	}
 	type point struct {
 		workload, engine string
 		threads          int
@@ -91,26 +125,10 @@ func Breakdown(s Scale) (*Table, error) {
 		return nil, err
 	}
 	for i, p := range pts {
-		r := res[i]
-		if got := r.stalls.Total(); obs.Enabled && got != r.stall {
-			return nil, fmt.Errorf("harness: %s (%s, %d threads): per-reason stalls sum to %d, legacy total is %d",
-				p.workload, p.engine, p.threads, got, r.stall)
+		row, err := res[i].row(p.workload, p.engine, fmt.Sprintf("%d", p.threads))
+		if err != nil {
+			return nil, err
 		}
-		total := r.run + r.stall
-		pct := func(v uint64) string {
-			if total == 0 {
-				return "-"
-			}
-			return f1(100 * float64(v) / float64(total))
-		}
-		row := []string{p.workload, p.engine, fmt.Sprintf("%d", p.threads), pct(r.run)}
-		for _, v := range r.stalls {
-			row = append(row, pct(v))
-		}
-		for _, v := range r.memWaits {
-			row = append(row, fmt.Sprintf("%d", v))
-		}
-		row = append(row, fmt.Sprintf("%d", total))
 		t.AddRow(row...)
 	}
 	t.Note("cycles = run+stall summed over all thread units; per-reason shares + run share = 100%%")

@@ -6,7 +6,6 @@ import (
 	"cyclops/internal/harness/sweep"
 	"cyclops/internal/job/workloads"
 	"cyclops/internal/kernel"
-	"cyclops/internal/obs"
 	"cyclops/internal/stream"
 	"cyclops/internal/timing"
 )
@@ -58,25 +57,12 @@ func Matrix(s Scale) (*Table, error) {
 		streamThreads, fftThreads, fftN = 16, 16, 4096
 	}
 
-	cols := []string{"workload", "engine", "policy", "latency", "threads", "run %"}
-	for _, r := range obs.ReasonNames() {
-		cols = append(cols, r+" %")
-	}
-	for _, k := range obs.MemWaitNames() {
-		cols = append(cols, "w:"+k)
-	}
-	cols = append(cols, "cycles")
 	t := &Table{
 		ID:      "matrix",
 		Title:   "Issue policy × latency scenario matrix (% of accounted cycles)",
-		Columns: cols,
+		Columns: bdColumns("workload", "engine", "policy", "latency", "threads"),
 	}
 
-	type bd struct {
-		run, stall uint64
-		stalls     obs.Breakdown
-		memWaits   obs.MemWaits
-	}
 	type point struct {
 		workload, engine string
 		pol              timing.Policy
@@ -130,27 +116,10 @@ func Matrix(s Scale) (*Table, error) {
 		return nil, err
 	}
 	for i, p := range pts {
-		r := res[i]
-		if got := r.stalls.Total(); obs.Enabled && got != r.stall {
-			return nil, fmt.Errorf("harness: %s (%s, %s, %s): per-reason stalls sum to %d, legacy total is %d",
-				p.workload, p.pol, p.lat, p.engine, got, r.stall)
+		row, err := res[i].row(p.workload, p.engine, p.pol.String(), p.lat, fmt.Sprintf("%d", p.threads))
+		if err != nil {
+			return nil, err
 		}
-		total := r.run + r.stall
-		pct := func(v uint64) string {
-			if total == 0 {
-				return "-"
-			}
-			return f1(100 * float64(v) / float64(total))
-		}
-		row := []string{p.workload, p.engine, p.pol.String(), p.lat,
-			fmt.Sprintf("%d", p.threads), pct(r.run)}
-		for _, v := range r.stalls {
-			row = append(row, pct(v))
-		}
-		for _, v := range r.memWaits {
-			row = append(row, fmt.Sprintf("%d", v))
-		}
-		row = append(row, fmt.Sprintf("%d", total))
 		t.AddRow(row...)
 	}
 	t.Note("policy: fine = paper's fine-grained issue; blocked/8 = switch on any stall, 8-cycle penalty; switchmiss/8 = switch on cache miss only")

@@ -16,7 +16,7 @@ func fig3Sizes(s Scale) (barnes, fft, fmm, lu, ocean, radix int) {
 	return 256, 4096, 1024, 128, 64, 16384
 }
 
-// fig3Threads returns the thread counts swept.
+// fig3Threads returns the thread counts swept, from one thread up.
 func fig3Threads(s Scale) []int {
 	if s == Full {
 		return []int{1, 2, 4, 8, 16, 32, 64, 126}
@@ -59,13 +59,10 @@ func Fig3(s Scale) (*Table, error) {
 	}
 	t := &Table{ID: "fig3", Title: "SPLASH-2 parallel speedups", Columns: cols}
 
-	// The whole kernel × thread-count grid — bases included — fans out
-	// over the sweep pool; every point runs on its own chip.
+	// The whole kernel × thread-count grid fans out over the sweep pool;
+	// every point runs on its own chip.
 	type cell struct{ ki, tc int }
-	pts := make([]cell, 0, len(kernels)*(1+len(threads)))
-	for i := range kernels {
-		pts = append(pts, cell{i, 1})
-	}
+	pts := make([]cell, 0, len(kernels)*len(threads))
 	for _, tc := range threads {
 		for i, k := range kernels {
 			if k.max != 0 && tc > k.max {
@@ -88,7 +85,9 @@ func Fig3(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	bases, rest := res[:len(kernels)], res[len(kernels):]
+	// The sweep starts at one thread, below every kernel's ceiling, so its
+	// first row is the speedup baseline.
+	bases, rest := res[:len(kernels)], res
 	for _, tc := range threads {
 		row := []string{fmt.Sprintf("%d", tc)}
 		for i, k := range kernels {

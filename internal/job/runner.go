@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cyclops/internal/harness/sweep"
 	"cyclops/internal/obs"
 	"cyclops/internal/resultcache"
 	"cyclops/internal/sim"
@@ -51,8 +50,8 @@ var Stages = []string{
 // Runner executes canonical specs: cache first, then a coalesced
 // execution — concurrent submissions of the same key share one run
 // (singleflight) and each decode their own copy of its result. Safe for
-// concurrent use; RunAll additionally fans specs across the process-wide
-// harness/sweep worker pool.
+// concurrent use: sweeps fan specs over it from the harness/sweep
+// worker pool, the serve daemon from its request workers.
 type Runner struct {
 	// Defaults fills the blank engine, policy and configuration of every
 	// spec this Runner resolves (see Resolve). NewRunner starts it at
@@ -171,27 +170,20 @@ func (r *Runner) observeRun(workload string, d time.Duration) {
 // Run never calls into the sweep pool itself, so it is safe to call from
 // inside a sweep.Map worker (the harness experiments do exactly that).
 func (r *Runner) Run(spec *Spec) (*Result, error) {
-	data, _, err := r.RunEncoded(spec)
+	data, _, err := r.RunEncodedTraced(spec, nil)
 	if err != nil {
 		return nil, err
 	}
 	return DecodeResult(data)
 }
 
-// RunEncoded is Run without the final decode: it returns the canonical
-// encoded result — the exact bytes the cache stores and the serve
-// daemon ships — plus whether the cache served them. Callers must not
-// mutate the returned slice.
-func (r *Runner) RunEncoded(spec *Spec) (data []byte, cached bool, err error) {
-	data, info, err := r.RunEncodedTraced(spec, nil)
-	return data, info.Cached, err
-}
-
-// RunEncodedTraced is RunEncoded with tracing and full serving info:
-// every stage becomes a child span of parent (see Tracer), and the
-// returned RunInfo says whether the cache or a coalesced execution
-// served the bytes. With a nil parent and a non-nil Tracer each run
-// roots its own trace.
+// RunEncodedTraced is Run without the final decode, with tracing and
+// full serving info: it returns the canonical encoded result — the exact
+// bytes the cache stores and the serve daemon ships; callers must not
+// mutate the slice — every stage becomes a child span of parent (see
+// Tracer), and the returned RunInfo says whether the cache or a
+// coalesced execution served the bytes. With a nil parent and a non-nil
+// Tracer each run roots its own trace.
 func (r *Runner) RunEncodedTraced(spec *Spec, parent *obs.ActiveSpan) ([]byte, RunInfo, error) {
 	var info RunInfo
 	root := parent
@@ -228,21 +220,10 @@ func (r *Runner) runTraced(spec *Spec, root *obs.ActiveSpan, info *RunInfo) ([]b
 	r.observeStage("canonicalize", csp.End())
 
 	if r.Cache != nil {
-		lsp := root.Child("cache_lookup")
-		if data, ok := r.Cache.GetTraced(key, lsp); ok {
-			if _, derr := DecodeResult(data); derr == nil {
-				r.hits.Add(1)
-				lsp.Attr("outcome", "hit")
-				r.observeStage("cache_lookup", lsp.End())
-				info.Cached = true
-				return data, nil
-			}
-			// Undecodable despite the cache's integrity check: the entry
-			// predates a Result schema change that forgot a
-			// SemanticsVersion bump. Fall through and re-run.
+		if data, ok := r.lookup(key, root); ok {
+			info.Cached = true
+			return data, nil
 		}
-		lsp.Attr("outcome", "miss")
-		r.observeStage("cache_lookup", lsp.End())
 	}
 	r.misses.Add(1)
 
@@ -288,15 +269,35 @@ func (r *Runner) runTraced(spec *Spec, root *obs.ActiveSpan, info *RunInfo) ([]b
 	return c.data, c.err
 }
 
-// Cached returns the canonical encoded result when the cache already
-// holds the spec, counting a hit. It never executes and never counts a
-// miss (a subsequent RunEncoded does) — the serve daemon's
-// answer-hits-without-queueing fast path.
-func (r *Runner) Cached(spec *Spec) ([]byte, bool) { return r.CachedTraced(spec, nil) }
+// lookup is the cache_lookup stage, a child span of parent: it returns
+// the canonical encoded result the attached cache holds under key,
+// counting a hit, and never counts a miss.
+func (r *Runner) lookup(key resultcache.Key, parent *obs.ActiveSpan) ([]byte, bool) {
+	lsp := parent.Child("cache_lookup")
+	data, ok := r.Cache.GetTraced(key, lsp)
+	if ok {
+		// Undecodable despite the cache's integrity check: the entry
+		// predates a Result schema change that forgot a SemanticsVersion
+		// bump. Report a miss, so the spec re-runs.
+		_, err := DecodeResult(data)
+		ok = err == nil
+	}
+	if ok {
+		r.hits.Add(1)
+		lsp.Attr("outcome", "hit")
+	} else {
+		data = nil
+		lsp.Attr("outcome", "miss")
+	}
+	r.observeStage("cache_lookup", lsp.End())
+	return data, ok
+}
 
-// CachedTraced is Cached with the lookup recorded as a cache_lookup
-// child span of parent (and the whole probe observed into the
-// per-workload run_seconds series on a hit).
+// CachedTraced returns the canonical encoded result when the cache
+// already holds the spec, with the lookup recorded under parent (and the
+// whole probe observed into the per-workload run_seconds series on a
+// hit). It never executes and never counts a miss (a subsequent run
+// does) — the serve daemon's answer-hits-without-queueing fast path.
 func (r *Runner) CachedTraced(spec *Spec, parent *obs.ActiveSpan) ([]byte, bool) {
 	if r.Cache == nil {
 		return nil, false
@@ -309,25 +310,11 @@ func (r *Runner) CachedTraced(spec *Spec, parent *obs.ActiveSpan) ([]byte, bool)
 	if r.metrics.Load() != nil {
 		started = r.Tracer.Now()
 	}
-	lsp := parent.Child("cache_lookup")
-	data, ok := r.Cache.GetTraced(key, lsp)
-	if ok {
-		if _, err := DecodeResult(data); err != nil {
-			ok = false
-		}
-	}
-	if !ok {
-		lsp.Attr("outcome", "miss")
-		r.observeStage("cache_lookup", lsp.End())
-		return nil, false
-	}
-	lsp.Attr("outcome", "hit")
-	r.observeStage("cache_lookup", lsp.End())
-	r.hits.Add(1)
-	if !started.IsZero() {
+	data, ok := r.lookup(key, parent)
+	if ok && !started.IsZero() {
 		r.observeRun(canon.Workload, r.Tracer.Now().Sub(started))
 	}
-	return data, true
+	return data, ok
 }
 
 // execute performs one real run and returns the decoded result.
@@ -354,14 +341,6 @@ func (r *Runner) execute(canon *Spec) (*Result, error) {
 		return nil, fmt.Errorf("job: %s: %w", canon.Workload, err)
 	}
 	return res, nil
-}
-
-// RunAll executes the specs across the process-wide sweep worker pool
-// and returns their results in input order (the first in-order error
-// aborts, exactly like sweep.Map). Identical specs in one batch coalesce
-// to a single execution.
-func (r *Runner) RunAll(specs []*Spec) ([]*Result, error) {
-	return sweep.Map(specs, r.Run)
 }
 
 // Stats snapshots the counters.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cyclops/internal/harness/sweep"
 	"cyclops/internal/job"
 	"cyclops/internal/job/workloads"
 	"cyclops/internal/kernel"
@@ -39,18 +40,18 @@ func TestHitMissByteIdenticalAcrossEngines(t *testing.T) {
 			r.Cache = resultcache.OpenMemory(0)
 			spec := smallStreamSpec(t, e.String())
 
-			cold, cached, err := r.RunEncoded(spec)
+			cold, info, err := r.RunEncodedTraced(spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cached {
+			if info.Cached {
 				t.Fatal("cold run reported cached")
 			}
-			warm, cached, err := r.RunEncoded(spec)
+			warm, info, err := r.RunEncodedTraced(spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !cached {
+			if !info.Cached {
 				t.Fatal("warm run missed the cache")
 			}
 			if !bytes.Equal(cold, warm) {
@@ -86,7 +87,7 @@ func TestWarmCacheZeroExecutions(t *testing.T) {
 			specs = append(specs, spec)
 		}
 	}
-	cold, err := r.RunAll(specs)
+	cold, err := sweep.Map(specs, r.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestWarmCacheZeroExecutions(t *testing.T) {
 	if execs != uint64(len(specs)) {
 		t.Fatalf("cold sweep ran %d executions for %d specs", execs, len(specs))
 	}
-	warm, err := r.RunAll(specs)
+	warm, err := sweep.Map(specs, r.Run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // a simulation run — what to execute (a program image or a named
 // workload), on which architectural configuration, under which engine,
 // issue policy and latency model — plus a deterministic content hash over
-// that description, and a Runner that executes specs through the
-// harness/sweep worker pool with an optional result cache in front.
+// that description, and a Runner that executes specs with an optional
+// result cache in front.
 //
 // Every Cyclops run is deterministic: a canonicalized Spec fully
 // determines the run's statistics, tables and outputs. Spec.Key exploits

@@ -152,10 +152,10 @@ func TestInstrumentStageHistograms(t *testing.T) {
 		t.Fatal("Instrument left Tracer nil")
 	}
 	spec := smallStreamSpec(t, "")
-	if _, _, err := r.RunEncoded(spec); err != nil {
+	if _, _, err := r.RunEncodedTraced(spec, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.RunEncoded(spec); err != nil {
+	if _, _, err := r.RunEncodedTraced(spec, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -85,7 +85,7 @@ func runOn(t *testing.T, r *job.Runner, spec *job.Spec) (string, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := r.RunEncoded(spec)
+	data, _, err := r.RunEncodedTraced(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,31 +78,10 @@ func (k *Kernel) Machine() *sim.Machine { return k.m }
 
 // workerOrder lists usable worker thread units in allocation order.
 func (k *Kernel) workerOrder() []int {
-	if k.order != nil {
-		return k.order
+	if k.order == nil {
+		k.order = k.chip.WorkerOrder(k.Policy == Balanced)
 	}
-	cfg := k.chip.Cfg
-	var tids []int
-	switch k.Policy {
-	case Balanced:
-		nq := cfg.Quads()
-		for slot := 0; slot < cfg.ThreadsPerQuad; slot++ {
-			for q := 0; q < nq; q++ {
-				tid := q*cfg.ThreadsPerQuad + slot
-				if tid >= cfg.ReservedThreads && k.chip.ThreadUsable(tid) {
-					tids = append(tids, tid)
-				}
-			}
-		}
-	default:
-		for tid := cfg.ReservedThreads; tid < cfg.Threads; tid++ {
-			if k.chip.ThreadUsable(tid) {
-				tids = append(tids, tid)
-			}
-		}
-	}
-	k.order = tids
-	return tids
+	return k.order
 }
 
 // stackFor returns the initial stack pointer for a hardware thread: the

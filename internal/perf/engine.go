@@ -267,7 +267,7 @@ func (m *Machine) SpawnN(n int, fn func(t *T, index int)) error {
 // placeThread returns the hardware unit for the next spawned thread.
 func (m *Machine) placeThread() (int, error) {
 	if m.order == nil {
-		m.order = m.placementOrder()
+		m.order = m.Chip.WorkerOrder(m.Balanced)
 	}
 	if m.nextTid >= len(m.order) {
 		return 0, fmt.Errorf("perf: no free thread units (have %d)", len(m.order))
@@ -275,30 +275,6 @@ func (m *Machine) placeThread() (int, error) {
 	tid := m.order[m.nextTid]
 	m.nextTid++
 	return tid, nil
-}
-
-// placementOrder lists the usable worker units in the order Spawn hands
-// them out: quad by quad, or dealt across quads when Balanced.
-func (m *Machine) placementOrder() []int {
-	cfg := m.Chip.Cfg
-	order := make([]int, 0, cfg.Threads)
-	if m.Balanced {
-		for slot := 0; slot < cfg.ThreadsPerQuad; slot++ {
-			for q := 0; q < cfg.Quads(); q++ {
-				tid := q*cfg.ThreadsPerQuad + slot
-				if tid >= cfg.ReservedThreads && m.Chip.ThreadUsable(tid) {
-					order = append(order, tid)
-				}
-			}
-		}
-	} else {
-		for tid := cfg.ReservedThreads; tid < cfg.Threads; tid++ {
-			if m.Chip.ThreadUsable(tid) {
-				order = append(order, tid)
-			}
-		}
-	}
-	return order
 }
 
 // event is a queued resume: thread t continues at cycle at. h is the tie

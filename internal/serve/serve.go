@@ -29,6 +29,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -67,6 +68,11 @@ type Config struct {
 	// tracer's clock, so pinning one pins both.
 	Tracer *obs.Tracer
 }
+
+// maxRunBody bounds a POST /v1/run body. The largest legal spec is a
+// program image filling the chip's 8 MB of memory, base64-encoded, plus
+// the envelope around it.
+const maxRunBody = 16 << 20
 
 // DefaultWorkers and DefaultQueueLimit are the Config zero-value sizes;
 // DefaultRecentRuns bounds the /debug/runs ring.
@@ -222,14 +228,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.access.write(rec)
 	}
 
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody))
 	dec.DisallowUnknownFields()
 	var spec job.Spec
 	if err := dec.Decode(&spec); err != nil {
 		s.badRequests.Inc()
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
 		err = fmt.Errorf("decoding spec: %w", err)
-		httpError(w, http.StatusBadRequest, err)
-		finish(http.StatusBadRequest, err.Error())
+		httpError(w, status, err)
+		finish(status, err.Error())
 		return
 	}
 	rec.Workload = spec.Workload

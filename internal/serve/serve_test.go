@@ -168,6 +168,32 @@ func TestBadSpecsAre400(t *testing.T) {
 	}
 }
 
+// A body past the largest legal program spec is refused while it is being
+// read — 413, not an allocation the size of whatever the client sends —
+// and is logged and counted like any other bad request.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	body := `{"workload":"program","program":"` + strings.Repeat("A", 16<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&reply)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || reply.Error == "" {
+		t.Fatalf("HTTP %d, error body %q (%v); want 413 with a JSON error", resp.StatusCode, reply.Error, err)
+	}
+	if runs := debugRuns(t, ts.URL); len(runs) != 1 || runs[0].Status != http.StatusRequestEntityTooLarge || runs[0].Error == "" {
+		t.Errorf("run records = %+v; want one 413 with its error", runs)
+	}
+	if n := metricValue(t, ts.URL, "serve_bad_requests"); n != 1 {
+		t.Errorf("serve_bad_requests = %d, want 1", n)
+	}
+}
+
 func TestNewRefusesNonCacheDir(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("keep me"), 0o644); err != nil {

@@ -99,10 +99,10 @@ func (m *Machine) runBlock() error {
 		m.rr++
 		m.batch = m.eq.popBatch(m.batch, m.active, m.rr%len(m.active))
 		limit := m.cycle
-		if len(m.batch) == 1 && m.polInline {
-			// A lone ready unit may run unboundedly inline — but only when
-			// the issue policy certifies its timing flows entirely through
-			// ledger charges and resume times (InlineOK).
+		if len(m.batch) == 1 {
+			// A lone ready unit may run unboundedly inline: every issue
+			// policy's timing flows entirely through ledger charges and
+			// resume times.
 			limit = ^uint64(0)
 		}
 		anyHalted := false

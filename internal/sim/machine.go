@@ -135,10 +135,8 @@ type Machine struct {
 	// tiers are cycle- and byte-identical; they differ in host cost.
 	engine Engine
 
-	// pol is the issue policy (see policy.go); polInline caches its
-	// InlineOK answer for the block engine's continuation rule.
-	pol       Policy
-	polInline bool
+	// pol is the issue policy (see policy.go).
+	pol Policy
 
 	// MaxCycles aborts runaway programs; 0 means no limit.
 	MaxCycles uint64

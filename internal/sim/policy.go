@@ -29,7 +29,6 @@ func (m *Machine) SetPolicy(p Policy) {
 		p = timing.FineGrain{}
 	}
 	m.pol = p
-	m.polInline = p.InlineOK()
 	tab := p.Table()
 	for _, tu := range m.TUs {
 		tu.Pol = tab

@@ -143,43 +143,6 @@ func TestBlockedDominatesFineSingleThread(t *testing.T) {
 	}
 }
 
-// noInlinePolicy is fine-grained timing with InlineOK reporting false:
-// it forces the block engine onto its conservative one-issue-per-dispatch
-// path without changing any charge, so diffing it against the legacy
-// oracle proves the inline-continuation fast path is an optimization,
-// not load-bearing semantics.
-type noInlinePolicy struct{ timing.FineGrain }
-
-func (noInlinePolicy) InlineOK() bool { return false }
-func (noInlinePolicy) String() string { return "fine/noinline" }
-
-// TestInlineOKConsultedByBlockEngine runs the corpus with inline
-// continuation vetoed by the policy: the block engine must still match
-// the legacy oracle exactly, and must match its own fast-path output.
-func TestInlineOKConsultedByBlockEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	srcs := polPrograms()
-	for i := 0; i < 10; i++ {
-		srcs[fmt.Sprintf("random #%d", i)] = randomProgram(rng)
-	}
-	for name, src := range srcs {
-		slow := diffScenario{pol: noInlinePolicy{}, lat: timing.DefaultLatencies()}
-		fast := diffScenario{pol: timing.FineGrain{}, lat: timing.DefaultLatencies()}
-		ref, refErr := diffRun(src, EngineLegacy, slow)
-		want := diffState(ref, refErr)
-		m, err := diffRun(src, EngineBlock, slow)
-		if got := diffState(m, err); got != want {
-			t.Fatalf("%s: block engine with inlining vetoed diverges from legacy\n--- legacy ---\n%s--- block ---\n%s",
-				name, want, got)
-		}
-		m, err = diffRun(src, EngineBlock, fast)
-		if got := diffState(m, err); got != want {
-			t.Fatalf("%s: block engine fast path diverges from its no-inline path\n--- no-inline ---\n%s--- fast ---\n%s",
-				name, want, got)
-		}
-	}
-}
-
 func TestSetPolicyAfterStartPanics(t *testing.T) {
 	p, err := asm.Assemble("_start:\thalt\n")
 	if err != nil {

@@ -32,13 +32,6 @@ type Policy interface {
 	// Table compiles the policy into the per-ledger trigger table the
 	// hot path consults (no interface dispatch per issue).
 	Table() PolicyTable
-	// InlineOK reports whether the policy's timing effects flow entirely
-	// through Ledger charges and resume times. The block engine's
-	// inline-continuation rule consults this before running whole
-	// blocks without returning to the scheduler; a policy returning
-	// false forces one-issue-per-dispatch conservative execution. All
-	// shipped policies return true.
-	InlineOK() bool
 	// String renders the policy for table labels: "fine", "blocked/8".
 	String() string
 }
@@ -64,7 +57,6 @@ type FineGrain struct{}
 func (FineGrain) Name() string       { return "fine" }
 func (FineGrain) Penalty() uint64    { return 0 }
 func (FineGrain) Table() PolicyTable { return PolicyTable{} }
-func (FineGrain) InlineOK() bool     { return true }
 func (FineGrain) String() string     { return "fine" }
 
 // Blocked is classic blocked multithreading: the thread unit runs one
@@ -82,7 +74,6 @@ func (p Blocked) Penalty() uint64 { return p.Pen }
 func (p Blocked) Table() PolicyTable {
 	return PolicyTable{OnDep: p.Pen, OnFPU: p.Pen, OnMem: p.Pen, OnIFetch: p.Pen}
 }
-func (p Blocked) InlineOK() bool { return true }
 func (p Blocked) String() string { return fmt.Sprintf("blocked/%d", p.Pen) }
 
 // SwitchOnMiss is the hybrid: short pipeline stalls (dependences, FPU
@@ -99,7 +90,6 @@ func (p SwitchOnMiss) Penalty() uint64 { return p.Pen }
 func (p SwitchOnMiss) Table() PolicyTable {
 	return PolicyTable{OnMiss: p.Pen, OnIFetch: p.Pen}
 }
-func (p SwitchOnMiss) InlineOK() bool { return true }
 func (p SwitchOnMiss) String() string { return fmt.Sprintf("switchmiss/%d", p.Pen) }
 
 // ParsePolicySpec resolves a policy's canonical one-string spelling —

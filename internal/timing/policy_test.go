@@ -45,11 +45,6 @@ func TestPolicyTables(t *testing.T) {
 	if got, want := (SwitchOnMiss{Pen: 5}).Table(), (PolicyTable{OnMiss: 5, OnIFetch: 5}); got != want {
 		t.Errorf("switchmiss table = %+v, want %+v", got, want)
 	}
-	for _, p := range []Policy{FineGrain{}, Blocked{Pen: 8}, SwitchOnMiss{Pen: 8}} {
-		if !p.InlineOK() {
-			t.Errorf("%s: InlineOK = false, want true for all shipped policies", p)
-		}
-	}
 	// A zero-penalty policy compiles to the fine-grained table: the basis
 	// of the engines' penalty-0 convergence guarantee.
 	if got := (Blocked{}).Table(); got != (PolicyTable{}) {
