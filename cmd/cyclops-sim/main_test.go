@@ -60,8 +60,10 @@ func TestRunSourceWithStatsAndTrace(t *testing.T) {
 	printed := runCaptured(t, src, options{maxCycles: 100000, stats: true, trace: 8})
 	// A lone thread unit runs inline from its one batch to its exit, whose
 	// compaction is the one rebuild; each syscall ends a block, and is the
-	// one instruction here without a specialized body.
-	want := "host: engine=block block_compiles=2 block_flushes=0 generic=2(syscall=2) sched_batches=1 sched_units=1 sched_overflow=0 sched_rebuilds=1\n"
+	// one instruction here without a specialized body. The program stores
+	// nothing, so the one page of memory with host storage behind it is the
+	// one its image was loaded into.
+	want := "host: engine=block block_compiles=2 block_flushes=0 generic=2(syscall=2) sched_batches=1 sched_units=1 sched_overflow=0 sched_rebuilds=1 mem_backed=16384/8388608\n"
 	if !strings.Contains(printed, want) {
 		t.Errorf("-stats output lacks %q:\n%s", want, printed)
 	}

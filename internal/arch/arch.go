@@ -86,9 +86,11 @@ type Config struct {
 	// resident kernel (2: threads 0 and 1).
 	ReservedThreads int
 
-	// OffChipBytes is the optional external memory size (0 disables it).
+	// OffChipBytes is the optional external memory size (0 disables it;
+	// at most 2 GB, the top of the paper's range).
 	OffChipBytes int
-	// OffChipBlock is the external transfer granularity (1 KB).
+	// OffChipBlock is the external transfer granularity (1 KB); a block
+	// has to fit the embedded memory it moves to and from.
 	OffChipBlock int
 	// OffChipBlockCycles is the cost of moving one block, derived from
 	// the 12 GB/s aggregate link budget of Section 2.2.
@@ -213,6 +215,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("arch: ReservedThreads %d out of range for %d threads", c.ReservedThreads, c.Threads)
 	case c.Barriers <= 0 || c.Barriers > 4:
 		return fmt.Errorf("arch: Barriers must be in 1..4, got %d", c.Barriers)
+	case int64(c.OffChipBytes) > 2<<30:
+		return fmt.Errorf("arch: OffChipBytes (%d) exceeds the 2 GB an external memory can have", c.OffChipBytes)
+	case c.OffChipBytes > 0 && (c.OffChipBlock <= 0 || c.OffChipBlock > c.MemBytes()):
+		return fmt.Errorf("arch: OffChipBlock (%d) must be positive and fit the embedded memory (%d B)", c.OffChipBlock, c.MemBytes())
 	case c.OffChipBytes < 0 || (c.OffChipBytes > 0 && c.OffChipBytes%c.OffChipBlock != 0):
 		return fmt.Errorf("arch: OffChipBytes (%d) must be a multiple of OffChipBlock (%d)", c.OffChipBytes, c.OffChipBlock)
 	case c.FailedBanks < 0 || c.FailedBanks >= c.MemBanks:

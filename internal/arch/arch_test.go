@@ -97,6 +97,10 @@ func TestValidateRejectsBrokenConfigs(t *testing.T) {
 		{"reserved >= threads", func(c *Config) { c.ReservedThreads = 128 }},
 		{"too many barriers", func(c *Config) { c.Barriers = 5 }},
 		{"offchip not block multiple", func(c *Config) { c.OffChipBytes = 1500 }},
+		{"offchip beyond the paper's 2 GB", func(c *Config) { c.OffChipBytes = 2<<30 + 1<<10 }},
+		{"offchip of a terabyte", func(c *Config) { c.OffChipBytes = 1 << 40 }},
+		{"offchip block of zero", func(c *Config) { c.OffChipBytes, c.OffChipBlock = 1<<20, 0 }},
+		{"offchip block larger than embedded memory", func(c *Config) { c.OffChipBytes, c.OffChipBlock = 1<<30, 1<<30 }},
 	}
 	for _, m := range mutations {
 		c := Default()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -173,5 +174,34 @@ func TestUtilizationReport(t *testing.T) {
 	// Zero elapsed is safe.
 	if z := c.Utilization(0); z.BankBusyFrac != 0 {
 		t.Error("zero-window report not zeroed")
+	}
+}
+
+// TestNewChipAllocationBudget: functional memory is backed by the first
+// write to a page (internal/mem), so a fresh cell costs its caches, ports
+// and tables, not its 8 MB, and the largest legal external memory adds its
+// page table only. Eager backing of either cannot come back unnoticed.
+func TestNewChipAllocationBudget(t *testing.T) {
+	for _, tc := range []struct {
+		offChip int
+		budget  uint64
+	}{{0, 1 << 19}, {2 << 30, 2 << 20}} {
+		cfg := arch.Default()
+		cfg.OffChipBytes = tc.offChip
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := NewChip(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("NewChip with %d B off chip: %d B", tc.offChip, got)
+		if got >= tc.budget {
+			t.Errorf("NewChip with %d B off chip allocated %d B, budget %d", tc.offChip, got, tc.budget)
+		}
+		if c.Mem.BackedBytes() != 0 {
+			t.Errorf("a fresh chip has %d B of memory backed", c.Mem.BackedBytes())
+		}
 	}
 }

@@ -10,24 +10,28 @@
 // failed banks shrink the contiguous space and addresses are re-mapped over
 // the surviving banks — and the Section 2.1 off-chip memory, which is not
 // directly addressable and moves 1 KB blocks like a disk.
+//
+// Both memories keep their contents in one demand-backed paged store
+// (paged.go): host storage is allocated by the first write to a page, so
+// neither the cell's 8 MB nor an external 2 GB is allocated up front.
 package mem
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"cyclops/internal/arch"
 	"cyclops/internal/obs"
 )
 
-// Memory is the embedded DRAM: functional storage plus per-bank timing.
+// Memory is the embedded DRAM: functional storage (paged.go) plus per-bank
+// timing.
 type Memory struct {
-	cfg  arch.Config
-	data []byte
+	cfg   arch.Config
+	store paged
 
 	// live maps logical bank -> physical bank after failures; len(live)
 	// banks remain. size is their capacity in bytes, the working memory:
-	// FailBank shrinks it, while len(data) stays sized for every bank.
+	// FailBank shrinks it, while the page table stays sized for every bank.
 	live []int
 	size uint32
 
@@ -67,7 +71,7 @@ func New(cfg arch.Config) *Memory {
 	}
 	return &Memory{
 		cfg:   cfg,
-		data:  make([]byte, cfg.MemBytes()),
+		store: newPaged(cfg.MemBytes()),
 		live:  live,
 		size:  uint32(len(live) * cfg.MemBankBytes),
 		banks: make([]bank, cfg.MemBanks),
@@ -110,33 +114,7 @@ func (m *Memory) bankOf(addr uint32) (int, error) {
 	return m.live[logical], nil
 }
 
-// --- Functional storage ---------------------------------------------------
-//
-// The storage array is an identity map of the physical address space, so
-// an access is one range check against the working size and a word-wide
-// load, store or copy. An access that ends past the working size fails
-// whole: nothing is read or written and the code generation does not move.
-
-// inRange reports whether the n bytes at addr lie inside working memory;
-// the sum is taken in 64 bits so an address near 2^32 cannot wrap.
-func (m *Memory) inRange(addr uint32, n int) bool {
-	return uint64(addr)+uint64(n) <= uint64(m.size)
-}
-
-// rangeErr names the first byte of a failed access at addr that is beyond
-// working memory.
-func (m *Memory) rangeErr(addr uint32) error {
-	return fmt.Errorf("mem: address %#x beyond working memory %#x", max(addr, m.size), m.size)
-}
-
-// Read copies len(p) bytes at physical address addr into p.
-func (m *Memory) Read(addr uint32, p []byte) error {
-	if !m.inRange(addr, len(p)) {
-		return m.rangeErr(addr)
-	}
-	copy(p, m.data[addr:])
-	return nil
-}
+// --- Code watch ------------------------------------------------------------
 
 // WatchCode widens the watched text range to cover [lo, hi). Consumers
 // that cache translated instructions (internal/sim's compiled blocks)
@@ -168,52 +146,6 @@ func (m *Memory) noteWrite(addr uint32, n int) {
 	if m.watchSet && addr < m.watchHi && uint64(addr)+uint64(n) > uint64(m.watchLo) {
 		m.codeGen++
 	}
-}
-
-// Write stores p at physical address addr.
-func (m *Memory) Write(addr uint32, p []byte) error {
-	if !m.inRange(addr, len(p)) {
-		return m.rangeErr(addr)
-	}
-	m.noteWrite(addr, len(p))
-	copy(m.data[addr:], p)
-	return nil
-}
-
-// Read32 loads a naturally aligned 32-bit word.
-func (m *Memory) Read32(addr uint32) (uint32, error) {
-	if !m.inRange(addr, 4) {
-		return 0, m.rangeErr(addr)
-	}
-	return binary.LittleEndian.Uint32(m.data[addr:]), nil
-}
-
-// Write32 stores a naturally aligned 32-bit word.
-func (m *Memory) Write32(addr uint32, v uint32) error {
-	if !m.inRange(addr, 4) {
-		return m.rangeErr(addr)
-	}
-	m.noteWrite(addr, 4)
-	binary.LittleEndian.PutUint32(m.data[addr:], v)
-	return nil
-}
-
-// Read64 loads a naturally aligned 64-bit doubleword.
-func (m *Memory) Read64(addr uint32) (uint64, error) {
-	if !m.inRange(addr, 8) {
-		return 0, m.rangeErr(addr)
-	}
-	return binary.LittleEndian.Uint64(m.data[addr:]), nil
-}
-
-// Write64 stores a naturally aligned 64-bit doubleword.
-func (m *Memory) Write64(addr uint32, v uint64) error {
-	if !m.inRange(addr, 8) {
-		return m.rangeErr(addr)
-	}
-	m.noteWrite(addr, 8)
-	binary.LittleEndian.PutUint64(m.data[addr:], v)
-	return nil
 }
 
 // --- Timing ---------------------------------------------------------------

@@ -226,6 +226,64 @@ func TestOffChipValidation(t *testing.T) {
 	if _, err := o.ReadBlock(0, m, o.Size(), 0); err == nil {
 		t.Error("out-of-range external address accepted")
 	}
+	// An embedded address past working memory fails the transfer whole.
+	if _, err := o.ReadBlock(0, m, 0, m.Size()); err == nil {
+		t.Error("ReadBlock to an out-of-range embedded address accepted")
+	}
+	if _, err := o.WriteBlock(0, m, m.Size(), 0); err == nil || o.store.backedBytes() != 0 || o.Transfers != 0 {
+		t.Errorf("WriteBlock from an out-of-range embedded address: %v, %d B backed, %d transfers", err, o.store.backedBytes(), o.Transfers)
+	}
+	// The end of the block is computed in 64 bits: a guest can pass any
+	// 32-bit external address to the off-chip syscalls.
+	for _, ext := range []uint32{0xfffffc00, 0x80000000} {
+		if _, err := o.ReadBlock(0, m, ext, 0); err == nil {
+			t.Errorf("ReadBlock from external %#x accepted", ext)
+		}
+		if _, err := o.WriteBlock(0, m, 0, ext); err == nil {
+			t.Errorf("WriteBlock to external %#x accepted", ext)
+		}
+	}
+}
+
+// TestOffChipLargestIsDemandBacked: the paper's largest external memory,
+// 2 GB, is a legal configuration that costs its page table until blocks are
+// written, and its last block is addressable.
+func TestOffChipLargestIsDemandBacked(t *testing.T) {
+	cfg := arch.Default()
+	cfg.OffChipBytes = 2 << 30
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m, o := New(cfg), NewOffChip(cfg)
+	if o.Size() != 2<<30 {
+		t.Fatalf("Size = %#x", o.Size())
+	}
+	blk := uint32(cfg.OffChipBlock)
+	last := o.Size() - blk
+	// An unwritten block reads as zeros over whatever the target held.
+	m.Write64(0x4000, ^uint64(0))
+	if _, err := o.ReadBlock(0, m, last, 0x4000); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Read64(0x4000); v != 0 {
+		t.Errorf("unwritten external block read as %#x", v)
+	}
+	if o.store.backedBytes() != 0 {
+		t.Errorf("reading backed %d B of external memory", o.store.backedBytes())
+	}
+	m.Write64(0x4000+blk-8, 0xfeedface)
+	if _, err := o.WriteBlock(0, m, 0x4000, last); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.ReadBlock(0, m, last, 0x8000); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m.Read64(0x8000 + blk - 8); v != 0xfeedface {
+		t.Errorf("last external block round-trips %#x", v)
+	}
+	if o.store.backedBytes() != pageSize {
+		t.Errorf("one block written, %d B backed", o.store.backedBytes())
+	}
 }
 
 // TestAccessEdges pins the range check every functional access shares: an
@@ -290,7 +348,7 @@ func TestAccessEdges(t *testing.T) {
 	}
 
 	// After a bank failure the old top of memory is out of range, although
-	// the storage array still has bytes there.
+	// the page written above still has host storage behind it.
 	if err := m.FailBank(0); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@ import (
 // channel whose bandwidth is far below the embedded memory's.
 type OffChip struct {
 	cfg    arch.Config
-	data   []byte
+	store  paged
+	block  []byte // the one block in flight between the two memories
 	freeAt uint64
 
 	// Transfers counts completed block moves.
@@ -25,11 +26,16 @@ func NewOffChip(cfg arch.Config) *OffChip {
 	if cfg.OffChipBytes == 0 {
 		return nil
 	}
-	return &OffChip{cfg: cfg, data: make([]byte, cfg.OffChipBytes)}
+	return &OffChip{
+		cfg:   cfg,
+		store: newPaged(cfg.OffChipBytes),
+		block: make([]byte, cfg.OffChipBlock),
+	}
 }
 
-// Size returns the external memory capacity in bytes.
-func (o *OffChip) Size() uint32 { return uint32(len(o.data)) }
+// Size returns the external memory capacity in bytes (arch.Config.Validate
+// keeps it within 32 bits).
+func (o *OffChip) Size() uint32 { return uint32(o.cfg.OffChipBytes) }
 
 // ReadBlock transfers one block from external address src to embedded
 // address dst, starting no earlier than cycle now. It returns the
@@ -38,7 +44,8 @@ func (o *OffChip) ReadBlock(now uint64, m *Memory, src, dst uint32) (uint64, err
 	if err := o.checkArgs(src, dst); err != nil {
 		return now, err
 	}
-	if err := m.Write(dst, o.data[src:src+uint32(o.cfg.OffChipBlock)]); err != nil {
+	o.store.read(src, o.block)
+	if err := m.Write(dst, o.block); err != nil {
 		return now, err
 	}
 	return o.charge(now), nil
@@ -50,9 +57,10 @@ func (o *OffChip) WriteBlock(now uint64, m *Memory, src, dst uint32) (uint64, er
 	if err := o.checkArgs(dst, src); err != nil {
 		return now, err
 	}
-	if err := m.Read(src, o.data[dst:dst+uint32(o.cfg.OffChipBlock)]); err != nil {
+	if err := m.Read(src, o.block); err != nil {
 		return now, err
 	}
+	o.store.write(dst, o.block)
 	return o.charge(now), nil
 }
 
@@ -61,7 +69,7 @@ func (o *OffChip) checkArgs(ext, emb uint32) error {
 	switch {
 	case ext%blk != 0 || emb%blk != 0:
 		return fmt.Errorf("mem: off-chip transfers must be %d-byte aligned (ext %#x, emb %#x)", blk, ext, emb)
-	case ext+blk > o.Size():
+	case uint64(ext)+uint64(blk) > uint64(o.Size()):
 		return fmt.Errorf("mem: off-chip address %#x beyond %#x", ext, o.Size())
 	}
 	return nil

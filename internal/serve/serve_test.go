@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cyclops/internal/arch"
 	"cyclops/internal/job"
 	"cyclops/internal/serve"
 	"cyclops/internal/timing"
@@ -165,6 +166,32 @@ func TestBadSpecsAre400(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad spec %d: HTTP %d; want 400", i, resp.StatusCode)
 		}
+	}
+}
+
+// A spec carries a whole chip configuration, so its external memory is
+// client input: a terabyte of it is a 400 from Validate — it used to be an
+// allocation that took the process down — and the server keeps serving,
+// including the largest legal external memory, which costs a page table.
+func TestAbsurdOffChipMemoryIs400(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{})
+	withOffChip := func(bytes int) map[string]any {
+		cfg := arch.Default()
+		cfg.OffChipBytes = bytes
+		spec := streamSpec()
+		spec["config"] = cfg
+		return spec
+	}
+	resp := postSpec(t, ts.URL, withOffChip(1<<40), "")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("1 TB of off-chip memory: HTTP %d; want 400", resp.StatusCode)
+	}
+	if n := metricValue(t, ts.URL, "serve_bad_requests"); n != 1 {
+		t.Errorf("serve_bad_requests = %d, want 1", n)
+	}
+	if rb := decodeRun(t, postSpec(t, ts.URL, withOffChip(2<<30), "")); rb.Cached || len(rb.Result) == 0 {
+		t.Errorf("2 GB of off-chip memory after the refusal: cached %t, result %q", rb.Cached, rb.Result)
 	}
 }
 

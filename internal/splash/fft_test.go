@@ -3,6 +3,9 @@ package splash
 import (
 	"math/cmplx"
 	"testing"
+
+	"cyclops/internal/arch"
+	"cyclops/internal/core"
 )
 
 func maxErr(a, b []complex128) float64 {
@@ -117,5 +120,18 @@ func TestFFTDeterministic(t *testing.T) {
 	}
 	if r1.Cycles != r2.Cycles || r1.Run != r2.Run || r1.Stall != r2.Stall {
 		t.Errorf("repeat runs differ: %+v vs %+v", r1, r2)
+	}
+}
+
+// TestFFTLeavesMemoryUnbacked: a perf-runtime run charges the chip's
+// timing model and keeps its data in native Go values, so it never writes
+// functional memory and no page of it is ever allocated.
+func TestFFTLeavesMemoryUnbacked(t *testing.T) {
+	chip := core.MustNew(arch.Default())
+	if _, err := RunFFT(FFTOpts{Config: Config{Threads: 8, Chip: chip}, N: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	if got := chip.Mem.BackedBytes(); got != 0 {
+		t.Errorf("a perf-runtime run backed %d B of functional memory", got)
 	}
 }

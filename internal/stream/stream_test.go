@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -262,5 +263,25 @@ func TestGeneratedCodeStaysOffGenericIssue(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunAllocationBudget holds the host memory a small run costs: the
+// point the benchmark's serve_mix posts every round, chip included, stays
+// under 1 MB. Functional memory is backed by the first write to a page, so
+// the chip's 8 MB are not part of it.
+func TestRunAllocationBudget(t *testing.T) {
+	p := Params{Kernel: Triad, Threads: 8, N: 8 * 8 * 3, Local: true, Unroll: 4, Reps: 2}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(p, kernel.Sequential)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("stream.Run allocated %d B", got)
+	if got >= 1<<20 {
+		t.Errorf("stream.Run of %+v allocated %d B, budget 1 MB", p, got)
 	}
 }
