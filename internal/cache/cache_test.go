@@ -257,6 +257,19 @@ func TestDisableQuadRedirects(t *testing.T) {
 	if a.Cache != 8 {
 		t.Errorf("redirected to cache %d, want next live quad 8", a.Cache)
 	}
+	if !s.QuadDisabled(7) || s.QuadDisabled(8) {
+		t.Error("QuadDisabled bookkeeping wrong")
+	}
+	// At least one quad survives.
+	for q := 0; q < 31; q++ {
+		s.DisableQuad(q)
+	}
+	if s.DisableQuad(31) {
+		t.Error("the last live quad was disabled")
+	}
+	if a := s.Load(0, eaOne(3, 0x3000), 8, 0); a.Cache != 31 {
+		t.Errorf("served by cache %d, want the survivor 31", a.Cache)
+	}
 }
 
 func TestICacheFetch(t *testing.T) {

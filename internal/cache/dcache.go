@@ -80,32 +80,25 @@ func (d *DCache) ScratchWays() int { return d.scratchWays }
 // most recent fill completes: accesses that catch a line in flight cannot
 // finish earlier.
 func (d *DCache) Lookup(addr uint32) (hit bool, ready uint64) {
-	line := addr>>d.lineShift + 1
-	set := (line - 1) & d.setMask
-	base := int(set) * d.assoc
-	for w := d.scratchWays; w < d.assoc; w++ {
-		if d.tags[base+w] == line {
-			d.stamp++
-			d.lru[base+w] = d.stamp
-			d.Hits++
-			return true, d.readyAt[base+w]
-		}
+	if i := d.probe(addr); i >= 0 {
+		return true, d.touch(i)
 	}
 	d.Misses++
 	return false, 0
 }
 
 // Install allocates the line containing addr with a fill completing at
-// ready, evicting the LRU way of its set if necessary. With zero cache
-// ways (full scratch partitioning is disallowed) there is always a victim.
-func (d *DCache) Install(addr uint32, ready uint64) {
+// ready, evicting the LRU way of its set if necessary, and returns the
+// line's tag slot. With zero cache ways (full scratch partitioning is
+// disallowed) there is always a victim.
+func (d *DCache) Install(addr uint32, ready uint64) int {
 	line := addr>>d.lineShift + 1
 	set := (line - 1) & d.setMask
 	base := int(set) * d.assoc
 	victim := d.scratchWays
 	for w := d.scratchWays; w < d.assoc; w++ {
 		if d.tags[base+w] == line {
-			return // already present (racing installs)
+			return base + w // already present (racing installs)
 		}
 		if d.tags[base+w] == 0 {
 			victim = w
@@ -116,9 +109,11 @@ func (d *DCache) Install(addr uint32, ready uint64) {
 		}
 	}
 	d.stamp++
-	d.tags[base+victim] = line
-	d.lru[base+victim] = d.stamp
-	d.readyAt[base+victim] = ready
+	i := base + victim
+	d.tags[i] = line
+	d.lru[i] = d.stamp
+	d.readyAt[i] = ready
+	return i
 }
 
 // InvalidateAll empties the cache (a disabled quad loses its contents).

@@ -97,9 +97,11 @@ type System struct {
 	// fillPortCycles is the port occupancy of a line fill.
 	fillPortCycles uint64
 
-	// disabledQuads marks quads whose cache is out of service
-	// (Section 5 fault tolerance: a broken FPU disables its whole quad).
-	disabledQuads map[int]bool
+	// disabled[q] marks quad q's cache out of service (Section 5 fault
+	// tolerance: a broken FPU disables its whole quad); nDisabled counts
+	// them. Both are set at boot only.
+	disabled  []bool
+	nDisabled int
 
 	// Stats by outcome.
 	Counts [5]uint64
@@ -118,7 +120,7 @@ func NewSystem(cfg arch.Config, m *mem.Memory) *System {
 		portConflicts:  make([]uint64, n),
 		portWait:       make([]uint64, n),
 		fillPortCycles: uint64(cfg.DCacheLine / cfg.DCachePortBytes),
-		disabledQuads:  make(map[int]bool),
+		disabled:       make([]bool, n),
 	}
 	for i := range s.Caches {
 		s.Caches[i] = NewDCache(cfg)
@@ -132,29 +134,20 @@ func NewSystem(cfg arch.Config, m *mem.Memory) *System {
 // there are redirected to the next live quad (Section 5). It reports
 // whether q was valid and previously enabled.
 func (s *System) DisableQuad(q int) bool {
-	if q < 0 || q >= len(s.Caches) || s.disabledQuads[q] {
+	if q < 0 || q >= len(s.Caches) || s.disabled[q] {
 		return false
 	}
-	if len(s.disabledQuads) == len(s.Caches)-1 {
+	if s.nDisabled == len(s.Caches)-1 {
 		return false // at least one quad must survive
 	}
-	s.disabledQuads[q] = true
+	s.disabled[q] = true
+	s.nDisabled++
 	s.Caches[q].InvalidateAll()
 	return true
 }
 
 // QuadDisabled reports whether quad q's cache is out of service.
-func (s *System) QuadDisabled(q int) bool { return s.disabledQuads[q] }
-
-// resolve picks the serving cache for an effective address accessed by a
-// thread homed on ownCache, skipping disabled quads.
-func (s *System) resolve(ea uint32, ownCache int) int {
-	c := arch.CacheFor(ea, ownCache, len(s.Caches), s.lineShift)
-	for s.disabledQuads[c] {
-		c = (c + 1) % len(s.Caches)
-	}
-	return c
-}
+func (s *System) QuadDisabled(q int) bool { return s.disabled[q] }
 
 // CacheFor exposes placement resolution (used by tests and the kernel).
 func (s *System) CacheFor(ea uint32, ownCache int) int { return s.resolve(ea, ownCache) }
@@ -172,52 +165,28 @@ func (s *System) PartitionScratch(q, n int) bool {
 }
 
 // Load times a data load of size bytes at effective address ea, issued at
-// cycle now by a thread homed on quad ownCache.
+// cycle now by a thread homed on quad ownCache. It is the one-access form
+// of LoadRun (run.go), with which it shares the Table 2 arithmetic.
 func (s *System) Load(now uint64, ea uint32, size int, ownCache int) Access {
 	c := s.resolve(ea, ownCache)
 	phys := arch.Phys(ea)
 	local := c == ownCache
 	start := s.takePort(c, now, 1)
-	lat := &s.Cfg.Latencies
 
 	if hit, ready := s.Caches[c].Lookup(phys); hit {
-		w := RemoteHit
-		extra := uint64(lat.RemoteHitLatency)
-		hop := uint64(lat.RemoteHitLatency - lat.LocalHitLatency)
-		if local {
-			w, extra, hop = LocalHit, uint64(lat.LocalHitLatency), 0
-		}
+		w, lat, hop := s.outcome(true, local)
 		s.Counts[w]++
-		done := start + extra
-		var fillWait uint64
-		if ready > done {
-			// The line is still in flight from a concurrent miss;
-			// the access completes when the fill does.
-			fillWait = ready - done
-			done = ready
-		}
+		// A line still in flight from a concurrent miss completes the
+		// access when its fill does.
+		done, fill := later(start+lat, ready)
 		return Access{Done: done, Where: w, Cache: c,
-			Wait: Wait{Port: start - now, Fill: fillWait, Hop: hop}}
+			Wait: Wait{Port: start - now, Fill: fill, Hop: hop}}
 	}
 
-	// Miss: fill the line from its bank and install it. The fill
-	// transfer occupies the port; the occupancy is booked at request
-	// time (a reserved slot) so the single next-free port cursor never
-	// travels backwards.
-	fillDone := s.Mem.FillLine(start, phys)
-	s.Caches[c].Install(phys, fillDone)
-	s.takePort(c, start+1, s.fillPortCycles)
-	w := RemoteMiss
-	extra := uint64(lat.RemoteMissLatency)
-	hop := uint64(lat.RemoteMissLatency - lat.LocalMissLatency)
-	if local {
-		w, extra, hop = LocalMiss, uint64(lat.LocalMissLatency), 0
-	}
+	_, queue := s.fill(c, start, phys, s.Mem.BankFor(phys))
+	w, lat, hop := s.outcome(false, local)
 	s.Counts[w]++
-	// The Table 2 miss latencies are unloaded; queueing at the bank adds
-	// on top. fillDone-start-burst is exactly the queueing delay.
-	queue := fillDone - start - uint64(s.Cfg.MemBurstCycles)
-	return Access{Done: start + extra + queue, Where: w, Cache: c,
+	return Access{Done: start + lat + queue, Where: w, Cache: c,
 		Wait: Wait{Port: start - now, Bank: queue, Hop: hop}}
 }
 
@@ -225,23 +194,18 @@ func (s *System) Load(now uint64, ea uint32, size int, ownCache int) Access {
 // the port cycle; when the target bank's write buffer is full the store
 // blocks until the backlog drains, pacing store traffic to the memory's
 // service rate. If the line is present in the target cache it is updated
-// in place (the tags stay); no allocation happens on a store miss.
+// in place (the tags stay); no allocation happens on a store miss. It is
+// the one-access form of StoreRun (run.go).
 func (s *System) Store(now uint64, ea uint32, size int, ownCache int) Access {
 	c := s.resolve(ea, ownCache)
 	phys := arch.Phys(ea)
 	start := s.takePort(c, now, 1)
 	// Keep LRU/tag state truthful: a store hit refreshes the line.
 	s.Caches[c].Lookup(phys)
-	admit := s.Mem.WriteThrough(start, phys, size)
+	done, bank := later(start+1, s.Mem.WriteBank(s.Mem.BankFor(phys), start, size))
 	s.Counts[StoreThrough]++
-	done := start + 1
-	var bankWait uint64
-	if admit > done {
-		bankWait = admit - done
-		done = admit
-	}
 	return Access{Done: done, Where: StoreThrough, Cache: c,
-		Wait: Wait{Port: start - now, Bank: bankWait}}
+		Wait: Wait{Port: start - now, Bank: bank}}
 }
 
 // Atomic times a read-modify-write (amoadd/amoswap/amocas). It behaves as

@@ -150,16 +150,28 @@ func (m *Memory) noteWrite(addr uint32, n int) {
 
 // --- Timing ---------------------------------------------------------------
 
+// BankFor returns the physical bank that times an access to addr. An
+// out-of-range timing request models as a full-latency access to the first
+// live bank; the functional path reports the error. The bank depends only
+// on addr>>MemInterleaveShift, so a caller timing several accesses to one
+// interleave unit resolves it once and passes it to FillBank/WriteBank.
+func (m *Memory) BankFor(addr uint32) int {
+	pb, err := m.bankOf(addr)
+	if err != nil {
+		return m.live[0]
+	}
+	return pb
+}
+
 // FillLine charges the timing of a cache-line fill starting no earlier than
 // cycle now. The target bank serves bursts FIFO; the fill occupies it for
 // MemBurstCycles. It returns the cycle at which the line data is complete.
 func (m *Memory) FillLine(now uint64, addr uint32) uint64 {
-	pb, err := m.bankOf(addr)
-	if err != nil {
-		// Out-of-range timing requests model as a full-latency access
-		// to bank 0; the functional path reports the error.
-		pb = m.live[0]
-	}
+	return m.FillBank(m.BankFor(addr), now)
+}
+
+// FillBank is FillLine on physical bank pb (see BankFor).
+func (m *Memory) FillBank(pb int, now uint64) uint64 {
 	b := &m.banks[pb]
 	start := now
 	if b.freeAt > start {
@@ -187,10 +199,11 @@ func (m *Memory) FillLine(now uint64, addr uint32) uint64 {
 // finite write-buffer depth (StoreLagCycles) the storing thread is held
 // until the backlog drains.
 func (m *Memory) WriteThrough(now uint64, addr uint32, size int) (admit uint64) {
-	pb, err := m.bankOf(addr)
-	if err != nil {
-		pb = m.live[0]
-	}
+	return m.WriteBank(m.BankFor(addr), now, size)
+}
+
+// WriteBank is WriteThrough on physical bank pb (see BankFor).
+func (m *Memory) WriteBank(pb int, now uint64, size int) (admit uint64) {
 	b := &m.banks[pb]
 	b.wcbBytes += size
 	block := m.cfg.MemBurstBytes / 2 // one 32-byte block

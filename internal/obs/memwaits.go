@@ -81,18 +81,7 @@ func (m MemWaits) Total() uint64 {
 // MarshalJSON emits the attribution as an object keyed by kind name, in
 // enum order — hand-built so the key order is stable across runs.
 func (m MemWaits) MarshalJSON() ([]byte, error) {
-	buf := make([]byte, 0, 16*int(NumMemWaitKinds))
-	buf = append(buf, '{')
-	for k := MemWaitKind(0); k < NumMemWaitKinds; k++ {
-		if k > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '"')
-		buf = append(buf, memWaitNames[k]...)
-		buf = append(buf, '"', ':')
-		buf = appendUint(buf, m[k])
-	}
-	return append(buf, '}'), nil
+	return marshalCounters(memWaitNames[:], m[:]), nil
 }
 
 // UnmarshalJSON reads the object form written by MarshalJSON.

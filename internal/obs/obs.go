@@ -115,18 +115,7 @@ func (b Breakdown) Total() uint64 {
 // MarshalJSON emits the breakdown as an object keyed by reason name, in
 // enum order — hand-built so the key order is stable across runs.
 func (b Breakdown) MarshalJSON() ([]byte, error) {
-	buf := make([]byte, 0, 16*int(NumStallReasons))
-	buf = append(buf, '{')
-	for r := StallReason(0); r < NumStallReasons; r++ {
-		if r > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '"')
-		buf = append(buf, reasonNames[r]...)
-		buf = append(buf, '"', ':')
-		buf = appendUint(buf, b[r])
-	}
-	return append(buf, '}'), nil
+	return marshalCounters(reasonNames[:], b[:]), nil
 }
 
 // UnmarshalJSON reads the object form written by MarshalJSON.
@@ -177,7 +166,8 @@ type ThreadStat struct {
 // Snapshot is a complete, self-describing stats capture of one run. Its
 // JSON form has stable key order (struct declaration order plus the
 // hand-ordered Breakdown marshaller), so snapshots of deterministic runs
-// are byte-identical regardless of sweep worker count.
+// are byte-identical regardless of sweep worker count. MarshalJSON
+// (snapjson.go) writes those bytes without reflection.
 type Snapshot struct {
 	Cycles    uint64          `json:"cycles"`
 	Insts     uint64          `json:"insts"`

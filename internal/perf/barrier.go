@@ -49,7 +49,7 @@ func (t *T) HWBarrier(b *HWBarrier) {
 		t.now = release
 		b.count = 0
 		b.maxEnter = 0
-		b.parked = nil
+		b.parked = b.parked[:0] // the wakes hold the pointers now
 	}
 	t.Work(3) // spin-exit branch and current/next mask swap
 }
@@ -104,16 +104,10 @@ func NewSWBarrier(m *Machine, n, arity int) *SWBarrier {
 	return b
 }
 
-// children returns the tree children of node i.
-func (b *SWBarrier) children(i int) []int {
-	var cs []int
-	for k := 1; k <= b.arity; k++ {
-		c := i*b.arity + k
-		if c < b.n {
-			cs = append(cs, c)
-		}
-	}
-	return cs
+// children returns the tree children of node i as the index range
+// first..last; it is empty (first > last) for a leaf.
+func (b *SWBarrier) children(i int) (first, last int) {
+	return i*b.arity + 1, min(i*b.arity+b.arity, b.n-1)
 }
 
 // spinFlag polls a flag location until it carries phase want, charging a
@@ -156,7 +150,8 @@ func (t *T) SWBarrier(b *SWBarrier, index int) {
 	b.phase[index] = ph
 
 	// Gather: wait for the subtree, then notify the parent.
-	for _, c := range b.children(index) {
+	first, last := b.children(index)
+	for c := first; c <= last; c++ {
 		t.spinFlag(b.arriveEA[c], &b.arrive[c], ph)
 	}
 	if index != 0 {
@@ -164,7 +159,7 @@ func (t *T) SWBarrier(b *SWBarrier, index int) {
 		t.spinFlag(b.releaseEA[index], &b.release[index], ph)
 	}
 	// Scatter: release the children.
-	for _, c := range b.children(index) {
+	for c := first; c <= last; c++ {
 		t.setFlag(b.releaseEA[c], &b.release[c], ph)
 	}
 }

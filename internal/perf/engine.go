@@ -35,10 +35,22 @@
 // coroutine it started before it returns, on success, deadlock or a
 // panicking body alike.
 //
-// Bulk operations (LoadBlock, StoreBlock, FPBlock) reserve several
-// accesses under a single scheduling point. Within one bulk call other
-// threads cannot interleave, a quantum-style approximation that bounds
-// engine overhead; keep blocks at or below a few cache lines.
+// # Bulk operations
+//
+// LoadBlock, StoreBlock, LoadGather, StoreScatter and FPBlock reserve up to
+// bulkChunk (32) operations under a single scheduling point: other threads
+// cannot interleave inside a chunk, a quantum-style approximation that
+// bounds engine overhead. The four memory operations time a chunk as one
+// run: one call into the cache system's run core (cache.System.LoadRun,
+// StoreRun, LoadGather, StoreScatter), which resolves placement, probes
+// the tag and finds the DRAM bank once per line rather than per access,
+// and one booking of the run's summary in the thread's ledger
+// (timing.Ledger.SettleRun). A run leaves the chip and the ledger exactly
+// where the same accesses made one at a time would (internal/cache's
+// FuzzAccessRun holds it to that), so the run is a host-speed device, not
+// a model change. A thread with a profiler attached issues its chunks as
+// runs of one, so its sampler sees every access's charges in issue order;
+// SchedStats counts the runs and the accesses they covered.
 package perf
 
 import (
@@ -365,6 +377,10 @@ type SchedStats struct {
 	Pushes   uint64 // events queued: initial starts, yields and barrier wake-ups
 	Wakes    uint64 // of those, threads a barrier release unparked
 	MaxDepth int    // most events queued at once
+	// Runs counts the bulk operations' calls into the memory system's run
+	// core, RunAccesses the accesses they covered: their ratio is the mean
+	// run length (at most bulkChunk; one for a profiled thread).
+	Runs, RunAccesses uint64
 }
 
 // SchedStats reports the engine's host-side activity (see the type).
@@ -508,6 +524,9 @@ func (m *Machine) TotalMemWaits() obs.MemWaits {
 // the instruction stream, so per-thread Insts stays zero.
 func (m *Machine) Snapshot() *obs.Snapshot {
 	s := &obs.Snapshot{Cycles: m.Elapsed(), Resources: m.Chip.ResourceStats()}
+	if len(m.threads) > 0 {
+		s.Threads = make([]obs.ThreadStat, 0, len(m.threads))
+	}
 	for _, t := range m.threads {
 		s.Threads = append(s.Threads, t.ThreadStat(t.ID, t.Quad, 0))
 	}

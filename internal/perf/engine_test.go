@@ -15,7 +15,10 @@ import (
 
 	"cyclops/internal/arch"
 	"cyclops/internal/core"
+	"cyclops/internal/isa"
+	"cyclops/internal/obs"
 	"cyclops/internal/prof"
+	"cyclops/internal/timing"
 )
 
 // --- queue differential ------------------------------------------------------
@@ -374,9 +377,83 @@ func TestSchedStats(t *testing.T) {
 	var closed int
 	d := deadlockedMachine(&closed)
 	d.Run()
-	// Two threads, each started and then resumed once to enter the barrier.
-	if s := d.SchedStats(); s != (SchedStats{Resumes: 4, Pushes: 4, MaxDepth: 2}) {
+	// Two threads, each started and then resumed once to enter the
+	// barrier; no bulk operation, so no run.
+	if s := d.SchedStats(); s != (SchedStats{Resumes: 4, Pushes: 4, MaxDepth: 2, Runs: 0, RunAccesses: 0}) {
 		t.Errorf("deadlocked run: %+v", s)
+	}
+}
+
+// smallFFT is the timing skeleton of splash.RunFFT (which perf's tests
+// cannot import) at 1024 points on 8 threads: a transpose, the row FFTs
+// staged through a per-thread own-cache scratch row, a transpose back, a
+// hardware barrier between phases. Each thread owns 4 of the 32 rows.
+func smallFFT(pol timing.Policy, profiled bool) *Machine {
+	const m, threads = 32, 8
+	mach := NewDefault()
+	mach.SetPolicy(pol)
+	if profiled {
+		mach.AttachProfile(prof.New(16))
+	}
+	a, b := mach.SharedAlloc(16*m*m), mach.SharedAlloc(16*m*m)
+	scratch := make([]uint32, threads)
+	for p := range scratch {
+		scratch[p] = mach.MustAlloc(16*m, arch.InterestGroup{Mode: arch.GroupOwn})
+	}
+	bar := NewHWBarrier(threads)
+	if err := mach.SpawnN(threads, func(t *T, p int) {
+		lo, hi := p*m/threads, (p+1)*m/threads
+		transpose := func(src, dst uint32) {
+			for i := lo; i < hi; i++ {
+				v := t.LoadBlock(src+uint32(16*i*m), 2*m, 8, 8) // 2 runs
+				t.StoreBlock(dst+uint32(16*i), m, 16, 16*m, v)  // 1 run
+			}
+			t.HWBarrier(bar)
+		}
+		transpose(a, b)
+		for i := lo; i < hi; i++ { // 8 runs a row
+			v := t.LoadBlock(b+uint32(16*i*m), 2*m, 8, 8)
+			t.StoreBlock(scratch[p], 2*m, 8, 8, v)
+			w := t.FPBlock(isa.PipeBoth, 5*m/2, t.LoadBlock(scratch[p], 2*m, 8, 8))
+			t.StoreBlock(b+uint32(16*i*m), 2*m, 8, 8, w)
+		}
+		t.HWBarrier(bar)
+		transpose(b, a)
+	}); err != nil {
+		panic(err)
+	}
+	return mach
+}
+
+// TestRunCounters pins the run counters on smallFFT: per thread, two
+// transposes of 4 rows at 3 runs and 96 accesses a row, and 4 row FFTs at
+// 8 runs and 256 accesses — 56 runs of 1792 accesses, times 8 threads. A
+// profiled thread issues the same accesses as runs of one, and the
+// snapshot, every cycle of it, does not notice.
+func TestRunCounters(t *testing.T) {
+	for _, pol := range []timing.Policy{timing.FineGrain{}, timing.SwitchOnMiss{Pen: 8}, timing.Blocked{Pen: 8}} {
+		var snaps [2][]byte
+		for i, profiled := range []bool{false, true} {
+			m := smallFFT(pol, profiled)
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := SchedStats{Runs: 448, RunAccesses: 14336}
+			if profiled && obs.Enabled {
+				want.Runs = want.RunAccesses
+			}
+			if s := m.SchedStats(); s.Runs != want.Runs || s.RunAccesses != want.RunAccesses {
+				t.Errorf("%s, profiled %v: %d runs of %d accesses, want %d of %d",
+					pol, profiled, s.Runs, s.RunAccesses, want.Runs, want.RunAccesses)
+			}
+			var err error
+			if snaps[i], err = json.Marshal(m.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if string(snaps[0]) != string(snaps[1]) {
+			t.Errorf("%s: runs of one timed the FFT differently from runs of %d", pol, bulkChunk)
+		}
 	}
 }
 

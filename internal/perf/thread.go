@@ -184,91 +184,66 @@ func (t *T) Atomic(ea uint32) Val {
 // a port-busy line fill.
 const bulkChunk = 32
 
+// bulk issues a bulk op's n accesses: per bulkChunk, one scheduling point,
+// one run through the memory system's run core — run(k, c) times accesses
+// k..k+c-1 from t.now — and one ledger booking of its summary. A thread
+// with a profiler sampler attached issues its chunks as runs of one through
+// the same core, so the sampler sees each access's charges in issue order.
+// It returns the latest completion of any access, and t.now on entry when
+// that is later.
+func (t *T) bulk(n int, run func(k, c int) cache.RunSummary) uint64 {
+	step := bulkChunk
+	if obs.Enabled && t.Samp != nil {
+		step = 1
+	}
+	done := t.now
+	for i := 0; i < n; i += bulkChunk {
+		end := min(i+bulkChunk, n)
+		t.acquire()
+		for k := i; k < end; k += step {
+			r := run(k, min(step, end-k))
+			t.now = t.SettleRun(r)
+			done = max(done, r.Done)
+			t.m.stats.Runs++
+			t.m.stats.RunAccesses += uint64(r.N)
+		}
+	}
+	return done
+}
+
 // LoadBlock times n loads of width size at stride bytes starting at ea,
 // yielding to the engine every bulkChunk accesses so contending threads
 // interleave. It returns the token of the last load.
 func (t *T) LoadBlock(ea uint32, n, size, stride int) Val {
-	last := Val{ready: t.now}
-	for i := 0; i < n; i += bulkChunk {
-		c := n - i
-		if c > bulkChunk {
-			c = bulkChunk
-		}
-		t.acquire()
-		for k := 0; k < c; k++ {
-			a := t.m.Chip.Data.Load(t.now, ea+uint32((i+k)*stride), size, t.Quad)
-			t.ObserveAccess(a)
-			t.ChargeRun(1)
-			t.now++
-			t.settleLoad(a)
-			if a.Done > last.ready {
-				last = Val{ready: a.Done}
-			}
-		}
-	}
-	return last
+	return Val{ready: t.bulk(n, func(k, c int) cache.RunSummary {
+		return t.m.Chip.Data.LoadRun(t.now, ea+uint32(k*stride), c, size, stride, t.Quad, t.Penalty())
+	})}
 }
 
 // StoreBlock times n stores of width size at stride bytes, first waiting
 // for deps, yielding every bulkChunk accesses.
 func (t *T) StoreBlock(ea uint32, n, size, stride int, deps ...Val) {
 	t.waitVals(deps...)
-	for i := 0; i < n; i += bulkChunk {
-		c := n - i
-		if c > bulkChunk {
-			c = bulkChunk
-		}
-		t.acquire()
-		for k := 0; k < c; k++ {
-			a := t.m.Chip.Data.Store(t.now, ea+uint32((i+k)*stride), size, t.Quad)
-			t.ChargeRun(1)
-			t.now++
-			t.settleStore(a)
-		}
-	}
+	t.bulk(n, func(k, c int) cache.RunSummary {
+		return t.m.Chip.Data.StoreRun(t.now, ea+uint32(k*stride), c, size, stride, t.Quad, t.Penalty())
+	})
 }
 
 // LoadGather times loads from arbitrary effective addresses, yielding
 // every bulkChunk accesses, and returns the latest-completing token.
 func (t *T) LoadGather(eas []uint32, size int) Val {
-	last := Val{ready: t.now}
-	for i := 0; i < len(eas); i += bulkChunk {
-		c := len(eas) - i
-		if c > bulkChunk {
-			c = bulkChunk
-		}
-		t.acquire()
-		for _, ea := range eas[i : i+c] {
-			a := t.m.Chip.Data.Load(t.now, ea, size, t.Quad)
-			t.ObserveAccess(a)
-			t.ChargeRun(1)
-			t.now++
-			t.settleLoad(a)
-			if a.Done > last.ready {
-				last = Val{ready: a.Done}
-			}
-		}
-	}
-	return last
+	return Val{ready: t.bulk(len(eas), func(k, c int) cache.RunSummary {
+		return t.m.Chip.Data.LoadGather(t.now, eas[k:k+c], size, t.Quad, t.Penalty())
+	})}
 }
 
 // StoreScatter times stores to arbitrary effective addresses (the radix
 // permute pattern), yielding every bulkChunk accesses.
 func (t *T) StoreScatter(eas []uint32, size int, deps ...Val) {
 	t.waitVals(deps...)
-	for i := 0; i < len(eas); i += bulkChunk {
-		c := len(eas) - i
-		if c > bulkChunk {
-			c = bulkChunk
-		}
-		t.acquire()
-		for _, ea := range eas[i : i+c] {
-			a := t.m.Chip.Data.Store(t.now, ea, size, t.Quad)
-			t.ChargeRun(1)
-			t.now++
-			t.settleStore(a)
-		}
-	}
+	t.bulk(len(eas), func(k, c int) cache.RunSummary {
+		return t.m.Chip.Data.StoreScatter(t.now, eas[k:k+c], size, t.Quad, t.Penalty())
+	})
 }
 
 // --- Floating point ---------------------------------------------------------

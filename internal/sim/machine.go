@@ -392,11 +392,20 @@ func (m *Machine) TotalMemWaits() obs.MemWaits { return m.Totals().MemWaits }
 // the deterministic export form. Units that never issued are omitted.
 func (m *Machine) Snapshot() *obs.Snapshot {
 	s := &obs.Snapshot{Cycles: m.cycle, Resources: m.Chip.ResourceStats()}
+	idle := func(tu *TU) bool { return tu.Insts == 0 && tu.Run == 0 && tu.Stall == 0 }
+	n := 0
 	for _, tu := range m.TUs {
-		if tu.Insts == 0 && tu.Run == 0 && tu.Stall == 0 {
-			continue
+		if !idle(tu) {
+			n++
 		}
-		s.Threads = append(s.Threads, tu.ThreadStat(tu.ID, tu.Quad, tu.Insts))
+	}
+	if n > 0 {
+		s.Threads = make([]obs.ThreadStat, 0, n)
+	}
+	for _, tu := range m.TUs {
+		if !idle(tu) {
+			s.Threads = append(s.Threads, tu.ThreadStat(tu.ID, tu.Quad, tu.Insts))
+		}
 	}
 	s.Finish()
 	return s

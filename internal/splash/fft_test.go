@@ -135,3 +135,20 @@ func TestFFTLeavesMemoryUnbacked(t *testing.T) {
 		t.Errorf("a perf-runtime run backed %d B of functional memory", got)
 	}
 }
+
+// BenchmarkFFT16K is the benchmark's fft_perf op in-package: 16K points on
+// 64 threads, one run per barrier kind, each held to the cycle count
+// benchmark/golden.json pins for it.
+func BenchmarkFFT16K(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for kind, want := range map[BarrierKind]uint64{HW: 158266, SW: 161310} {
+			r, err := RunFFT(FFTOpts{Config: Config{Threads: 64, Barrier: kind}, N: 16384})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if r.Cycles != want {
+				b.Fatalf("%s barriers: %d cycles, want %d", kind, r.Cycles, want)
+			}
+		}
+	}
+}

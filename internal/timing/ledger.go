@@ -153,30 +153,58 @@ func (l *Ledger) SettleAccess(a cache.Access, now, free uint64) uint64 {
 	return now
 }
 
-// ChargeMemStall is the Table 2 split rule for memory backpressure — the
-// only implementation in the module. Of the n cycles a thread is blocked
-// behind the write path, the access's measured port-queue share is
-// charged first to CachePortStall and the remainder to BankConflictStall
-// (DRAM burst queueing).
+// ChargeMemStall books n cycles a thread is blocked behind the write path
+// under the Table 2 split rule (cache.Wait.Split, its only implementation):
+// the access's measured port-queue share to CachePortStall, the remainder
+// to BankConflictStall (DRAM burst queueing).
 func (l *Ledger) ChargeMemStall(w cache.Wait, n uint64) {
-	port := w.Port
-	if port > n {
-		port = n
-	}
+	port, bank := w.Split(n)
 	l.Charge(obs.CachePortStall, port)
-	l.Charge(obs.BankConflictStall, n-port)
+	l.Charge(obs.BankConflictStall, bank)
+}
+
+// Penalty is the part of the issue policy the memory system's run core
+// applies inside a run (cache.System.LoadRun and friends): the miss and
+// backpressure switch penalties. SettleRun books the triggers at the same
+// penalties, so a run and its booking cannot disagree.
+func (l *Ledger) Penalty() cache.Penalty {
+	return cache.Penalty{Miss: l.Pol.OnMiss, Mem: l.Pol.OnMem}
+}
+
+// SettleRun books a run of accesses timed by the cache system's run core
+// at Penalty(), and returns the cycle the thread issues next. Each term of
+// the summary is a sum over the run's accesses of what ChargeRun,
+// ObserveAccess and SettleAccess book for one: a run cycle, the wait
+// attribution, each access's blocked cycles already split port-first, one
+// switch penalty per trigger. Every bucket is additive, so one booking of
+// the sums leaves the ledger where n single settles would; only the order
+// of the charges differs, which only an attached profiler sampler can see
+// (the perf runtime issues a sampled thread's accesses as runs of one).
+func (l *Ledger) SettleRun(r cache.RunSummary) uint64 {
+	l.ChargeRun(uint64(r.N))
+	l.observe(r.Wait)
+	if r.PortStall|r.BankStall != 0 {
+		l.Charge(obs.CachePortStall, r.PortStall)
+		l.Charge(obs.BankConflictStall, r.BankStall)
+	}
+	if sw := r.MissSwitches*l.Pol.OnMiss + r.MemSwitches*l.Pol.OnMem; sw != 0 {
+		l.ChargeSwitch(sw)
+	}
+	return r.Next
 }
 
 // ObserveAccess accumulates one timed access's wait attribution into the
 // per-thread MemWaits telemetry. Unlike Charge this is not a stall: load
 // waits surface later as dep stalls through the scoreboard, but their
 // location in the memory system is only known here.
-func (l *Ledger) ObserveAccess(a cache.Access) {
+func (l *Ledger) ObserveAccess(a cache.Access) { l.observe(a.Wait) }
+
+func (l *Ledger) observe(w cache.Wait) {
 	if obs.Enabled {
-		l.MemWaits[obs.MemWaitPort] += a.Wait.Port
-		l.MemWaits[obs.MemWaitBank] += a.Wait.Bank
-		l.MemWaits[obs.MemWaitFill] += a.Wait.Fill
-		l.MemWaits[obs.MemWaitHop] += a.Wait.Hop
+		l.MemWaits[obs.MemWaitPort] += w.Port
+		l.MemWaits[obs.MemWaitBank] += w.Bank
+		l.MemWaits[obs.MemWaitFill] += w.Fill
+		l.MemWaits[obs.MemWaitHop] += w.Hop
 	}
 }
 

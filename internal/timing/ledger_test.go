@@ -107,6 +107,46 @@ func TestObserveAccess(t *testing.T) {
 	}
 }
 
+// TestSettleRunBooksTheSums: a run's summary is booked as sums — its
+// accesses' run cycles, blocked cycles already split, and one penalty per
+// trigger at the ledger's own policy. (That the sums are what n single
+// settles book is internal/cache's TestAccessRunMatchesSingleAccesses.)
+func TestSettleRunBooksTheSums(t *testing.T) {
+	l := Ledger{Pol: PolicyTable{OnMiss: 5, OnMem: 7, OnDep: 100}}
+	if p := l.Penalty(); p != (cache.Penalty{Miss: 5, Mem: 7}) {
+		t.Fatalf("Penalty() = %+v", p)
+	}
+	next := l.SettleRun(cache.RunSummary{
+		N: 32, Next: 1234, Done: 1300,
+		Wait:      cache.Wait{Port: 9, Bank: 40, Fill: 3, Hop: 22},
+		PortStall: 4, BankStall: 30,
+		MissSwitches: 2, MemSwitches: 3,
+	})
+	if next != 1234 {
+		t.Errorf("SettleRun resumes at %d, want the run's next issue cycle 1234", next)
+	}
+	if l.Run != 32 || l.Stall != 4+30+2*5+3*7 {
+		t.Errorf("run %d stall %d, want 32 and %d", l.Run, l.Stall, 4+30+2*5+3*7)
+	}
+	if !obs.Enabled {
+		return
+	}
+	var want obs.Breakdown
+	want[obs.CachePortStall], want[obs.BankConflictStall], want[obs.SwitchStall] = 4, 30, 2*5+3*7
+	if l.Stalls != want {
+		t.Errorf("stalls %v, want %v", l.Stalls, want)
+	}
+	if w := (obs.MemWaits{obs.MemWaitPort: 9, obs.MemWaitBank: 40, obs.MemWaitFill: 3, obs.MemWaitHop: 22}); l.MemWaits != w {
+		t.Errorf("mem waits %v, want %v", l.MemWaits, w)
+	}
+	// An unblocked run with no trigger books run cycles and waits only.
+	var q Ledger
+	q.SettleRun(cache.RunSummary{N: 3, Next: 10, Wait: cache.Wait{Fill: 2}})
+	if q.Run != 3 || q.Stall != 0 || q.MemWaits[obs.MemWaitFill] != 2 {
+		t.Errorf("quiet run booked %+v", q)
+	}
+}
+
 func TestMaxReady(t *testing.T) {
 	if MaxReady(3, 9) != 9 || MaxReady(9, 3) != 9 || MaxReady(4, 4) != 4 {
 		t.Fatal("MaxReady is not max")
