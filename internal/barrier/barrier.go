@@ -20,6 +20,8 @@ type Wired struct {
 	spr []uint8
 	// counts[b] is the number of threads currently driving bit b.
 	counts [8]int
+	// or is the OR'd register: bit b is set exactly when counts[b] > 0.
+	or uint8
 }
 
 // NewWired builds the barrier network for nThreads thread units.
@@ -27,7 +29,8 @@ func NewWired(nThreads int) *Wired {
 	return &Wired{spr: make([]uint8, nThreads)}
 }
 
-// Write sets thread tid's contribution to the OR.
+// Write sets thread tid's contribution to the OR, updating the OR'd
+// register as each bit's driver count crosses zero.
 func (w *Wired) Write(tid int, v uint8) {
 	old := w.spr[tid]
 	w.spr[tid] = v
@@ -35,9 +38,12 @@ func (w *Wired) Write(tid int, v uint8) {
 		mask := uint8(1) << b
 		switch {
 		case old&mask != 0 && v&mask == 0:
-			w.counts[b]--
+			if w.counts[b]--; w.counts[b] == 0 {
+				w.or &^= mask
+			}
 		case old&mask == 0 && v&mask != 0:
 			w.counts[b]++
+			w.or |= mask
 		}
 	}
 }
@@ -45,15 +51,7 @@ func (w *Wired) Write(tid int, v uint8) {
 // Read returns the OR over all threads' contributions. Every thread reads
 // the same value; the paper's "reads back its register" phrasing refers to
 // this OR'd view.
-func (w *Wired) Read() uint8 {
-	var v uint8
-	for b := 0; b < 8; b++ {
-		if w.counts[b] > 0 {
-			v |= 1 << b
-		}
-	}
-	return v
-}
+func (w *Wired) Read() uint8 { return w.or }
 
 // Own returns thread tid's raw contribution (not OR'd) — what the thread
 // last wrote, used when composing the next write.

@@ -30,6 +30,32 @@ func TestWiredOR(t *testing.T) {
 	}
 }
 
+// TestReadMatchesCountScan: Read returns a register Write keeps current,
+// so after any sequence of writes it must equal the scan it replaced (bit b
+// set exactly when counts[b] > 0), which is the OR of every thread's SPR.
+func TestReadMatchesCountScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		w := NewWired(1 + rng.Intn(16))
+		for i := 0; i < 64; i++ {
+			w.Write(rng.Intn(len(w.spr)), uint8(rng.Intn(256)))
+			var scan, or uint8
+			for b := 0; b < 8; b++ {
+				if w.counts[b] > 0 {
+					scan |= 1 << b
+				}
+			}
+			for _, v := range w.spr {
+				or |= v
+			}
+			if got := w.Read(); got != scan || got != or {
+				t.Fatalf("trial %d write %d: Read = %#08b, count scan %#08b, OR of SPRs %#08b",
+					trial, i, got, scan, or)
+			}
+		}
+	}
+}
+
 func TestBitRolesInterchange(t *testing.T) {
 	// Barrier 0 uses bits 0 and 1; barrier 3 uses bits 6 and 7.
 	if CurBit(0, 0) != 0b01 || NextBit(0, 0) != 0b10 {

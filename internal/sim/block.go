@@ -135,7 +135,7 @@ func (m *Machine) runBlock() error {
 // may NOT issue at inline (the batch cycle itself when other units
 // issued this cycle; unbounded when the unit is alone).
 func (m *Machine) stepBlock(tu *TU, limit uint64) {
-	memory := m.Chip.Mem
+	memory := m.mem
 	tl := m.TL
 	blk := tu.blk
 	// clean is opFn's contract: the last op provably wrote no memory, so
@@ -770,6 +770,15 @@ func compileBranch(pc uint32, in isa.Inst, word uint32, be uint64) opFn {
 	return nil
 }
 
+// The mk* constructors are //go:noinline because each is small enough to
+// inline into compileOp, and a closure built by an inlined constructor is
+// compiled as a clone (compileOp.mkLD.func5) in which every one-line leaf
+// (regReady, reg, setReg, ChargeRun, ObserveAccess, arch.Phys) stays a real
+// call. Kept out of line, the closure they return is compiled on its own
+// with those leaves inlined, as compileALU's and compileBranch's are
+// (ci/inlinecheck.go holds the line).
+
+//go:noinline
 func mkJAL(pc, word uint32, a uint8, target uint32, be uint64) opFn {
 	return func(m *Machine, tu *TU, cyc uint64) bool {
 		tu.Insts++ // FmtJ: no sources, issues immediately
@@ -787,6 +796,7 @@ func mkJAL(pc, word uint32, a uint8, target uint32, be uint64) opFn {
 	}
 }
 
+//go:noinline
 func mkJALR(pc, word uint32, a, b uint8, imm uint32, be uint64) opFn {
 	return func(m *Machine, tu *TU, cyc uint64) bool {
 		if r := tu.regReady(b); r > cyc {
@@ -819,6 +829,7 @@ func mkJALR(pc, word uint32, a, b uint8, imm uint32, be uint64) opFn {
 	}
 }
 
+//go:noinline
 func mkLW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 	return func(m *Machine, tu *TU, cyc uint64) bool {
 		if r := tu.regReady(b); r > cyc {
@@ -835,7 +846,7 @@ func mkLW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 			m.Trap("sim: thread %d: unaligned %d-byte access to %#x at pc %#x", tu.ID, 4, ea, pc)
 			return false
 		}
-		v, err := m.Chip.Mem.Read32(phys &^ 3)
+		v, err := m.mem.Read32(phys &^ 3)
 		if err != nil {
 			m.Trap("sim: thread %d: %v at pc %#x", tu.ID, err, pc)
 			return false
@@ -852,6 +863,7 @@ func mkLW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 	}
 }
 
+//go:noinline
 func mkLD(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 	return func(m *Machine, tu *TU, cyc uint64) bool {
 		if r := tu.regReady(b); r > cyc {
@@ -872,7 +884,7 @@ func mkLD(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 			m.Trap("sim: thread %d: ld destination r%d not a pair at %#x", tu.ID, a, pc)
 			return false
 		}
-		v, err := m.Chip.Mem.Read64(phys)
+		v, err := m.mem.Read64(phys)
 		if err != nil {
 			m.Trap("sim: thread %d: %v at pc %#x", tu.ID, err, pc)
 			return false
@@ -888,6 +900,7 @@ func mkLD(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 	}
 }
 
+//go:noinline
 func mkSW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 	return func(m *Machine, tu *TU, cyc uint64) bool {
 		if r := timing.MaxReady(tu.regReady(a), tu.regReady(b)); r > cyc {
@@ -904,7 +917,7 @@ func mkSW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 			m.Trap("sim: thread %d: unaligned %d-byte access to %#x at pc %#x", tu.ID, 4, ea, pc)
 			return false
 		}
-		if err := m.Chip.Mem.Write32(phys, tu.reg(a)); err != nil {
+		if err := m.mem.Write32(phys, tu.reg(a)); err != nil {
 			m.Trap("sim: thread %d: %v at pc %#x", tu.ID, err, pc)
 			return false
 		}
@@ -921,6 +934,7 @@ func mkSW(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 	}
 }
 
+//go:noinline
 func mkSD(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 	return func(m *Machine, tu *TU, cyc uint64) bool {
 		if r := timing.MaxReady(timing.MaxReady(tu.regReady(a), tu.regReady(b)), tu.regReady(a+1)); r > cyc {
@@ -937,7 +951,7 @@ func mkSD(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 			m.Trap("sim: thread %d: unaligned %d-byte access to %#x at pc %#x", tu.ID, 8, ea, pc)
 			return false
 		}
-		if err := m.Chip.Mem.Write64(phys, uint64(tu.reg(a))|uint64(tu.reg(a+1))<<32); err != nil {
+		if err := m.mem.Write64(phys, uint64(tu.reg(a))|uint64(tu.reg(a+1))<<32); err != nil {
 			m.Trap("sim: thread %d: %v at pc %#x", tu.ID, err, pc)
 			return false
 		}
@@ -957,6 +971,8 @@ func mkSD(pc, word uint32, a, b uint8, imm uint32, memExec uint64) opFn {
 // the quad's FPU pipe carries the rest, exactly as execFP: dispatch, the
 // structural wait and its switch penalty, one run cycle, then the result
 // at the pipe's completion time.
+//
+//go:noinline
 func mkFP(pc, word uint32, in isa.Inst, info *isa.Info, lat *arch.LatencyTable) opFn {
 	a, b, c, d := in.A, in.B, in.C, in.D
 	op, pipe := in.Op, info.Pipe
@@ -1002,6 +1018,8 @@ func mkFP(pc, word uint32, in isa.Inst, info *isa.Info, lat *arch.LatencyTable) 
 // register (the barrier spin's load); the caller has checked spr is one of
 // the two. m.cycle is the issue cycle on every path: the scheduler and
 // inline continuation both move it before the op runs.
+//
+//go:noinline
 func mkMFSPR(pc, word uint32, a uint8, spr int32) opFn {
 	return func(m *Machine, tu *TU, cyc uint64) bool {
 		tu.Insts++ // mfspr has no sources, never waits
@@ -1010,7 +1028,7 @@ func mkMFSPR(pc, word uint32, a uint8, spr int32) opFn {
 		}
 		v := uint32(m.cycle)
 		if spr == isa.SPRBarrier {
-			v = uint32(m.Chip.Barrier.Read())
+			v = uint32(m.bar.Read())
 		}
 		tu.setReg(a, v, cyc+1)
 		tu.ChargeRun(1)
@@ -1021,6 +1039,8 @@ func mkMFSPR(pc, word uint32, a uint8, spr int32) opFn {
 }
 
 // mkMTSPRBarrier deposits the unit's contribution to the barrier register.
+//
+//go:noinline
 func mkMTSPRBarrier(pc, word uint32, a uint8) opFn {
 	return func(m *Machine, tu *TU, cyc uint64) bool {
 		if r := tu.regReady(a); r > cyc {
@@ -1031,7 +1051,7 @@ func mkMTSPRBarrier(pc, word uint32, a uint8) opFn {
 		if m.Trace != nil {
 			m.Trace.record(TraceEntry{Cycle: cyc, TID: tu.ID, PC: pc, Word: word})
 		}
-		m.Chip.Barrier.Write(tu.ID, uint8(tu.reg(a)))
+		m.bar.Write(tu.ID, uint8(tu.reg(a)))
 		tu.ChargeRun(1)
 		tu.nextAt = cyc + 1
 		tu.PC = pc + 4

@@ -23,8 +23,8 @@ import "cyclops/internal/isa"
 // fetch error, and the compiler turns either into a trap op that fires
 // only if execution actually reaches pc.
 func (m *Machine) decodeAt(pc uint32) (isa.Inst, uint32, error) {
-	m.Chip.Mem.WatchCode(pc, pc+4)
-	word, err := m.Chip.Mem.Read32(pc)
+	m.mem.WatchCode(pc, pc+4)
+	word, err := m.mem.Read32(pc)
 	if err != nil {
 		return isa.Inst{}, 0, err
 	}

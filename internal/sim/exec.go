@@ -134,7 +134,7 @@ func (m *Machine) step(tu *TU) {
 		return
 	}
 
-	word, err := m.Chip.Mem.Read32(tu.PC)
+	word, err := m.mem.Read32(tu.PC)
 	if err != nil {
 		m.Trap("sim: thread %d: fetch at %#x: %v", tu.ID, tu.PC, err)
 		return
@@ -157,7 +157,7 @@ func (m *Machine) fetchPIB(tu *TU, cycle uint64) {
 	stall := uint64(2)
 	var pen uint64
 	if !ic.Fetch(tu.PC) {
-		done := m.Chip.Mem.FillLine(cycle, tu.PC&arch.PhysAddrMask)
+		done := m.mem.FillLine(cycle, tu.PC&arch.PhysAddrMask)
 		stall += done - cycle
 		if pen = tu.Pol.OnIFetch; pen != 0 {
 			tu.ChargeSwitch(pen)
@@ -344,7 +344,7 @@ func (m *Machine) execSimple(tu *TU, in isa.Inst, cycle uint64) bool {
 			m.Trap("sim: thread %d: mtspr %d is not writable at %#x", tu.ID, in.Imm, tu.PC)
 			return false
 		}
-		m.Chip.Barrier.Write(tu.ID, uint8(tu.reg(in.A)))
+		m.bar.Write(tu.ID, uint8(tu.reg(in.A)))
 	case isa.OpSYNC, isa.OpSYSCALL, isa.OpHALT:
 		// sync: the sequential engine is already globally ordered.
 	}
@@ -362,9 +362,9 @@ func (m *Machine) readSPR(tu *TU, n uint32) (uint32, bool) {
 	case isa.SPRCycleHi:
 		return uint32(m.cycle >> 32), true
 	case isa.SPRBarrier:
-		return uint32(m.Chip.Barrier.Read()), true
+		return uint32(m.bar.Read()), true
 	case isa.SPRMemSize:
-		return m.Chip.Mem.Size(), true
+		return m.mem.Size(), true
 	case isa.SPRQuad:
 		return uint32(tu.Quad), true
 	}
@@ -509,7 +509,7 @@ func (m *Machine) execMem(tu *TU, in isa.Inst, info *isa.Info, cycle uint64) (fr
 		m.Trap("sim: thread %d: unaligned %d-byte access to %#x at pc %#x", tu.ID, size, ea, tu.PC)
 		return 0, cache.Access{}, false
 	}
-	memory := m.Chip.Mem
+	memory := m.mem
 	fail := func(err error) (uint64, cache.Access, bool) {
 		m.Trap("sim: thread %d: %v at pc %#x", tu.ID, err, tu.PC)
 		return 0, cache.Access{}, false

@@ -14,8 +14,10 @@ package sim
 import (
 	"fmt"
 
+	"cyclops/internal/barrier"
 	"cyclops/internal/core"
 	"cyclops/internal/isa"
+	"cyclops/internal/mem"
 	"cyclops/internal/obs"
 	"cyclops/internal/prof"
 	"cyclops/internal/timing"
@@ -115,6 +117,13 @@ type Machine struct {
 	active []*TU
 	rr     int
 
+	// mem and bar are Chip.Mem and Chip.Barrier, typed in this package:
+	// the compiler inlines methods only of packages a package imports, so
+	// reaching them through core.Chip would leave CodeGen, Read64 and the
+	// barrier's Read/Write as real calls in every op body.
+	mem *mem.Memory
+	bar *barrier.Wired
+
 	// Event-driven scheduler state (block engine): eq holds running units
 	// by their next issue cycle; batch is the reused buffer of units due
 	// at the current cycle, in issue order.
@@ -157,7 +166,8 @@ type Machine struct {
 // fine-grained issue policy until SetEngine / SetPolicy select others.
 // Kernel may be nil for programs that make no syscalls.
 func New(chip *core.Chip, kernel Syscaller) *Machine {
-	m := &Machine{Chip: chip, Kernel: kernel, eq: newEventQueue(chip.Cfg.Threads)}
+	m := &Machine{Chip: chip, Kernel: kernel, mem: chip.Mem, bar: chip.Barrier,
+		eq: newEventQueue(chip.Cfg.Threads)}
 	pibWords := uint32(chip.Cfg.PIBEntries * 4)
 	for i := 0; i < chip.Cfg.Threads; i++ {
 		m.TUs = append(m.TUs, &TU{
