@@ -231,7 +231,7 @@ func writeRunMetrics(w io.Writer, m *sim.Machine, wall time.Duration) error {
 	reg := obs.NewMetrics()
 	reg.Counter("sim_cycles").Add(m.Cycle())
 	reg.Counter("sim_insts").Add(m.TotalInsts())
-	for r, v := range m.TotalBreakdown() {
+	for r, v := range m.Totals().Stalls {
 		reg.Counter("sim_stall_" + obs.StallReason(r).String()).Add(v)
 	}
 	reg.Histogram("sim_wall_seconds").Observe(wall)
@@ -246,8 +246,8 @@ func printStats(m *sim.Machine, chip *core.Chip) {
 		}
 		fmt.Printf("%6d  %4d  %8d  %8d  %8d\n", tu.ID, tu.Quad, tu.Insts, tu.Run, tu.Stall)
 	}
-	printBreakdown(m.TotalBreakdown())
-	printMemWaits(m.TotalMemWaits())
+	printBreakdown(m.Totals().Stalls)
+	printMemWaits(m.Totals().MemWaits)
 	printResources(chip.ResourceStats())
 	fmt.Print(chip.Utilization(m.Cycle()))
 	// Host-side engine activity: what the simulator did, not the chip.

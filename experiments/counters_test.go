@@ -37,8 +37,8 @@ func perfCopy(t *testing.T, threads int) (run, stall uint64, b obs.Breakdown, w 
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	run, stall = m.TotalRunStall()
-	return run, stall, m.TotalBreakdown(), m.TotalMemWaits()
+	tot := m.Totals()
+	return tot.Run, tot.Stall, tot.Stalls, tot.MemWaits
 }
 
 func simCopy(t *testing.T, threads int) (run, stall uint64, b obs.Breakdown, w obs.MemWaits) {

@@ -12,10 +12,6 @@ import (
 // MicroBarrierName is the barrier microbenchmark's spec spelling.
 const MicroBarrierName = "microbarrier"
 
-// swBarrierArity is the software tree fan-in the microbenchmark uses,
-// matching the harness table it feeds.
-const swBarrierArity = 4
-
 // MicroBarrierArgs is the canonical argument schema of the
 // "microbarrier" workload: threads doing nothing but synchronising for
 // Phases barriers. The result's Cycles is the total elapsed time;
@@ -69,22 +65,14 @@ func runMicroBarrier(ctx *job.RunContext) (*job.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := perf.New(chip)
-	m.SetPolicy(ctx.Policy)
-	var bhw *perf.HWBarrier
-	var bsw *perf.SWBarrier
-	if kind == splash.HW {
-		bhw = perf.NewHWBarrier(a.Threads)
-	} else {
-		bsw = perf.NewSWBarrier(m, a.Threads, swBarrierArity)
+	m, err := splash.Config{Threads: a.Threads, Chip: chip, Issue: ctx.Policy}.Machine()
+	if err != nil {
+		return nil, err
 	}
+	b := splash.NewBarrier(m, a.Threads, kind)
 	err = m.SpawnN(a.Threads, func(th *perf.T, i int) {
 		for p := 0; p < a.Phases; p++ {
-			if bhw != nil {
-				th.HWBarrier(bhw)
-			} else {
-				th.SWBarrier(bsw, i)
-			}
+			b.Wait(th, i)
 		}
 	})
 	if err != nil {
@@ -93,7 +81,8 @@ func runMicroBarrier(ctx *job.RunContext) (*job.Result, error) {
 	if err := m.Run(); err != nil {
 		return nil, err
 	}
-	return &job.Result{Cycles: m.Elapsed()}, nil
+	problem := fmt.Sprintf("%d phases, %s barriers", a.Phases, kind)
+	return splashResult(splash.NewResult("MicroBarrier", problem, a.Threads, m)), nil
 }
 
 // MicroBarrierSpec builds the job spec for one barrier measurement.

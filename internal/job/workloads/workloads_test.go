@@ -128,6 +128,27 @@ func TestSpecIsTheWholeInput(t *testing.T) {
 	}
 }
 
+// Every workload's served result keeps the accounting invariant: its
+// threads issued some run cycles, and the per-reason stall buckets sum to
+// the stall total.
+func TestServedAccounting(t *testing.T) {
+	for _, p := range points(t) {
+		t.Run(p.name, func(t *testing.T) {
+			_, data := runOn(t, job.NewRunner(), p.spec)
+			res, err := job.DecodeResult(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Run == 0 {
+				t.Errorf("run = 0 over %d cycles: %s", res.Cycles, data)
+			}
+			if got := res.Stalls.Total(); obs.Enabled && got != res.Stall {
+				t.Errorf("stall buckets sum to %d, stall = %d: %s", got, res.Stall, data)
+			}
+		})
+	}
+}
+
 // The spec's issue policy reaches the machine of every workload: charging
 // eight cycles per stall event must cost a run that stalls some cycles.
 func TestPolicyReachesTheMachine(t *testing.T) {

@@ -91,11 +91,11 @@ func TestTimelineSumMatchesSnapshot(t *testing.T) {
 	if sum.Run != run || sum.Stall != stall {
 		t.Errorf("timeline sum run/stall = %d/%d, ledger totals %d/%d", sum.Run, sum.Stall, run, stall)
 	}
-	if sum.Stalls != k.Machine().TotalBreakdown() {
-		t.Errorf("timeline stall breakdown %v != snapshot %v", sum.Stalls, k.Machine().TotalBreakdown())
+	if sum.Stalls != k.Machine().Totals().Stalls {
+		t.Errorf("timeline stall breakdown %v != snapshot %v", sum.Stalls, k.Machine().Totals().Stalls)
 	}
-	if sum.MemWaits != k.Machine().TotalMemWaits() {
-		t.Errorf("timeline memwaits %v != snapshot %v", sum.MemWaits, k.Machine().TotalMemWaits())
+	if sum.MemWaits != k.Machine().Totals().MemWaits {
+		t.Errorf("timeline memwaits %v != snapshot %v", sum.MemWaits, k.Machine().Totals().MemWaits)
 	}
 	var port, bank, fpu uint64
 	for _, rs := range chip.ResourceStats() {

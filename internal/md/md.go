@@ -129,7 +129,7 @@ func Run(opts Opts) (*splash.Result, *State, error) {
 	if err := mach.Run(); err != nil {
 		return nil, nil, err
 	}
-	res := resultFor(opts.Threads, n, steps, mach)
+	res := splash.NewResult("MD", fmt.Sprintf("%d particles, %d steps", n, steps), opts.Threads, mach)
 	return res, st, nil
 }
 

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"cyclops/internal/arch"
+	"cyclops/internal/cache"
 	"cyclops/internal/obs"
 )
 
@@ -111,23 +112,24 @@ func (b *SWBarrier) children(i int) (first, last int) {
 }
 
 // spinFlag polls a flag location until it carries phase want, charging a
-// timed load plus branch per poll. The flag state is examined at each
-// poll's issue time, which the engine guarantees is globally consistent.
+// timed load plus branch per poll. A poll is a run of one with no switch
+// penalty: a spinning thread never switches out on the flag's miss. The
+// flag state is examined at each poll's issue time, which the engine
+// guarantees is globally consistent.
 func (t *T) spinFlag(ea uint32, flag *flagStamp, want uint32) {
 	for {
-		t.acquire()
 		issue := t.now
-		a := t.m.Chip.Data.Load(t.now, ea, 4, t.Quad)
-		t.ObserveAccess(a)
-		t.ChargeRun(1)
-		t.now++
+		done := t.bulk(1, func(int, int) cache.RunSummary {
+			return t.m.Chip.Data.LoadRun(t.now, ea, 1, 4, 0, t.Quad, cache.Penalty{})
+		})
+		// Nothing has run since the poll's scheduling point.
 		seen := flag.phase >= want && flag.at <= issue
 		// The conditional branch consumes the loaded value. The wait is
 		// time spent inside the software barrier, so it is charged as
 		// barrier stall rather than a generic load-use dependence.
-		if a.Done > t.now {
-			t.Charge(obs.BarrierStall, a.Done-t.now)
-			t.now = a.Done
+		if done > t.now {
+			t.Charge(obs.BarrierStall, done-t.now)
+			t.now = done
 		}
 		t.Work(2)
 		if seen {
@@ -138,7 +140,7 @@ func (t *T) spinFlag(ea uint32, flag *flagStamp, want uint32) {
 
 // setFlag stores the phase into a flag location.
 func (t *T) setFlag(ea uint32, flag *flagStamp, phase uint32) {
-	t.store(ea, 4)
+	t.StoreBlock(ea, 1, 4, 0)
 	flag.phase = phase
 	flag.at = t.now
 }

@@ -36,10 +36,10 @@ func TestPerfStallReasonsSum(t *testing.T) {
 		}
 		want.AddAll(th.Stalls)
 	}
-	if got := m.TotalBreakdown(); got != want {
-		t.Errorf("TotalBreakdown = %v, per-thread sum = %v", got, want)
+	if got := m.Totals().Stalls; got != want {
+		t.Errorf("Totals().Stalls = %v, per-thread sum = %v", got, want)
 	}
-	bd := m.TotalBreakdown()
+	bd := m.Totals().Stalls
 	for _, r := range []obs.StallReason{obs.DepStall, obs.FPUStall, obs.SleepIdle, obs.BarrierStall} {
 		if bd[r] == 0 {
 			t.Errorf("%v: no cycles charged (breakdown %v)", r, bd)
@@ -65,7 +65,7 @@ func TestHWBarrierChargesNoBarrierStall(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if bd := m.TotalBreakdown(); bd[obs.BarrierStall] != 0 {
+	if bd := m.Totals().Stalls; bd[obs.BarrierStall] != 0 {
 		t.Errorf("hw barrier charged %d barrier-stall cycles, want 0 (spin is run time)", bd[obs.BarrierStall])
 	}
 }
@@ -89,7 +89,7 @@ func TestStoreBackpressureSplit(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	bd := m.TotalBreakdown()
+	bd := m.Totals().Stalls
 	if bd[obs.CachePortStall]+bd[obs.BankConflictStall] == 0 {
 		t.Errorf("no memory-system stalls under store flood (breakdown %v)", bd)
 	}
@@ -112,12 +112,13 @@ func TestSnapshotAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
-	run, stall := m.TotalRunStall()
+	tot := m.Totals()
+	run, stall := tot.Run, tot.Stall
 	if s.Run != run || s.Stall != stall {
 		t.Errorf("snapshot (%d, %d) != machine totals (%d, %d)", s.Run, s.Stall, run, stall)
 	}
-	if s.Stalls != m.TotalBreakdown() {
-		t.Errorf("snapshot breakdown %v != machine breakdown %v", s.Stalls, m.TotalBreakdown())
+	if s.Stalls != m.Totals().Stalls {
+		t.Errorf("snapshot breakdown %v != machine breakdown %v", s.Stalls, m.Totals().Stalls)
 	}
 	if s.Cycles != m.Elapsed() {
 		t.Errorf("snapshot cycles %d != elapsed %d", s.Cycles, m.Elapsed())

@@ -40,7 +40,11 @@
 // LoadBlock, StoreBlock, LoadGather, StoreScatter and FPBlock reserve up to
 // bulkChunk (32) operations under a single scheduling point: other threads
 // cannot interleave inside a chunk, a quantum-style approximation that
-// bounds engine overhead. The four memory operations time a chunk as one
+// bounds engine overhead. They are the only implementation of each kind of
+// operation: a single load, store or FP operation (LoadF64, StoreU32,
+// FMA, ...) and a software-barrier flag poll are chunks of one, and
+// Atomic, which the memory system has no run form for, is the one
+// single-access call left. The four memory operations time a chunk as one
 // run: one call into the cache system's run core (cache.System.LoadRun,
 // StoreRun, LoadGather, StoreScatter), which resolves placement, probes
 // the tag and finds the DRAM bank once per line rather than per access,
@@ -245,24 +249,7 @@ func (m *Machine) AttachTimeline(t *prof.Timeline) {
 // counters gathers the chip-wide telemetry the timeline samples. Only
 // called from the engine loop, between hand-offs.
 func (m *Machine) counters() prof.Counters {
-	var c prof.Counters
-	for _, t := range m.threads {
-		c.Run += t.Run
-		c.Stall += t.Stall
-		c.Stalls.AddAll(t.Stalls)
-		c.MemWaits.AddAll(t.MemWaits)
-	}
-	for _, r := range m.Chip.ResourceStats() {
-		switch r.Kind {
-		case "cacheport":
-			c.PortBusy += r.Busy
-		case "drambank":
-			c.BankBusy += r.Busy
-		case "fpu":
-			c.FPUBusy += r.Busy
-		}
-	}
-	return c
+	return m.Totals().Counters(m.Chip.ResourceStats())
 }
 
 // SpawnN spawns n threads running fn(t, index); index runs 0..n-1.
@@ -377,9 +364,11 @@ type SchedStats struct {
 	Pushes   uint64 // events queued: initial starts, yields and barrier wake-ups
 	Wakes    uint64 // of those, threads a barrier release unparked
 	MaxDepth int    // most events queued at once
-	// Runs counts the bulk operations' calls into the memory system's run
-	// core, RunAccesses the accesses they covered: their ratio is the mean
-	// run length (at most bulkChunk; one for a profiled thread).
+	// Runs counts the calls into the memory system's run core — every
+	// load and store, single ones and software-barrier flag polls
+	// included, since each is a run — and RunAccesses the accesses they
+	// covered: their ratio is the mean run length (at most bulkChunk; one
+	// for a profiled thread). Atomics are not runs.
 	Runs, RunAccesses uint64
 }
 
@@ -491,32 +480,13 @@ func (m *Machine) Elapsed() uint64 {
 // Threads returns the spawned threads for stats inspection.
 func (m *Machine) Threads() []*T { return m.threads }
 
-// TotalRunStall sums run and stall cycles over all threads (the Figure 7
-// aggregates).
-func (m *Machine) TotalRunStall() (run, stall uint64) {
+// Totals sums every thread's ledger (the Figure 7 aggregates).
+func (m *Machine) Totals() timing.Totals {
+	var s timing.Totals
 	for _, t := range m.threads {
-		run += t.Run
-		stall += t.Stall
+		s.Add(&t.Ledger)
 	}
-	return run, stall
-}
-
-// TotalBreakdown sums the per-reason stall buckets over all threads.
-func (m *Machine) TotalBreakdown() obs.Breakdown {
-	var b obs.Breakdown
-	for _, t := range m.threads {
-		b.AddAll(t.Stalls)
-	}
-	return b
-}
-
-// TotalMemWaits sums the memory-wait attribution over all threads.
-func (m *Machine) TotalMemWaits() obs.MemWaits {
-	var w obs.MemWaits
-	for _, t := range m.threads {
-		w.AddAll(t.MemWaits)
-	}
-	return w
+	return s
 }
 
 // Snapshot captures the run's cycle accounting and resource telemetry in

@@ -45,14 +45,15 @@ func TestDisableQuadStallAccounting(t *testing.T) {
 	faulted := runFaulted(t, true)
 
 	for name, m := range map[string]*Machine{"healthy": healthy, "faulted": faulted} {
-		run, stall := m.TotalRunStall()
+		tot := m.Totals()
+		run, stall := tot.Run, tot.Stall
 		if run == 0 {
 			t.Errorf("%s: no run cycles", name)
 		}
 		if !obs.Enabled {
 			continue
 		}
-		if got := m.TotalBreakdown().Total(); got != stall {
+		if got := tot.Stalls.Total(); got != stall {
 			t.Errorf("%s: aggregate buckets sum to %d, stall total = %d", name, got, stall)
 		}
 		for _, th := range m.Threads() {
@@ -65,7 +66,7 @@ func TestDisableQuadStallAccounting(t *testing.T) {
 				t.Errorf("%s: thread %d recorded no hop waits (%v)", name, th.ID, th.MemWaits)
 			}
 		}
-		if got := m.TotalMemWaits().Total(); got == 0 {
+		if got := tot.MemWaits.Total(); got == 0 {
 			t.Errorf("%s: no memory waits recorded", name)
 		}
 	}

@@ -193,7 +193,8 @@ func TestSWBarrierCostsMoreStallThanHW(t *testing.T) {
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return m.TotalRunStall()
+		s := m.Totals()
+		return s.Run, s.Stall
 	}
 	runSW := func() (run, stall uint64) {
 		m := NewDefault()
@@ -207,7 +208,8 @@ func TestSWBarrierCostsMoreStallThanHW(t *testing.T) {
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return m.TotalRunStall()
+		s := m.Totals()
+		return s.Run, s.Stall
 	}
 	hwRun, hwStall := runHW()
 	swRun, swStall := runSW()

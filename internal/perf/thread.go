@@ -68,22 +68,6 @@ func (t *T) Region(name string) func() {
 	}
 }
 
-// settleStore books one store's wait attribution and, when the write
-// buffer backpressured, advances the clock past the blockage; the
-// port/bank split and the policy's switch penalty are the ledger's
-// shared rule (timing.SettleAccess).
-func (t *T) settleStore(a cache.Access) {
-	t.ObserveAccess(a)
-	t.now = t.SettleAccess(a, t.now, a.Done)
-}
-
-// settleLoad applies the issue policy's per-access rule to a completed
-// non-blocking access: the thread is already free (free == now), so only
-// the miss-switch trigger can fire.
-func (t *T) settleLoad(a cache.Access) {
-	t.now = t.SettleAccess(a, t.now, t.now)
-}
-
 // acquire yields to the engine; on return this thread holds the globally
 // minimal virtual time and may touch shared resources at t.now.
 func (t *T) acquire() { t.handOff(msg{kind: msgYield, at: t.now}) }
@@ -132,49 +116,32 @@ func (t *T) Idle(n int) {
 
 // --- Memory ----------------------------------------------------------------
 
-// load issues one timed load of size bytes.
-func (t *T) load(ea uint32, size int) Val {
-	t.acquire()
-	a := t.m.Chip.Data.Load(t.now, ea, size, t.Quad)
-	t.ObserveAccess(a)
-	t.ChargeRun(1)
-	t.now++
-	t.settleLoad(a)
-	return Val{ready: a.Done}
-}
-
-// LoadF64 times a double-precision load at effective address ea.
-func (t *T) LoadF64(ea uint32) Val { return t.load(ea, 8) }
+// LoadF64 times a double-precision load at effective address ea: a
+// LoadBlock of one.
+func (t *T) LoadF64(ea uint32) Val { return t.LoadBlock(ea, 1, 8, 0) }
 
 // LoadU32 times a word load.
-func (t *T) LoadU32(ea uint32) Val { return t.load(ea, 4) }
+func (t *T) LoadU32(ea uint32) Val { return t.LoadBlock(ea, 1, 4, 0) }
 
-// store issues one timed store after its operands are ready.
-func (t *T) store(ea uint32, size int, deps ...Val) {
-	t.waitVals(deps...)
-	t.acquire()
-	a := t.m.Chip.Data.Store(t.now, ea, size, t.Quad)
-	t.ChargeRun(1)
-	t.now++
-	// Write-buffer backpressure.
-	t.settleStore(a)
-}
-
-// StoreF64 times a double-precision store of a value produced by deps.
-func (t *T) StoreF64(ea uint32, deps ...Val) { t.store(ea, 8, deps...) }
+// StoreF64 times a double-precision store of a value produced by deps: a
+// StoreBlock of one.
+func (t *T) StoreF64(ea uint32, deps ...Val) { t.StoreBlock(ea, 1, 8, 0, deps...) }
 
 // StoreU32 times a word store.
-func (t *T) StoreU32(ea uint32, deps ...Val) { t.store(ea, 4, deps...) }
+func (t *T) StoreU32(ea uint32, deps ...Val) { t.StoreBlock(ea, 1, 4, 0, deps...) }
 
 // Atomic times an atomic read-modify-write (amoadd and friends) and
-// returns the old-value token.
+// returns the old-value token. The run core has no atomic form, so this is
+// the runtime's one single-access call into the memory system. The thread
+// is free again at once (free == now), so of the issue policy's rules
+// only the miss switch can fire.
 func (t *T) Atomic(ea uint32) Val {
 	t.acquire()
 	a := t.m.Chip.Data.Atomic(t.now, ea, 4, t.Quad)
 	t.ObserveAccess(a)
 	t.ChargeRun(1)
 	t.now++
-	t.settleLoad(a)
+	t.now = t.SettleAccess(a, t.now, t.now)
 	return Val{ready: a.Done}
 }
 
@@ -184,13 +151,13 @@ func (t *T) Atomic(ea uint32) Val {
 // a port-busy line fill.
 const bulkChunk = 32
 
-// bulk issues a bulk op's n accesses: per bulkChunk, one scheduling point,
-// one run through the memory system's run core — run(k, c) times accesses
-// k..k+c-1 from t.now — and one ledger booking of its summary. A thread
-// with a profiler sampler attached issues its chunks as runs of one through
-// the same core, so the sampler sees each access's charges in issue order.
-// It returns the latest completion of any access, and t.now on entry when
-// that is later.
+// bulk issues a memory op's n accesses (a single load or store is n = 1):
+// per bulkChunk, one scheduling point, one run through the memory system's
+// run core — run(k, c) times accesses k..k+c-1 from t.now — and one ledger
+// booking of its summary. A thread with a profiler sampler attached issues
+// its chunks as runs of one through the same core, so the sampler sees
+// each access's charges in issue order. It returns the latest completion
+// of any access, and t.now on entry when that is later.
 func (t *T) bulk(n int, run func(k, c int) cache.RunSummary) uint64 {
 	step := bulkChunk
 	if obs.Enabled && t.Samp != nil {
@@ -248,71 +215,22 @@ func (t *T) StoreScatter(eas []uint32, size int, deps ...Val) {
 
 // --- Floating point ---------------------------------------------------------
 
-// fp dispatches one FP operation to the quad's shared FPU.
-func (t *T) fp(pipe isa.FPUPipe, exec, extra int, ops ...Val) Val {
-	t.waitVals(ops...)
-	t.acquire()
-	fpu := t.m.Chip.FPUs[t.Quad]
-	start := fpu.Dispatch(t.now, pipe, exec)
-	t.now = t.WaitFPU(t.now, start)
-	t.ChargeRun(1)
-	t.now++
-	return Val{ready: start + uint64(exec+extra)}
-}
-
-// FAdd times a double-precision addition (or subtraction, negation,
-// comparison — anything on the adder pipe).
-func (t *T) FAdd(ops ...Val) Val {
-	l := &t.m.Chip.Cfg.Latencies
-	return t.fp(isa.PipeAdd, l.FPExec, l.FPLatency, ops...)
-}
-
-// FMul times a double-precision multiplication.
-func (t *T) FMul(ops ...Val) Val {
-	l := &t.m.Chip.Cfg.Latencies
-	return t.fp(isa.PipeMul, l.FPExec, l.FPLatency, ops...)
-}
-
-// FMA times a fused multiply-add (both pipes, 9-cycle latency).
-func (t *T) FMA(ops ...Val) Val {
-	l := &t.m.Chip.Cfg.Latencies
-	return t.fp(isa.PipeBoth, l.FMAExec, l.FMALatency, ops...)
-}
-
-// FDiv times a double-precision division on the non-pipelined unit.
-func (t *T) FDiv(ops ...Val) Val {
-	l := &t.m.Chip.Cfg.Latencies
-	return t.fp(isa.PipeDiv, l.FPDivExec, 0, ops...)
-}
-
-// FSqrt times a double-precision square root.
-func (t *T) FSqrt(ops ...Val) Val {
-	l := &t.m.Chip.Cfg.Latencies
-	return t.fp(isa.PipeDiv, l.FPSqrtExec, 0, ops...)
-}
-
-// FPBlock times n independent pipelined operations on pipe (bulk
-// arithmetic such as an n-body interaction list), yielding every
-// bulkChunk operations, and returns the last result token.
-func (t *T) FPBlock(pipe isa.FPUPipe, n int, ops ...Val) Val {
+// fp is the one FP loop: once ops are ready it dispatches n independent
+// operations to the quad's shared FPU on pipe, each occupying it for exec
+// cycles and ready extra cycles after that, yielding to the engine every
+// bulkChunk operations, and returns the last result's token. A single
+// operation is n = 1.
+func (t *T) fp(pipe isa.FPUPipe, n, exec, extra int, ops ...Val) Val {
 	if n <= 0 {
 		return Val{ready: t.now}
 	}
 	t.waitVals(ops...)
-	l := &t.m.Chip.Cfg.Latencies
 	fpu := t.m.Chip.FPUs[t.Quad]
-	exec, extra := l.FPExec, l.FPLatency
-	if pipe == isa.PipeBoth {
-		exec, extra = l.FMAExec, l.FMALatency
-	}
-	last := Val{ready: t.now}
+	var last Val
 	for i := 0; i < n; i += bulkChunk {
-		c := n - i
-		if c > bulkChunk {
-			c = bulkChunk
-		}
+		end := min(i+bulkChunk, n)
 		t.acquire()
-		for k := 0; k < c; k++ {
+		for k := i; k < end; k++ {
 			start := fpu.Dispatch(t.now, pipe, exec)
 			t.now = t.WaitFPU(t.now, start)
 			t.ChargeRun(1)
@@ -321,4 +239,47 @@ func (t *T) FPBlock(pipe isa.FPUPipe, n int, ops ...Val) Val {
 		}
 	}
 	return last
+}
+
+// FAdd times a double-precision addition (or subtraction, negation,
+// comparison — anything on the adder pipe).
+func (t *T) FAdd(ops ...Val) Val {
+	l := &t.m.Chip.Cfg.Latencies
+	return t.fp(isa.PipeAdd, 1, l.FPExec, l.FPLatency, ops...)
+}
+
+// FMul times a double-precision multiplication.
+func (t *T) FMul(ops ...Val) Val {
+	l := &t.m.Chip.Cfg.Latencies
+	return t.fp(isa.PipeMul, 1, l.FPExec, l.FPLatency, ops...)
+}
+
+// FMA times a fused multiply-add (both pipes, 9-cycle latency).
+func (t *T) FMA(ops ...Val) Val {
+	l := &t.m.Chip.Cfg.Latencies
+	return t.fp(isa.PipeBoth, 1, l.FMAExec, l.FMALatency, ops...)
+}
+
+// FDiv times a double-precision division on the non-pipelined unit.
+func (t *T) FDiv(ops ...Val) Val {
+	l := &t.m.Chip.Cfg.Latencies
+	return t.fp(isa.PipeDiv, 1, l.FPDivExec, 0, ops...)
+}
+
+// FSqrt times a double-precision square root.
+func (t *T) FSqrt(ops ...Val) Val {
+	l := &t.m.Chip.Cfg.Latencies
+	return t.fp(isa.PipeDiv, 1, l.FPSqrtExec, 0, ops...)
+}
+
+// FPBlock times n independent pipelined operations on pipe (bulk
+// arithmetic such as an n-body interaction list), yielding every
+// bulkChunk operations, and returns the last result token.
+func (t *T) FPBlock(pipe isa.FPUPipe, n int, ops ...Val) Val {
+	l := &t.m.Chip.Cfg.Latencies
+	exec, extra := l.FPExec, l.FPLatency
+	if pipe == isa.PipeBoth {
+		exec, extra = l.FMAExec, l.FMALatency
+	}
+	return t.fp(pipe, n, exec, extra, ops...)
 }

@@ -148,7 +148,7 @@ func Render(opts Opts) (*splash.Result, []Vec, error) {
 	if opts.Image != nil {
 		copy(opts.Image, img)
 	}
-	res := resultFor(opts.Threads, w, h, mach)
+	res := splash.NewResult("Ray", fmt.Sprintf("%dx%d image", w, h), opts.Threads, mach)
 	return res, img, nil
 }
 

@@ -72,10 +72,10 @@ func TestStallReasonsSumToLegacyTotal(t *testing.T) {
 		}
 		want.AddAll(tu.Stalls)
 	}
-	if got := m.TotalBreakdown(); got != want {
-		t.Errorf("TotalBreakdown = %v, per-TU sum = %v", got, want)
+	if got := m.Totals().Stalls; got != want {
+		t.Errorf("Totals().Stalls = %v, per-TU sum = %v", got, want)
 	}
-	b := m.TotalBreakdown()
+	b := m.Totals().Stalls
 	for _, r := range []obs.StallReason{obs.DepStall, obs.FPUStall, obs.ICacheStall, obs.SleepIdle} {
 		if b[r] == 0 {
 			t.Errorf("%v: no cycles charged (breakdown %v)", r, b)

@@ -207,19 +207,7 @@ func (m *Machine) AttachTimeline(t *prof.Timeline) {
 
 // counters gathers the chip-wide telemetry the timeline samples.
 func (m *Machine) counters() prof.Counters {
-	t := m.Totals()
-	c := prof.Counters{Run: t.Run, Stall: t.Stall, Stalls: t.Stalls, MemWaits: t.MemWaits}
-	for _, r := range m.Chip.ResourceStats() {
-		switch r.Kind {
-		case "cacheport":
-			c.PortBusy += r.Busy
-		case "drambank":
-			c.BankBusy += r.Busy
-		case "fpu":
-			c.FPUBusy += r.Busy
-		}
-	}
-	return c
+	return m.Totals().Counters(m.Chip.ResourceStats())
 }
 
 // tickTimeline samples the timeline when the clock has crossed an
@@ -372,31 +360,14 @@ func (m *Machine) TotalInsts() uint64 {
 	return n
 }
 
-// Totals is the cycle accounting summed over all units: run and stall
-// cycles, the stall split by reason and the memory-wait attribution.
-type Totals struct {
-	Run, Stall uint64
-	Stalls     obs.Breakdown
-	MemWaits   obs.MemWaits
-}
-
 // Totals sums every unit's ledger.
-func (m *Machine) Totals() Totals {
-	var t Totals
+func (m *Machine) Totals() timing.Totals {
+	var t timing.Totals
 	for _, tu := range m.TUs {
-		t.Run += tu.Run
-		t.Stall += tu.Stall
-		t.Stalls.AddAll(tu.Stalls)
-		t.MemWaits.AddAll(tu.MemWaits)
+		t.Add(&tu.Ledger)
 	}
 	return t
 }
-
-// TotalBreakdown sums the per-reason stall buckets over all units.
-func (m *Machine) TotalBreakdown() obs.Breakdown { return m.Totals().Stalls }
-
-// TotalMemWaits sums the memory-wait attribution over all units.
-func (m *Machine) TotalMemWaits() obs.MemWaits { return m.Totals().MemWaits }
 
 // Snapshot captures the run's cycle accounting and resource telemetry in
 // the deterministic export form. Units that never issued are omitted.

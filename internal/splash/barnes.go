@@ -138,7 +138,7 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 	if opts.Bodies != nil {
 		copy(opts.Bodies, bodies)
 	}
-	return result("Barnes", fmt.Sprintf("%d bodies, %d steps", n, steps), opts.Threads, mach), nil
+	return NewResult("Barnes", fmt.Sprintf("%d bodies, %d steps", n, steps), opts.Threads, mach), nil
 }
 
 // octTree holds the Barnes-Hut tree for one step.

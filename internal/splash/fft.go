@@ -114,7 +114,7 @@ func RunFFT(opts FFTOpts) (*Result, error) {
 	if opts.Data != nil {
 		copy(opts.Data, b)
 	}
-	return result("FFT", fmt.Sprintf("%d points, %s barriers", n, opts.Barrier), opts.Threads, mach), nil
+	return NewResult("FFT", fmt.Sprintf("%d points, %s barriers", n, opts.Barrier), opts.Threads, mach), nil
 }
 
 // intSqrt returns the integer square root for perfect squares.

@@ -196,7 +196,7 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 	if opts.Charges != nil {
 		copy(opts.Charges, charges)
 	}
-	return result("FMM", fmt.Sprintf("%d charges, %d levels, p=%d", n, levels, p), T, mach), nil
+	return NewResult("FMM", fmt.Sprintf("%d charges, %d levels, p=%d", n, levels, p), T, mach), nil
 }
 
 // --- tree geometry ----------------------------------------------------------

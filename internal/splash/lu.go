@@ -91,7 +91,7 @@ func RunLU(opts LUOpts) (*Result, error) {
 	if opts.A != nil {
 		copy(opts.A, a)
 	}
-	return result("LU", fmt.Sprintf("%dx%d, %dx%d blocks", n, n, bs, bs), opts.Threads, mach), nil
+	return NewResult("LU", fmt.Sprintf("%dx%d, %dx%d blocks", n, n, bs, bs), opts.Threads, mach), nil
 }
 
 // DominantMatrix builds a deterministic diagonally dominant test matrix.

@@ -107,7 +107,7 @@ func RunOcean(opts OceanOpts) (*Result, error) {
 	if opts.Grid != nil {
 		copy(opts.Grid, g)
 	}
-	return result("Ocean", fmt.Sprintf("%dx%d grid, %d iters", n, n, iters), opts.Threads, mach), nil
+	return NewResult("Ocean", fmt.Sprintf("%dx%d grid, %d iters", n, n, iters), opts.Threads, mach), nil
 }
 
 // OceanGrid builds the default test problem: zero interior, hot top edge.

@@ -172,7 +172,7 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 	if opts.Keys != nil {
 		copy(opts.Keys, sorted)
 	}
-	return result("Radix", fmt.Sprintf("%d keys, radix %d", n, buckets), T, mach), nil
+	return NewResult("Radix", fmt.Sprintf("%d keys, radix %d", n, buckets), T, mach), nil
 }
 
 // RandomKeys builds a deterministic pseudo-random key set.

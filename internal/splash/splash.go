@@ -140,18 +140,21 @@ func (b *Barrier) Wait(t *perf.T, index int) {
 	}
 }
 
-// result collects the standard metrics after a run.
-func result(name, problem string, threads int, m *perf.Machine) *Result {
-	run, stall := m.TotalRunStall()
+// NewResult collects the standard metrics of a finished run on m. It is
+// the one result builder of every direct-execution workload: the kernels
+// here, the Section 5 applications (internal/md, internal/ray) and the
+// barrier microbenchmark.
+func NewResult(name, problem string, threads int, m *perf.Machine) *Result {
+	t := m.Totals()
 	return &Result{
 		Name:     name,
 		Threads:  threads,
 		Problem:  problem,
 		Cycles:   m.Elapsed(),
-		Run:      run,
-		Stall:    stall,
-		Stalls:   m.TotalBreakdown(),
-		MemWaits: m.TotalMemWaits(),
+		Run:      t.Run,
+		Stall:    t.Stall,
+		Stalls:   t.Stalls,
+		MemWaits: t.MemWaits,
 		Profile:  m.Prof,
 		Regions:  m.Regions,
 		Timeline: m.TL,

@@ -208,6 +208,40 @@ func (l *Ledger) observe(w cache.Wait) {
 	}
 }
 
+// Totals is the cycle accounting summed over a machine's threads: run and
+// stall cycles, the stall split by reason and the memory-wait attribution.
+// Both frontends' Machine.Totals return one.
+type Totals struct {
+	Run, Stall uint64
+	Stalls     obs.Breakdown
+	MemWaits   obs.MemWaits
+}
+
+// Add sums one thread's ledger into the totals.
+func (t *Totals) Add(l *Ledger) {
+	t.Run += l.Run
+	t.Stall += l.Stall
+	t.Stalls.AddAll(l.Stalls)
+	t.MemWaits.AddAll(l.MemWaits)
+}
+
+// Counters is the telemetry a timeline samples: the totals plus the busy
+// cycles of the chip's shared resources in rs, summed per kind.
+func (t Totals) Counters(rs []obs.ResourceStats) prof.Counters {
+	c := prof.Counters{Run: t.Run, Stall: t.Stall, Stalls: t.Stalls, MemWaits: t.MemWaits}
+	for _, r := range rs {
+		switch r.Kind {
+		case "cacheport":
+			c.PortBusy += r.Busy
+		case "drambank":
+			c.BankBusy += r.Busy
+		case "fpu":
+			c.FPUBusy += r.Busy
+		}
+	}
+	return c
+}
+
 // ThreadStat exports the ledger as one snapshot row.
 func (l *Ledger) ThreadStat(id, quad int, insts uint64) obs.ThreadStat {
 	return obs.ThreadStat{
