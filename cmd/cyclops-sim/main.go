@@ -254,9 +254,9 @@ func printStats(m *sim.Machine, chip *core.Chip) {
 	compiles, flushes := m.BlockStats()
 	gs := m.GenericStats()
 	ss := m.SchedStats()
-	fmt.Printf("host: engine=%s block_compiles=%d block_flushes=%d generic=%d%s sched_batches=%d sched_units=%d sched_overflow=%d sched_rebuilds=%d mem_backed=%d/%d\n",
+	fmt.Printf("host: engine=%s block_compiles=%d block_flushes=%d generic=%d%s sched_batches=%d sched_units=%d sched_overflow=%d sched_rebuilds=%d parks=%d wakes=%d parked_attempts=%d phantom_cycles=%d mem_backed=%d/%d\n",
 		m.Engine(), compiles, flushes, gs.Attempts, genericTop(gs), ss.Batches, ss.Units, ss.Overflow, ss.Rebuilds,
-		chip.Mem.BackedBytes(), chip.Mem.Size())
+		ss.Parks, ss.Wakes, ss.ParkedAttempts, ss.PhantomCycles, chip.Mem.BackedBytes(), chip.Mem.Size())
 }
 
 // genericTop names the (at most three) opcodes that took the block

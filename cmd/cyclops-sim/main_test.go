@@ -63,7 +63,7 @@ func TestRunSourceWithStatsAndTrace(t *testing.T) {
 	// one instruction here without a specialized body. The program stores
 	// nothing, so the one page of memory with host storage behind it is the
 	// one its image was loaded into.
-	want := "host: engine=block block_compiles=2 block_flushes=0 generic=2(syscall=2) sched_batches=1 sched_units=1 sched_overflow=0 sched_rebuilds=1 mem_backed=16384/8388608\n"
+	want := "host: engine=block block_compiles=2 block_flushes=0 generic=2(syscall=2) sched_batches=1 sched_units=1 sched_overflow=0 sched_rebuilds=1 parks=0 wakes=0 parked_attempts=0 phantom_cycles=0 mem_backed=16384/8388608\n"
 	if !strings.Contains(printed, want) {
 		t.Errorf("-stats output lacks %q:\n%s", want, printed)
 	}

@@ -15,6 +15,8 @@
 // other chip resource.
 package barrier
 
+import "math/bits"
+
 // Wired is the chip-wide wired-OR of the per-thread 8-bit barrier SPRs.
 type Wired struct {
 	spr []uint8
@@ -46,6 +48,20 @@ func (w *Wired) Write(tid int, v uint8) {
 			w.or |= mask
 		}
 	}
+}
+
+// Preview returns the OR'd register that Write(tid, v) would produce,
+// without writing: the bits v starts driving are set, and a bit it stops
+// driving clears when tid was its only driver.
+func (w *Wired) Preview(tid int, v uint8) uint8 {
+	old := w.spr[tid]
+	or := w.or | v&^old
+	for drop := old &^ v; drop != 0; drop &= drop - 1 {
+		if b := bits.TrailingZeros8(drop); w.counts[b] == 1 {
+			or &^= 1 << b
+		}
+	}
+	return or
 }
 
 // Read returns the OR over all threads' contributions. Every thread reads

@@ -32,13 +32,16 @@ func TestWiredOR(t *testing.T) {
 
 // TestReadMatchesCountScan: Read returns a register Write keeps current,
 // so after any sequence of writes it must equal the scan it replaced (bit b
-// set exactly when counts[b] > 0), which is the OR of every thread's SPR.
+// set exactly when counts[b] > 0), which is the OR of every thread's SPR,
+// and what Preview said the write would produce.
 func TestReadMatchesCountScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		w := NewWired(1 + rng.Intn(16))
 		for i := 0; i < 64; i++ {
-			w.Write(rng.Intn(len(w.spr)), uint8(rng.Intn(256)))
+			tid, v := rng.Intn(len(w.spr)), uint8(rng.Intn(256))
+			preview := w.Preview(tid, v)
+			w.Write(tid, v)
 			var scan, or uint8
 			for b := 0; b < 8; b++ {
 				if w.counts[b] > 0 {
@@ -48,9 +51,9 @@ func TestReadMatchesCountScan(t *testing.T) {
 			for _, v := range w.spr {
 				or |= v
 			}
-			if got := w.Read(); got != scan || got != or {
-				t.Fatalf("trial %d write %d: Read = %#08b, count scan %#08b, OR of SPRs %#08b",
-					trial, i, got, scan, or)
+			if got := w.Read(); got != scan || got != or || got != preview {
+				t.Fatalf("trial %d write %d: Read = %#08b, count scan %#08b, OR of SPRs %#08b, Preview %#08b",
+					trial, i, got, scan, or, preview)
 			}
 		}
 	}

@@ -3,9 +3,9 @@ package isa
 // Static register-effect metadata: which registers an instruction reads
 // and writes, derived from its format and the pair conventions of the FP
 // unit. internal/vet's dataflow passes are built on these queries; the
-// simulator does not use them (its executor knows the semantics anyway),
-// so they can afford to encode ABI-level facts such as the syscall
-// argument registers.
+// simulator's executor knows the semantics anyway and uses them only to
+// name a spin loop's registers at compile time, so they can afford to
+// encode ABI-level facts such as the syscall argument registers.
 
 // RegMask is a bitset over the 64 general-purpose registers.
 type RegMask uint64

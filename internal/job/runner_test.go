@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cyclops/internal/asm"
 	"cyclops/internal/harness/sweep"
+	"cyclops/internal/image"
 	"cyclops/internal/job"
 	"cyclops/internal/job/workloads"
 	"cyclops/internal/kernel"
@@ -67,6 +70,38 @@ func TestHitMissByteIdenticalAcrossEngines(t *testing.T) {
 				t.Fatalf("engine %s result bytes differ from the first engine's:\n%s\nvs\n%s", e, cold, ref)
 			}
 		})
+	}
+}
+
+// A program waiting at a barrier nobody can release ends its run with an
+// error even without a cycle limit, instead of holding the caller forever:
+// the block engine reports the deadlock once its only unit is parked.
+func TestProgramBarrierDeadlockReturns(t *testing.T) {
+	prog, err := asm.Assemble(`
+	li   r8, 1		; the kernel armed bit 0 for this thread; it never clears it
+spin:	mfspr r9, 4
+	and  r9, r9, r8
+	bne  r9, r0, spin
+	li   a0, 0
+	syscall
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := job.NewRunner()
+	spec := &job.Spec{Workload: job.ProgramWorkload, Program: image.Encode(prog)}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Run(spec)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "sim: deadlock") {
+			t.Fatalf("deadlocked program: %v, want a deadlock error", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("a deadlocked program held its caller for a minute")
 	}
 }
 

@@ -112,7 +112,7 @@ func (k *Kernel) startThread(tid int, pc uint32, arg uint32) error {
 	// first chip-wide barrier cannot release early (Section 2.3's "all
 	// threads participating initially set their current bit").
 	_, init := barrier.NewParticipant(0)
-	k.chip.Barrier.Write(tid, init)
+	k.m.WriteBarrier(tid, init)
 	k.spawned[tid] = true
 	return k.m.Start(tid, pc)
 }
@@ -146,7 +146,7 @@ func (k *Kernel) Syscall(m *sim.Machine, tu *sim.TU) sim.SysResult {
 	case isa.SysExit:
 		// Withdraw from the wired-OR so later barriers among the
 		// surviving threads are not blocked by a dead contribution.
-		k.chip.Barrier.Write(tu.ID, 0)
+		m.WriteBarrier(tu.ID, 0)
 		return sim.SysResult{Halt: true}
 
 	case isa.SysPutc:

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"cyclops/internal/arch"
 	"cyclops/internal/isa"
 	"cyclops/internal/obs"
@@ -47,7 +45,13 @@ import (
 //     compaction are untouched.
 //   - There is one dispatch path: stepBlock calls the instruction's
 //     closure whether or not a tracer, profiler sampler or timeline is
-//     attached, so an observer can never select different code.
+//     attached. The one thing an observer changes is spin parking
+//     (park.go): a unit whose attempts a Trace buffer or sampler records
+//     one by one is never parked, and both sides are held to the legacy
+//     oracle.
+//   - A unit spinning on an unchanged barrier register leaves the event
+//     queue (park.go) and is replayed exactly when the register, the text
+//     or the run's end could show the difference.
 //
 // Compiled blocks sit behind mem.WatchCode's code-generation counter,
 // checked before any op that follows a possible memory write, so
@@ -68,6 +72,12 @@ type opFn func(m *Machine, tu *TU, cycle uint64) bool
 type simBlock struct {
 	base, end uint32
 	ops       []opFn
+	// spin is the head PC of the block's spin loop (park.go), noSpin when it
+	// has none; regs are the registers the loop names, its nw written ones
+	// first.
+	spin uint32
+	nw   int
+	regs []uint8
 }
 
 // maxBlockOps caps a block when no isa.EndsBlock instruction shows up
@@ -85,11 +95,27 @@ const maxBlockOps = 256
 // blocks inline; multi-unit batches issue exactly one instruction per
 // unit, preserving contention and tie order bit-for-bit.
 func (m *Machine) runBlock() error {
+	m.setInlineMax() // no unit is parked between runs
 	for len(m.active) > 0 && m.trap == nil {
-		// Advance to the earliest pending issue cycle.
-		m.cycle = m.eq.minAt
+		// Advance to the earliest pending issue cycle, first booking the
+		// iterations at cycles where only parked units are due.
+		next := m.eq.minAt
+		if m.parked > 0 {
+			var err error
+			if next, err = m.skipPhantoms(next); err != nil {
+				return err
+			}
+		}
+		m.repeatAt = noEvent
+		if next == m.cycle {
+			m.repeatAt = next
+		}
+		m.cycle = next
 		if m.MaxCycles > 0 && m.cycle > m.MaxCycles {
-			return fmt.Errorf("sim: cycle limit %d exceeded", m.MaxCycles)
+			return m.cycleLimit()
+		}
+		if m.parked > 0 && m.TL != nil && m.TL.Due(m.cycle) {
+			m.wake(m.cycle, nil, wakeTick)
 		}
 		m.tickTimeline()
 		// Take every unit due this cycle, in round-robin order. Units
@@ -97,7 +123,8 @@ func (m *Machine) runBlock() error {
 		// current cycle and form their own batch next iteration, exactly
 		// as the legacy engine's captured-length loop behaves.
 		m.rr++
-		m.batch = m.eq.popBatch(m.batch, m.active, m.rr%len(m.active))
+		m.iterN = len(m.active)
+		m.batch = m.eq.popBatch(m.batch, m.active, m.rr%m.iterN)
 		limit := m.cycle
 		if len(m.batch) == 1 {
 			// A lone ready unit may run unboundedly inline: every issue
@@ -106,14 +133,23 @@ func (m *Machine) runBlock() error {
 			limit = ^uint64(0)
 		}
 		anyHalted := false
-		for bi, tu := range m.batch {
+		for bi := 0; bi < len(m.batch); bi++ {
+			tu := m.batch[bi]
 			m.stepBlock(tu, limit)
-			if tu.State == Running {
-				m.eq.push(tu)
-			} else {
+			if tu.State != Running {
 				anyHalted = true
+			} else if !tu.parked {
+				m.eq.push(tu)
+			}
+			if len(m.joiners) > 0 {
+				// Woken units issue in this batch, one attempt each.
+				m.join(bi)
+				limit = m.cycle
 			}
 			if m.trap != nil {
+				if m.parked > 0 {
+					m.wake(m.cycle, tu, wakeTrap)
+				}
 				// Requeue the units this batch never reached.
 				for _, rest := range m.batch[bi+1:] {
 					m.eq.push(rest)
@@ -138,19 +174,16 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 	memory := m.mem
 	tl := m.TL
 	blk := tu.blk
-	// clean is opFn's contract: the last op provably wrote no memory, so
-	// the code generation cannot have moved and need not be re-read.
-	// Entry from the scheduler is never clean — another unit's batch may
-	// have stored into text.
-	clean := false
+	// Entry from the scheduler may follow another unit's store into text.
+	if g := memory.CodeGen(); g != m.codeGen {
+		m.codeGen = g
+		m.flushBlocks()
+		blk = nil
+	}
+	// head: the next attempt is at a spin loop's head (park.go), reached
+	// from the scheduler, a block entry or a branch, and may park the unit.
+	head := blk != nil && tu.PC == blk.spin
 	for {
-		if !clean {
-			if g := memory.CodeGen(); g != m.codeGen {
-				m.codeGen = g
-				m.flushBlocks()
-				blk = nil
-			}
-		}
 		pc := tu.PC
 		if obs.Enabled && tu.Samp != nil {
 			tu.Samp.SetPC(pc)
@@ -159,14 +192,34 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 			if blk == nil || pc-blk.base >= blk.end-blk.base {
 				blk = m.blockFor(pc)
 				tu.blk = blk
+				tu.spinFails, tu.spinSkip = 0, 0
+				head = pc == blk.spin
 			}
-			clean = blk.ops[(pc-blk.base)>>2](m, tu, m.cycle)
+			if head && m.tryPark(tu, blk) {
+				return
+			}
+			head = false
+			// A false return (opFn's contract) may follow a store into
+			// text: flush before the next op can run stale code, and first
+			// replay the parked units, which must not run on past the store
+			// with it either. It is also how a taken branch reports.
+			if !blk.ops[(pc-blk.base)>>2](m, tu, m.cycle) {
+				if g := memory.CodeGen(); g != m.codeGen {
+					if m.parked > 0 {
+						m.wake(m.cycle, tu, wakeCode)
+					}
+					m.codeGen = g
+					m.flushBlocks()
+					blk = nil
+				} else {
+					head = tu.PC == blk.spin
+				}
+			}
 			if m.trap != nil || tu.State != Running {
 				return
 			}
 		} else {
-			m.fetchPIB(tu, m.cycle)
-			clean = true // a PIB refill only reads memory
+			m.fetchPIB(tu, m.cycle) // a refill only reads memory
 		}
 		// Inline continuation: replicate one trip through the scheduler's
 		// outer loop, legal only when this unit is provably the next (and
@@ -181,9 +234,16 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 		if m.eq.minAt <= next {
 			return
 		}
-		if m.MaxCycles > 0 && next > m.MaxCycles {
-			// The outer loop raises the identical cycle-limit error.
-			return
+		if next > m.inlineMax {
+			if m.MaxCycles > 0 && next > m.MaxCycles {
+				// The outer loop raises the identical cycle-limit error.
+				return
+			}
+			// Units are parked.
+			if tl != nil {
+				return // the outer loop ticks the timeline at phantom cycles
+			}
+			m.bookPhantoms(m.cycle+1, next)
 		}
 		m.cycle = next
 		m.rr++
@@ -216,9 +276,11 @@ func (m *Machine) blockFor(pc uint32) *simBlock {
 func (m *Machine) compileBlock(base uint32) *simBlock {
 	m.blockCompiles++
 	b := &simBlock{base: base}
+	var code [maxBlockOps]isa.Inst
 	pc := base
 	for len(b.ops) < maxBlockOps {
 		in, word, err := m.decodeAt(pc)
+		code[len(b.ops)] = in
 		if in.Op == isa.OpInvalid {
 			b.ops = append(b.ops, trapOp(pc, word, err))
 			break
@@ -230,6 +292,7 @@ func (m *Machine) compileBlock(base uint32) *simBlock {
 		pc += 4
 	}
 	b.end = base + uint32(4*len(b.ops))
+	b.spin, b.regs, b.nw = spinShape(base, code[:len(b.ops)])
 	return b
 }
 
@@ -290,7 +353,11 @@ func (m *Machine) compileOp(pc uint32, in isa.Inst, word uint32) opFn {
 	}
 	return func(m *Machine, tu *TU, cycle uint64) bool {
 		m.generic[in.Op]++
+		m.issuing = tu // the writer of a syscall's WriteBarrier
 		m.issue(tu, in, info, word, cycle)
+		if m.parked > 0 && m.bar.Read() != m.park.byte {
+			m.Trap("sim: thread %d: barrier register written around Machine.WriteBarrier at %#x", tu.ID, pc)
+		}
 		return false
 	}
 }
@@ -1051,7 +1118,7 @@ func mkMTSPRBarrier(pc, word uint32, a uint8) opFn {
 		if m.Trace != nil {
 			m.Trace.record(TraceEntry{Cycle: cyc, TID: tu.ID, PC: pc, Word: word})
 		}
-		m.bar.Write(tu.ID, uint8(tu.reg(a)))
+		m.writeBarrier(tu, cyc, tu.ID, uint8(tu.reg(a)))
 		tu.ChargeRun(1)
 		tu.nextAt = cyc + 1
 		tu.PC = pc + 4

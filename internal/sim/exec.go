@@ -153,7 +153,7 @@ func (m *Machine) step(tu *TU) {
 // policies; the penalty is booked separately and extends the refill.
 func (m *Machine) fetchPIB(tu *TU, cycle uint64) {
 	tu.pib.base = tu.PC
-	ic := m.Chip.ICaches[m.Chip.Cfg.ICacheOf(tu.ID)]
+	ic := m.Chip.ICaches[tu.icache]
 	stall := uint64(2)
 	var pen uint64
 	if !ic.Fetch(tu.PC) {

@@ -9,6 +9,13 @@
 // ready and its shared resource is granted; completion may be out of
 // order. If two threads contend for a shared resource in the same cycle,
 // the winner rotates round-robin to prevent starvation (Section 2).
+//
+// Two engines run the same model (engine.go): the legacy interpreter, the
+// oracle, and the block engine, which compiles basic blocks into closures
+// (block.go) under a timing-wheel scheduler (sched.go) and parks units
+// spinning on an unchanged hardware-barrier register off that wheel,
+// replaying them exactly when something they could observe changes
+// (park.go). Every simulated number is identical on both.
 package sim
 
 import (
@@ -58,6 +65,15 @@ type TU struct {
 	// compaction after its halt, which is later than State says.
 	pos    int
 	listed bool
+	// parked: the unit waits in a spin loop off the event queue (park.go).
+	// spinFails counts the failed fixed-point checks in a row since the
+	// unit entered its block, and spinSkip the loop heads it skips before
+	// the next one.
+	parked              bool
+	spinFails, spinSkip uint8
+	// icache indexes the unit's quad pair's instruction cache in
+	// Chip.ICaches.
+	icache int32
 	// blk hints the unit's current compiled block (block engine only).
 	blk *simBlock
 
@@ -130,6 +146,26 @@ type Machine struct {
 	eq    eventQueue
 	batch []*TU
 
+	// Spin parking (park.go). park holds the parked units' records,
+	// allocated by the first spin loop a unit reaches, and parked counts
+	// them. iterN is len(active) when the current scheduler iteration
+	// began and repeatAt its cycle when an earlier iteration ran at that
+	// cycle too (noEvent otherwise); with rr they order a woken unit
+	// against the unit that woke it. joiners are woken units still to
+	// issue in the current batch; issuing is the unit whose generic op runs
+	// (the writer of a syscall's WriteBarrier). onWake, set by tests,
+	// observes each wake. inlineMax is the last cycle inline continuation
+	// may reach without a second look: MaxCycles (or never) while no unit
+	// is parked, 0 while some are, so one compare guards both cases.
+	park      *parking
+	parked    int
+	inlineMax uint64
+	iterN     int
+	repeatAt  uint64
+	joiners   []*TU
+	issuing   *TU
+	onWake    func(why wakeReason, before, after int)
+
 	// Compiled-block cache (see block.go), keyed by entry PC; codeGen is
 	// the memory code generation it was compiled under (see decode.go).
 	// generic counts, by opcode, the issue attempts that took the generic
@@ -171,9 +207,10 @@ func New(chip *core.Chip, kernel Syscaller) *Machine {
 	pibWords := uint32(chip.Cfg.PIBEntries * 4)
 	for i := 0; i < chip.Cfg.Threads; i++ {
 		m.TUs = append(m.TUs, &TU{
-			ID:   i,
-			Quad: chip.Cfg.QuadOf(i),
-			pib:  pibState{base: pibEmpty, words: pibWords},
+			ID:     i,
+			Quad:   chip.Cfg.QuadOf(i),
+			pib:    pibState{base: pibEmpty, words: pibWords},
+			icache: int32(chip.Cfg.ICacheOf(i)),
 		})
 	}
 	m.SetPolicy(nil)

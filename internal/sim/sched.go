@@ -28,6 +28,12 @@ type SchedStats struct {
 	Units    uint64 // units those batches issued; inline continuation bypasses the queue
 	Overflow uint64 // pushes beyond the wheel horizon, onto the overflow list
 	Rebuilds uint64 // compactions, each re-filing the queue under new positions
+
+	// Spin parking (park.go).
+	Parks          uint64 // units that left the queue at a spin loop's fixed point
+	Wakes          uint64 // replays of every parked unit: a barrier or text write, a trap, a tick, the run's end
+	ParkedAttempts uint64 // issue attempts booked by replay rather than issued
+	PhantomCycles  uint64 // scheduler iterations at cycles where only parked units were due
 }
 
 // eventQueue holds the running thread units by next issue cycle (nextAt)
@@ -142,13 +148,15 @@ func (q *eventQueue) next() uint64 {
 }
 
 // rebuild re-files every queued unit after compaction renumbered the
-// active list (all of active is running, hence queued).
+// active list (all of active is running, hence queued unless parked).
 func (q *eventQueue) rebuild(active []*TU) {
 	clear(q.slots)
 	clear(q.summary[:])
 	q.over, q.overMin = q.over[:0], noEvent
 	for _, tu := range active {
-		q.file(tu)
+		if !tu.parked {
+			q.file(tu)
+		}
 	}
 	q.minAt = q.next()
 	q.stats.Rebuilds++

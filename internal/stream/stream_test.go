@@ -213,7 +213,8 @@ func TestGeneratedSourceMentionsConfig(t *testing.T) {
 // instruction the paper measures reaches Machine.issue from the block
 // engine": every program Generate can emit runs with specialized bodies
 // for everything but the thread-management syscalls and the index
-// arithmetic of the prologue.
+// arithmetic of the prologue, and at more than one thread parks its
+// barrier spinners.
 func TestGeneratedCodeStaysOffGenericIssue(t *testing.T) {
 	allowed := map[isa.Op]bool{isa.OpSYSCALL: true, isa.OpMUL: true, isa.OpDIVU: true}
 	mappings := []struct {
@@ -259,6 +260,9 @@ func TestGeneratedCodeStaysOffGenericIssue(t *testing.T) {
 					}
 					if gs.ByOp[isa.OpSYSCALL] == 0 {
 						t.Errorf("%s: no syscall counted; is the generic counter wired?", name)
+					}
+					if threads > 1 && kn.Machine().SchedStats().Parks == 0 {
+						t.Errorf("%s: no unit parked at a barrier", name)
 					}
 				}
 			}
