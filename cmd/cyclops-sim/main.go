@@ -160,16 +160,10 @@ func run(path string, o options) error {
 	var pr *prof.Profile
 	var tl *prof.Timeline
 	if o.profileOut != "" {
-		if !obs.Enabled {
-			return fmt.Errorf("-profile-out requires the observability layer (built without cyclops_noobs)")
-		}
 		pr = prof.New(o.sampleEvery)
 		k.Machine().AttachProfile(pr)
 	}
 	if o.timelineOut != "" {
-		if !obs.Enabled {
-			return fmt.Errorf("-timeline-out requires the observability layer (built without cyclops_noobs)")
-		}
 		tl = prof.NewTimeline(o.timelineEvery)
 		k.Machine().AttachTimeline(tl)
 	}

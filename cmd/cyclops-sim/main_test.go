@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"cyclops/internal/obs"
 )
 
 const helloSrc = `
@@ -179,9 +177,6 @@ func TestOutputFilesCreatedUpFront(t *testing.T) {
 		{"timeline-out", options{maxCycles: 100000, timelineOut: bad, timelineEvery: 64}},
 	}
 	for _, f := range fields {
-		if !obs.Enabled && (f.name == "profile-out" || f.name == "timeline-out") {
-			continue
-		}
 		err := run(src, f.o)
 		if err == nil {
 			t.Fatalf("%s: uncreatable path accepted", f.name)
@@ -210,9 +205,6 @@ func TestOutputFilesCreatedUpFront(t *testing.T) {
 // TestProfileAndTimelineOutputs runs with the profiler attached and
 // checks the pprof and timeline artifacts.
 func TestProfileAndTimelineOutputs(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("observability compiled out")
-	}
 	dir := t.TempDir()
 	src := filepath.Join(dir, "p.s")
 	if err := os.WriteFile(src, []byte(helloSrc), 0o644); err != nil {

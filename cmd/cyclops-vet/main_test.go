@@ -152,4 +152,16 @@ func TestRunPassSubset(t *testing.T) {
 	if !strings.Contains(out.String(), "[uninit]") {
 		t.Errorf("uninit finding missing: %q", out.String())
 	}
+
+	// The concurrency subset gates on its own: the race fixture fails
+	// it, the barrier-free spr fixture passes it.
+	conc := []string{"race", "barrier", "deadlock"}
+	for fixture, want := range map[string]bool{"race.s": true, "spr.s": false} {
+		out.Reset()
+		path := filepath.Join("..", "..", "examples", "faulty", "vet", fixture)
+		failed, err = run([]string{path}, false, false, conc, &out)
+		if err != nil || failed != want {
+			t.Errorf("%s under %v: failed=%v err=%v, want failed=%v\n%s", fixture, conc, failed, err, want, out.String())
+		}
+	}
 }

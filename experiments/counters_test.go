@@ -64,9 +64,6 @@ func TestCrossEngineStreamCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs six full simulations")
 	}
-	if !obs.Enabled {
-		t.Skip("counters compiled out")
-	}
 	for _, threads := range []int{1, 4, 16} {
 		sRun, sStall, sB, sW := simCopy(t, threads)
 		pRun, pStall, pB, pW := perfCopy(t, threads)

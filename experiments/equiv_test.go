@@ -9,7 +9,6 @@ import (
 	"cyclops/experiments"
 	"cyclops/internal/harness"
 	"cyclops/internal/harness/sweep"
-	"cyclops/internal/obs"
 	"cyclops/internal/sim"
 )
 
@@ -29,9 +28,6 @@ func TestEngineEquivalence(t *testing.T) {
 	defer sweep.SetWorkers(sweep.Workers())
 	sweep.SetWorkers(8)
 	for _, info := range experiments.List() {
-		if !obs.Enabled && (info.ID == "breakdown" || info.ID == "matrix" || info.ID == "profile") {
-			continue // tables of counters: the goldens are the default build's
-		}
 		want, err := os.ReadFile(filepath.Join("..", "internal", "harness", "testdata", info.ID+"_small.golden"))
 		if err != nil {
 			t.Fatal(err)

@@ -226,14 +226,10 @@ func (s *System) takePort(c int, now uint64, n uint64) uint64 {
 	start := now
 	if s.port[c] > start {
 		start = s.port[c]
-		if obs.Enabled {
-			s.portConflicts[c]++
-			s.portWait[c] += start - now
-		}
+		s.portConflicts[c]++
+		s.portWait[c] += start - now
 	}
-	if obs.Enabled {
-		s.portGrants[c]++
-	}
+	s.portGrants[c]++
 	s.port[c] = start + n
 	s.portBusy[c] += n
 	return start

@@ -71,12 +71,10 @@ func (f *FPU) Dispatch(now uint64, pipe isa.FPUPipe, exec int) uint64 {
 		return now
 	}
 	f.Ops++
-	if obs.Enabled {
-		f.Busy += occupancy
-		if start > now {
-			f.Conflicts++
-			f.WaitCycles += start - now
-		}
+	f.Busy += occupancy
+	if start > now {
+		f.Conflicts++
+		f.WaitCycles += start - now
 	}
 	return start
 }

@@ -39,7 +39,7 @@ func bdColumns(lead ...string) []string {
 // run+stall total. It fails when the per-reason stalls do not sum to the
 // stall total.
 func (r bd) row(lead ...string) ([]string, error) {
-	if got := r.stalls.Total(); obs.Enabled && got != r.stall {
+	if got := r.stalls.Total(); got != r.stall {
 		return nil, fmt.Errorf("harness: %s: per-reason stalls sum to %d, legacy total is %d",
 			strings.Join(lead, ", "), got, r.stall)
 	}

@@ -63,9 +63,6 @@ func goldenPath(id string) string {
 // and runs the experiment's shape assertion on the same render.
 func golden(t *testing.T, id string) {
 	t.Helper()
-	if !obs.Enabled && (id == "breakdown" || id == "matrix" || id == "profile") {
-		t.Skip("a table of obs counters: its golden is the default build's")
-	}
 	r := small(t, id)
 	if *update {
 		if err := os.WriteFile(goldenPath(id), []byte(r.text), 0o644); err != nil {

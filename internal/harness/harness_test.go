@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"cyclops/internal/obs"
 	"cyclops/internal/resultcache"
 )
 
@@ -71,9 +70,6 @@ func TestProfileFaultMeshWarmFromCache(t *testing.T) {
 	UseCache(resultcache.OpenMemory(0))
 	defer UseCache(nil)
 	for _, id := range []string{"profile", "fault", "mesh"} {
-		if id == "profile" && !obs.Enabled {
-			continue // a note-only table under cyclops_noobs: no points
-		}
 		start := Runner.Stats().Executions
 		_, cold := renderSmall(t, id)
 		afterCold := Runner.Stats().Executions

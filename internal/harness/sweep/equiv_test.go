@@ -8,7 +8,6 @@ import (
 
 	"cyclops/internal/harness"
 	"cyclops/internal/harness/sweep"
-	"cyclops/internal/obs"
 )
 
 // TestSweepWorkerEquivalence checks that the rendered tables do not
@@ -23,9 +22,6 @@ func TestSweepWorkerEquivalence(t *testing.T) {
 	defer sweep.SetWorkers(sweep.Workers())
 	sweep.SetWorkers(1)
 	for _, e := range harness.Experiments() {
-		if !obs.Enabled && (e.ID == "breakdown" || e.ID == "matrix" || e.ID == "profile") {
-			continue // tables of counters: the goldens are the default build's
-		}
 		want, err := os.ReadFile(filepath.Join("..", "testdata", e.ID+"_small.golden"))
 		if err != nil {
 			t.Fatal(err)

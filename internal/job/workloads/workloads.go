@@ -97,7 +97,7 @@ func ProfileReport(r *job.Result) (*prof.Report, error) {
 		}
 	}
 	if x.Profile == nil {
-		return nil, fmt.Errorf("workloads: result carries no profile (profile_every unset, or built with cyclops_noobs)")
+		return nil, fmt.Errorf("workloads: result carries no profile (profile_every unset)")
 	}
 	return x.Profile, nil
 }

@@ -13,7 +13,6 @@ import (
 	"cyclops/internal/job"
 	"cyclops/internal/job/workloads"
 	"cyclops/internal/kernel"
-	"cyclops/internal/obs"
 	"cyclops/internal/sim"
 	"cyclops/internal/stream"
 	"cyclops/internal/timing"
@@ -142,7 +141,7 @@ func TestServedAccounting(t *testing.T) {
 			if res.Run == 0 {
 				t.Errorf("run = 0 over %d cycles: %s", res.Cycles, data)
 			}
-			if got := res.Stalls.Total(); obs.Enabled && got != res.Stall {
+			if got := res.Stalls.Total(); got != res.Stall {
 				t.Errorf("stall buckets sum to %d, stall = %d: %s", got, res.Stall, data)
 			}
 		})
@@ -210,9 +209,6 @@ func TestProfileEverySchema(t *testing.T) {
 	splashProfiled, _ := workloads.SplashSpec(fft)
 
 	for name, spec := range map[string]*job.Spec{"stream": profiled, "splash": splashProfiled} {
-		if !obs.Enabled {
-			continue // the sampler compiles out with the counters
-		}
 		res, err := job.NewRunner().Run(spec)
 		if err != nil {
 			t.Fatal(err)

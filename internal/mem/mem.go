@@ -176,14 +176,10 @@ func (m *Memory) FillBank(pb int, now uint64) uint64 {
 	start := now
 	if b.freeAt > start {
 		start = b.freeAt
-		if obs.Enabled {
-			b.conflicts++
-			b.waitCycles += start - now
-		}
+		b.conflicts++
+		b.waitCycles += start - now
 	}
-	if obs.Enabled {
-		b.grants++
-	}
+	b.grants++
 	b.freeAt = start + uint64(m.cfg.MemBurstCycles)
 	b.busy += uint64(m.cfg.MemBurstCycles)
 	m.LineFills++
@@ -212,14 +208,10 @@ func (m *Memory) WriteBank(pb int, now uint64, size int) (admit uint64) {
 		start := now
 		if b.freeAt > start {
 			start = b.freeAt
-			if obs.Enabled {
-				b.conflicts++
-				b.waitCycles += start - now
-			}
+			b.conflicts++
+			b.waitCycles += start - now
 		}
-		if obs.Enabled {
-			b.grants++
-		}
+		b.grants++
 		cost := uint64(m.cfg.MemBurstCycles / 2)
 		b.freeAt = start + cost
 		b.busy += cost

@@ -13,10 +13,8 @@
 // StallCycles totals (pinned by test).
 //
 // Everything on the hot path is a fixed-size array indexed by an enum —
-// no maps, no interfaces, no allocation. Building with the cyclops_noobs
-// tag compiles the per-reason and per-resource accounting out entirely
-// (Enabled becomes a false constant and the guarded increments are dead
-// code); the legacy run/stall totals are unaffected either way.
+// no maps, no interfaces, no allocation, so the accounting is always on:
+// there is one build, and every result carries its full breakdown.
 package obs
 
 import (

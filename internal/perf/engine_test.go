@@ -16,7 +16,6 @@ import (
 	"cyclops/internal/arch"
 	"cyclops/internal/core"
 	"cyclops/internal/isa"
-	"cyclops/internal/obs"
 	"cyclops/internal/prof"
 	"cyclops/internal/timing"
 )
@@ -439,7 +438,7 @@ func TestRunCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := SchedStats{Runs: 448, RunAccesses: 14336}
-			if profiled && obs.Enabled {
+			if profiled {
 				want.Runs = want.RunAccesses
 			}
 			if s := m.SchedStats(); s.Runs != want.Runs || s.RunAccesses != want.RunAccesses {

@@ -50,9 +50,6 @@ func TestDisableQuadStallAccounting(t *testing.T) {
 		if run == 0 {
 			t.Errorf("%s: no run cycles", name)
 		}
-		if !obs.Enabled {
-			continue
-		}
 		if got := tot.Stalls.Total(); got != stall {
 			t.Errorf("%s: aggregate buckets sum to %d, stall total = %d", name, got, stall)
 		}

@@ -53,9 +53,9 @@ func (t *T) Now() uint64 { return t.now }
 // counters: while one is open, every cycle the thread charges samples
 // to the region's synthetic PC, and nesting builds the same two-level
 // folded stacks the simulator derives from jal/return flow. Without an
-// attached profiler (or under cyclops_noobs) the cost is one nil check.
+// attached profiler the cost is one nil check.
 func (t *T) Region(name string) func() {
-	if !obs.Enabled || t.Samp == nil {
+	if t.Samp == nil {
 		return func() {}
 	}
 	id := t.m.Regions.Intern(name)
@@ -160,7 +160,7 @@ const bulkChunk = 32
 // of any access, and t.now on entry when that is later.
 func (t *T) bulk(n int, run func(k, c int) cache.RunSummary) uint64 {
 	step := bulkChunk
-	if obs.Enabled && t.Samp != nil {
+	if t.Samp != nil {
 		step = 1
 	}
 	done := t.now

@@ -183,6 +183,21 @@ func (s *Server) Runner() *job.Runner { return s.runner }
 // in-process CI lanes).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
+// decodeSpec reads a request body that holds exactly one spec: unknown
+// fields and anything after the spec but whitespace are errors, the way
+// workloads refuse trailing data after args.
+func decodeSpec(body io.Reader, spec *job.Spec) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after spec")
+	}
+	return nil
+}
+
 // runResponse is the POST /v1/run body: the spec's content key, the
 // request's trace ID, whether the cache served it, and the canonical
 // result encoding verbatim.
@@ -228,10 +243,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.access.write(rec)
 	}
 
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody))
-	dec.DisallowUnknownFields()
 	var spec job.Spec
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeSpec(http.MaxBytesReader(w, r.Body, maxRunBody), &spec); err != nil {
 		s.badRequests.Inc()
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError

@@ -155,17 +155,32 @@ func TestRunThenCacheHitThenResultEndpoint(t *testing.T) {
 
 func TestBadSpecsAre400(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
-	bad := []any{
-		map[string]any{"workload": "nonesuch"},
-		map[string]any{"workload": "stream", "args": map[string]any{"kernel": "warp"}},
-		map[string]any{"workload": "stream", "unknown_field": true},
+	valid, err := json.Marshal(streamSpec())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, spec := range bad {
-		resp := postSpec(t, ts.URL, spec, "")
+	bad := []string{
+		`{"workload":"nonesuch"}`,
+		`{"workload":"stream","args":{"kernel":"warp"}}`,
+		`{"workload":"stream","unknown_field":true}`,
+		// A body is one spec: a valid one followed by anything but
+		// whitespace is refused, not run.
+		string(valid) + " trailing-garbage",
+		string(valid) + " {}",
+		string(valid) + "}",
+	}
+	for i, body := range bad {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad spec %d: HTTP %d; want 400", i, resp.StatusCode)
 		}
+	}
+	if n := metricValue(t, ts.URL, "serve_bad_requests"); n != len(bad) {
+		t.Errorf("serve_bad_requests = %d, want %d", n, len(bad))
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"cyclops/internal/arch"
 	"cyclops/internal/isa"
-	"cyclops/internal/obs"
 	"cyclops/internal/timing"
 )
 
@@ -185,7 +184,7 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 	head := blk != nil && tu.PC == blk.spin
 	for {
 		pc := tu.PC
-		if obs.Enabled && tu.Samp != nil {
+		if tu.Samp != nil {
 			tu.Samp.SetPC(pc)
 		}
 		if tu.pib.contains(pc) {
@@ -853,7 +852,7 @@ func mkJAL(pc, word uint32, a uint8, target uint32, be uint64) opFn {
 			m.Trace.record(TraceEntry{Cycle: cyc, TID: tu.ID, PC: pc, Word: word})
 		}
 		tu.setReg(a, pc+4, cyc+2)
-		if obs.Enabled && tu.Samp != nil && a != isa.RZero {
+		if tu.Samp != nil && a != isa.RZero {
 			tu.Samp.Call(target)
 		}
 		tu.ChargeRun(be)
@@ -882,7 +881,7 @@ func mkJALR(pc, word uint32, a, b uint8, imm uint32, be uint64) opFn {
 			tu.nextAt = cyc + be
 			return false
 		}
-		if obs.Enabled && tu.Samp != nil {
+		if tu.Samp != nil {
 			if a != isa.RZero {
 				tu.Samp.Call(t)
 			} else {

@@ -464,15 +464,13 @@ func TestOpBodiesUnderObservers(t *testing.T) {
 		buf := NewTraceBuffer(256)
 		states[i] = observe(e, buf, nil)
 		traces[i] = buf.Dump()
-		if obs.Enabled {
-			pr := prof.New(1)
-			var sb strings.Builder
-			states[i] += observe(e, nil, pr)
-			if err := pr.WriteFolded(&sb, p); err != nil {
-				t.Fatal(err)
-			}
-			folded[i] = sb.String()
+		pr := prof.New(1)
+		var sb strings.Builder
+		states[i] += observe(e, nil, pr)
+		if err := pr.WriteFolded(&sb, p); err != nil {
+			t.Fatal(err)
 		}
+		folded[i] = sb.String()
 	}
 	if traces[0] != traces[1] {
 		t.Errorf("traces differ\n--- block ---\n%s--- legacy ---\n%s", traces[0], traces[1])
@@ -483,7 +481,7 @@ func TestOpBodiesUnderObservers(t *testing.T) {
 	if folded[0] != folded[1] {
 		t.Errorf("profiles differ\n--- block ---\n%s--- legacy ---\n%s", folded[0], folded[1])
 	}
-	if obs.Enabled && !strings.Contains(folded[0], "fn;") {
+	if !strings.Contains(folded[0], "fn;") {
 		t.Errorf("no sample carries fn's call frame:\n%s", folded[0])
 	}
 	if states[0] != states[1] {
@@ -572,7 +570,7 @@ func TestALUAndBranchBodies(t *testing.T) {
 					}
 					// lui has no source to wait on; every other body must
 					// have stalled on its load at least once.
-					if obs.Enabled && isa.Lookup(op).Format != isa.FmtU && tu.Stalls[obs.DepStall] == 0 {
+					if isa.Lookup(op).Format != isa.FmtU && tu.Stalls[obs.DepStall] == 0 {
 						t.Errorf("%s: no dependence stall was charged; the wait arm did not run", name)
 					}
 					if mask := tu.reg(20); branch && (mask == 0 || mask == 15) {

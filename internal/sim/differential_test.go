@@ -114,8 +114,10 @@ func diffRun(src string, e Engine, sc diffScenario, tids ...int) (*Machine, erro
 const diffMemBytes = 64 << 10
 
 // diffState flattens a finished machine into a comparable string: run
-// error, deterministic snapshot, per-unit architectural state, and the
-// contents of low memory.
+// error, deterministic snapshot, per-unit architectural state, what the
+// scheduler and the scoreboard hold (rr, every started unit's next issue
+// cycle and register ready times), the timeline, and the contents of low
+// memory.
 func diffState(m *Machine, err error) string {
 	var sb strings.Builder
 	if err != nil {
@@ -133,6 +135,17 @@ func diffState(m *Machine, err error) string {
 		}
 		fmt.Fprintf(&sb, "tu%d state=%d pc=%#x insts=%d regs=%v\n",
 			tu.ID, tu.State, tu.PC, tu.Insts, tu.Regs)
+	}
+	fmt.Fprintf(&sb, "cycle=%d rr=%d\n", m.cycle, m.rr)
+	for _, tu := range m.TUs {
+		if tu.State != Idle {
+			fmt.Fprintf(&sb, "tu%d next=%d ready=%v\n", tu.ID, tu.nextAt, tu.ready)
+		}
+	}
+	if m.TL != nil {
+		if terr := m.TL.WriteCSV(&sb); terr != nil {
+			fmt.Fprintf(&sb, "timeline-error=%v\n", terr)
+		}
 	}
 	low := make([]byte, diffMemBytes)
 	if merr := m.Chip.Mem.Read(0, low); merr != nil {

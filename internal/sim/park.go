@@ -141,7 +141,7 @@ func since(ready, c uint64) uint64 { return max(ready, c) - c }
 // comes back to the head in the state it left (see the file comment). It
 // reports whether tu parked.
 func (m *Machine) tryPark(tu *TU, blk *simBlock) bool {
-	if m.Trace != nil || obs.Enabled && tu.Samp != nil || blk.end-tu.pib.base > tu.pib.words {
+	if m.Trace != nil || tu.Samp != nil || blk.end-tu.pib.base > tu.pib.words {
 		return false
 	}
 	if tu.spinSkip > 0 {
@@ -380,10 +380,8 @@ func (m *Machine) replay(tu *TU, t uint64) {
 		tu.Insts += k * uint64(rec.insts)
 		tu.Run += k * uint64(rec.run)
 		tu.Stall += k * uint64(rec.stall)
-		if obs.Enabled {
-			tu.Stalls[obs.DepStall] += k * uint64(rec.dep)
-			tu.Stalls[obs.SwitchStall] += k * uint64(rec.sw)
-		}
+		tu.Stalls[obs.DepStall] += k * uint64(rec.dep)
+		tu.Stalls[obs.SwitchStall] += k * uint64(rec.sw)
 		last := rec.head + (k-1)*period
 		for i, r := range blk.regs[:blk.nw] {
 			tu.ready[r] = last + uint64(rec.ready[i])

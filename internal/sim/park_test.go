@@ -11,7 +11,6 @@ import (
 	"cyclops/internal/asm"
 	"cyclops/internal/core"
 	"cyclops/internal/isa"
-	"cyclops/internal/obs"
 	"cyclops/internal/prof"
 )
 
@@ -206,29 +205,6 @@ func spinRun(seed int64, units int, cfg arch.Config, sc diffScenario, flags uint
 	return m, k, m.Run()
 }
 
-// spinState is diffState plus what the scheduler and the scoreboard hold:
-// rr, every started unit's next issue cycle and register ready times, and
-// the timeline.
-func spinState(m *Machine, err error) string {
-	var sb strings.Builder
-	sb.WriteString(diffState(m, err))
-	if m == nil {
-		return sb.String()
-	}
-	fmt.Fprintf(&sb, "cycle=%d rr=%d\n", m.cycle, m.rr)
-	for _, tu := range m.TUs {
-		if tu.State != Idle {
-			fmt.Fprintf(&sb, "tu%d next=%d ready=%v\n", tu.ID, tu.nextAt, tu.ready)
-		}
-	}
-	if m.TL != nil {
-		if err := m.TL.WriteCSV(&sb); err != nil {
-			fmt.Fprintf(&sb, "timeline-error=%v\n", err)
-		}
-	}
-	return sb.String()
-}
-
 // firstDiff returns a's first line that b does not have at the same place.
 func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
@@ -249,7 +225,7 @@ func spinCompare(t *testing.T, seed int64, units int, cfg arch.Config, sc diffSc
 	if m == nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	if want, got := spinState(ref, refErr), spinState(m, err); got != want {
+	if want, got := diffState(ref, refErr), diffState(m, err); got != want {
 		t.Fatalf("seed %d, <=%d units of %d, flags %d (%s): block engine diverges from legacy\n--- legacy ---\n%s\n--- block ---\n%s",
 			seed, units, cfg.Threads, flags, sc, firstDiff(want, got), firstDiff(got, want))
 	}
@@ -288,7 +264,7 @@ func TestSpinParkDifferential(t *testing.T) {
 		t.Errorf("a parking counter stayed zero: %+v", st)
 	}
 	for why, n := range seen.why[:wakeLimit+1] { // TestSpinDeadlock has the deadlock
-		if n == 0 && (obs.Enabled || why != int(wakeTick)) { // cyclops_noobs attaches no timeline
+		if n == 0 {
 			t.Errorf("no wake of reason %d", why)
 		}
 	}
@@ -366,7 +342,7 @@ func TestSpinDeadlock(t *testing.T) {
 		for limit := uint64(3000); limit < 3008; limit++ {
 			ref, refErr := spinBoot(t, selfBarrier, EngineLegacy, arch.Default(), limit, nil, r4s...)
 			m, err := spinBoot(t, selfBarrier, EngineBlock, arch.Default(), limit, seen.watch, r4s...)
-			if want, got := spinState(ref, refErr), spinState(m, err); got != want || !strings.Contains(err.Error(), "cycle limit") {
+			if want, got := diffState(ref, refErr), diffState(m, err); got != want || !strings.Contains(err.Error(), "cycle limit") {
 				t.Fatalf("units %v, limit %d: block engine diverges from legacy\n--- legacy ---\n%s\n--- block ---\n%s",
 					r4s, limit, want, got)
 			}
@@ -419,7 +395,7 @@ func TestSpinParkObservers(t *testing.T) {
 	}{
 		{"unobserved", arch.Default(), false, false, true},
 		{"traced", arch.Default(), true, false, false},
-		{"profiled", arch.Default(), false, true, !obs.Enabled},
+		{"profiled", arch.Default(), false, true, false},
 		{"two-entry PIB", small, false, false, false},
 	}
 	for _, c := range cases {
@@ -441,7 +417,7 @@ func TestSpinParkObservers(t *testing.T) {
 				}
 			}
 			m, err := spinBoot(t, pairBarrier, e, c.cfg, 100_000, setup, 1, 0)
-			got[i] = spinState(m, err)
+			got[i] = diffState(m, err)
 			parks += m.SchedStats().Parks
 			if tb != nil {
 				got[i] += tb.Dump()
@@ -479,7 +455,7 @@ spin:	mfspr r9, 4
 func TestSpinParkBacksOff(t *testing.T) {
 	ref, refErr := spinBoot(t, countingSpin, EngineLegacy, arch.Default(), 100_000, nil, 0)
 	m, err := spinBoot(t, countingSpin, EngineBlock, arch.Default(), 100_000, nil, 0)
-	if want, got := spinState(ref, refErr), spinState(m, err); got != want {
+	if want, got := diffState(ref, refErr), diffState(m, err); got != want {
 		t.Fatalf("block engine diverges from legacy\n--- legacy ---\n%s\n--- block ---\n%s", want, got)
 	}
 	if s := m.SchedStats(); s.Parks != 0 {

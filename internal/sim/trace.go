@@ -134,31 +134,29 @@ func (m *Machine) ChromeTrace(w io.Writer) error {
 	// sample at its last recorded issue, in the same kind order as the
 	// breakdown table columns.
 	var counters []obs.TraceCounter
-	if obs.Enabled {
-		lastIssue := make(map[int]uint64, len(tids))
-		for _, e := range entries { // oldest first: last write wins
-			lastIssue[e.TID] = e.Cycle
+	lastIssue := make(map[int]uint64, len(tids))
+	for _, e := range entries { // oldest first: last write wins
+		lastIssue[e.TID] = e.Cycle
+	}
+	names := obs.MemWaitNames()
+	for _, tid := range tids {
+		tu := m.TUs[tid]
+		series := make([][2]string, len(names))
+		for k, name := range names {
+			series[k] = [2]string{name, fmt.Sprintf("%d", tu.MemWaits[obs.MemWaitKind(k)])}
 		}
-		names := obs.MemWaitNames()
-		for _, tid := range tids {
-			tu := m.TUs[tid]
-			series := make([][2]string, len(names))
-			for k, name := range names {
-				series[k] = [2]string{name, fmt.Sprintf("%d", tu.MemWaits[obs.MemWaitKind(k)])}
-			}
-			counters = append(counters, obs.TraceCounter{
-				Name:   "memwait",
-				PID:    m.Chip.Cfg.QuadOf(tid),
-				TID:    tid,
-				At:     lastIssue[tid],
-				Series: series,
-			})
-		}
-		// An attached timeline adds time-resolved chip-wide counter
-		// tracks (per-interval stall/memwait/busy deltas) on pid 0.
-		if m.TL != nil {
-			counters = append(counters, m.TL.CounterTracks()...)
-		}
+		counters = append(counters, obs.TraceCounter{
+			Name:   "memwait",
+			PID:    m.Chip.Cfg.QuadOf(tid),
+			TID:    tid,
+			At:     lastIssue[tid],
+			Series: series,
+		})
+	}
+	// An attached timeline adds time-resolved chip-wide counter
+	// tracks (per-interval stall/memwait/busy deltas) on pid 0.
+	if m.TL != nil {
+		counters = append(counters, m.TL.CounterTracks()...)
 	}
 	return obs.WriteChromeTrace(w, threads, slices, counters)
 }

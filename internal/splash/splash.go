@@ -88,8 +88,7 @@ type Config struct {
 	// ProfileEvery, when nonzero, attaches the guest profiler sampling
 	// every N cycles per thread; kernels annotate their phases with
 	// T.Region and the profile lands in the Result. TimelineEvery
-	// likewise attaches the interval telemetry timeline. Both are
-	// ignored under cyclops_noobs.
+	// likewise attaches the interval telemetry timeline.
 	ProfileEvery  uint64
 	TimelineEvery uint64
 }

@@ -107,8 +107,7 @@ type Params struct {
 	// ProfileEvery, when nonzero, attaches the guest profiler sampling
 	// every N cycles per thread unit; the profile and the assembled
 	// program (for symbolization) land in the Result. TimelineEvery
-	// likewise attaches the interval telemetry timeline. Both are
-	// ignored under cyclops_noobs.
+	// likewise attaches the interval telemetry timeline.
 	ProfileEvery  uint64
 	TimelineEvery uint64
 	// Issue is this run's issue policy (fine-grained, blocked,

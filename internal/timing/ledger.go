@@ -15,10 +15,9 @@
 // per-thread obs.MemWaits telemetry exported by snapshots, the harness
 // breakdown table and the Chrome trace counters.
 //
-// Everything here is allocation-free and branch-light: with the
-// cyclops_noobs build tag the per-reason and per-kind increments compile
-// out (obs.Enabled is a false constant) and only the legacy Run/Stall
-// totals remain.
+// Everything here is allocation-free and branch-light: every charge moves
+// the Run/Stall total and its per-reason bucket together, so the buckets
+// always sum to the total.
 package timing
 
 import (
@@ -59,7 +58,7 @@ type Ledger struct {
 	// Samp, when attached, receives every charge as a profiler event:
 	// the cycle sampler sees exactly the stream the ledger books, so
 	// sampled attributions always agree with the totals. Nil (the
-	// default) and cyclops_noobs builds skip the forwarding entirely.
+	// default) skips the forwarding.
 	Samp *prof.TSampler
 	// Pol is the compiled issue policy (see Policy): the switch penalty
 	// applied per stall trigger. The zero value is fine-grained — no
@@ -70,21 +69,18 @@ type Ledger struct {
 // ChargeRun books n cycles of issued work.
 func (l *Ledger) ChargeRun(n uint64) {
 	l.Run += n
-	if obs.Enabled && l.Samp != nil {
+	if l.Samp != nil {
 		l.Samp.Charge(prof.KindRun, n)
 	}
 }
 
-// Charge books n stall cycles to reason r: the legacy total moves
-// unconditionally, the per-reason bucket only when the observability
-// layer is compiled in.
+// Charge books n stall cycles to reason r: the stall total and the
+// per-reason bucket move together.
 func (l *Ledger) Charge(r obs.StallReason, n uint64) {
 	l.Stall += n
-	if obs.Enabled {
-		l.Stalls[r] += n
-		if l.Samp != nil {
-			l.Samp.Charge(prof.StallKind(r), n)
-		}
+	l.Stalls[r] += n
+	if l.Samp != nil {
+		l.Samp.Charge(prof.StallKind(r), n)
 	}
 }
 
@@ -200,12 +196,10 @@ func (l *Ledger) SettleRun(r cache.RunSummary) uint64 {
 func (l *Ledger) ObserveAccess(a cache.Access) { l.observe(a.Wait) }
 
 func (l *Ledger) observe(w cache.Wait) {
-	if obs.Enabled {
-		l.MemWaits[obs.MemWaitPort] += w.Port
-		l.MemWaits[obs.MemWaitBank] += w.Bank
-		l.MemWaits[obs.MemWaitFill] += w.Fill
-		l.MemWaits[obs.MemWaitHop] += w.Hop
-	}
+	l.MemWaits[obs.MemWaitPort] += w.Port
+	l.MemWaits[obs.MemWaitBank] += w.Bank
+	l.MemWaits[obs.MemWaitFill] += w.Fill
+	l.MemWaits[obs.MemWaitHop] += w.Hop
 }
 
 // Totals is the cycle accounting summed over a machine's threads: run and

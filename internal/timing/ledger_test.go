@@ -20,10 +20,10 @@ func TestChargeBucketsSumToStall(t *testing.T) {
 	if l.Stall != 16 {
 		t.Fatalf("Stall = %d, want 16", l.Stall)
 	}
-	if obs.Enabled && l.Stalls.Total() != l.Stall {
+	if l.Stalls.Total() != l.Stall {
 		t.Fatalf("buckets sum %d != Stall %d", l.Stalls.Total(), l.Stall)
 	}
-	if obs.Enabled && (l.Stalls[obs.DepStall] != 11 || l.Stalls[obs.FPUStall] != 3) {
+	if l.Stalls[obs.DepStall] != 11 || l.Stalls[obs.FPUStall] != 3 {
 		t.Fatalf("buckets: %v", l.Stalls)
 	}
 }
@@ -44,15 +44,12 @@ func TestWaitReady(t *testing.T) {
 	if l.Stall != 25 {
 		t.Fatalf("Stall = %d, want 25", l.Stall)
 	}
-	if obs.Enabled && l.Stalls[obs.DepStall] != 25 {
+	if l.Stalls[obs.DepStall] != 25 {
 		t.Fatalf("dep bucket = %d, want 25", l.Stalls[obs.DepStall])
 	}
 }
 
 func TestChargeMemStallSplitRule(t *testing.T) {
-	if !obs.Enabled {
-		t.Skip("built with cyclops_noobs")
-	}
 	// Port share fits inside the blocked window: port first, bank gets
 	// the remainder.
 	var l Ledger
@@ -86,12 +83,6 @@ func TestObserveAccess(t *testing.T) {
 	var l Ledger
 	l.ObserveAccess(cache.Access{Wait: cache.Wait{Port: 2, Bank: 5, Fill: 1, Hop: 11}})
 	l.ObserveAccess(cache.Access{Wait: cache.Wait{Port: 1, Hop: 11}})
-	if !obs.Enabled {
-		if l.MemWaits.Total() != 0 {
-			t.Fatalf("noobs build accumulated mem waits: %v", l.MemWaits)
-		}
-		return
-	}
 	want := obs.MemWaits{
 		obs.MemWaitPort: 3,
 		obs.MemWaitBank: 5,
@@ -128,9 +119,6 @@ func TestSettleRunBooksTheSums(t *testing.T) {
 	if l.Run != 32 || l.Stall != 4+30+2*5+3*7 {
 		t.Errorf("run %d stall %d, want 32 and %d", l.Run, l.Stall, 4+30+2*5+3*7)
 	}
-	if !obs.Enabled {
-		return
-	}
 	var want obs.Breakdown
 	want[obs.CachePortStall], want[obs.BankConflictStall], want[obs.SwitchStall] = 4, 30, 2*5+3*7
 	if l.Stalls != want {
@@ -165,7 +153,7 @@ func TestThreadStatExport(t *testing.T) {
 	if st.Run != 50 || st.Stall != 20 {
 		t.Fatalf("totals: %+v", st)
 	}
-	if obs.Enabled && (st.Stalls[obs.BarrierStall] != 20 || st.MemWaits[obs.MemWaitBank] != 4) {
+	if st.Stalls[obs.BarrierStall] != 20 || st.MemWaits[obs.MemWaitBank] != 4 {
 		t.Fatalf("detail fields: %+v", st)
 	}
 }

@@ -108,6 +108,16 @@ func TestVetGeneratedPrograms(t *testing.T) {
 		vetCleanSource(t, strings.ToLower(k.String())+"-independent.s", src)
 	}
 
+	// The profiled STREAM smoke's program (ci/gen_stream.go): the
+	// profile table's point at its full size.
+	src, err := stream.Generate(stream.Params{
+		Kernel: stream.Triad, Threads: 8, N: 4032, Local: true, Reps: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vetCleanSource(t, "stream_triad.s", src)
+
 	for _, dir := range []string{"quickstart", "outofcore"} {
 		vetCleanSource(t, dir+".s", exampleSrc(t, dir))
 	}
