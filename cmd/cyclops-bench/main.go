@@ -11,9 +11,7 @@
 // Every experiment point is an independent deterministic simulation, so
 // the sweeps fan out across -parallel workers (default: all CPUs) and the
 // experiments themselves run concurrently. Tables print to stdout in
-// input order and are byte-identical for any -parallel value — and for
-// any -engine, which selects the execution engine (block or legacy) the
-// sweeps simulate on; the engines differ only in host-side speed.
+// input order and are byte-identical for any -parallel value.
 // -policy/-switch-penalty select the default issue policy and -lat the
 // default latency model for every sweep (the scenario matrix experiment
 // varies both per point regardless). -cache-dir points the
@@ -25,10 +23,10 @@
 // encode, store) as spans and writes them as a Chrome trace-event JSON
 // (load it in Perfetto); -metrics-out writes the run-layer counters and
 // per-stage/per-workload latency histograms in the same sorted text
-// format cyclops-serve's /metrics speaks. Both files are created up
-// front and tracing stays off — and free — unless asked for. Host-side
-// speed is measured by the repository benchmark (benchmark/run.sh), not
-// here. Timing and errors go to stderr.
+// format cyclops-serve's /metrics speaks. Both files, and the -csv
+// directory, are created up front, and tracing stays off — and free —
+// unless asked for. Host-side speed is measured by the repository
+// benchmark (benchmark/run.sh), not here. Timing and errors go to stderr.
 package main
 
 import (
@@ -86,8 +84,9 @@ func main() {
 		harness.UseCache(c)
 	}
 
-	// Telemetry outputs are created up front (like cyclops-sim's): a bad
-	// path must fail before hours of sweeps, not after. Tracing stays off
+	// Telemetry outputs and the -csv directory are created up front
+	// (like cyclops-sim's outputs): a bad path must fail before hours of
+	// sweeps, not after. Tracing stays off
 	// — and free — unless asked for; -metrics-out implies it because the
 	// stage histograms are fed from span durations.
 	outTrace, err := cli.CreateOut(*traceRuns)
@@ -97,6 +96,11 @@ func main() {
 	outMetrics, err := cli.CreateOut(*metricsOut)
 	if err != nil {
 		fatal(err)
+	}
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fatal(err)
+		}
 	}
 	if outTrace != nil {
 		harness.Runner.Tracer = obs.NewTracer(benchTraceCapacity)
@@ -165,9 +169,6 @@ func main() {
 		}
 		r.tab.Fprint(os.Stdout)
 		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fatal(err)
-			}
 			path := filepath.Join(*csvDir, e.ID+".csv")
 			if err := os.WriteFile(path, []byte(r.tab.CSV()), 0o644); err != nil {
 				fatal(err)

@@ -7,7 +7,7 @@
 //	cyclops-serve [-addr :8372] [-cache-dir DIR] [-cache-mem MB]
 //	              [-workers N] [-queue N] [-recent N]
 //	              [-access-log FILE] [-trace-out FILE] [-debug-addr ADDR]
-//	              [-engine E] [-policy P] [-switch-penalty N] [-lat SPEC]
+//	              [-policy P] [-switch-penalty N] [-lat SPEC]
 //
 // POST a job spec to /v1/run and get the canonical result back; repeat
 // the POST and the cache answers without running the simulator.
@@ -30,8 +30,10 @@
 // -cache-dir persists results across restarts. The directory must be a
 // result cache (carrying the cache's manifest) or empty; pointing the
 // daemon at a non-empty non-cache directory is refused at startup. The
-// engine/policy/latency flags set the daemon-wide defaults a spec
-// inherits when it leaves those fields empty.
+// policy/latency flags set the daemon-wide defaults a spec inherits when
+// it leaves those fields empty. A spec names no execution engine: every
+// request runs on the block engine, whose results the legacy oracle
+// matches byte for byte, and a spec that sends an "engine" field is a 400.
 package main
 
 import (

@@ -19,12 +19,11 @@
 // its host wall time in the same sorted text format cyclops-serve's
 // /metrics endpoint speaks. Every output file is
 // created up front, so a bad path fails before the simulation runs
-// rather than after. -engine selects the execution engine (block or
-// legacy); both are cycle-exact, they differ only in host-side speed.
-// -policy selects the issue policy (fine, blocked or switchmiss) with
-// -switch-penalty cycles per context switch, and -lat sweeps the Table 2
-// latencies ("miss=48,rmiss=72"); both engines honor any (policy,
-// latency) point identically.
+// rather than after. -policy selects the issue policy (fine, blocked or
+// switchmiss) with -switch-penalty cycles per context switch, and -lat
+// sweeps the Table 2 latencies ("miss=48,rmiss=72"). The program runs on
+// the block engine; its cycle-exact oracle, the legacy interpreter, is
+// reached from tests only.
 package main
 
 import (
@@ -66,7 +65,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: cyclops-sim "+job.Usage+" [-max N] [-balanced] [-stats] [-stats-json F] [-trace N] [-trace-out F] [-profile-out F] [-sample-every N] [-timeline-out F] [-timeline-every N] [-metrics-out F] prog.{s,cyc}")
 		os.Exit(2)
 	}
-	eng, pol, lat, err := jf.Resolve()
+	pol, lat, err := jf.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cyclops-sim:", err)
 		os.Exit(2)
@@ -77,7 +76,7 @@ func main() {
 		profileOut: *profileOut, sampleEvery: *sampleEvery,
 		timelineOut: *timelineOut, timelineEvery: *timelineEvery,
 		metricsOut: *metricsOut,
-		engine:     eng, policy: pol, lat: lat,
+		policy:     pol, lat: lat,
 	}
 	if err := run(flag.Arg(0), opts); err != nil {
 		fmt.Fprintln(os.Stderr, "cyclops-sim:", err)
@@ -93,7 +92,6 @@ type options struct {
 	profileOut, timelineOut    string
 	metricsOut                 string
 	sampleEvery, timelineEvery uint64
-	engine                     sim.Engine
 	policy                     sim.Policy
 	lat                        timing.LatencyModel
 }
@@ -145,7 +143,6 @@ func run(path string, o options) error {
 	if o.balanced {
 		k.Policy = kernel.Balanced
 	}
-	k.Machine().SetEngine(o.engine)
 	k.Machine().SetPolicy(o.policy)
 	k.Machine().MaxCycles = o.maxCycles
 	// One ring serves both consumers, so it is sized by the larger demand:
@@ -248,8 +245,8 @@ func printStats(m *sim.Machine, chip *core.Chip) {
 	compiles, flushes := m.BlockStats()
 	gs := m.GenericStats()
 	ss := m.SchedStats()
-	fmt.Printf("host: engine=%s block_compiles=%d block_flushes=%d generic=%d%s sched_batches=%d sched_units=%d sched_overflow=%d sched_rebuilds=%d parks=%d wakes=%d parked_attempts=%d phantom_cycles=%d mem_backed=%d/%d\n",
-		m.Engine(), compiles, flushes, gs.Attempts, genericTop(gs), ss.Batches, ss.Units, ss.Overflow, ss.Rebuilds,
+	fmt.Printf("host: block_compiles=%d block_flushes=%d generic=%d%s sched_batches=%d sched_units=%d sched_overflow=%d sched_rebuilds=%d parks=%d wakes=%d parked_attempts=%d phantom_cycles=%d mem_backed=%d/%d\n",
+		compiles, flushes, gs.Attempts, genericTop(gs), ss.Batches, ss.Units, ss.Overflow, ss.Rebuilds,
 		ss.Parks, ss.Wakes, ss.ParkedAttempts, ss.PhantomCycles, chip.Mem.BackedBytes(), chip.Mem.Size())
 }
 

@@ -16,15 +16,19 @@ import (
 // every experiment, the bytes pinned under internal/harness/testdata —
 // the same files harness.TestGolden holds the block-compiling engine to.
 // This is the contract that lets the fast tier replace the original: same
-// cycle counts, same stats, same rendered output. The engine is selected
-// the way cyclops-bench -engine does, as the harness runner's default.
+// cycle counts, same stats, same rendered output. The engine is the
+// harness runner's test-only override, which is not part of any key: the
+// runner is uncached here, so every point really runs on the oracle.
 func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders every experiment on the legacy engine")
 	}
-	prev := harness.Runner.Defaults
-	defer func() { harness.Runner.Defaults = prev }()
-	harness.Runner.Defaults.Engine = sim.EngineLegacy
+	if harness.Runner.Cache != nil {
+		t.Fatal("harness.Runner has a cache: its hits would not run on the legacy engine")
+	}
+	prev := harness.Runner.Engine
+	defer func() { harness.Runner.Engine = prev }()
+	harness.Runner.Engine = sim.EngineLegacy
 	defer sweep.SetWorkers(sweep.Workers())
 	sweep.SetWorkers(8)
 	for _, info := range experiments.List() {

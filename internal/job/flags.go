@@ -4,26 +4,22 @@ import (
 	"flag"
 
 	"cyclops/internal/arch"
-	"cyclops/internal/sim"
 	"cyclops/internal/timing"
 )
 
-// Flags is the one shared definition of the engine/policy/latency
-// selection flags. cyclops-sim, cyclops-bench and cyclops-serve all
-// register it, so the flag names, defaults, usage strings and error
-// messages have a single source of truth.
+// Flags is the one shared definition of the policy/latency selection
+// flags. cyclops-sim, cyclops-bench and cyclops-serve all register it, so
+// the flag names, defaults, usage strings and error messages have a
+// single source of truth.
 type Flags struct {
-	engine        *string
 	policy        *string
 	switchPenalty *uint64
 	lat           *string
 }
 
-// AddFlags registers -engine, -policy, -switch-penalty and -lat on fs.
+// AddFlags registers -policy, -switch-penalty and -lat on fs.
 func AddFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
-		engine: fs.String("engine", sim.EngineBlock.String(),
-			"execution engine: block or legacy"),
 		policy: fs.String("policy", "fine",
 			"issue policy: fine, blocked or switchmiss"),
 		switchPenalty: fs.Uint64("switch-penalty", timing.DefaultSwitchPenalty,
@@ -32,9 +28,6 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 			"latency model: comma-separated key=value overrides on Table 2 (fpu,fma,load,miss,rhit,rmiss,burst,lag)"),
 	}
 }
-
-// Engine resolves the -engine flag.
-func (f *Flags) Engine() (sim.Engine, error) { return sim.ParseEngine(*f.engine) }
 
 // Policy resolves the -policy/-switch-penalty pair.
 func (f *Flags) Policy() (timing.Policy, error) {
@@ -46,37 +39,30 @@ func (f *Flags) Latency() (timing.LatencyModel, error) {
 	return timing.ParseLatencies(*f.lat)
 }
 
-// Resolve parses all three selections, returning the first error.
-func (f *Flags) Resolve() (sim.Engine, timing.Policy, timing.LatencyModel, error) {
-	eng, err := f.Engine()
-	if err != nil {
-		return eng, nil, timing.LatencyModel{}, err
-	}
+// Resolve parses both selections, returning the first error.
+func (f *Flags) Resolve() (timing.Policy, timing.LatencyModel, error) {
 	pol, err := f.Policy()
 	if err != nil {
-		return eng, nil, timing.LatencyModel{}, err
+		return nil, timing.LatencyModel{}, err
 	}
 	lat, err := f.Latency()
-	if err != nil {
-		return eng, pol, lat, err
-	}
-	return eng, pol, lat, nil
+	return pol, lat, err
 }
 
 // Usage is the shared usage fragment naming the selection flags, for the
 // CLIs' usage lines.
-const Usage = "[-engine E] [-policy P] [-switch-penalty N] [-lat SPEC]"
+const Usage = "[-policy P] [-switch-penalty N] [-lat SPEC]"
 
 // Defaults resolves the selections into the value a Runner's blank spec
-// fields inherit: the engine, the policy, and the paper's configuration
-// with the -lat model applied. This is the cyclops-bench and
-// cyclops-serve pattern — chips are built deep inside experiment points
-// and request handlers, all of them from specs, so the CLI-wide
-// selection is one field on the Runner those specs resolve through.
+// fields inherit: the policy, and the paper's configuration with the -lat
+// model applied. This is the cyclops-bench and cyclops-serve pattern —
+// chips are built deep inside experiment points and request handlers,
+// all of them from specs, so the CLI-wide selection is one field on the
+// Runner those specs resolve through.
 func (f *Flags) Defaults() (Defaults, error) {
-	eng, pol, lat, err := f.Resolve()
+	pol, lat, err := f.Resolve()
 	if err != nil {
 		return Defaults{}, err
 	}
-	return Defaults{Engine: eng, Policy: pol, Config: lat.Apply(arch.Default())}, nil
+	return Defaults{Policy: pol, Config: lat.Apply(arch.Default())}, nil
 }

@@ -31,8 +31,7 @@ func canonSeeds(f *testing.F) [][]byte {
 		must(workloads.MDSpec(workloads.MDArgs{Threads: 8, Particles: 512, Steps: 1})),
 		must(workloads.RaySpec(workloads.RayArgs{Threads: 4, Width: 16, Height: 16})),
 		must(workloads.MicroBarrierSpec(workloads.MicroBarrierArgs{Threads: 8, Barrier: "sw", Phases: 4})),
-		{Workload: job.ProgramWorkload, Program: []byte("CYC1"), Policy: "blocked/8", Latency: "miss=48",
-			Outputs: []string{job.SnapshotOutput, job.SnapshotOutput}},
+		programSpec(),
 	}
 	seen := map[string]bool{}
 	var seeds [][]byte

@@ -53,10 +53,18 @@ var Stages = []string{
 // concurrent use: sweeps fan specs over it from the harness/sweep
 // worker pool, the serve daemon from its request workers.
 type Runner struct {
-	// Defaults fills the blank engine, policy and configuration of every
-	// spec this Runner resolves (see Resolve). NewRunner starts it at
-	// the paper's design point; set it before the first Run.
+	// Defaults fills the blank policy and configuration of every spec
+	// this Runner resolves (see Resolve). NewRunner starts it at the
+	// paper's design point; set it before the first Run.
 	Defaults Defaults
+
+	// Engine is the test-only oracle override: the instruction engine
+	// the Runner's sim-backed workloads (stream, program) run on. The
+	// zero value is the block engine; tests set the legacy engine to hold
+	// the block engine to the oracle. It is deliberately not part of the
+	// key: both engines produce the same result bytes. Set it before the
+	// first Run.
+	Engine sim.Engine
 
 	// Cache, when non-nil, fronts execution. Set it before the first Run;
 	// results are stored under Spec.Key in the canonical Result encoding.
@@ -87,14 +95,14 @@ type call struct {
 	err  error
 }
 
-// NewRunner returns a Runner on the paper's design point (block engine,
-// fine-grained issue, arch.Default) with no cache attached.
+// NewRunner returns a Runner on the paper's design point (fine-grained
+// issue, arch.Default) with no cache attached.
 func NewRunner() *Runner {
 	return &Runner{Defaults: paperDefaults(), inflight: make(map[resultcache.Key]*call)}
 }
 
 // Resolve turns a submission into what it runs as: the canonical spec,
-// blank engine, policy and configuration filled from r.Defaults, and its
+// blank policy and configuration filled from r.Defaults, and its
 // content key. Every path that keys a spec for this Runner — run, cache
 // probe, the serve handler — goes through here, so they cannot disagree
 // about what a blank field means.
@@ -242,9 +250,6 @@ func (r *Runner) runTraced(spec *Spec, root *obs.ActiveSpan, info *RunInfo) ([]b
 	r.mu.Unlock()
 
 	esp := root.Child("execute").Attr("workload", canon.Workload)
-	if canon.Engine != "" {
-		esp.Attr("engine", canon.Engine)
-	}
 	res, err := r.execute(canon)
 	r.observeStage("execute", esp.End())
 	if err != nil {
@@ -324,18 +329,11 @@ func (r *Runner) execute(canon *Spec) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("job: unknown workload %q", canon.Workload)
 	}
-	var engine sim.Engine // engine-neutral workloads carry none and ignore it
-	if canon.Engine != "" {
-		var err error
-		if engine, err = canon.engine(); err != nil {
-			return nil, err
-		}
-	}
 	pol, err := canon.policy()
 	if err != nil {
 		return nil, err
 	}
-	res, err := w.Run(&RunContext{Spec: canon, Config: *canon.Config, Engine: engine, Policy: pol})
+	res, err := w.Run(&RunContext{Spec: canon, Config: *canon.Config, Engine: r.Engine, Policy: pol})
 	if err != nil {
 		r.errors.Add(1)
 		return nil, fmt.Errorf("job: %s: %w", canon.Workload, err)

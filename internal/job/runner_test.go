@@ -20,7 +20,7 @@ import (
 	"cyclops/internal/stream"
 )
 
-func smallStreamSpec(t *testing.T, engine string) *job.Spec {
+func smallStreamSpec(t *testing.T) *job.Spec {
 	t.Helper()
 	spec, err := workloads.StreamSpec(stream.Params{
 		Kernel: stream.Copy, Threads: 2, N: 128, Local: true, Reps: 2,
@@ -28,48 +28,99 @@ func smallStreamSpec(t *testing.T, engine string) *job.Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Engine = engine
 	return spec
 }
 
-// The hit≡miss contract, per engine: the bytes a cold execution returns
-// are the bytes the warm cache returns, and — the simulator's
-// cross-engine contract — both engines produce them identically.
+// The hit≡miss contract, and why the engine is not part of the key: on
+// the block engine the bytes a cold execution returns are the bytes the
+// warm cache returns, and an uncached Runner on the legacy oracle
+// (Runner.Engine) resolves the spec to the same key and produces the same
+// bytes.
 func TestHitMissByteIdenticalAcrossEngines(t *testing.T) {
-	var ref []byte
-	for _, e := range sim.Engines() {
-		t.Run(e.String(), func(t *testing.T) {
-			r := job.NewRunner()
-			r.Cache = resultcache.OpenMemory(0)
-			spec := smallStreamSpec(t, e.String())
+	spec := smallStreamSpec(t)
+	var (
+		ref    []byte
+		refKey resultcache.Key
+	)
+	t.Run("block", func(t *testing.T) {
+		r := job.NewRunner()
+		r.Cache = resultcache.OpenMemory(0)
+		cold, info, err := r.RunEncodedTraced(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Cached {
+			t.Fatal("cold run reported cached")
+		}
+		warm, info, err := r.RunEncodedTraced(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.Cached {
+			t.Fatal("warm run missed the cache")
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Fatalf("hit differs from miss:\ncold %s\nwarm %s", cold, warm)
+		}
+		st := r.Stats()
+		if st.Executions != 1 || st.Hits != 1 || st.Misses != 1 {
+			t.Fatalf("stats = %+v; want 1 execution, 1 hit, 1 miss", st)
+		}
+		if _, refKey, err = r.Resolve(spec); err != nil {
+			t.Fatal(err)
+		}
+		ref = cold
+	})
+	t.Run("legacy", func(t *testing.T) {
+		if ref == nil {
+			t.Skip("no block-engine reference")
+		}
+		r := job.NewRunner()
+		r.Engine = sim.EngineLegacy
+		_, key, err := r.Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != refKey {
+			t.Fatalf("the engine override moved the key: %s, block %s", key, refKey)
+		}
+		got, _, err := r.RunEncodedTraced(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); st.Executions != 1 {
+			t.Fatalf("stats = %+v; want 1 execution", st)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("legacy engine bytes differ from the block engine's under one key:\n%s\nvs\n%s", got, ref)
+		}
+	})
+}
 
-			cold, info, err := r.RunEncodedTraced(spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Cached {
-				t.Fatal("cold run reported cached")
-			}
-			warm, info, err := r.RunEncodedTraced(spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !info.Cached {
-				t.Fatal("warm run missed the cache")
-			}
-			if !bytes.Equal(cold, warm) {
-				t.Fatalf("hit differs from miss:\ncold %s\nwarm %s", cold, warm)
-			}
-			st := r.Stats()
-			if st.Executions != 1 || st.Hits != 1 || st.Misses != 1 {
-				t.Fatalf("stats = %+v; want 1 execution, 1 hit, 1 miss", st)
-			}
-			if ref == nil {
-				ref = cold
-			} else if !bytes.Equal(ref, cold) {
-				t.Fatalf("engine %s result bytes differ from the first engine's:\n%s\nvs\n%s", e, cold, ref)
-			}
-		})
+// Runner.Engine is what a workload sees as RunContext.Engine: the one
+// way a test reaches the legacy oracle through the job layer.
+func TestRunnerEngineReachesTheWorkload(t *testing.T) {
+	var seen []sim.Engine
+	job.Register(job.Workload{
+		Name: "test-engine",
+		Canon: func(args json.RawMessage) (json.RawMessage, error) {
+			return json.RawMessage(`{}`), nil
+		},
+		Run: func(ctx *job.RunContext) (*job.Result, error) {
+			seen = append(seen, ctx.Engine)
+			return &job.Result{}, nil
+		},
+	})
+	spec := &job.Spec{Workload: "test-engine", Args: json.RawMessage(`{}`)}
+	for _, e := range sim.Engines() {
+		r := job.NewRunner()
+		r.Engine = e
+		if _, err := r.Run(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := sim.Engines(); fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("workload saw engines %v; want %v", seen, want)
 	}
 }
 
@@ -181,7 +232,6 @@ func registerGate(t *testing.T, name string) *gate {
 			}
 			return &job.Result{Cycles: 42}, nil
 		},
-		EngineNeutral: true,
 	})
 	return g
 }
@@ -252,7 +302,6 @@ func TestErrorsPropagateAndAreNotCached(t *testing.T) {
 			}
 			return &job.Result{Cycles: 7}, nil
 		},
-		EngineNeutral: true,
 	})
 	r := job.NewRunner()
 	r.Cache = resultcache.OpenMemory(0)

@@ -1,9 +1,11 @@
 // Package job is the unified run/job layer: one canonical description of
 // a simulation run — what to execute (a program image or a named
-// workload), on which architectural configuration, under which engine,
-// issue policy and latency model — plus a deterministic content hash over
-// that description, and a Runner that executes specs with an optional
-// result cache in front.
+// workload), on which architectural configuration, under which issue
+// policy and latency model — plus a deterministic content hash over that
+// description, and a Runner that executes specs with an optional result
+// cache in front. A spec describes the chip, never the host: which
+// instruction engine simulates it is not part of a run's description,
+// because both engines produce the same bytes.
 //
 // Every Cyclops run is deterministic: a canonicalized Spec fully
 // determines the run's statistics, tables and outputs. Spec.Key exploits
@@ -21,17 +23,20 @@ import (
 
 	"cyclops/internal/arch"
 	"cyclops/internal/resultcache"
-	"cyclops/internal/sim"
 	"cyclops/internal/timing"
 )
 
 // SemanticsVersion stamps every spec key with the simulator's timing
-// semantics. Bump it whenever a change intentionally moves simulated
-// cycles or counters (i.e. whenever the harness goldens are regenerated):
-// old cache entries then never match new keys, so a stale cache can
-// serve stale-but-correct results only for the semantics it recorded,
-// never wrong results for the current ones. The resultcache manifest
-// records this value per cache directory.
+// semantics. Bump it whenever an old key could name a different result:
+// a change that intentionally moves simulated cycles or counters (i.e.
+// whenever the harness goldens are regenerated), or a key-schema change
+// that lets an old encoding hash to a key the new code runs differently.
+// Old cache entries then never match new keys, so a stale cache can serve
+// stale-but-correct results only for the semantics it recorded, never
+// wrong results for the current ones. A change that only moves keys needs
+// no bump: removing a field every old encoding of a workload carried
+// leaves those old keys unreachable, so their entries are never served.
+// The resultcache manifest records this value per cache directory.
 const SemanticsVersion = "cyclops-sim/1"
 
 // ProgramWorkload is the built-in workload name for raw program images.
@@ -63,9 +68,6 @@ type Spec struct {
 	// always carries it, so keys are computed over an explicit
 	// configuration.
 	Config *arch.Config `json:"config,omitempty"`
-	// Engine is the execution engine's flag spelling (block or legacy);
-	// empty inherits Defaults.Engine (block).
-	Engine string `json:"engine,omitempty"`
 	// Policy is the issue policy's canonical spec ("fine", "blocked/8");
 	// empty inherits Defaults.Policy (fine).
 	Policy string `json:"policy,omitempty"`
@@ -88,24 +90,23 @@ type Spec struct {
 	canonical bool
 }
 
-// Defaults is what blank Engine, Policy and Config fields of a spec
-// resolve to. A Runner carries one (the CLIs' -engine/-policy/-lat
-// selection lands there); nothing else in the process influences a run.
+// Defaults is what blank Policy and Config fields of a spec resolve to.
+// A Runner carries one (the CLIs' -policy/-lat selection lands there);
+// nothing else in the process influences a run.
 type Defaults struct {
-	Engine sim.Engine
 	Policy timing.Policy // nil is fine-grained
 	Config arch.Config
 }
 
-// paperDefaults is the paper's design point — block engine, fine-grained
-// issue, the Table 2 configuration: what a bare Canonicalize and a fresh
-// Runner assume.
+// paperDefaults is the paper's design point — fine-grained issue, the
+// Table 2 configuration: what a bare Canonicalize and a fresh Runner
+// assume.
 func paperDefaults() Defaults {
-	return Defaults{Engine: sim.EngineBlock, Policy: timing.FineGrain{}, Config: arch.Default()}
+	return Defaults{Policy: timing.FineGrain{}, Config: arch.Default()}
 }
 
 // Canonicalize validates the spec and returns its canonical form: every
-// defaultable field made explicit (engine, policy, configuration — blanks
+// defaultable field made explicit (policy and configuration — blanks
 // take the paper's design point; Runner.Resolve fills them from the
 // Runner's Defaults instead), the latency convenience folded into the
 // configuration, workload arguments re-encoded through the workload's
@@ -150,19 +151,6 @@ func (s *Spec) canonicalize(d Defaults) (*Spec, error) {
 		c.Args = args
 	}
 
-	if c.Engine != "" {
-		if _, err := sim.ParseEngine(c.Engine); err != nil {
-			return nil, err
-		}
-	}
-	switch {
-	case w.EngineNeutral:
-		// Direct-execution workloads never consult the engine: clear it so
-		// every -engine selection keys (and caches) the same run.
-		c.Engine = ""
-	case c.Engine == "":
-		c.Engine = d.Engine.String()
-	}
 	switch {
 	case c.Policy != "":
 		pol, err := timing.ParsePolicySpec(c.Policy)
@@ -245,9 +233,6 @@ func (s *Spec) wantOutput(name string) bool {
 	}
 	return false
 }
-
-// engine resolves the canonical engine string.
-func (s *Spec) engine() (sim.Engine, error) { return sim.ParseEngine(s.Engine) }
 
 // policy resolves the canonical policy spec.
 func (s *Spec) policy() (timing.Policy, error) { return timing.ParsePolicySpec(s.Policy) }

@@ -9,14 +9,24 @@ import (
 	"cyclops/internal/job"
 	"cyclops/internal/job/workloads"
 	"cyclops/internal/kernel"
-	"cyclops/internal/sim"
 	"cyclops/internal/stream"
 )
 
-// Key-stability goldens: the content address of a fixed spec must never
-// drift silently — a changed key orphans every existing cache entry. An
-// intentional change to the key schema or the canonical encoding must
-// come with a SemanticsVersion bump, and then with new goldens here.
+// programSpec is a program spec exercising every defaultable field's
+// input convenience (policy spelling, latency fold, duplicate outputs);
+// Canonicalize does not decode the image, so a bare magic number will do.
+func programSpec() *job.Spec {
+	return &job.Spec{Workload: job.ProgramWorkload, Program: []byte("CYC1"), Policy: "blocked/8",
+		Latency: "miss=48,rmiss=72", Outputs: []string{job.SnapshotOutput, job.SnapshotOutput}}
+}
+
+// Key-stability goldens, one per key schema (a sim workload, a
+// direct-execution workload, a program image): the content address of a
+// fixed spec must never drift silently — a changed key orphans every
+// existing cache entry. An intentional change to the key schema or the
+// canonical encoding comes with new goldens here, and with a
+// SemanticsVersion bump when an old key could now name a different
+// result.
 func TestKeyStability(t *testing.T) {
 	streamSpec, err := workloads.StreamSpec(stream.Params{
 		Kernel: stream.Triad, Threads: 2, N: 320, Local: true, Reps: 2,
@@ -35,8 +45,9 @@ func TestKeyStability(t *testing.T) {
 		spec *job.Spec
 		want string
 	}{
-		{"stream-triad", streamSpec, "1cd7a69e00429f118b5e1a8602921c83d3aa2c9dc7b13db9dac718341da57152"},
+		{"stream-triad", streamSpec, "173bd6a5825baa10bdb2dedbc6dab4a8f03edabbf4acfce76f981452381d0ab5"},
 		{"splash-fft", splashSpec, "cdfdac722ee7eea773bd34c25aac20ab81e39cd92099af5b56a72936210f1dfd"},
+		{"program", programSpec(), "1ebb64c8beefd737f0608d6e7d3bf5747936fa727e038f1abcaa51b17bbad072"},
 	}
 	for _, g := range golden {
 		t.Run(g.name, func(t *testing.T) {
@@ -45,7 +56,7 @@ func TestKeyStability(t *testing.T) {
 				t.Fatal(err)
 			}
 			if key.String() != g.want {
-				t.Errorf("key drifted:\n got %s\nwant %s\n(an intentional key-schema change needs a SemanticsVersion bump and new goldens)",
+				t.Errorf("key drifted:\n got %s\nwant %s\n(an intentional key-schema change needs new goldens, and a SemanticsVersion bump if an old key could now name a different result)",
 					key, g.want)
 			}
 		})
@@ -68,7 +79,6 @@ func TestEquivalentSpellingsKeyIdentically(t *testing.T) {
 			"partition": "blocked", "unroll": 1, "reps": 2,
 			"placement": "sequential", "threads": 2
 		}`),
-		Engine: "block",
 		Policy: "fine",
 		Config: &cfg,
 	}
@@ -82,53 +92,6 @@ func TestEquivalentSpellingsKeyIdentically(t *testing.T) {
 	}
 	if tk != vk {
 		t.Fatalf("equivalent spellings keyed differently:\n terse   %s\n verbose %s", tk, vk)
-	}
-}
-
-// Engine-neutral (direct-execution) workloads never consult the engine,
-// so every -engine selection must share one cache slot; engine-sensitive
-// workloads must not.
-func TestEngineNeutralityInKeys(t *testing.T) {
-	splashKey := func(engine string) string {
-		spec, err := workloads.SplashSpec(workloads.SplashArgs{Kernel: "lu", Threads: 4, N: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Engine = engine
-		k, err := spec.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k.String()
-	}
-	base := splashKey("")
-	for _, e := range sim.Engines() {
-		if got := splashKey(e.String()); got != base {
-			t.Errorf("splash keys differ across engines: %q gave %s, default gave %s", e, got, base)
-		}
-	}
-
-	streamKey := func(engine string) string {
-		spec, err := workloads.StreamSpec(stream.Params{
-			Kernel: stream.Copy, Threads: 2, N: 128, Reps: 2,
-		}, kernel.Sequential)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Engine = engine
-		k, err := spec.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k.String()
-	}
-	seen := map[string]string{}
-	for _, e := range sim.Engines() {
-		k := streamKey(e.String())
-		if prev, dup := seen[k]; dup {
-			t.Errorf("stream keys collide across engines %s and %s", prev, e)
-		}
-		seen[k] = e.String()
 	}
 }
 
@@ -218,10 +181,6 @@ func TestCanonicalizeRejections(t *testing.T) {
 		want string // substring the error must carry; "" = any error
 	}{
 		{name: "unknown workload", spec: job.Spec{Workload: "nonesuch"}},
-		{name: "unknown engine", spec: job.Spec{Workload: "stream", Engine: "warp",
-			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}, want: "want block or legacy"},
-		{name: "removed engine", spec: job.Spec{Workload: "stream", Engine: "decoded",
-			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}, want: "want block or legacy"},
 		{name: "unknown policy", spec: job.Spec{Workload: "stream", Policy: "eager",
 			Args: json.RawMessage(`{"kernel":"copy","threads":2,"n":128}`)}},
 		{name: "unknown args field", spec: job.Spec{Workload: "stream",

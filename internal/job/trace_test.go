@@ -42,7 +42,7 @@ func TestRunnerSpanTaxonomy(t *testing.T) {
 	}
 	r.Cache = c
 	r.Tracer = obs.NewTracerSeeded(obs.DefaultTraceCapacity, 7)
-	spec := smallStreamSpec(t, "")
+	spec := smallStreamSpec(t)
 
 	if _, _, err := r.RunEncodedTraced(spec, nil); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestInstrumentStageHistograms(t *testing.T) {
 	if r.Tracer == nil {
 		t.Fatal("Instrument left Tracer nil")
 	}
-	spec := smallStreamSpec(t, "")
+	spec := smallStreamSpec(t)
 	if _, _, err := r.RunEncodedTraced(spec, nil); err != nil {
 		t.Fatal(err)
 	}

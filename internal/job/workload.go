@@ -52,10 +52,12 @@ func DecodeResult(data []byte) (*Result, error) {
 }
 
 // RunContext hands a workload its resolved execution parameters: the
-// canonical spec plus the parsed configuration, engine and policy. These
-// are a run's whole input: there is no process state for a workload to
-// consult (sweep workers and serve handlers run different points
-// concurrently).
+// canonical spec plus the parsed configuration and policy. These are a
+// run's whole input: there is no process state for a workload to consult
+// (sweep workers and serve handlers run different points concurrently).
+// Engine is the Runner's instruction engine (Runner.Engine), for
+// workloads that boot a sim.Machine to pass to SetEngine; it never
+// changes a result.
 type RunContext struct {
 	Spec   *Spec
 	Config arch.Config
@@ -72,11 +74,6 @@ type Workload struct {
 	Canon func(args json.RawMessage) (json.RawMessage, error)
 	// Run executes one canonicalized point.
 	Run func(ctx *RunContext) (*Result, error)
-	// EngineNeutral marks workloads that never touch the
-	// instruction-level execution engine (the direct-execution runtime).
-	// Canonicalize clears Engine on their specs, so the same run keys —
-	// and caches — identically under every -engine selection.
-	EngineNeutral bool
 }
 
 var (

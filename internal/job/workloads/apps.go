@@ -37,16 +37,14 @@ type RayArgs struct {
 
 func init() {
 	job.Register(job.Workload{
-		Name:          MDName,
-		Canon:         canonMD,
-		Run:           runMD,
-		EngineNeutral: true,
+		Name:  MDName,
+		Canon: canonMD,
+		Run:   runMD,
 	})
 	job.Register(job.Workload{
-		Name:          RayName,
-		Canon:         canonRay,
-		Run:           runRay,
-		EngineNeutral: true,
+		Name:  RayName,
+		Canon: canonRay,
+		Run:   runRay,
 	})
 }
 

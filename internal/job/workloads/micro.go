@@ -25,10 +25,9 @@ type MicroBarrierArgs struct {
 
 func init() {
 	job.Register(job.Workload{
-		Name:          MicroBarrierName,
-		Canon:         canonMicroBarrier,
-		Run:           runMicroBarrier,
-		EngineNeutral: true,
+		Name:  MicroBarrierName,
+		Canon: canonMicroBarrier,
+		Run:   runMicroBarrier,
 	})
 }
 

@@ -41,10 +41,9 @@ type SplashArgs struct {
 
 func init() {
 	job.Register(job.Workload{
-		Name:          SplashName,
-		Canon:         canonSplash,
-		Run:           runSplash,
-		EngineNeutral: true, // direct execution: no instruction engine
+		Name:  SplashName,
+		Canon: canonSplash,
+		Run:   runSplash,
 	})
 }
 

@@ -187,13 +187,18 @@ func runStream(ctx *job.RunContext) (*job.Result, error) {
 }
 
 // StreamSpec builds the job spec for one STREAM measurement. The
-// parameters' per-run Issue and Engine overrides fold into the spec's
-// policy/engine fields (nil leaves them blank for the Runner's
-// defaults). A timeline is a live object no result carries, so
-// TimelineEvery runs must keep calling stream.Run directly.
+// parameters' per-run Issue override folds into the spec's policy (nil
+// leaves it blank for the Runner's defaults). A timeline is a live object
+// no result carries, so TimelineEvery runs must keep calling stream.Run
+// directly. A spec names no engine — both give the same result — so an
+// Engine override is refused too: the oracle is Runner.Engine, or
+// stream.Run.
 func StreamSpec(p stream.Params, place kernel.Policy) (*job.Spec, error) {
 	if p.TimelineEvery != 0 {
 		return nil, fmt.Errorf("workloads: STREAM runs with a timeline have no spec; call stream.Run directly")
+	}
+	if p.Engine != nil {
+		return nil, fmt.Errorf("workloads: a spec names no engine; set job.Runner.Engine or call stream.Run directly")
 	}
 	placement := "sequential"
 	if place == kernel.Balanced {
@@ -221,9 +226,6 @@ func StreamSpec(p stream.Params, place kernel.Policy) (*job.Spec, error) {
 	spec := &job.Spec{Workload: StreamName, Args: args}
 	if p.Issue != nil {
 		spec.Policy = p.Issue.String()
-	}
-	if p.Engine != nil {
-		spec.Engine = p.Engine.String()
 	}
 	return spec, nil
 }

@@ -98,13 +98,13 @@ func TestSpecIsTheWholeInput(t *testing.T) {
 	slow := arch.Default()
 	slow.Latencies.LocalMissLatency = 48
 	swept := job.NewRunner()
-	swept.Defaults = job.Defaults{Engine: sim.EngineLegacy, Policy: timing.Blocked{Pen: 8}, Config: slow}
+	swept.Defaults = job.Defaults{Policy: timing.Blocked{Pen: 8}, Config: slow}
 
 	for _, p := range points(t) {
 		t.Run(p.name, func(t *testing.T) {
 			paper := arch.Default()
 			explicit := *p.spec
-			explicit.Engine, explicit.Policy, explicit.Config = "block", "fine", &paper
+			explicit.Policy, explicit.Config = "fine", &paper
 			bareKey, bareData := runOn(t, job.NewRunner(), &explicit)
 			sweptKey, sweptData := runOn(t, swept, &explicit)
 			if bareKey != sweptKey || !bytes.Equal(bareData, sweptData) {
@@ -113,15 +113,15 @@ func TestSpecIsTheWholeInput(t *testing.T) {
 			}
 
 			spelled := *p.spec
-			spelled.Engine, spelled.Policy, spelled.Config = "legacy", "blocked/8", &slow
+			spelled.Policy, spelled.Config = "blocked/8", &slow
 			wantKey, wantData := runOn(t, job.NewRunner(), &spelled)
 			gotKey, gotData := runOn(t, swept, p.spec)
 			if gotKey != wantKey || !bytes.Equal(gotData, wantData) {
-				t.Errorf("blank spec on {legacy, blocked/8, miss=48} differs from that spelling on a bare Runner:\n blank   %s %s\n spelled %s %s",
+				t.Errorf("blank spec on {blocked/8, miss=48} differs from that spelling on a bare Runner:\n blank   %s %s\n spelled %s %s",
 					gotKey, gotData, wantKey, wantData)
 			}
 			if p.stalls && bytes.Equal(gotData, bareData) {
-				t.Errorf("defaults {legacy, blocked/8, miss=48} did not move the result: %s", gotData)
+				t.Errorf("defaults {blocked/8, miss=48} did not move the result: %s", gotData)
 			}
 		})
 	}
@@ -232,13 +232,34 @@ func TestProfileEverySchema(t *testing.T) {
 		t.Errorf("unprofiled STREAM payload mentions a profile: %s", res.Extra)
 	}
 
-	p.ProfileEvery, p.TimelineEvery = 0, 64
-	if _, err := workloads.StreamSpec(p, kernel.Sequential); err == nil {
-		t.Error("StreamSpec accepted a timeline run")
-	}
 	if _, err := (&job.Spec{Workload: "splash",
 		Args: json.RawMessage(`{"kernel":"fft","threads":4,"n":256,"iters":2}`)}).Canonicalize(); err == nil {
 		t.Error("iters accepted on a kernel other than ocean")
+	}
+}
+
+// StreamSpec refuses the parameters a spec cannot carry: a timeline is a
+// live object no result holds, and a spec names no engine (both give the
+// same result; the oracle is Runner.Engine), not even the default one.
+func TestStreamSpecRefusals(t *testing.T) {
+	block, legacy := sim.EngineBlock, sim.EngineLegacy
+	for _, tc := range []struct {
+		name string
+		edit func(p *stream.Params)
+		want string
+	}{
+		{"timeline", func(p *stream.Params) { p.TimelineEvery = 64 }, "timeline"},
+		{"engine block", func(p *stream.Params) { p.Engine = &block }, "names no engine"},
+		{"engine legacy", func(p *stream.Params) { p.Engine = &legacy }, "names no engine"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := stream.Params{Kernel: stream.Copy, Threads: 2, N: 128, Local: true, Reps: 2}
+			tc.edit(&p)
+			_, err := workloads.StreamSpec(p, kernel.Sequential)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("StreamSpec error = %v; want one naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

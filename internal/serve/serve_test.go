@@ -82,7 +82,7 @@ func streamSpec() map[string]any {
 	}
 }
 
-// The daemon-wide -engine/-policy/-lat selection is the runner's Defaults:
+// The daemon-wide -policy/-lat selection is the runner's Defaults:
 // a request that leaves the fields blank is keyed, cached and run as the
 // explicit spelling, and one that spells its own is unaffected.
 func TestRunnerDefaultsFillBlankRequestFields(t *testing.T) {
@@ -163,6 +163,9 @@ func TestBadSpecsAre400(t *testing.T) {
 		`{"workload":"nonesuch"}`,
 		`{"workload":"stream","args":{"kernel":"warp"}}`,
 		`{"workload":"stream","unknown_field":true}`,
+		// The engine left the spec: a client still sending it is told
+		// so, not silently run on the block engine.
+		`{"workload":"stream","engine":"legacy"}`,
 		// A body is one spec: a valid one followed by anything but
 		// whitespace is refused, not run.
 		string(valid) + " trailing-garbage",
@@ -276,7 +279,6 @@ func TestQueueFullReturns429(t *testing.T) {
 			}
 			return &job.Result{Cycles: uint64(a.ID)}, nil
 		},
-		EngineNeutral: true,
 	})
 	_, ts := newTestServer(t, serve.Config{Workers: 1, QueueLimit: 1})
 

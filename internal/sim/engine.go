@@ -28,7 +28,7 @@ const (
 	EngineLegacy
 )
 
-// String returns the engine's flag spelling.
+// String returns the engine's name.
 func (e Engine) String() string {
 	switch e {
 	case EngineBlock:
@@ -37,17 +37,6 @@ func (e Engine) String() string {
 		return "legacy"
 	}
 	return fmt.Sprintf("Engine(%d)", uint8(e))
-}
-
-// ParseEngine resolves a -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "block":
-		return EngineBlock, nil
-	case "legacy":
-		return EngineLegacy, nil
-	}
-	return EngineBlock, fmt.Errorf("sim: unknown engine %q (want block or legacy)", s)
 }
 
 // Engines lists every engine, fastest first — the order equivalence
@@ -64,9 +53,6 @@ func (m *Machine) SetEngine(e Engine) {
 	}
 	m.engine = e
 }
-
-// Engine reports the machine's selected engine.
-func (m *Machine) Engine() Engine { return m.engine }
 
 // BlockStats reports the block engine's host-side cache activity: blocks
 // compiled (including recompiles after a flush) and whole-cache flushes

@@ -9,29 +9,6 @@ import (
 	"cyclops/internal/core"
 )
 
-func TestParseEngine(t *testing.T) {
-	for _, e := range Engines() {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	// "decoded" names no engine: it must fail like any other unknown
-	// spelling, not resolve to one.
-	for _, bad := range []string{"turbo", "decoded"} {
-		got, err := ParseEngine(bad)
-		if err == nil {
-			t.Fatalf("ParseEngine(%s): no error", bad)
-		}
-		if !strings.Contains(err.Error(), `"`+bad+`"`) || !strings.Contains(err.Error(), "want block or legacy") {
-			t.Errorf("error = %v, want the flag spelling hint", err)
-		}
-		if got != EngineBlock {
-			t.Errorf("error case returns %v, want the EngineBlock zero value", got)
-		}
-	}
-}
-
 func TestEngineString(t *testing.T) {
 	if got := Engine(200).String(); got != "Engine(200)" {
 		t.Errorf("unknown engine String = %q", got)
