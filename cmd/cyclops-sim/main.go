@@ -231,7 +231,8 @@ func writeRunMetrics(w io.Writer, m *sim.Machine, wall time.Duration) error {
 
 func printStats(m *sim.Machine, chip *core.Chip) {
 	fmt.Println("thread  quad     insts       run     stall")
-	for _, tu := range m.TUs {
+	for tid := range chip.Cfg.Threads {
+		tu := m.Unit(tid)
 		if tu.Insts == 0 {
 			continue
 		}

@@ -86,6 +86,39 @@ func TestRunSourceWithStatsAndTrace(t *testing.T) {
 	}
 }
 
+// TestStatsOneThread: -stats of a 1-thread program on the 128-unit chip
+// lists the one unit that ran and reads the 127 never started as idle in
+// every total, with or without a profiler and timeline attached, byte for
+// byte as testdata/stats_one_thread.golden pins it (written when every unit
+// was built up front). The section ends at the host: line; a profiler's
+// report follows it.
+func TestStatsOneThread(t *testing.T) {
+	src := writeProgram(t, helloSrc)
+	dir := filepath.Dir(src)
+	want, err := os.ReadFile("testdata/stats_one_thread.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ prof, timeline bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		o := options{maxCycles: 100000, stats: true}
+		if c.prof {
+			o.profileOut, o.sampleEvery = filepath.Join(dir, "prof.pb.gz"), 1
+		}
+		if c.timeline {
+			o.timelineOut, o.timelineEvery = filepath.Join(dir, "tl.csv"), 16
+		}
+		printed := runCaptured(t, src, o)
+		end := strings.Index(printed, "\nhost: ")
+		if end < 0 {
+			t.Fatalf("no host: line:\n%s", printed)
+		}
+		got := printed[:end+1+strings.IndexByte(printed[end+1:], '\n')+1]
+		if got != string(want) {
+			t.Errorf("profiler %v, timeline %v: -stats printed\n%s\nwant\n%s", c.prof, c.timeline, got, want)
+		}
+	}
+}
+
 // TestTraceWithTraceOut: -trace N beside -trace-out prints the last N
 // issues and still writes every issue to the Chrome trace; the ring is
 // sized for the file, not for N.

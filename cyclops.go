@@ -126,10 +126,13 @@ type ThreadStats struct {
 	Run, Stall, Insts uint64
 }
 
-// Stats returns per-thread-unit counters for started units.
+// Stats returns per-thread-unit counters, one entry per unit of the chip;
+// a unit the run never started reports zeros.
 func (s *System) Stats() []ThreadStats {
-	out := make([]ThreadStats, len(s.k.Machine().TUs))
-	for i, tu := range s.k.Machine().TUs {
+	m := s.k.Machine()
+	out := make([]ThreadStats, s.chip.Cfg.Threads)
+	for i := range out {
+		tu := m.Unit(i)
 		out[i] = ThreadStats{Run: tu.Run, Stall: tu.Stall, Insts: tu.Insts}
 	}
 	return out

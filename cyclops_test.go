@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cyclops"
+	"cyclops/internal/prof"
 )
 
 const helloSrc = `
@@ -45,6 +46,46 @@ func TestPublicQuickstart(t *testing.T) {
 	stats := sys.Stats()
 	if stats[2].Insts == 0 {
 		t.Error("main thread executed nothing")
+	}
+}
+
+// TestStatsReportsEveryUnit: Stats has one entry per thread unit of the
+// chip, whether or not the run started it. The hello program starts unit 2
+// only; the other 127 read zero, and unit 2's counters are the same with a
+// profiler and timeline attached.
+func TestStatsReportsEveryUnit(t *testing.T) {
+	prog, err := cyclops.Assemble(helloSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, observed := range []bool{false, true} {
+		sys, err := cyclops.NewSystem(cyclops.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if observed {
+			sys.Machine().AttachProfile(prof.New(1))
+			sys.Machine().AttachTimeline(prof.NewTimeline(16))
+		}
+		if err := sys.Boot(prog); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		stats := sys.Stats()
+		if len(stats) != 128 {
+			t.Fatalf("observed %v: %d entries, want one per unit (128)", observed, len(stats))
+		}
+		for tid, st := range stats {
+			want := cyclops.ThreadStats{}
+			if tid == 2 {
+				want = cyclops.ThreadStats{Run: 172, Stall: 112, Insts: 96}
+			}
+			if st != want {
+				t.Errorf("observed %v: unit %d = %+v, want %+v", observed, tid, st, want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +92,116 @@ func TestDCacheScratchWays(t *testing.T) {
 	if live != 4 {
 		t.Errorf("%d of 5 lines live in a 4-way partition, want 4", live)
 	}
+}
+
+// TestUnbackedCacheMatchesEager: a System's caches share one zero tag table
+// until their first Install. Disabling a quad, partitioning scratch ways and
+// invalidating change nothing on an unbacked cache, so they leave it
+// unbacked; from its first use on, it answers every lookup and picks every
+// victim as a cache backed from the start does.
+func TestUnbackedCacheMatchesEager(t *testing.T) {
+	cfg := arch.Default()
+	s := NewSystem(cfg, mem.New(cfg))
+	zero := &zeros[0]
+	if !s.DisableQuad(5) || !s.PartitionScratch(9, 3) {
+		t.Fatal("DisableQuad(5) or PartitionScratch(9, 3) refused")
+	}
+	s.Caches[12].InvalidateAll()
+	for q, d := range s.Caches {
+		if d.lru != nil || d.readyAt != nil || &d.tags[0] != zero {
+			t.Fatalf("cache %d backed before its first install", q)
+		}
+	}
+	if got := s.Caches[9].ScratchWays(); got != 3 {
+		t.Fatalf("unbacked cache 9 has %d scratch ways, want 3", got)
+	}
+
+	sets := uint32(cfg.DCacheBytes / cfg.DCacheLine / cfg.DCacheAssoc)
+	for _, q := range []int{9, 12} {
+		lazy, eager := s.Caches[q], NewDCache(cfg)
+		eager.back()
+		eager.SetScratchWays(lazy.ScratchWays())
+		// Twelve lines in each of two sets: enough conflict to evict.
+		rng := rand.New(rand.NewSource(int64(q)))
+		for i := 0; i < 3000; i++ {
+			addr := uint32(rng.Intn(12))*sets*uint32(cfg.DCacheLine) + uint32(rng.Intn(2)*cfg.DCacheLine)
+			switch op := rng.Intn(100); {
+			case op == 0:
+				lazy.InvalidateAll()
+				eager.InvalidateAll()
+			case op == 1:
+				n := rng.Intn(cfg.DCacheAssoc)
+				lazy.SetScratchWays(n)
+				eager.SetScratchWays(n)
+			case op < 50:
+				ready := uint64(i)
+				if a, b := lazy.Install(addr, ready), eager.Install(addr, ready); a != b {
+					t.Fatalf("cache %d, op %d: install of %#x took slot %d, eager cache slot %d", q, i, addr, a, b)
+				}
+			default:
+				ha, ra := lazy.Lookup(addr)
+				hb, rb := eager.Lookup(addr)
+				if ha != hb || ra != rb {
+					t.Fatalf("cache %d, op %d: lookup of %#x = %v/%d, eager cache %v/%d", q, i, addr, ha, ra, hb, rb)
+				}
+			}
+		}
+		if !reflect.DeepEqual(lazy, eager) {
+			t.Errorf("cache %d differs from the eagerly backed cache after the same operations", q)
+		}
+	}
+	for q, d := range s.Caches {
+		if q != 9 && q != 12 && d.lru != nil {
+			t.Errorf("cache %d backed by another cache's installs", q)
+		}
+	}
+	checkZeros(t)
+}
+
+// checkZeros fails t if a cache wrote into the shared zero tag table.
+func checkZeros(t *testing.T) {
+	t.Helper()
+	for i, v := range zeros {
+		if v != 0 {
+			t.Fatalf("shared zero tag table written at %d", i)
+		}
+	}
+}
+
+// TestZeroTags: geometries the shared zero table covers alias it; a larger
+// one gets a zero table of its own.
+func TestZeroTags(t *testing.T) {
+	if z := zeroTags(256); len(z) != 256 || cap(z) != 256 || &z[0] != &zeros[0] {
+		t.Errorf("zeroTags(256) does not alias the shared table")
+	}
+	n := len(zeros) + 1
+	if z := zeroTags(n); len(z) != n || &z[0] == &zeros[0] || z[n-1] != 0 {
+		t.Errorf("zeroTags(%d) is not a fresh zero table", n)
+	}
+}
+
+// TestUnbackedICacheMatchesEager: instruction caches share the zero tag
+// table until their first miss, which backs that cache alone; it then hits,
+// misses and evicts as a cache backed from the start does.
+func TestUnbackedICacheMatchesEager(t *testing.T) {
+	cfg := arch.Default()
+	lazy, other, eager := NewICache(cfg), NewICache(cfg), NewICache(cfg)
+	eager.back()
+	sets := uint32(cfg.ICacheBytes / cfg.ICacheLine / cfg.ICacheAssoc)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		addr := uint32(rng.Intn(12))*sets*uint32(cfg.ICacheLine) + uint32(rng.Intn(2)*cfg.ICacheLine)
+		if a, b := lazy.Fetch(addr), eager.Fetch(addr); a != b {
+			t.Fatalf("fetch %d of %#x: hit %v, eager cache %v", i, addr, a, b)
+		}
+	}
+	if !reflect.DeepEqual(lazy, eager) {
+		t.Error("instruction cache differs from the eagerly backed one after the same fetches")
+	}
+	if other.lru != nil || &other.tags[0] != &zeros[0] {
+		t.Error("an instruction cache was backed by another cache's misses")
+	}
+	checkZeros(t)
 }
 
 func newSystem(t *testing.T) *System {

@@ -26,7 +26,10 @@ type DCache struct {
 	scratchWays int
 
 	// tags[set*assoc+way] holds the line address (addr >> lineShift) + 1;
-	// zero means invalid.
+	// zero means invalid. Until the first Install the cache is unbacked:
+	// tags is a zero table it shares read-only with other caches
+	// (zeroTags), on which probe finds nothing, and lru and readyAt are
+	// nil. Install gives the cache its own three tables (back).
 	tags []uint32
 	// lru[set*assoc+way] holds a per-set use stamp.
 	lru   []uint32
@@ -40,20 +43,39 @@ type DCache struct {
 	Hits, Misses uint64
 }
 
-// NewDCache builds a data cache from the configuration geometry.
+// NewDCache builds an unbacked data cache from the configuration geometry.
 func NewDCache(cfg arch.Config) *DCache {
 	lines := cfg.DCacheBytes / cfg.DCacheLine
 	sets := lines / cfg.DCacheAssoc
 	d := &DCache{
 		assoc:   cfg.DCacheAssoc,
 		setMask: uint32(sets - 1),
-		tags:    make([]uint32, lines),
-		lru:     make([]uint32, lines),
-		readyAt: make([]uint64, lines),
+		tags:    zeroTags(lines),
 	}
 	for d.lineShift = 0; 1<<d.lineShift < cfg.DCacheLine; d.lineShift++ {
 	}
 	return d
+}
+
+// zeros is the tag table of every unbacked cache, data or instruction, of
+// a geometry it covers (the default's are 256 and 1024 lines): caches only
+// read it, since each writes its tags only after back gave it its own, so
+// it stays zero and costs the heap nothing.
+var zeros [4096]uint32
+
+// zeroTags returns an n-entry zero tag table for unbacked caches to share.
+func zeroTags(n int) []uint32 {
+	if n <= len(zeros) {
+		return zeros[:n:n]
+	}
+	return make([]uint32, n)
+}
+
+// back gives an unbacked cache its own tag, LRU and fill tables, all
+// empty, as its first Install needs them.
+func (d *DCache) back() {
+	n := len(d.tags)
+	d.tags, d.lru, d.readyAt = make([]uint32, n), make([]uint32, n), make([]uint64, n)
 }
 
 // SetScratchWays reserves n ways (n x 2 KB at the default geometry) as
@@ -64,6 +86,9 @@ func (d *DCache) SetScratchWays(n int) bool {
 		return false
 	}
 	d.scratchWays = n
+	if d.lru == nil {
+		return true // unbacked: no way holds a line
+	}
 	for set := uint32(0); set <= d.setMask; set++ {
 		for w := 0; w < n; w++ {
 			d.tags[int(set)*d.assoc+w] = 0
@@ -92,6 +117,9 @@ func (d *DCache) Lookup(addr uint32) (hit bool, ready uint64) {
 // line's tag slot. With zero cache ways (full scratch partitioning is
 // disallowed) there is always a victim.
 func (d *DCache) Install(addr uint32, ready uint64) int {
+	if d.lru == nil {
+		d.back()
+	}
 	line := addr>>d.lineShift + 1
 	set := (line - 1) & d.setMask
 	base := int(set) * d.assoc
@@ -118,6 +146,9 @@ func (d *DCache) Install(addr uint32, ready uint64) int {
 
 // InvalidateAll empties the cache (a disabled quad loses its contents).
 func (d *DCache) InvalidateAll() {
+	if d.lru == nil {
+		return // unbacked: already empty
+	}
 	for i := range d.tags {
 		d.tags[i] = 0
 		d.lru[i] = 0

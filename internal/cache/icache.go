@@ -10,22 +10,26 @@ type ICache struct {
 	lineShift uint
 	setMask   uint32
 	assoc     int
-	tags      []uint32
-	lru       []uint32
-	stamp     uint32
+	// tags and lru are indexed set*assoc+way, as in DCache. Until the
+	// first miss the cache is unbacked: tags is a zero table shared
+	// read-only with other caches (zeroTags), on which Fetch always
+	// misses, and lru is nil.
+	tags  []uint32
+	lru   []uint32
+	stamp uint32
 
 	Hits, Misses uint64
 }
 
-// NewICache builds an instruction cache from the configuration geometry.
+// NewICache builds an unbacked instruction cache from the configuration
+// geometry.
 func NewICache(cfg arch.Config) *ICache {
 	lines := cfg.ICacheBytes / cfg.ICacheLine
 	sets := lines / cfg.ICacheAssoc
 	ic := &ICache{
 		assoc:   cfg.ICacheAssoc,
 		setMask: uint32(sets - 1),
-		tags:    make([]uint32, lines),
-		lru:     make([]uint32, lines),
+		tags:    zeroTags(lines),
 	}
 	for ic.lineShift = 0; 1<<ic.lineShift < cfg.ICacheLine; ic.lineShift++ {
 	}
@@ -53,8 +57,18 @@ func (ic *ICache) Fetch(addr uint32) bool {
 		}
 	}
 	ic.Misses++
+	if ic.lru == nil {
+		ic.back()
+	}
 	ic.stamp++
 	ic.tags[base+victim] = line
 	ic.lru[base+victim] = ic.stamp
 	return false
+}
+
+// back gives an unbacked cache its own tag and LRU tables, both empty, as
+// its first miss needs them.
+func (ic *ICache) back() {
+	n := len(ic.tags)
+	ic.tags, ic.lru = make([]uint32, n), make([]uint32, n)
 }

@@ -29,8 +29,11 @@ const runStart = 1000
 // random quad, sometimes a failed bank (working memory shrinks), and a few
 // hundred loads and stores at random
 // cycles around runStart over a window whose size decides how hot the
-// caches, ports and banks are. The same seed always yields the same state,
-// so two calls give twins.
+// caches, ports and banks are. About a quarter of the quads are cold: no
+// warming access is issued from one or served by one, so their caches are
+// still unbacked (the disabled quad's always, the scratch-partitioned one's
+// on some seeds) and a run's first miss there backs the cache. The same
+// seed always yields the same state, so two calls give twins.
 func warmSystem(seed int64) *cache.System {
 	cfg := arch.Default()
 	rng := rand.New(rand.NewSource(seed))
@@ -42,11 +45,15 @@ func warmSystem(seed int64) *cache.System {
 	s := cache.NewSystem(cfg, m)
 	s.DisableQuad(rng.Intn(cfg.Quads()))
 	s.PartitionScratch(rng.Intn(cfg.Quads()), rng.Intn(cfg.DCacheAssoc))
+	cold := rng.Uint32() & rng.Uint32()          // bit q: quad q is cold
 	window := uint32(2<<10) << (3 * rng.Intn(3)) // 2 KB, 16 KB or 128 KB
 	for i := 0; i < 300; i++ {
 		now := uint64(runStart - 200 + rng.Intn(400))
 		ea := randomEA(rng, rng.Uint32()%window)
 		own := rng.Intn(cfg.Quads())
+		if cold>>own&1 == 1 || cold>>s.CacheFor(ea, own)&1 == 1 {
+			continue
+		}
 		if rng.Intn(3) == 0 {
 			s.Load(now, ea, 8, own)
 		} else {
@@ -138,9 +145,12 @@ func (c runCase) addr(k int) uint32 {
 	return c.ea + uint32(k*c.stride)
 }
 
-// reached records which of the run core's rare arms a case exercised.
+// reached records which of the run core's rare arms a case exercised, and
+// whether it backed a cache: the run's first install into an unbacked one,
+// and into one partitioned before it was backed.
 type reached struct {
 	redirect, remoteGatherMiss, memSwitch, missSwitch, outOfRange bool
+	backed, backedScratch                                         bool
 }
 
 // checkRun runs spec's case on one warmed System through the run core and
@@ -151,6 +161,10 @@ func checkRun(t *testing.T, warm int64, spec uint64, seen *reached) {
 	sa, sb := warmSystem(warm), warmSystem(warm)
 	c := decodeRun(spec, sa.Mem.Size())
 	la, lb := timing.Ledger{Pol: c.pol}, timing.Ledger{Pol: c.pol}
+	unbacked := make([]bool, len(sa.Caches))
+	for i, d := range sa.Caches {
+		unbacked[i] = !d.Backed()
+	}
 
 	var r cache.RunSummary
 	switch {
@@ -221,6 +235,12 @@ func checkRun(t *testing.T, warm int64, spec uint64, seen *reached) {
 	if !reflect.DeepEqual(sa, sb) {
 		t.Errorf("System state after the run differs from after single accesses")
 	}
+	for i, d := range sa.Caches {
+		if unbacked[i] && d.Backed() {
+			seen.backed = true
+			seen.backedScratch = seen.backedScratch || d.ScratchWays() > 0
+		}
+	}
 }
 
 // TestAccessRunMatchesSingleAccesses is the property over a fixed sample of
@@ -236,7 +256,7 @@ func TestAccessRunMatchesSingleAccesses(t *testing.T) {
 			t.Logf("warm %d, spec %#x", warm, spec)
 		}
 	}
-	if all != (reached{true, true, true, true, true}) {
+	if all != (reached{true, true, true, true, true, true, true}) {
 		t.Errorf("the sample missed an arm: %+v", all)
 	}
 }

@@ -178,14 +178,18 @@ func TestUtilizationReport(t *testing.T) {
 }
 
 // TestNewChipAllocationBudget: functional memory is backed by the first
-// write to a page (internal/mem), so a fresh cell costs its caches, ports
-// and tables, not its 8 MB, and the largest legal external memory adds its
-// page table only. Eager backing of either cannot come back unnoticed.
+// write to a page (internal/mem), and each data and instruction cache by its
+// first install (internal/cache), so a fresh cell costs its ports and small
+// tables, 17,120 B, not its 8 MB
+// or its caches' 260 KB of tags, LRU stamps and fill times. The largest
+// legal external memory adds its page table only (1 MB). Each budget is the
+// measured size plus less than 25%, so eager backing of any of them cannot
+// come back unnoticed.
 func TestNewChipAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		offChip int
 		budget  uint64
-	}{{0, 1 << 19}, {2 << 30, 2 << 20}} {
+	}{{0, 20 << 10}, {2 << 30, 1280 << 10}} {
 		cfg := arch.Default()
 		cfg.OffChipBytes = tc.offChip
 		var before, after runtime.MemStats

@@ -126,7 +126,8 @@ func TestAsmGEMMMatchesGo(t *testing.T) {
 
 	// All four workers computed.
 	busy := 0
-	for _, tu := range k.Machine().TUs {
+	for tid := range k.Machine().Chip.Cfg.Threads {
+		tu := k.Machine().Unit(tid)
 		if tu.Insts > 100 {
 			busy++
 		}

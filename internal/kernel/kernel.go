@@ -102,7 +102,7 @@ func (k *Kernel) StackBase() uint32 {
 
 // startThread initialises a unit and begins execution at pc.
 func (k *Kernel) startThread(tid int, pc uint32, arg uint32) error {
-	tu := k.m.TUs[tid]
+	tu := k.m.Unit(tid)
 	for r := range tu.Regs {
 		tu.Regs[r] = 0
 	}
@@ -173,11 +173,11 @@ func (k *Kernel) Syscall(m *sim.Machine, tu *sim.TU) sim.SysResult {
 
 	case isa.SysJoin:
 		tid := int(a1)
-		if tid < 0 || tid >= len(m.TUs) || !k.spawned[tid] {
+		if tid < 0 || tid >= k.chip.Cfg.Threads || !k.spawned[tid] {
 			m.Trap("kernel: thread %d joined unknown thread %d", tu.ID, tid)
 			return sim.SysResult{Halt: true}
 		}
-		if m.TUs[tid].State == sim.Running {
+		if m.Unit(tid).State == sim.Running {
 			return sim.SysResult{Cost: 20, Retry: true}
 		}
 		return sim.SysResult{Cost: 4}
@@ -213,7 +213,7 @@ func (k *Kernel) Syscall(m *sim.Machine, tu *sim.TU) sim.SysResult {
 // freeWorker returns the next never-started usable worker unit, -1 if none.
 func (k *Kernel) freeWorker() int {
 	for _, tid := range k.workerOrder() {
-		if !k.spawned[tid] && k.m.TUs[tid].State == sim.Idle {
+		if !k.spawned[tid] && k.m.Unit(tid).State == sim.Idle {
 			return tid
 		}
 	}

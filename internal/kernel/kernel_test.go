@@ -67,7 +67,7 @@ func TestMainRunsOnFirstWorkerWithStack(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	main := k.Machine().TUs[2]
+	main := k.Machine().Unit(2)
 	if main.State != sim.Halted {
 		t.Error("main thread did not run on unit 2 (first worker)")
 	}
@@ -143,11 +143,11 @@ func TestSequentialAllocationFillsQuads(t *testing.T) {
 	}
 	// Main on 2; workers on 3..12 — quad 0 filled first.
 	for tid := 3; tid <= 12; tid++ {
-		if k.Machine().TUs[tid].Insts == 0 {
+		if k.Machine().Unit(tid).Insts == 0 {
 			t.Errorf("sequential policy skipped unit %d", tid)
 		}
 	}
-	if k.Machine().TUs[33].Insts != 0 {
+	if k.Machine().Unit(33).Insts != 0 {
 		t.Error("sequential policy scattered threads")
 	}
 }
@@ -169,7 +169,8 @@ func TestBalancedAllocationSpreadsQuads(t *testing.T) {
 	// in quad 0). Count active quads: 11 threads should span 11 quads'
 	// worth of slots rather than 3 quads.
 	quads := map[int]int{}
-	for tid, tu := range k.Machine().TUs {
+	for tid := range k.Machine().Chip.Cfg.Threads {
+		tu := k.Machine().Unit(tid)
 		if tu.Insts > 0 {
 			quads[arch.Default().QuadOf(tid)]++
 		}

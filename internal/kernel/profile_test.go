@@ -30,7 +30,8 @@ func TestProfilerReconcilesWithLedger(t *testing.T) {
 	}
 	samples := pr.SamplesByTU()
 	var active int
-	for _, tu := range k.Machine().TUs {
+	for tid := range k.Machine().Chip.Cfg.Threads {
+		tu := k.Machine().Unit(tid)
 		total := tu.Run + tu.Stall
 		var got uint64
 		if tu.ID < len(samples) {
@@ -77,7 +78,8 @@ func TestTimelineSumMatchesSnapshot(t *testing.T) {
 	sum := tl.Sum()
 
 	var run, stall uint64
-	for _, tu := range k.Machine().TUs {
+	for tid := range k.Machine().Chip.Cfg.Threads {
+		tu := k.Machine().Unit(tid)
 		run += tu.Run
 		stall += tu.Stall
 	}

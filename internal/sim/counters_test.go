@@ -63,7 +63,8 @@ func runCounting(t *testing.T, src string, sys Syscaller) *Machine {
 func TestStallReasonsSumToLegacyTotal(t *testing.T) {
 	m := runCounting(t, reasonSrc, &retrySys{left: 3})
 	var want obs.Breakdown
-	for _, tu := range m.TUs {
+	for tid := range m.Chip.Cfg.Threads {
+		tu := m.Unit(tid)
 		if got := tu.Stalls.Total(); got != tu.Stall {
 			t.Errorf("TU %d: reasons sum to %d, Stall = %d (%v)", tu.ID, got, tu.Stall, tu.Stalls)
 		}

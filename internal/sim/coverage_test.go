@@ -196,8 +196,8 @@ func TestPIBCrossingLoop(t *testing.T) {
 	prep := "\tli r10, 200\n"
 	mLong := run(t, prep+long)
 	mShort := run(t, prep+short)
-	perInstLong := float64(mLong.TUs[2].Stall) / float64(mLong.TUs[2].Insts)
-	perInstShort := float64(mShort.TUs[2].Stall) / float64(mShort.TUs[2].Insts)
+	perInstLong := float64(mLong.Unit(2).Stall) / float64(mLong.Unit(2).Insts)
+	perInstShort := float64(mShort.Unit(2).Stall) / float64(mShort.Unit(2).Insts)
 	if perInstLong <= perInstShort {
 		t.Errorf("PIB-crossing loop stalls %.3f/inst, tight loop %.3f/inst; expected more",
 			perInstLong, perInstShort)
@@ -349,7 +349,7 @@ chain:	fadd d36, d36, d32	; units of one quad collide on the pipes
 				if got := gs.ByOp[isa.OpMFSPR]; got != uint64(len(tids)) {
 					t.Errorf("%s: %d generic mfspr attempts, want %d", name, got, len(tids))
 				}
-				if tc.name != "spr" && m.TUs[tids[0]].Stall == 0 {
+				if tc.name != "spr" && m.Unit(tids[0]).Stall == 0 {
 					t.Errorf("%s: no stall cycle was charged; the wait arms did not run", name)
 				}
 			}
@@ -564,7 +564,7 @@ func TestALUAndBranchBodies(t *testing.T) {
 					if e != EngineBlock {
 						continue
 					}
-					tu := m.TUs[2]
+					tu := m.Unit(2)
 					if gs := m.GenericStats(); gs.ByOp[op] != 0 {
 						t.Errorf("%s: %d attempts took the generic path", name, gs.ByOp[op])
 					}

@@ -31,14 +31,16 @@ func (m *Machine) decodeAt(pc uint32) (isa.Inst, uint32, error) {
 	return isa.Decode(word), word, nil
 }
 
-// flushBlocks drops every compiled block and per-thread block hint. Called
-// when the memory's code generation moves (a write landed in watched text).
+// flushBlocks drops every compiled block and the block hints of the units
+// on the active list, the only ones that issue; Start drops the hint of a
+// unit it lists. Called when the memory's code generation moves (a write
+// landed in watched text).
 func (m *Machine) flushBlocks() {
 	if m.blocks != nil {
 		m.blocks = nil
 		m.blockFlushes++
 	}
-	for _, tu := range m.TUs {
+	for _, tu := range m.active {
 		tu.blk = nil
 	}
 }

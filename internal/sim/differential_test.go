@@ -129,7 +129,8 @@ func diffState(m *Machine, err error) string {
 	if serr := m.Snapshot().WriteJSON(&sb); serr != nil {
 		fmt.Fprintf(&sb, "snapshot-error=%v\n", serr)
 	}
-	for _, tu := range m.TUs {
+	for tid := range m.Chip.Cfg.Threads {
+		tu := m.Unit(tid)
 		if tu.State == Idle && tu.Insts == 0 {
 			continue
 		}
@@ -137,7 +138,8 @@ func diffState(m *Machine, err error) string {
 			tu.ID, tu.State, tu.PC, tu.Insts, tu.Regs)
 	}
 	fmt.Fprintf(&sb, "cycle=%d rr=%d\n", m.cycle, m.rr)
-	for _, tu := range m.TUs {
+	for tid := range m.Chip.Cfg.Threads {
+		tu := m.Unit(tid)
 		if tu.State != Idle {
 			fmt.Fprintf(&sb, "tu%d next=%d ready=%v\n", tu.ID, tu.nextAt, tu.ready)
 		}

@@ -72,7 +72,7 @@ func TestDisableQuadStallAccounting(t *testing.T) {
 	}
 
 	for name, m := range map[string]*Machine{"healthy": healthy, "faulted": faulted} {
-		tu := m.TUs[2]
+		tu := m.Unit(2)
 		if tu.Run == 0 || tu.Stall == 0 {
 			t.Errorf("%s: run/stall = %d/%d, want both > 0", name, tu.Run, tu.Stall)
 		}
@@ -88,8 +88,8 @@ func TestDisableQuadStallAccounting(t *testing.T) {
 
 	// The redirected cache starts cold but the access class (remote) is
 	// unchanged, so the two runs issue identical instruction counts.
-	if healthy.TUs[2].Insts != faulted.TUs[2].Insts {
-		t.Errorf("insts diverged: healthy %d, faulted %d", healthy.TUs[2].Insts, faulted.TUs[2].Insts)
+	if healthy.Unit(2).Insts != faulted.Unit(2).Insts {
+		t.Errorf("insts diverged: healthy %d, faulted %d", healthy.Unit(2).Insts, faulted.Unit(2).Insts)
 	}
 }
 
@@ -105,7 +105,7 @@ func TestDisableQuadRejectsStart(t *testing.T) {
 	if err := m.Start(tid, 0); err == nil {
 		t.Fatalf("started thread %d in disabled quad 3", tid)
 	}
-	tu := m.TUs[tid]
+	tu := m.Unit(tid)
 	if tu.Run != 0 || tu.Stall != 0 || tu.Insts != 0 {
 		t.Errorf("rejected start charged cycles: run=%d stall=%d insts=%d", tu.Run, tu.Stall, tu.Insts)
 	}

@@ -125,8 +125,10 @@ type SysResult struct {
 
 // Machine drives a chip cycle by cycle.
 type Machine struct {
-	Chip   *core.Chip
-	TUs    []*TU
+	Chip *core.Chip
+	// tus[tid] is thread unit tid, nil until Unit first builds it (see
+	// Unit): the engine reaches units through the active list only.
+	tus    []*TU
 	Kernel Syscaller
 
 	cycle  uint64
@@ -203,18 +205,34 @@ type Machine struct {
 // Kernel may be nil for programs that make no syscalls.
 func New(chip *core.Chip, kernel Syscaller) *Machine {
 	m := &Machine{Chip: chip, Kernel: kernel, mem: chip.Mem, bar: chip.Barrier,
-		eq: newEventQueue(chip.Cfg.Threads)}
-	pibWords := uint32(chip.Cfg.PIBEntries * 4)
-	for i := 0; i < chip.Cfg.Threads; i++ {
-		m.TUs = append(m.TUs, &TU{
-			ID:     i,
-			Quad:   chip.Cfg.QuadOf(i),
-			pib:    pibState{base: pibEmpty, words: pibWords},
-			icache: int32(chip.Cfg.ICacheOf(i)),
-		})
-	}
+		tus: make([]*TU, chip.Cfg.Threads), eq: newEventQueue(chip.Cfg.Threads)}
 	m.SetPolicy(nil)
 	return m
+}
+
+// Unit returns thread unit tid, building it on first use. A unit is about
+// 1 KB of registers, scoreboard and ledger, and most runs start a few of
+// the chip's units, so New builds none: Start builds the unit it starts,
+// and any other first read builds the unit as it was before anything ran
+// (Idle, every register and counter zero, under the machine's issue policy
+// and profiler).
+func (m *Machine) Unit(tid int) *TU {
+	if tu := m.tus[tid]; tu != nil {
+		return tu
+	}
+	cfg := m.Chip.Cfg
+	tu := &TU{
+		ID:     tid,
+		Quad:   cfg.QuadOf(tid),
+		pib:    pibState{base: pibEmpty, words: uint32(cfg.PIBEntries * 4)},
+		icache: int32(cfg.ICacheOf(tid)),
+	}
+	tu.Pol = m.pol.Table()
+	if m.Prof != nil {
+		tu.Samp = m.Prof.Sampler(tid)
+	}
+	m.tus[tid] = tu
+	return tu
 }
 
 // Cycle returns the current simulation cycle.
@@ -224,8 +242,13 @@ func (m *Machine) Cycle() uint64 { return m.cycle }
 // forwards its charges to a per-unit sampler. Call before Run.
 func (m *Machine) AttachProfile(p *prof.Profile) {
 	m.Prof = p
-	for _, tu := range m.TUs {
-		tu.Samp = p.Sampler(tu.ID)
+	for tid, tu := range m.tus {
+		// Every unit has its sampler from here on, built or not, so the
+		// profile holds one per unit whichever the run starts.
+		s := p.Sampler(tid)
+		if tu != nil {
+			tu.Samp = s
+		}
 	}
 }
 
@@ -261,13 +284,13 @@ func (m *Machine) finishTimeline() {
 // a unit that halts stays on the active list until the cycle's issues are
 // done, and listing it twice would issue it twice per cycle.
 func (m *Machine) Start(tid int, pc uint32) error {
-	if tid < 0 || tid >= len(m.TUs) {
+	if tid < 0 || tid >= len(m.tus) {
 		return fmt.Errorf("sim: no thread unit %d", tid)
 	}
 	if !m.Chip.ThreadUsable(tid) {
 		return fmt.Errorf("sim: thread unit %d is in a disabled quad", tid)
 	}
-	tu := m.TUs[tid]
+	tu := m.Unit(tid)
 	if tu.State == Running {
 		return fmt.Errorf("sim: thread unit %d already running", tid)
 	}
@@ -279,6 +302,7 @@ func (m *Machine) Start(tid int, pc uint32) error {
 	tu.nextAt = m.cycle
 	tu.StartCycle = m.cycle
 	tu.pib.base = pibEmpty
+	tu.blk = nil // compiled before a flush that skipped the unlisted unit
 	for r := range tu.ready {
 		tu.ready[r] = 0
 	}
@@ -381,31 +405,37 @@ func (m *Machine) halt(tu *TU) {
 	tu.State = Halted
 }
 
-// TotalInsts sums issued instructions over all units.
+// TotalInsts sums issued instructions over all units. A unit never built
+// has issued none.
 func (m *Machine) TotalInsts() uint64 {
 	var n uint64
-	for _, tu := range m.TUs {
-		n += tu.Insts
+	for _, tu := range m.tus {
+		if tu != nil {
+			n += tu.Insts
+		}
 	}
 	return n
 }
 
-// Totals sums every unit's ledger.
+// Totals sums every unit's ledger. A unit never built has an empty one.
 func (m *Machine) Totals() timing.Totals {
 	var t timing.Totals
-	for _, tu := range m.TUs {
-		t.Add(&tu.Ledger)
+	for _, tu := range m.tus {
+		if tu != nil {
+			t.Add(&tu.Ledger)
+		}
 	}
 	return t
 }
 
 // Snapshot captures the run's cycle accounting and resource telemetry in
-// the deterministic export form. Units that never issued are omitted.
+// the deterministic export form. Units that never issued, built or not,
+// are omitted.
 func (m *Machine) Snapshot() *obs.Snapshot {
 	s := &obs.Snapshot{Cycles: m.cycle, Resources: m.Chip.ResourceStats()}
-	idle := func(tu *TU) bool { return tu.Insts == 0 && tu.Run == 0 && tu.Stall == 0 }
+	idle := func(tu *TU) bool { return tu == nil || tu.Insts == 0 && tu.Run == 0 && tu.Stall == 0 }
 	n := 0
-	for _, tu := range m.TUs {
+	for _, tu := range m.tus {
 		if !idle(tu) {
 			n++
 		}
@@ -413,7 +443,7 @@ func (m *Machine) Snapshot() *obs.Snapshot {
 	if n > 0 {
 		s.Threads = make([]obs.ThreadStat, 0, n)
 	}
-	for _, tu := range m.TUs {
+	for _, tu := range m.tus {
 		if !idle(tu) {
 			s.Threads = append(s.Threads, tu.ThreadStat(tu.ID, tu.Quad, tu.Insts))
 		}

@@ -93,10 +93,12 @@ type spinGroup struct {
 }
 
 // parking is a machine's parking state, allocated by the first unit that
-// reaches a spin loop's head.
+// reaches a spin loop's head. A unit's record is allocated when the unit
+// first parks; TU has no room for it (one more word would move it to the
+// next allocation size class).
 type parking struct {
-	recs    []spinRec // by unit ID
-	list    []*TU     // the parked units
+	recs    []*spinRec // by unit ID
+	list    []*TU      // the parked units
 	groups  []spinGroup
 	byte    uint8 // the barrier register the parked units read
 	scratch TU    // the copy tryPark runs an iteration on
@@ -149,14 +151,15 @@ func (m *Machine) tryPark(tu *TU, blk *simBlock) bool {
 		return false
 	}
 	if m.park == nil {
-		m.park = &parking{recs: make([]spinRec, len(m.TUs)), list: make([]*TU, 0, len(m.TUs))}
+		m.park = &parking{recs: make([]*spinRec, len(m.tus))}
 	}
 	p := m.park
-	s, rec, h := &p.scratch, &p.recs[tu.ID], m.cycle
+	s, h := &p.scratch, m.cycle
 	*s = *tu
+	var offs [maxSpinAtts]uint8
 	atts := 0
 	for {
-		rec.offs[atts] = uint8(s.nextAt - h)
+		offs[atts] = uint8(s.nextAt - h)
 		atts++
 		blk.ops[(s.PC-blk.base)>>2](m, s, s.nextAt)
 		if s.PC == blk.spin {
@@ -172,7 +175,12 @@ func (m *Machine) tryPark(tu *TU, blk *simBlock) bool {
 	if period > maxPeriod || !sameSpinState(blk, tu, h, s, s.nextAt) {
 		return tu.spinFail()
 	}
-	*rec = spinRec{blk: blk, head: h, period: uint32(period), atts: uint32(atts), offs: rec.offs,
+	rec := p.recs[tu.ID]
+	if rec == nil {
+		rec = new(spinRec)
+		p.recs[tu.ID] = rec
+	}
+	*rec = spinRec{blk: blk, head: h, period: uint32(period), atts: uint32(atts), offs: offs,
 		insts: uint32(s.Insts - tu.Insts), run: uint32(s.Run - tu.Run), stall: uint32(s.Stall - tu.Stall),
 		dep: uint32(s.Stalls[obs.DepStall] - tu.Stalls[obs.DepStall]), sw: uint32(s.Stalls[obs.SwitchStall] - tu.Stalls[obs.SwitchStall])}
 	for i, r := range blk.regs[:blk.nw] {
@@ -373,7 +381,7 @@ func (m *Machine) wake(c uint64, by *TU, why wakeReason) {
 // replay brings parked unit tu to its first attempt at or after cycle t:
 // whole iterations by their recorded deltas, the rest by its block's ops.
 func (m *Machine) replay(tu *TU, t uint64) {
-	rec := &m.park.recs[tu.ID]
+	rec := m.park.recs[tu.ID]
 	blk := rec.blk
 	period := uint64(rec.period)
 	if k := (t - rec.head) / period; k > 0 && tu.nextAt == rec.head {

@@ -188,7 +188,7 @@ func spinRun(seed int64, units int, cfg arch.Config, sc diffScenario, flags uint
 	workers := []uint32{roleHalt, roleHalt, roleStore, roleDMA, roleSleep, roleSleep, roleWrite, roleTrap}
 	n := 2 + rng.Intn(min(units, cfg.Threads)-1)
 	for _, tid := range rng.Perm(cfg.Threads)[:n] {
-		r := &m.TUs[tid].Regs
+		r := &m.Unit(tid).Regs
 		r[20], r[21], r[23], r[25] = uint32(tid), 1+uint32(rng.Intn(4)), 1+uint32(rng.Intn(16)), uint32(rng.Intn(4))
 		if rng.Intn(4) == 0 {
 			r[22], r[23], r[24] = workers[rng.Intn(len(workers))], 1+uint32(rng.Intn(100)), uint32(rng.Intn(3*wheelSlots))
@@ -248,6 +248,19 @@ func TestSpinParkDifferential(t *testing.T) {
 				units := []int{128, 4, 126, 24}[seed%4]
 				m, k := spinCompare(t, seed, units, schedConfig(int(seed)), sc, flags, &seen)
 				s := m.SchedStats()
+				// A unit's parking record is allocated when it first
+				// parks: at most one per park, and none without one.
+				recs := 0
+				if m.park != nil {
+					for _, rec := range m.park.recs {
+						if rec != nil {
+							recs++
+						}
+					}
+				}
+				if uint64(recs) > s.Parks || (recs > 0) != (s.Parks > 0) {
+					t.Errorf("seed %d: %d units hold a parking record after %d parks", seed, recs, s.Parks)
+				}
 				st.Parks += s.Parks
 				st.Wakes += s.Wakes
 				st.ParkedAttempts += s.ParkedAttempts
@@ -309,7 +322,7 @@ func spinBoot(t *testing.T, src string, e Engine, cfg arch.Config, limit uint64,
 		setup(m)
 	}
 	for i, r4 := range r4s {
-		m.TUs[2+i].Regs[4] = r4
+		m.Unit(2 + i).Regs[4] = r4
 		if err := m.Start(2+i, p.Entry); err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +359,7 @@ func TestSpinDeadlock(t *testing.T) {
 				t.Fatalf("units %v, limit %d: block engine diverges from legacy\n--- legacy ---\n%s\n--- block ---\n%s",
 					r4s, limit, want, got)
 			}
-			if len(r4s) == 1 || m.TUs[3].nextAt != m.cycle {
+			if len(r4s) == 1 || m.Unit(3).nextAt != m.cycle {
 				phantom++
 			}
 		}
@@ -361,8 +374,8 @@ func TestSpinDeadlock(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "sim: deadlock: cycle ") || !strings.Contains(err.Error(), " 1 thread units spinning") {
 		t.Fatalf("unbounded self-barrier: %v, want a deadlock", err)
 	}
-	if m.Cycle() > 100 || seen.why[wakeDeadlock] != 1 || m.TUs[2].Insts < 3 {
-		t.Errorf("deadlock found at cycle %d after %d instructions, %d deadlock wakes", m.Cycle(), m.TUs[2].Insts, seen.why[wakeDeadlock])
+	if m.Cycle() > 100 || seen.why[wakeDeadlock] != 1 || m.Unit(2).Insts < 3 {
+		t.Errorf("deadlock found at cycle %d after %d instructions, %d deadlock wakes", m.Cycle(), m.Unit(2).Insts, seen.why[wakeDeadlock])
 	}
 }
 
@@ -496,7 +509,7 @@ delay:	addi r9, r9, -1
 		t.Fatal(err)
 	}
 	chip.Barrier.Write(2, 1)
-	m.TUs[3].Regs[4] = 1
+	m.Unit(3).Regs[4] = 1
 	for tid := 2; tid <= 3; tid++ {
 		if err := m.Start(tid, p.Entry); err != nil {
 			t.Fatal(err)

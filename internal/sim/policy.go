@@ -30,8 +30,10 @@ func (m *Machine) SetPolicy(p Policy) {
 	}
 	m.pol = p
 	tab := p.Table()
-	for _, tu := range m.TUs {
-		tu.Pol = tab
+	for _, tu := range m.tus {
+		if tu != nil {
+			tu.Pol = tab
+		}
 	}
 }
 

@@ -179,7 +179,8 @@ func TestSetPolicyDefaults(t *testing.T) {
 	if got := m.Policy().String(); got != "fine" {
 		t.Errorf("SetPolicy(nil) = %s, want fine", got)
 	}
-	for _, tu := range m.TUs {
+	for tid := range m.Chip.Cfg.Threads {
+		tu := m.Unit(tid)
 		if tu.Pol != (timing.PolicyTable{}) {
 			t.Fatalf("tu%d trigger table %+v, want zero after reset", tu.ID, tu.Pol)
 		}

@@ -51,7 +51,7 @@ func (k *schedKernel) start(m *Machine, tid int, p schedPlan) error {
 	if err := m.Start(tid, k.entry); err != nil {
 		return err
 	}
-	k.arm(m.TUs[tid], p)
+	k.arm(m.Unit(tid), p)
 	if len(m.batch) > 1 {
 		k.midBatch++
 	}
@@ -74,7 +74,7 @@ func (k *schedKernel) Syscall(m *Machine, tu *TU) SysResult {
 		// Start refuses a victim that halted earlier in this very cycle
 		// and is not retired yet: that is "not yet", like a victim still
 		// running, and identically so on both engines.
-		if victim := m.TUs[arg]; victim.State == Halted && !k.restarted[victim.ID] &&
+		if victim := m.Unit(int(arg)); victim.State == Halted && !k.restarted[victim.ID] &&
 			k.start(m, victim.ID, schedPlan{iters: 2}) == nil {
 			k.restarted[victim.ID] = true
 		}
@@ -203,7 +203,7 @@ func schedRun(seed int64, units int, cfg arch.Config, sc diffScenario, e Engine)
 	started := n - n/4
 	k.pending = order[started:n]
 	for _, tid := range order[:started] {
-		k.arm(m.TUs[tid], k.plans[tid])
+		k.arm(m.Unit(tid), k.plans[tid])
 		if err := m.Start(tid, p.Entry); err != nil {
 			return nil, nil, err
 		}

@@ -369,7 +369,7 @@ func TestDependentAddsRunOnePerCycle(t *testing.T) {
 	}
 	indep.WriteString("halt")
 	ind := run(t, indep.String())
-	d, i := dep.TUs[2], ind.TUs[2]
+	d, i := dep.Unit(2), ind.Unit(2)
 	if d.Run != i.Run {
 		t.Errorf("dependent adds %d run cycles vs independent %d", d.Run, i.Run)
 	}
@@ -400,7 +400,7 @@ buf:	.word 7
 	halt
 buf:	.word 7
 	`)
-	c, f := chained.TUs[2], free.TUs[2]
+	c, f := chained.Unit(2), free.Unit(2)
 	if c.Stall <= f.Stall {
 		t.Errorf("load-use chain stalled %d cycles, independent %d: expected more stalls with dependences",
 			c.Stall, f.Stall)
@@ -423,9 +423,9 @@ func TestFPLatencyChain(t *testing.T) {
 	fadd d26, d20, d22
 	halt
 	`)
-	if dep.TUs[2].Stall < ind.TUs[2].Stall+12 {
+	if dep.Unit(2).Stall < ind.Unit(2).Stall+12 {
 		t.Errorf("dependent FP chain stalls = %d, independent = %d; want >= 12 cycle gap",
-			dep.TUs[2].Stall, ind.TUs[2].Stall)
+			dep.Unit(2).Stall, ind.Unit(2).Stall)
 	}
 }
 
@@ -442,7 +442,7 @@ func TestIntDivBlocksThread(t *testing.T) {
 	add r10, r8, r9
 	halt
 	`)
-	gap := div.TUs[2].Run - add.TUs[2].Run
+	gap := div.Unit(2).Run - add.Unit(2).Run
 	if gap != 32 { // 33-cycle divide vs 1-cycle add
 		t.Errorf("divide run-cycle gap = %d, want 32", gap)
 	}
@@ -489,8 +489,8 @@ out:	.space 1024
 	chip.Barrier.Write(3, 1)
 	m.Start(2, p.Entry)
 	m.Start(3, p.Entry)
-	m.TUs[2].Regs[4] = 1 // slow
-	m.TUs[3].Regs[4] = 0 // fast
+	m.Unit(2).Regs[4] = 1 // slow
+	m.Unit(3).Regs[4] = 0 // fast
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func (k *restartKernel) Syscall(m *Machine, tu *TU) SysResult {
 		return SysResult{Cost: 1, Retry: true}
 	}
 	k.attacked = m.Cycle()
-	if m.TUs[k.victim].State != Halted {
+	if m.Unit(k.victim).State != Halted {
 		return SysResult{Cost: 1, Retry: true}
 	}
 	err := m.Start(k.victim, k.entry)
@@ -624,7 +624,7 @@ func TestStartRefusesUnretiredUnit(t *testing.T) {
 				t.Error("Start never succeeded once the unit was retired")
 			}
 			// One syscall per life, none retried as an instruction.
-			if got := m.TUs[2].Insts; got != 2 {
+			if got := m.Unit(2).Insts; got != 2 {
 				t.Errorf("victim issued %d instructions over two lives, want 2", got)
 			}
 		})
@@ -638,7 +638,7 @@ loop:	addi r8, r8, -1
 	bne r8, r0, loop
 	halt
 	`)
-	tu := m.TUs[2]
+	tu := m.Unit(2)
 	if tu.Run == 0 {
 		t.Fatal("no run cycles recorded")
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"cyclops/internal/arch"
 	"cyclops/internal/asm"
+	"cyclops/internal/core"
 )
 
 // smcSrc executes the instruction at patch: (so it lands in a compiled
@@ -63,6 +65,58 @@ func TestSelfModifyingCode(t *testing.T) {
 			}
 			if got := word(t, m, smcOut(t)); got != 42 {
 				t.Fatalf("%s: out = %d, want 42 (stale code executed)", e, got)
+			}
+		})
+	}
+}
+
+// restartSrc: unit 2 runs patch: and halts; unit 3 then rewrites the
+// instruction at patch: while unit 2 is off the active list; unit 2,
+// started at patch: again, must run the new instruction (42), not the block
+// its hint still names from before the store (7).
+const restartSrc = `
+patch:	addi r11, r0, 7
+	la   r20, out
+	sw   r11, 0(r20)
+	halt
+writer:	la   r21, patch
+	la   r22, tmpl
+	lw   r10, 0(r22)
+	sw   r10, 0(r21)
+	halt
+tmpl:	addi r11, r0, 42
+out:	.space 4
+`
+
+// TestRestartAfterFlushRunsNewCode: a flush clears the block hints of
+// listed units only, so Start must drop the hint of the unit it lists.
+func TestRestartAfterFlushRunsNewCode(t *testing.T) {
+	p, err := asm.Assemble(restartSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range Engines() {
+		t.Run(e.String(), func(t *testing.T) {
+			chip := core.MustNew(arch.Default())
+			m := New(chip, nil)
+			m.SetEngine(e)
+			if err := chip.LoadImage(p.Origin, p.Bytes); err != nil {
+				t.Fatal(err)
+			}
+			for i, run := range []struct {
+				tid  int
+				pc   string
+				want uint32
+			}{{2, "patch", 7}, {3, "writer", 7}, {2, "patch", 42}} {
+				if err := m.Start(run.tid, p.Symbols[run.pc]); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if got := word(t, m, p.Symbols["out"]); got != run.want {
+					t.Fatalf("run %d (unit %d at %s): out = %d, want %d", i, run.tid, run.pc, got, run.want)
+				}
 			}
 		})
 	}

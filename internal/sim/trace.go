@@ -140,7 +140,7 @@ func (m *Machine) ChromeTrace(w io.Writer) error {
 	}
 	names := obs.MemWaitNames()
 	for _, tid := range tids {
-		tu := m.TUs[tid]
+		tu := m.Unit(tid)
 		series := make([][2]string, len(names))
 		for k, name := range names {
 			series[k] = [2]string{name, fmt.Sprintf("%d", tu.MemWaits[obs.MemWaitKind(k)])}
