@@ -10,11 +10,14 @@ import "cyclops/internal/arch"
 // the System exactly as the same accesses made one at a time through Load
 // or Store would, and reports one RunSummary that the thread's ledger books
 // with one call (timing.Ledger.SettleRun). Per *line* it resolves the
-// interest group, probes the tag and, for stores, finds the DRAM bank; per
-// *access* it books the port cycle, the LRU stamp, the hit/miss and outcome
-// counts and the write-combining bytes. The Table 2 arithmetic — outcome,
-// later, fill, Wait.Split — is shared with Load and Store, so it exists
-// once.
+// interest group, probes the tag and, for stores, finds the DRAM bank; the
+// access that places the line books its port cycle, LRU stamp, hit/miss and
+// outcome counts and write-combining bytes as Load or Store would. The
+// accesses after it that stay in the line (the rest of the line) are
+// booked in one step: their port, tag and outcome books are a multiple of
+// one access's, and only a store's bank is still stepped per access. The
+// Table 2 arithmetic — outcome, later, fill, Wait.Split — is shared with
+// Load and Store, so it exists once.
 
 // Penalty is the issue policy's switch penalty per trigger that can fire
 // inside a run (timing.PolicyTable's OnMiss and OnMem; zero: the trigger
@@ -127,9 +130,68 @@ func (s *System) loadRun(now uint64, eas []uint32, ea, stride uint32, n, own int
 			}
 		}
 		r.Done = max(r.Done, done)
+
+		// The rest of the line: the m accesses after this one that stay
+		// in its line all hit slot, on consecutive cycles from now, and
+		// none can fire a penalty. Each waits as long for the port as the
+		// first of them (each frees it the cycle the next one asks), so
+		// their books are m times one hit's, except the fill wait, which
+		// shrinks by one a cycle until the line is in.
+		m := s.lineRest(eas, k, n, addr, stride, 0, ^uint32(0))
+		if m == 0 {
+			continue
+		}
+		mm := uint64(m)
+		s0 := s.takePortRun(c, now, mm)
+		ready := d.touchRun(slot, mm)
+		s.Counts[hitW] += mm
+		r.Wait.Port += mm * (s0 - now)
+		r.Wait.Hop += mm * hitHop
+		r.Wait.Fill += fillRun(s0+hitLat, ready, mm)
+		r.Done = max(r.Done, s0+mm-1+hitLat, ready)
+		now += mm
+		k += m
+		ea += uint32(m) * stride
 	}
 	r.Next = now
 	return r
+}
+
+// lineRest counts the accesses after the k-th, at addr, whose effective
+// addresses stay in addr's line and whose physical addresses stay in
+// [lo, hi): the accesses a run books in one step after the k-th. A
+// strided run's count is closed-form (a stride of a line or more, or a
+// negative one, leaves the line at once); a gather's is the length of the
+// prefix of eas that qualifies.
+func (s *System) lineRest(eas []uint32, k, n int, addr, stride, lo, hi uint32) int {
+	m := n - k - 1
+	if eas != nil {
+		line := addr >> s.lineShift
+		for j, a := range eas[k+1:] {
+			if p := arch.Phys(a); a>>s.lineShift != line || p < lo || p >= hi {
+				return j
+			}
+		}
+		return m
+	}
+	if stride != 0 {
+		mask := uint32(1)<<s.lineShift - 1
+		room := min(mask-addr&mask, hi-1-arch.Phys(addr))
+		m = min(m, int(room/stride))
+	}
+	return m
+}
+
+// fillRun is the fill wait of m hits unloaded-done at a, a+1, ... on a
+// line whose fill completes at ready: later's wait summed, an arithmetic
+// series over the hits that finish before ready.
+func fillRun(a, ready, m uint64) uint64 {
+	if ready <= a {
+		return 0
+	}
+	d := ready - a
+	p := min(m, d)
+	return p*d - p*(p-1)/2
 }
 
 // outOfRange is the bank cursor's key for every address beyond working
@@ -197,6 +259,50 @@ func (s *System) storeRun(now uint64, eas []uint32, ea, stride uint32, n, size, 
 				now += pen.Mem
 			}
 		}
+
+		// The rest of the line: the m stores after this one that stay in
+		// its line, its interleave unit and working memory. This store
+		// released the thread no earlier than the cycle after its port
+		// cycle, and so does each of them, so each finds the port free
+		// at its own issue cycle and only the bank can hold it. The bank
+		// is stepped store by store, a held store booked as above; the
+		// port, tag and outcome counts are booked once for all m.
+		if u == outOfRange {
+			continue
+		}
+		m := s.lineRest(eas, k, n, addr, stride, u<<shift, min(limit, (u+1)<<shift))
+		if m == 0 {
+			continue
+		}
+		for j := 0; j < m; j++ {
+			start = now
+			admit := s.Mem.WriteBank(pb, start, size)
+			now++
+			done = max(now, admit)
+			r.Done = max(r.Done, done)
+			if admit > now {
+				held := admit - now
+				r.Wait.Bank += held
+				r.BankStall += held
+				now = admit
+				if pen.Mem != 0 {
+					r.MemSwitches++
+					now += pen.Mem
+				}
+			}
+		}
+		// m grants of one cycle, none of which waited, the last at start:
+		// the port books of m back-to-back grants ending there.
+		mm := uint64(m)
+		s.takePortRun(c, start+1-mm, mm)
+		if slot >= 0 {
+			d.touchRun(slot, mm)
+		} else {
+			d.Misses += mm
+		}
+		s.Counts[StoreThrough] += mm
+		k += m
+		ea += uint32(m) * stride
 	}
 	r.Next = now
 	return r
@@ -233,6 +339,16 @@ func (d *DCache) touch(i int) uint64 {
 	d.stamp++
 	d.lru[i] = d.stamp
 	d.Hits++
+	return d.readyAt[i]
+}
+
+// touchRun is m touches of tag slot i in a row: the slot ends with the
+// last stamp, the hit counter gains m, and it returns the line's fill
+// completion.
+func (d *DCache) touchRun(i int, m uint64) uint64 {
+	d.stamp += uint32(m)
+	d.lru[i] = d.stamp
+	d.Hits += m
 	return d.readyAt[i]
 }
 

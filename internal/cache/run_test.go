@@ -25,9 +25,10 @@ const runStart = 1000
 
 // warmSystem builds a System in a random but reproducible state: banks a
 // few bytes short of 512 KB on some seeds (the end of working memory can
-// then fall inside an interleave unit), one disabled quad, scratch ways on a
-// random quad, sometimes a failed bank (working memory shrinks), and a few
-// hundred loads and stores at random
+// then fall inside an interleave unit), on others an interleave unit of
+// half a line (a line then spans two banks), one disabled quad, scratch
+// ways on a random quad, sometimes a failed bank (working memory shrinks),
+// and a few hundred loads and stores at random
 // cycles around runStart over a window whose size decides how hot the
 // caches, ports and banks are. About a quarter of the quads are cold: no
 // warming access is issued from one or served by one, so their caches are
@@ -38,6 +39,9 @@ func warmSystem(seed int64) *cache.System {
 	cfg := arch.Default()
 	rng := rand.New(rand.NewSource(seed))
 	cfg.MemBankBytes -= 2 * rng.Intn(4)
+	if rng.Intn(4) == 0 {
+		cfg.MemInterleaveShift-- // two interleave units, and banks, a line
+	}
 	m := mem.New(cfg)
 	if rng.Intn(4) == 0 {
 		m.FailBank(rng.Intn(cfg.MemBanks))
@@ -147,10 +151,57 @@ func (c runCase) addr(k int) uint32 {
 
 // reached records which of the run core's rare arms a case exercised, and
 // whether it backed a cache: the run's first install into an unbacked one,
-// and into one partitioned before it was backed.
+// and into one partitioned before it was backed. The rest are arms of the
+// rest of a line, the accesses the core books in one step after the one
+// that placed the line: a load continuation behind a busy port, a run of
+// load continuations on a line still in flight whose later accesses no
+// longer wait, a continuation store held by its bank (with and without a
+// Mem penalty), a gather continuing in one line, a stride-0 run, and a
+// store run that leaves its interleave unit or working memory inside one
+// line, which ends the rest of the line there.
 type reached struct {
 	redirect, remoteGatherMiss, memSwitch, missSwitch, outOfRange bool
 	backed, backedScratch                                         bool
+	portWait, fillDrains, held, heldSwitch, gatherLine, stride0   bool
+	unitInLine, limitInLine                                       bool
+}
+
+// missed names the arms r did not reach.
+func (r reached) missed() []string {
+	v := reflect.ValueOf(r)
+	var names []string
+	for i := 0; i < v.NumField(); i++ {
+		if !v.Field(i).Bool() {
+			names = append(names, v.Type().Field(i).Name)
+		}
+	}
+	return names
+}
+
+// continues reports whether the run core books the case's k-th access in
+// one step with the accesses before it, the rest of a line: it stays in
+// the line of access k-1 and, for a store, in the same interleave unit of
+// working memory. A store run that leaves its unit or working memory
+// inside a line is marked in seen.
+func (c runCase) continues(k int, s *cache.System, seen *reached) bool {
+	if k == 0 || c.addr(k)>>6 != c.addr(k-1)>>6 {
+		return false
+	}
+	if !c.store {
+		return true
+	}
+	p, q, limit, shift := arch.Phys(c.addr(k)), arch.Phys(c.addr(k-1)), s.Mem.Size(), s.Cfg.MemInterleaveShift
+	switch {
+	case p >= limit && q >= limit:
+		return false
+	case p >= limit || q >= limit:
+		seen.limitInLine = true
+		return false
+	case p>>shift != q>>shift:
+		seen.unitInLine = true
+		return false
+	}
+	return true
 }
 
 // checkRun runs spec's case on one warmed System through the run core and
@@ -181,8 +232,10 @@ func checkRun(t *testing.T, warm int64, spec uint64, seen *reached) {
 
 	want := cache.RunSummary{N: c.n}
 	now := uint64(runStart)
+	filling := false // a continuation of the current line waited for its fill
 	for k := 0; k < c.n; k++ {
 		ea := c.addr(k)
+		cont := c.continues(k, sb, seen)
 		var a cache.Access
 		if c.store {
 			a = sb.Store(now, ea, c.size, c.own)
@@ -198,6 +251,8 @@ func checkRun(t *testing.T, warm int64, spec uint64, seen *reached) {
 					want.MemSwitches++
 					seen.memSwitch = true
 				}
+				seen.held = seen.held || cont && c.pol.OnMem == 0
+				seen.heldSwitch = seen.heldSwitch || cont && c.pol.OnMem != 0
 			}
 			now = lb.SettleAccess(a, now, a.Done)
 		} else {
@@ -212,7 +267,12 @@ func checkRun(t *testing.T, warm int64, spec uint64, seen *reached) {
 			}
 			seen.remoteGatherMiss = seen.remoteGatherMiss || c.eas != nil && a.Where == cache.RemoteMiss
 			now = lb.SettleAccess(a, now, now)
+			seen.portWait = seen.portWait || cont && a.Wait.Port > 0
+			seen.fillDrains = seen.fillDrains || filling && cont && a.Wait.Fill == 0
+			filling = cont && (filling || a.Wait.Fill > 0)
 		}
+		seen.gatherLine = seen.gatherLine || cont && c.eas != nil
+		seen.stride0 = seen.stride0 || cont && c.eas == nil && c.stride == 0
 		want.Done = max(want.Done, a.Done)
 		want.Wait.Port += a.Wait.Port
 		want.Wait.Bank += a.Wait.Bank
@@ -248,16 +308,16 @@ func checkRun(t *testing.T, warm int64, spec uint64, seen *reached) {
 // insists the sample reached the arms no shipped workload does.
 func TestAccessRunMatchesSingleAccesses(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var all reached
+	var seen reached
 	for i := 0; i < 1500 && !t.Failed(); i++ {
 		warm, spec := rng.Int63(), rng.Uint64()
-		checkRun(t, warm, spec, &all)
+		checkRun(t, warm, spec, &seen)
 		if t.Failed() {
 			t.Logf("warm %d, spec %#x", warm, spec)
 		}
 	}
-	if all != (reached{true, true, true, true, true, true, true}) {
-		t.Errorf("the sample missed an arm: %+v", all)
+	if missed := seen.missed(); len(missed) > 0 {
+		t.Errorf("the sample missed %v", missed)
 	}
 }
 

@@ -235,6 +235,22 @@ func (s *System) takePort(c int, now uint64, n uint64) uint64 {
 	return start
 }
 
+// takePortRun is m takePort(c, now+j, 1) calls, j = 0..m-1, in one step:
+// the first waits start-now for the port, and every later one finds it
+// freed the cycle it asks, so it waits as long. It returns the first
+// grant's start.
+func (s *System) takePortRun(c int, now, m uint64) uint64 {
+	start := max(now, s.port[c])
+	if start > now {
+		s.portConflicts[c] += m
+		s.portWait[c] += m * (start - now)
+	}
+	s.portGrants[c] += m
+	s.port[c] = start + m
+	s.portBusy[c] += m
+	return start
+}
+
 // PortBusy returns cache c's accumulated port occupancy in cycles.
 func (s *System) PortBusy(c int) uint64 { return s.portBusy[c] }
 

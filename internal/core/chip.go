@@ -79,6 +79,29 @@ func (f *FPU) Dispatch(now uint64, pipe isa.FPUPipe, exec int) uint64 {
 	return start
 }
 
+// DispatchRun is m Dispatch calls on a pipelined pipe (PipeAdd, PipeMul or
+// PipeBoth) at cycles from, from+1, ... in one step, when every pipe it
+// needs is free at from: each op then starts the cycle it asks, so none
+// waits. It returns the last op's start, and panics on any other pipe.
+func (f *FPU) DispatchRun(from uint64, pipe isa.FPUPipe, m int) uint64 {
+	n := uint64(m)
+	occupancy := uint64(1)
+	switch pipe {
+	case isa.PipeAdd:
+		f.addFree = from + n
+	case isa.PipeMul:
+		f.mulFree = from + n
+	case isa.PipeBoth:
+		f.addFree, f.mulFree = from+n, from+n
+		occupancy = 2
+	default:
+		panic("core: DispatchRun on a pipe that is not pipelined")
+	}
+	f.Ops += n
+	f.Busy += n * occupancy
+	return from + n - 1
+}
+
 // Stats returns the FPU's telemetry for the observability layer.
 func (f *FPU) Stats(id int) obs.ResourceStats {
 	return obs.ResourceStats{

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -79,6 +81,53 @@ func TestDivideUnitIsNotPipelined(t *testing.T) {
 	// The adder is unaffected by a busy divider.
 	if s := f.Dispatch(1, isa.PipeAdd, 1); s != 1 {
 		t.Errorf("add during divide start = %d, want 1", s)
+	}
+}
+
+// TestDispatchRunMatchesDispatch holds DispatchRun to its definition. On
+// each pipelined pipe, from random free cursors and counters, a first
+// Dispatch leaves its op at start+1; from any cycle since (a switch
+// penalty can delay the thread), m Dispatch calls on consecutive cycles
+// and one DispatchRun must leave equal FPUs and start the last op at the
+// same cycle. Any other pipe panics.
+func TestDispatchRunMatchesDispatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, pipe := range []isa.FPUPipe{isa.PipeAdd, isa.PipeMul, isa.PipeBoth} {
+		for i := 0; i < 300; i++ {
+			f := FPU{
+				addFree: uint64(rng.Intn(64)), mulFree: uint64(rng.Intn(64)), divFree: uint64(rng.Intn(64)),
+				Ops: uint64(rng.Intn(100)), Busy: uint64(rng.Intn(100)),
+				Conflicts: uint64(rng.Intn(100)), WaitCycles: uint64(rng.Intn(100)),
+			}
+			from := f.Dispatch(uint64(rng.Intn(64)), pipe, 1) + 1 + uint64(rng.Intn(4))
+			m := 1 + rng.Intn(40)
+			singles, run := f, f
+			var last uint64
+			for j := 0; j < m; j++ {
+				last = singles.Dispatch(from+uint64(j), pipe, 1)
+			}
+			if got := run.DispatchRun(from, pipe, m); got != last || !reflect.DeepEqual(singles, run) {
+				t.Fatalf("pipe %d, %d ops from %d: DispatchRun started the last at %d with %+v,\n"+
+					"Dispatch at %d with %+v", pipe, m, from, got, run, last, singles)
+			}
+		}
+	}
+	// An op that uses no FPU starts at once and books nothing; it has no
+	// run form.
+	var f FPU
+	if s := f.Dispatch(5, isa.PipeNone, 1); s != 5 || f != (FPU{}) {
+		t.Errorf("a PipeNone Dispatch started at %d and left %+v", s, f)
+	}
+	for _, pipe := range []isa.FPUPipe{isa.PipeNone, isa.PipeDiv} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("DispatchRun on pipe %d did not panic", pipe)
+				}
+			}()
+			var f FPU
+			f.DispatchRun(0, pipe, 2)
+		}()
 	}
 }
 

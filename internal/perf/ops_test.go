@@ -1,9 +1,14 @@
 package perf
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
+	"cyclops/internal/core"
 	"cyclops/internal/isa"
+	"cyclops/internal/prof"
+	"cyclops/internal/timing"
 )
 
 func TestWordOpsAndAtomic(t *testing.T) {
@@ -127,6 +132,78 @@ func TestFPBlockPipelines(t *testing.T) {
 	})
 	if err := m3.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFPBlockMatchesSingleOps holds FPBlock, which books the rest of a
+// chunk in one step, to the per-op path: under every policy, with and
+// without a profiler, two FPBlocks of n ops leave the thread's ledger, its
+// clock, its quad's FPU and the profile where 2n single FAdd, FMul or FMA
+// calls do, and return the same token. Every FPU is busy past the thread's
+// start, so the first op waits (and switches under blocked).
+func TestFPBlockMatchesSingleOps(t *testing.T) {
+	pipes := []struct {
+		pipe   isa.FPUPipe
+		single func(*T, ...Val) Val
+	}{{isa.PipeAdd, (*T).FAdd}, {isa.PipeMul, (*T).FMul}, {isa.PipeBoth, (*T).FMA}}
+	type outcome struct {
+		last    Val
+		l       timing.Ledger
+		now     uint64
+		fpu     core.FPU
+		profile *prof.Profile
+	}
+	run := func(pol timing.Policy, profiled bool, body func(*T) Val) outcome {
+		m := NewDefault()
+		m.SetPolicy(pol)
+		if profiled {
+			m.AttachProfile(prof.New(16))
+		}
+		for _, f := range m.Chip.FPUs {
+			f.Dispatch(40, isa.PipeBoth, 1)
+		}
+		var o outcome
+		th, _ := m.Spawn(func(th *T) {
+			body(th)
+			th.Work(3)
+			o.last = body(th)
+		})
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		o.l, o.now, o.fpu, o.profile = th.Ledger, th.Now(), *m.Chip.FPUs[th.Quad], m.Prof
+		o.l.Samp = nil
+		return o
+	}
+	const n = 2*bulkChunk + 7
+	for _, pol := range []timing.Policy{timing.FineGrain{}, timing.SwitchOnMiss{Pen: 8}, timing.Blocked{Pen: 8}} {
+		for _, profiled := range []bool{false, true} {
+			for _, p := range pipes {
+				block := run(pol, profiled, func(th *T) Val { return th.FPBlock(p.pipe, n) })
+				one := run(pol, profiled, func(th *T) Val {
+					var v Val
+					for i := 0; i < n; i++ {
+						v = p.single(th)
+					}
+					return v
+				})
+				if !reflect.DeepEqual(block, one) {
+					t.Errorf("%s, profiled %v, pipe %d: FPBlock(%d) gave %+v,\n%d single ops %+v",
+						pol, profiled, p.pipe, n, block, n, one)
+				}
+			}
+		}
+	}
+}
+
+// TestFPBlockRejectsUnpipelinedPipes: FPBlock times pipelined ops only.
+func TestFPBlockRejectsUnpipelinedPipes(t *testing.T) {
+	for _, pipe := range []isa.FPUPipe{isa.PipeNone, isa.PipeDiv} {
+		m := NewDefault()
+		m.Spawn(func(th *T) { th.FPBlock(pipe, 4) })
+		if err := m.Run(); err == nil || !strings.Contains(err.Error(), "not pipelined") {
+			t.Errorf("FPBlock on pipe %d: Run returned %v, want a not-pipelined panic", pipe, err)
+		}
 	}
 }
 

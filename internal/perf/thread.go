@@ -220,6 +220,14 @@ func (t *T) StoreScatter(eas []uint32, size int, deps ...Val) {
 // cycles and ready extra cycles after that, yielding to the engine every
 // bulkChunk operations, and returns the last result's token. A single
 // operation is n = 1.
+//
+// On a pipelined pipe the first operation of a chunk leaves the thread no
+// earlier than the cycle after its start, when the pipe is free again, so
+// the rest of the chunk issues back to back without a wait: one
+// FPU.DispatchRun and one ChargeRun. A profiler sampler cannot tell: the
+// rest books nothing but run cycles, and one charge of m fires the samples
+// m charges of one would (prof.TSampler.Charge), so unlike bulk's runs a
+// sampled thread takes the same step.
 func (t *T) fp(pipe isa.FPUPipe, n, exec, extra int, ops ...Val) Val {
 	if n <= 0 {
 		return Val{ready: t.now}
@@ -235,6 +243,12 @@ func (t *T) fp(pipe isa.FPUPipe, n, exec, extra int, ops ...Val) Val {
 			t.now = t.WaitFPU(t.now, start)
 			t.ChargeRun(1)
 			t.now++
+			if m := end - k - 1; m > 0 && pipe != isa.PipeDiv {
+				start = fpu.DispatchRun(t.now, pipe, m)
+				t.ChargeRun(uint64(m))
+				t.now += uint64(m)
+				k += m
+			}
 			last = Val{ready: start + uint64(exec+extra)}
 		}
 	}
@@ -272,14 +286,20 @@ func (t *T) FSqrt(ops ...Val) Val {
 	return t.fp(isa.PipeDiv, 1, l.FPSqrtExec, 0, ops...)
 }
 
-// FPBlock times n independent pipelined operations on pipe (bulk
-// arithmetic such as an n-body interaction list), yielding every
-// bulkChunk operations, and returns the last result token.
+// FPBlock times n independent pipelined operations on pipe — PipeAdd,
+// PipeMul or PipeBoth (bulk arithmetic such as an n-body interaction
+// list) — yielding every bulkChunk operations, and returns the last result
+// token. It panics on any other pipe: divides and square roots are FDiv
+// and FSqrt, one at a time.
 func (t *T) FPBlock(pipe isa.FPUPipe, n int, ops ...Val) Val {
 	l := &t.m.Chip.Cfg.Latencies
 	exec, extra := l.FPExec, l.FPLatency
-	if pipe == isa.PipeBoth {
+	switch pipe {
+	case isa.PipeAdd, isa.PipeMul:
+	case isa.PipeBoth:
 		exec, extra = l.FMAExec, l.FMALatency
+	default:
+		panic("perf: FPBlock on a pipe that is not pipelined")
 	}
 	return t.fp(pipe, n, exec, extra, ops...)
 }
