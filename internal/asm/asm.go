@@ -97,7 +97,7 @@ func Assemble(src string) (*Program, error) { return AssembleNamed("", src) }
 // Program's File field and in every diagnostic, so errors print as
 // file:line instead of a bare line number.
 func AssembleNamed(file, src string) (*Program, error) {
-	a := &assembler{symbols: make(map[string]uint32)}
+	a := &assembler{}
 	a.parse(src)
 	if len(a.errs) == 0 {
 		a.layout()
@@ -127,21 +127,18 @@ type stKind uint8
 const (
 	stInst stKind = iota
 	stDirective
+	stLabel
 )
 
-// statement is one parsed source statement (labels are applied during
-// parsing and do not become statements).
+// statement is one parsed source statement: an instruction (name is the
+// lower-cased mnemonic, fields its operands), a directive (name keeps its
+// dot, fields are its arguments) or a label definition (name is the
+// label, no fields).
 type statement struct {
-	line int
-	kind stKind
-
-	// Instructions.
-	mnemonic string
-	operands []string
-
-	// Directives.
-	directive string
-	args      []string
+	line   int32
+	kind   stKind
+	name   string
+	fields []string
 
 	// Layout results.
 	addr uint32
@@ -159,61 +156,86 @@ type assembler struct {
 	image     []byte
 }
 
-func (a *assembler) errorf(line int, format string, args ...interface{}) {
-	a.errs = append(a.errs, Error{Line: line, Msg: fmt.Sprintf(format, args...)})
+func (a *assembler) errorf(line int32, format string, args ...interface{}) {
+	a.errs = append(a.errs, Error{Line: int(line), Msg: fmt.Sprintf(format, args...)})
 }
 
 // parse splits the source into statements and records label positions
-// symbolically (their values are assigned during layout).
+// symbolically (their values are assigned during layout). Every line
+// yields at most one instruction or directive, and every label needs a
+// colon, so the statement table is sized once from the source; so is one
+// array holding every statement's fields, since a line has at most one
+// more field than commas. The symbol table is sized for the labels and
+// .equ names found.
 func (a *assembler) parse(src string) {
-	a.equs = make(map[string]bool)
-	for i, raw := range strings.Split(src, "\n") {
-		line := i + 1
-		text := raw
-		if j := strings.IndexAny(text, ";#"); j >= 0 {
-			text = text[:j]
-		}
-		text = strings.TrimSpace(text)
-		// Peel off any leading labels.
+	lines := strings.Count(src, "\n") + 1
+	a.stmts = make([]statement, 0, lines+strings.Count(src, ":"))
+	fields := make([]string, 0, lines+strings.Count(src, ","))
+	names, equs := 0, 0
+	for line, rest, more := int32(1), src, true; more; line++ {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
+		text := strings.TrimSpace(stripComment(raw))
+		// Peel off any leading labels. A label is an identifier, which
+		// holds no quote or blank, so a colon inside a string literal
+		// never ends one.
 		for {
-			j := strings.Index(text, ":")
-			if j < 0 {
+			name, after, found := strings.Cut(text, ":")
+			name = strings.TrimSpace(name)
+			if !found || !isIdent(name) {
 				break
 			}
-			name := strings.TrimSpace(text[:j])
-			if !isIdent(name) {
-				break
-			}
-			a.stmts = append(a.stmts, statement{line: line, kind: stDirective, directive: ".label", args: []string{name}})
-			text = strings.TrimSpace(text[j+1:])
+			a.stmts = append(a.stmts, statement{line: line, kind: stLabel, name: name})
+			names++
+			text = strings.TrimSpace(after)
 		}
 		if text == "" {
 			continue
 		}
-		fields := strings.SplitN(text, " ", 2)
-		head := strings.ToLower(fields[0])
-		rest := ""
-		if len(fields) == 2 {
-			rest = strings.TrimSpace(fields[1])
+		head, operands, _ := strings.Cut(text, " ")
+		st := statement{line: line, kind: stInst, name: strings.ToLower(head)}
+		if strings.HasPrefix(st.name, ".") {
+			st.kind = stDirective
+			if st.name == ".equ" {
+				equs++
+			}
 		}
-		if strings.HasPrefix(head, ".") {
-			a.stmts = append(a.stmts, statement{
-				line: line, kind: stDirective, directive: head, args: splitOperands(rest),
-			})
-			continue
-		}
-		a.stmts = append(a.stmts, statement{
-			line: line, kind: stInst, mnemonic: head, operands: splitOperands(rest),
-		})
+		n := len(fields)
+		fields = splitOperands(fields, strings.TrimSpace(operands))
+		st.fields = fields[n:len(fields):len(fields)]
+		a.stmts = append(a.stmts, st)
 	}
+	a.symbols = make(map[string]uint32, names+equs)
+	a.equs = make(map[string]bool, equs)
 }
 
-// splitOperands splits on commas that are outside parentheses and quotes.
-func splitOperands(s string) []string {
-	if s == "" {
-		return nil
+// stripComment cuts a line at the first ';' or '#' outside a string
+// literal, so ".asciz \"a;b\"" keeps its string whole.
+func stripComment(s string) string {
+	inStr := false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case inStr:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inStr = false
+			}
+		case c == '"':
+			inStr = true
+		case c == ';' || c == '#':
+			return s[:i]
+		}
 	}
-	var out []string
+	return s
+}
+
+// splitOperands appends to out the fields of s, split on commas that are
+// outside parentheses and quotes.
+func splitOperands(out []string, s string) []string {
+	if s == "" {
+		return out
+	}
 	depth := 0
 	inStr := false
 	start := 0
@@ -236,8 +258,7 @@ func splitOperands(s string) []string {
 			start = i + 1
 		}
 	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
+	return append(out, strings.TrimSpace(s[start:]))
 }
 
 func isIdent(s string) bool {

@@ -208,6 +208,32 @@ end:
 	}
 }
 
+// A comment starts at a ';' or '#' outside string literals only: inside
+// one they, a ':' and an escaped quote are the string's own bytes.
+func TestCommentCharactersInStrings(t *testing.T) {
+	p := mustAssemble(t, `
+msg:	.asciz "a;b#c:d\"e" ; the comment
+raw:	.ascii "x;", "#y" # another
+lbl:	nop ; "not a string: a comment ; still
+	`)
+	got := func(sym string, n uint32) string {
+		off := p.Symbols[sym] - p.Origin
+		return string(p.Bytes[off : off+n])
+	}
+	if s := got("msg", 10); s != "a;b#c:d\"e\x00" {
+		t.Errorf(".asciz wrote %q", s)
+	}
+	if s := got("raw", 4); s != "x;#y" {
+		t.Errorf(".ascii wrote %q", s)
+	}
+	if p.Symbols["raw"] != p.Symbols["msg"]+10 || p.Symbols["lbl"] != p.Symbols["raw"]+4 {
+		t.Errorf("labels at %#x, %#x, %#x", p.Symbols["msg"], p.Symbols["raw"], p.Symbols["lbl"])
+	}
+	if w := p.Word(p.Symbols["lbl"]); isa.Decode(w).Op != isa.OpADDI {
+		t.Errorf("nop after the strings encodes %#x", w)
+	}
+}
+
 func TestExpressions(t *testing.T) {
 	p := mustAssemble(t, `
 	.equ A, 10
@@ -272,6 +298,8 @@ func TestErrors(t *testing.T) {
 		{"equ forward ref", ".equ X, Y\n.equ Y, 1", "undefined"},
 		{"bad mem operand", "lw r1, r2", "imm(reg)"},
 		{"negative space", ".space -4", "negative"},
+		{"label is no directive", ".label", "unknown directive"},
+		{"unterminated string", `.ascii "a;b`, "double-quoted"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

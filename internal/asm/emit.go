@@ -46,32 +46,32 @@ func (a *assembler) emitDirective(st *statement) {
 	eval := func(s string) (int64, bool) {
 		v, err := evalExpr(s, a.symbols)
 		if err != nil {
-			a.errorf(st.line, "%s: %v", st.directive, err)
+			a.errorf(st.line, "%s: %v", st.name, err)
 			return 0, false
 		}
 		return v, true
 	}
-	switch st.directive {
+	switch st.name {
 	case ".byte":
-		for i, arg := range st.args {
+		for i, arg := range st.fields {
 			if v, ok := eval(arg); ok {
 				a.put8(st.addr+uint32(i), byte(v))
 			}
 		}
 	case ".half":
-		for i, arg := range st.args {
+		for i, arg := range st.fields {
 			if v, ok := eval(arg); ok {
 				a.put16(st.addr+uint32(2*i), uint16(v))
 			}
 		}
 	case ".word":
-		for i, arg := range st.args {
+		for i, arg := range st.fields {
 			if v, ok := eval(arg); ok {
 				a.put32(st.addr+uint32(4*i), uint32(v))
 			}
 		}
 	case ".double":
-		for i, arg := range st.args {
+		for i, arg := range st.fields {
 			f, err := strconv.ParseFloat(arg, 64)
 			if err != nil {
 				// Allow integer expressions too: .double N*8 is a
@@ -86,23 +86,23 @@ func (a *assembler) emitDirective(st *statement) {
 		}
 	case ".ascii", ".asciz":
 		addr := st.addr
-		for _, arg := range st.args {
+		for _, arg := range st.fields {
 			b, err := unescapeString(arg)
 			if err != nil {
-				a.errorf(st.line, "%s: %v", st.directive, err)
+				a.errorf(st.line, "%s: %v", st.name, err)
 				return
 			}
 			for _, c := range b {
 				a.put8(addr, c)
 				addr++
 			}
-			if st.directive == ".asciz" {
+			if st.name == ".asciz" {
 				a.put8(addr, 0)
 				addr++
 			}
 		}
 	}
-	// .label/.equ/.org/.align/.space emit nothing.
+	// .equ/.org/.align/.space emit nothing.
 }
 
 // emitInst encodes one (possibly pseudo) instruction.
@@ -118,10 +118,10 @@ func (a *assembler) emitInst(st *statement) {
 		}
 		a.put32(st.addr+off, w)
 	}
-	ops := st.operands
+	ops := st.fields
 	need := func(n int) bool {
 		if len(ops) != n {
-			fail("%s needs %d operands, got %d", st.mnemonic, n, len(ops))
+			fail("%s needs %d operands, got %d", st.name, n, len(ops))
 			return false
 		}
 		return true
@@ -173,7 +173,7 @@ func (a *assembler) emitInst(st *statement) {
 	}
 
 	// Pseudo-instructions first.
-	switch st.mnemonic {
+	switch st.name {
 	case "nop":
 		if need(0) {
 			enc(0, isa.Inst{Op: isa.OpADDI})
@@ -235,14 +235,14 @@ func (a *assembler) emitInst(st *statement) {
 		swapped := map[string]isa.Op{
 			"bgt": isa.OpBLT, "ble": isa.OpBGE,
 			"bgtu": isa.OpBLTU, "bleu": isa.OpBGEU,
-		}[st.mnemonic]
+		}[st.name]
 		enc(0, isa.Inst{Op: swapped, A: reg(ops[1]), B: reg(ops[0]), Imm: branchOff(ops[2], 13)})
 		return
 	}
 
-	op, ok := isa.ByName(st.mnemonic)
+	op, ok := isa.ByName(st.name)
 	if !ok {
-		fail("unknown mnemonic %q", st.mnemonic)
+		fail("unknown mnemonic %q", st.name)
 		return
 	}
 	info := isa.Lookup(op)
@@ -257,7 +257,7 @@ func (a *assembler) emitInst(st *statement) {
 			in.A = reg(ops[0])
 			inner := strings.TrimSuffix(strings.TrimPrefix(ops[1], "("), ")")
 			if inner == ops[1] {
-				fail("%s address operand must be parenthesised: (reg)", st.mnemonic)
+				fail("%s address operand must be parenthesised: (reg)", st.name)
 				return
 			}
 			in.B = reg(inner)
@@ -329,7 +329,7 @@ func (a *assembler) emitInst(st *statement) {
 			return
 		}
 	}
-	if len(a.errs) > 0 && a.errs[len(a.errs)-1].Line == st.line {
+	if len(a.errs) > 0 && a.errs[len(a.errs)-1].Line == int(st.line) {
 		return // operand errors already reported
 	}
 	enc(0, in)

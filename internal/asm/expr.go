@@ -27,7 +27,8 @@ var errUndefined = fmt.Errorf("undefined symbol")
 // undefined symbol returns an error wrapping errUndefined so layout can
 // distinguish forward references from syntax errors.
 func evalExpr(s string, sym map[string]uint32) (int64, error) {
-	toks, err := tokenizeExpr(s)
+	var buf [8]string // most operands tokenize without a heap allocation
+	toks, err := tokenizeExpr(buf[:0], s)
 	if err != nil {
 		return 0, err
 	}
@@ -45,8 +46,8 @@ func evalExpr(s string, sym map[string]uint32) (int64, error) {
 	return v, nil
 }
 
-func tokenizeExpr(s string) ([]string, error) {
-	var toks []string
+// tokenizeExpr appends the tokens of s to toks.
+func tokenizeExpr(toks []string, s string) ([]string, error) {
 	for i := 0; i < len(s); {
 		c := s[i]
 		switch {
@@ -84,7 +85,7 @@ func tokenizeExpr(s string) ([]string, error) {
 			toks = append(toks, s[i:i+2])
 			i += 2
 		case strings.ContainsRune("+-*/%&^|()~", rune(c)):
-			toks = append(toks, string(c))
+			toks = append(toks, s[i:i+1])
 			i++
 		default:
 			return nil, fmt.Errorf("bad character %q in expression %q", string(c), s)

@@ -33,6 +33,7 @@ func FuzzAsmRoundTrip(f *testing.F) {
 	f.Add("\tadd r1, r2, r3\n\thalt\n")
 	f.Add("x:\tbne r9, r0, x\n\t.word 0xffffffff\n")
 	f.Add("\t.org 0x80\n\t.ascii \"hi\"\n")
+	f.Add("msg:\t.asciz \"a;b#c:d\\\"e\" ; comment\n\t.ascii \"x;\", \"#y\"\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		p1, err := Assemble(src)
 		if err != nil {

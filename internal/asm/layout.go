@@ -18,6 +18,12 @@ func (a *assembler) layout() {
 		st := &a.stmts[i]
 		st.addr = lc
 		switch st.kind {
+		case stLabel:
+			if _, dup := a.symbols[st.name]; dup {
+				a.errorf(st.line, "symbol %q redefined", st.name)
+				continue
+			}
+			a.symbols[st.name] = lc
 		case stDirective:
 			size, newLC, ok := a.layoutDirective(st, lc, emitted)
 			if !ok {
@@ -53,27 +59,19 @@ func (a *assembler) layoutDirective(st *statement, lc uint32, emitted bool) (siz
 		a.errorf(st.line, format, args...)
 		return 0, lc, false
 	}
-	switch st.directive {
-	case ".label":
-		name := st.args[0]
-		if _, dup := a.symbols[name]; dup {
-			return fail("symbol %q redefined", name)
-		}
-		a.symbols[name] = lc
-		return 0, lc, true
-
+	switch st.name {
 	case ".equ":
-		if len(st.args) != 2 {
+		if len(st.fields) != 2 {
 			return fail(".equ needs a name and a value")
 		}
-		name := st.args[0]
+		name := st.fields[0]
 		if !isIdent(name) {
 			return fail("bad .equ name %q", name)
 		}
 		if _, dup := a.symbols[name]; dup {
 			return fail("symbol %q redefined", name)
 		}
-		v, err := evalExpr(st.args[1], a.symbols)
+		v, err := evalExpr(st.fields[1], a.symbols)
 		if err != nil {
 			return fail(".equ %s: %v", name, err)
 		}
@@ -82,10 +80,10 @@ func (a *assembler) layoutDirective(st *statement, lc uint32, emitted bool) (siz
 		return 0, lc, true
 
 	case ".org":
-		if len(st.args) != 1 {
+		if len(st.fields) != 1 {
 			return fail(".org needs one address")
 		}
-		v, err := evalExpr(st.args[0], a.symbols)
+		v, err := evalExpr(st.fields[0], a.symbols)
 		if err != nil {
 			return fail(".org: %v", err)
 		}
@@ -103,10 +101,10 @@ func (a *assembler) layoutDirective(st *statement, lc uint32, emitted bool) (siz
 		return 0, addr, true
 
 	case ".align":
-		if len(st.args) != 1 {
+		if len(st.fields) != 1 {
 			return fail(".align needs one value")
 		}
-		v, err := evalExpr(st.args[0], a.symbols)
+		v, err := evalExpr(st.fields[0], a.symbols)
 		if err != nil {
 			return fail(".align: %v", err)
 		}
@@ -118,10 +116,10 @@ func (a *assembler) layoutDirective(st *statement, lc uint32, emitted bool) (siz
 		return aligned - lc, aligned, true
 
 	case ".space":
-		if len(st.args) != 1 {
+		if len(st.fields) != 1 {
 			return fail(".space needs one size")
 		}
-		v, err := evalExpr(st.args[0], a.symbols)
+		v, err := evalExpr(st.fields[0], a.symbols)
 		if err != nil {
 			return fail(".space: %v", err)
 		}
@@ -131,30 +129,30 @@ func (a *assembler) layoutDirective(st *statement, lc uint32, emitted bool) (siz
 		return uint32(v), lc + uint32(v), true
 
 	case ".byte":
-		return uint32(len(st.args)), lc + uint32(len(st.args)), true
+		return uint32(len(st.fields)), lc + uint32(len(st.fields)), true
 	case ".half":
-		return uint32(2 * len(st.args)), lc + uint32(2*len(st.args)), true
+		return uint32(2 * len(st.fields)), lc + uint32(2*len(st.fields)), true
 	case ".word":
-		return uint32(4 * len(st.args)), lc + uint32(4*len(st.args)), true
+		return uint32(4 * len(st.fields)), lc + uint32(4*len(st.fields)), true
 	case ".double":
-		return uint32(8 * len(st.args)), lc + uint32(8*len(st.args)), true
+		return uint32(8 * len(st.fields)), lc + uint32(8*len(st.fields)), true
 
 	case ".ascii", ".asciz":
 		var total uint32
-		for _, arg := range st.args {
+		for _, arg := range st.fields {
 			b, err := unescapeString(arg)
 			if err != nil {
-				return fail("%s: %v", st.directive, err)
+				return fail("%s: %v", st.name, err)
 			}
 			total += uint32(len(b))
-			if st.directive == ".asciz" {
+			if st.name == ".asciz" {
 				total++
 			}
 		}
 		return total, lc + total, true
 
 	default:
-		return fail("unknown directive %s", st.directive)
+		return fail("unknown directive %s", st.name)
 	}
 }
 
@@ -162,12 +160,12 @@ func (a *assembler) layoutDirective(st *statement, lc uint32, emitted bool) (siz
 // li is 4 bytes when its value is already known and fits a signed 13-bit
 // immediate, 8 bytes (lui+ori) otherwise; la is always 8 bytes.
 func (a *assembler) instSize(st *statement) uint32 {
-	switch st.mnemonic {
+	switch st.name {
 	case "la":
 		return 8
 	case "li":
-		if len(st.operands) == 2 {
-			v, err := evalExpr(st.operands[1], a.symbols)
+		if len(st.fields) == 2 {
+			v, err := evalExpr(st.fields[1], a.symbols)
 			if err == nil && v >= -4096 && v <= 4095 {
 				return 4
 			}

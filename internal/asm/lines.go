@@ -99,16 +99,18 @@ func (p *Program) SourceFile() string {
 // runs after a successful emit, so addresses and the symbol table are
 // final.
 func (a *assembler) buildLineTable(p *Program) {
+	p.Lines = make([]Line, 0, len(a.stmts)) // at most one per statement
 	for i := range a.stmts {
 		st := &a.stmts[i]
 		if st.size == 0 {
 			continue
 		}
-		if st.kind == stDirective && st.directive == ".align" {
+		if st.kind == stDirective && st.name == ".align" {
 			continue // padding has no meaningful source line
 		}
-		p.Lines = append(p.Lines, Line{Addr: st.addr, Size: st.size, Line: int32(st.line), Code: st.kind == stInst})
+		p.Lines = append(p.Lines, Line{Addr: st.addr, Size: st.size, Line: st.line, Code: st.kind == stInst})
 	}
+	p.Labels = make([]Label, 0, len(a.symbols)-len(a.equs))
 	for name, addr := range a.symbols {
 		if a.equs[name] {
 			continue

@@ -80,12 +80,22 @@ type Runner struct {
 
 	// metrics, when set by Instrument, receives per-stage and
 	// per-workload latency histograms.
-	metrics atomic.Pointer[obs.Metrics]
+	metrics atomic.Pointer[instruments]
 
 	mu       sync.Mutex
 	inflight map[resultcache.Key]*call
 
 	hits, misses, coalesced, executions, errors atomic.Uint64
+}
+
+// instruments is what Instrument attached: the registry, and its
+// latency series held by name, so that observing one allocates nothing.
+type instruments struct {
+	m      *obs.Metrics
+	stages map[string]*obs.Histogram
+
+	mu   sync.Mutex
+	runs map[string]*obs.Histogram // by workload, registered on first use
 }
 
 // call is one in-flight execution; done closes once data/err are final.
@@ -113,6 +123,33 @@ func (r *Runner) Resolve(spec *Spec) (*Spec, resultcache.Key, error) {
 	}
 	key, err := canon.Key()
 	return canon, key, err
+}
+
+// Resolved is a submission resolved for one Runner: what it runs as, and
+// the key its result is stored under.
+type Resolved struct {
+	Spec *Spec
+	Key  resultcache.Key
+	// ID is Key's hex form, computed once per resolution.
+	ID string
+}
+
+// ResolveTraced is Resolve as a traced stage: the canonicalize span, a
+// child of parent carrying the key (or the error) and observed into
+// job_stage_seconds. The serve handler resolves each request here once
+// and hands the result to CachedTraced and RunResolvedTraced.
+func (r *Runner) ResolveTraced(spec *Spec, parent *obs.ActiveSpan) (Resolved, error) {
+	csp := parent.Child("canonicalize")
+	canon, key, err := r.Resolve(spec)
+	if err != nil {
+		csp.Attr("error", err.Error())
+		r.observeStage("canonicalize", csp.End())
+		return Resolved{}, err
+	}
+	res := Resolved{Spec: canon, Key: key, ID: key.String()}
+	csp.Attr("key", res.ID)
+	r.observeStage("canonicalize", csp.End())
+	return res, nil
 }
 
 // Instrument registers the runner's operational series into m: the
@@ -149,24 +186,32 @@ func (r *Runner) Instrument(m *obs.Metrics) {
 		m.Func("cache_mem_bytes", func() uint64 { return uint64(c.MemBytes()) })
 		m.Func("cache_disk_bytes", c.DiskBytes)
 	}
+	in := &instruments{m: m, stages: make(map[string]*obs.Histogram, len(Stages)), runs: make(map[string]*obs.Histogram)}
 	for _, stage := range Stages {
-		m.Histogram("job_stage_seconds", "stage", stage)
+		in.stages[stage] = m.Histogram("job_stage_seconds", "stage", stage)
 	}
-	r.metrics.Store(m)
+	r.metrics.Store(in)
 }
 
 // observeStage feeds one finished stage span into its latency series.
 func (r *Runner) observeStage(stage string, sp obs.Span) {
-	if m := r.metrics.Load(); m != nil {
-		m.Histogram("job_stage_seconds", "stage", stage).Observe(sp.Dur)
+	if in := r.metrics.Load(); in != nil {
+		in.stages[stage].Observe(sp.Dur)
 	}
 }
 
 // observeRun feeds one whole submission (hit or miss alike) into the
 // per-workload run_seconds series.
 func (r *Runner) observeRun(workload string, d time.Duration) {
-	if m := r.metrics.Load(); m != nil {
-		m.Histogram("run_seconds", "workload", workload).Observe(d)
+	if in := r.metrics.Load(); in != nil {
+		in.mu.Lock()
+		h := in.runs[workload]
+		if h == nil {
+			h = in.m.Histogram("run_seconds", "workload", workload)
+			in.runs[workload] = h
+		}
+		in.mu.Unlock()
+		h.Observe(d)
 	}
 }
 
@@ -193,6 +238,18 @@ func (r *Runner) Run(spec *Spec) (*Result, error) {
 // coalesced execution served the bytes. With a nil parent and a non-nil
 // Tracer each run roots its own trace.
 func (r *Runner) RunEncodedTraced(spec *Spec, parent *obs.ActiveSpan) ([]byte, RunInfo, error) {
+	return r.run(spec, nil, parent)
+}
+
+// RunResolvedTraced is RunEncodedTraced for a submission already resolved
+// by ResolveTraced: the same stages, entered after canonicalize.
+func (r *Runner) RunResolvedTraced(res *Resolved, parent *obs.ActiveSpan) ([]byte, RunInfo, error) {
+	return r.run(res.Spec, res, parent)
+}
+
+// run is the body of RunEncodedTraced and RunResolvedTraced; res is nil
+// until spec is resolved.
+func (r *Runner) run(spec *Spec, res *Resolved, parent *obs.ActiveSpan) ([]byte, RunInfo, error) {
 	var info RunInfo
 	root := parent
 	ownRoot := root == nil && r.Tracer != nil
@@ -203,7 +260,7 @@ func (r *Runner) RunEncodedTraced(spec *Spec, parent *obs.ActiveSpan) ([]byte, R
 	if r.metrics.Load() != nil {
 		started = r.Tracer.Now()
 	}
-	data, err := r.runTraced(spec, root, &info)
+	data, err := r.runTraced(spec, res, root, &info)
 	if ownRoot {
 		root.Attr("workload", spec.Workload)
 		root.Attr("cached", fmt.Sprintf("%t", info.Cached))
@@ -215,17 +272,18 @@ func (r *Runner) RunEncodedTraced(spec *Spec, parent *obs.ActiveSpan) ([]byte, R
 	return data, info, err
 }
 
-// runTraced is the staged body of RunEncodedTraced.
-func (r *Runner) runTraced(spec *Spec, root *obs.ActiveSpan, info *RunInfo) ([]byte, error) {
-	csp := root.Child("canonicalize")
-	canon, key, err := r.Resolve(spec)
-	if err != nil {
-		csp.Attr("error", err.Error())
-		r.observeStage("canonicalize", csp.End())
-		return nil, err
+// runTraced is the staged body of run: canonicalize (unless res is
+// already resolved), then cache lookup, coalesce or execute, encode and
+// store.
+func (r *Runner) runTraced(spec *Spec, res *Resolved, root *obs.ActiveSpan, info *RunInfo) ([]byte, error) {
+	if res == nil {
+		resolved, err := r.ResolveTraced(spec, root)
+		if err != nil {
+			return nil, err
+		}
+		res = &resolved
 	}
-	csp.Attr("key", key.String())
-	r.observeStage("canonicalize", csp.End())
+	canon, key := res.Spec, res.Key
 
 	if r.Cache != nil {
 		if data, ok := r.lookup(key, root); ok {
@@ -250,13 +308,13 @@ func (r *Runner) runTraced(spec *Spec, root *obs.ActiveSpan, info *RunInfo) ([]b
 	r.mu.Unlock()
 
 	esp := root.Child("execute").Attr("workload", canon.Workload)
-	res, err := r.execute(canon)
+	result, err := r.execute(canon)
 	r.observeStage("execute", esp.End())
 	if err != nil {
 		c.err = err
 	} else {
 		nsp := root.Child("encode")
-		c.data, c.err = EncodeResult(res)
+		c.data, c.err = EncodeResult(result)
 		r.observeStage("encode", nsp.End())
 	}
 	if c.err == nil && r.Cache != nil {
@@ -274,50 +332,57 @@ func (r *Runner) runTraced(spec *Spec, root *obs.ActiveSpan, info *RunInfo) ([]b
 	return c.data, c.err
 }
 
+// Cached returns the canonical encoded result the attached cache holds
+// under key, if any and if it decodes, with the cache's tier spans under
+// sp (nil records nothing). It counts nothing. It is the one
+// decode-checked read of the cache: the cache_lookup stage and GET
+// /v1/result both read through it, so the endpoint serves exactly the
+// entries a run would take as hits.
+func (r *Runner) Cached(key resultcache.Key, sp *obs.ActiveSpan) ([]byte, bool) {
+	if r.Cache == nil {
+		return nil, false
+	}
+	data, ok := r.Cache.GetTraced(key, sp)
+	if !ok {
+		return nil, false
+	}
+	// Undecodable despite the cache's integrity check: the entry
+	// predates a Result schema change that forgot a SemanticsVersion
+	// bump. Report a miss, so the spec re-runs.
+	if _, err := DecodeResult(data); err != nil {
+		return nil, false
+	}
+	return data, true
+}
+
 // lookup is the cache_lookup stage, a child span of parent: it returns
-// the canonical encoded result the attached cache holds under key,
-// counting a hit, and never counts a miss.
+// what Cached does, counting a hit, and never counts a miss.
 func (r *Runner) lookup(key resultcache.Key, parent *obs.ActiveSpan) ([]byte, bool) {
 	lsp := parent.Child("cache_lookup")
-	data, ok := r.Cache.GetTraced(key, lsp)
-	if ok {
-		// Undecodable despite the cache's integrity check: the entry
-		// predates a Result schema change that forgot a SemanticsVersion
-		// bump. Report a miss, so the spec re-runs.
-		_, err := DecodeResult(data)
-		ok = err == nil
-	}
+	data, ok := r.Cached(key, lsp)
+	outcome := "miss"
 	if ok {
 		r.hits.Add(1)
-		lsp.Attr("outcome", "hit")
-	} else {
-		data = nil
-		lsp.Attr("outcome", "miss")
+		outcome = "hit"
 	}
-	r.observeStage("cache_lookup", lsp.End())
+	r.observeStage("cache_lookup", lsp.Attr("outcome", outcome).End())
 	return data, ok
 }
 
 // CachedTraced returns the canonical encoded result when the cache
-// already holds the spec, with the lookup recorded under parent (and the
-// whole probe observed into the per-workload run_seconds series on a
-// hit). It never executes and never counts a miss (a subsequent run
-// does) — the serve daemon's answer-hits-without-queueing fast path.
-func (r *Runner) CachedTraced(spec *Spec, parent *obs.ActiveSpan) ([]byte, bool) {
-	if r.Cache == nil {
-		return nil, false
-	}
-	canon, key, err := r.Resolve(spec)
-	if err != nil {
-		return nil, false
-	}
+// already holds the resolved spec, with the lookup recorded under parent
+// (and the whole probe observed into the per-workload run_seconds series
+// on a hit). It never executes and never counts a miss (a subsequent run
+// does), and without a cache it finds nothing — the serve daemon's
+// answer-hits-without-queueing fast path.
+func (r *Runner) CachedTraced(res *Resolved, parent *obs.ActiveSpan) ([]byte, bool) {
 	var started time.Time
 	if r.metrics.Load() != nil {
 		started = r.Tracer.Now()
 	}
-	data, ok := r.lookup(key, parent)
+	data, ok := r.lookup(res.Key, parent)
 	if ok && !started.IsZero() {
-		r.observeRun(canon.Workload, r.Tracer.Now().Sub(started))
+		r.observeRun(res.Spec.Workload, r.Tracer.Now().Sub(started))
 	}
 	return data, ok
 }

@@ -97,6 +97,44 @@ func TestHitMissByteIdenticalAcrossEngines(t *testing.T) {
 	})
 }
 
+// Cached is the one decode-checked read of the cache: it serves nothing
+// without a cache or an entry, and nothing a run would not take as a hit.
+// A run of a resolved spec treats an undecodable entry as a miss and
+// replaces it; afterwards Cached serves the run's bytes.
+func TestCachedServesOnlyDecodableEntries(t *testing.T) {
+	r := job.NewRunner()
+	res, err := r.ResolveTraced(smallStreamSpec(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Cached(res.Key, nil); ok {
+		t.Fatal("a Runner without a cache served a result")
+	}
+	r.Cache = resultcache.OpenMemory(0)
+	if _, ok := r.Cached(res.Key, nil); ok {
+		t.Fatal("an empty cache served a result")
+	}
+	if err := r.Cache.Put(res.Key, []byte(`{"cycles":"not a number"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if data, ok := r.Cached(res.Key, nil); ok {
+		t.Fatalf("an undecodable entry was served: %s", data)
+	}
+	data, info, err := r.RunResolvedTraced(&res, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Cached || r.Stats().Executions != 1 {
+		t.Fatalf("info %+v, stats %+v; want the undecodable entry re-executed", info, r.Stats())
+	}
+	if got, ok := r.Cached(res.Key, nil); !ok || !bytes.Equal(got, data) {
+		t.Fatalf("after the run Cached = %s, %t; want the run's bytes", got, ok)
+	}
+	if want := fmt.Sprintf("%x", res.Key[:]); res.ID != want {
+		t.Errorf("Resolved.ID = %s; want %s", res.ID, want)
+	}
+}
+
 // Runner.Engine is what a workload sees as RunContext.Engine: the one
 // way a test reaches the legacy oracle through the job layer.
 func TestRunnerEngineReachesTheWorkload(t *testing.T) {

@@ -12,7 +12,9 @@ import (
 // queue_wait span, started at submit and ended at dispatch so the span
 // tree shows exactly how long the request sat behind other clients.
 type task struct {
-	spec *job.Spec
+	// res is the request's resolved spec and key (the handler's
+	// canonicalize stage); the worker runs it without resolving again.
+	res job.Resolved
 	// parent is the request's root span; the worker parents all run
 	// stages under it.
 	parent *obs.ActiveSpan
@@ -128,7 +130,7 @@ func (s *scheduler) run(t *task) {
 		}
 	}
 	started := s.runner.Tracer.Now()
-	t.data, t.info, t.err = s.runner.RunEncodedTraced(t.spec, t.parent)
+	t.data, t.info, t.err = s.runner.RunResolvedTraced(&t.res, t.parent)
 	t.runSeconds = s.runner.Tracer.Now().Sub(started).Seconds()
 	close(t.done)
 	s.mu.Lock()

@@ -198,16 +198,6 @@ func decodeSpec(body io.Reader, spec *job.Spec) error {
 	return nil
 }
 
-// runResponse is the POST /v1/run body: the spec's content key, the
-// request's trace ID, whether the cache served it, and the canonical
-// result encoding verbatim.
-type runResponse struct {
-	Key    string          `json:"key"`
-	Trace  string          `json:"trace"`
-	Cached bool            `json:"cached"`
-	Result json.RawMessage `json:"result"`
-}
-
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	started := s.tracer.Now()
@@ -257,24 +247,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec.Workload = spec.Workload
-	canon, key, err := s.runner.Resolve(&spec)
+	// The request's one canonicalize stage: the hit probe and the queued
+	// run both take the resolved spec and key from here.
+	res, err := s.runner.ResolveTraced(&spec, root)
 	if err != nil {
 		s.badRequests.Inc()
 		httpError(w, http.StatusBadRequest, err)
 		finish(http.StatusBadRequest, err.Error())
 		return
 	}
-	rec.Key = key.String()
-	root.Attr("key", key.String())
+	rec.Key = res.ID
+	root.Attr("key", res.ID)
 
 	// Hits bypass the queue: they cost a map lookup, not a worker.
-	if data, ok := s.runner.CachedTraced(canon, root); ok {
+	if data, ok := s.runner.CachedTraced(&res, root); ok {
 		rec.Cached = true
-		s.writeRun(w, key, root, true, data)
+		writeRun(w, &rec, data)
 		finish(http.StatusOK, "")
 		return
 	}
-	t := &task{spec: canon, parent: root, done: make(chan struct{})}
+	t := &task{res: res, parent: root, done: make(chan struct{})}
 	ok, pending := s.sched.submit(client, t)
 	if !ok {
 		s.queueFull.Inc()
@@ -301,7 +293,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		finish(http.StatusUnprocessableEntity, t.err.Error())
 		return
 	}
-	s.writeRun(w, key, root, t.info.Cached, t.data)
+	writeRun(w, &rec, t.data)
 	finish(http.StatusOK, "")
 }
 
@@ -334,7 +326,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	data, ok := s.runner.Cache.Get(key)
+	data, ok := s.runner.Cached(key, nil)
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no cached result for %s", key))
 		return
@@ -399,13 +391,21 @@ func clientID(r *http.Request) string {
 	return host
 }
 
-func (s *Server) writeRun(w http.ResponseWriter, key resultcache.Key, root *obs.ActiveSpan, cached bool, data []byte) {
-	writeJSON(w, runResponse{
-		Key:    key.String(),
-		Trace:  root.TraceID().String(),
-		Cached: cached,
-		Result: data,
-	})
+// writeRun writes the POST /v1/run body for rec: the spec's content key,
+// the request's trace ID, whether the cache served it, and the canonical
+// result encoding verbatim, as one JSON object and a newline. These are
+// the bytes a json.Encoder writes for that object with the result as a
+// json.RawMessage, assembled around the stored result instead of
+// re-encoding it: the key and trace are hex and need no escaping, and a
+// stored result is json.Marshal output, already compact and HTML-escaped,
+// which is what the encoder would make of it.
+func writeRun(w http.ResponseWriter, rec *RunRecord, result []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	for _, s := range [...]string{`{"key":"`, rec.Key, `","trace":"`, rec.Trace, `","cached":`, strconv.FormatBool(rec.Cached), `,"result":`} {
+		_, _ = io.WriteString(w, s)
+	}
+	_, _ = w.Write(result)
+	_, _ = io.WriteString(w, "}\n")
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -153,6 +153,59 @@ func TestRunThenCacheHitThenResultEndpoint(t *testing.T) {
 	}
 }
 
+// An entry that passes the cache's integrity check but does not decode as
+// a result (one written before a Result schema change that missed a
+// SemanticsVersion bump) is no result on either endpoint: GET
+// /v1/result/{key} answers 404 and POST /v1/run re-executes the spec.
+func TestUndecodableEntryIsAMissOnBothEndpoints(t *testing.T) {
+	for _, tier := range []string{"memory", "disk"} {
+		t.Run(tier, func(t *testing.T) {
+			cfg := serve.Config{}
+			if tier == "disk" {
+				// The planted entry outgrows the memory tier.
+				cfg = serve.Config{CacheDir: t.TempDir(), CacheMemBytes: 8}
+			}
+			srv, ts := newTestServer(t, cfg)
+			body, err := json.Marshal(streamSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spec job.Spec
+			if err := json.Unmarshal(body, &spec); err != nil {
+				t.Fatal(err)
+			}
+			_, key, err := srv.Runner().Resolve(&spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Runner().Cache.Put(key, []byte(`{"cycles":"not a number"}`)); err != nil {
+				t.Fatal(err)
+			}
+
+			resp, err := http.Get(ts.URL + "/v1/result/" + key.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET of the undecodable entry: HTTP %d: %s; want 404", resp.StatusCode, data)
+			}
+
+			run := decodeRun(t, postSpec(t, ts.URL, streamSpec(), ""))
+			if run.Cached || run.Key != key.String() {
+				t.Errorf("POST served key %s cached=%t; want a fresh run of %s", run.Key, run.Cached, key)
+			}
+			if _, err := job.DecodeResult(run.Result); err != nil {
+				t.Errorf("POST result does not decode: %v", err)
+			}
+			if st := srv.Runner().Stats(); st.Executions != 1 || st.Hits != 0 {
+				t.Errorf("runner stats %+v; want one execution and no hit", st)
+			}
+		})
+	}
+}
+
 func TestBadSpecsAre400(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
 	valid, err := json.Marshal(streamSpec())

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -178,6 +179,26 @@ func TestRequestSpanTaxonomy(t *testing.T) {
 	}
 	if warmSpans["execute"] != 0 || warmSpans["queue_wait"] != 0 {
 		t.Errorf("warm trace = %v; hit must not execute or queue", warmSpans)
+	}
+	// The handler resolves a request once, for the hit probe and the
+	// queued run alike: a miss probes the cache, queues and looks again.
+	if coldSpans["canonicalize"] != 1 || coldSpans["cache_lookup"] != 2 {
+		t.Errorf("cold trace = %v; want one canonicalize and two cache_lookup spans", coldSpans)
+	}
+	if warmSpans["canonicalize"] != 1 || warmSpans["cache_lookup"] != 1 {
+		t.Errorf("warm trace = %v; want one canonicalize and one cache_lookup span", warmSpans)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `job_stage_seconds_count{stage="canonicalize"} 2`; !strings.Contains(string(metrics), want+"\n") {
+		t.Errorf("/metrics lacks %q: the hit's canonicalize stage is not counted", want)
 	}
 
 	// Every non-request span belongs to a request-rooted trace and has a
