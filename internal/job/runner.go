@@ -1,7 +1,9 @@
 package job
 
 import (
+	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +27,12 @@ type Stats struct {
 	// Errors counts executions that failed (failures are never cached).
 	Errors uint64
 }
+
+// ErrPanic is what a run fails with, wrapped, when its workload panics.
+// The Runner recovers the panic into an error that carries its value and
+// stack, so a workload can neither end the process nor leave the waiters
+// coalesced on its run hanging.
+var ErrPanic = errors.New("workload panicked")
 
 // RunInfo reports how one submission was served.
 type RunInfo struct {
@@ -398,12 +406,23 @@ func (r *Runner) execute(canon *Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := w.Run(&RunContext{Spec: canon, Config: *canon.Config, Engine: r.Engine, Policy: pol})
+	res, err := runWorkload(w, &RunContext{Spec: canon, Config: *canon.Config, Engine: r.Engine, Policy: pol})
 	if err != nil {
 		r.errors.Add(1)
 		return nil, fmt.Errorf("job: %s: %w", canon.Workload, err)
 	}
 	return res, nil
+}
+
+// runWorkload is w.Run with a panic recovered into an error wrapping
+// ErrPanic.
+func runWorkload(w Workload, ctx *RunContext) (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("%w: %v\n\n%s", ErrPanic, p, debug.Stack())
+		}
+	}()
+	return w.Run(ctx)
 }
 
 // Stats snapshots the counters.

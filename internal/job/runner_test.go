@@ -3,6 +3,7 @@ package job_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -362,5 +363,40 @@ func TestErrorsPropagateAndAreNotCached(t *testing.T) {
 	}
 	if st := r.Stats(); st.Executions != 2 {
 		t.Fatalf("executions = %d; want 2 (the failure must not be served from cache)", st.Executions)
+	}
+}
+
+// A workload panic is a run error wrapping job.ErrPanic, with the panic's
+// value and stack: the Runner recovers it, drops the in-flight entry and
+// caches nothing, so the same spec executes again.
+func TestWorkloadPanicIsRunError(t *testing.T) {
+	if _, ok := job.LookupWorkload("test-gate-panic"); !ok {
+		job.Register(job.Workload{
+			Name: "test-gate-panic",
+			Canon: func(args json.RawMessage) (json.RawMessage, error) {
+				return json.RawMessage(`{}`), nil
+			},
+			Run: func(ctx *job.RunContext) (*job.Result, error) {
+				var eas []uint32
+				return &job.Result{Cycles: uint64(eas[3])}, nil // index out of range
+			},
+		})
+	}
+	r := job.NewRunner()
+	r.Cache = resultcache.OpenMemory(0)
+	spec := &job.Spec{Workload: "test-gate-panic", Args: json.RawMessage(`{}`)}
+	for i := 0; i < 2; i++ {
+		_, err := r.Run(spec)
+		if !errors.Is(err, job.ErrPanic) {
+			t.Fatalf("run %d: %v, want ErrPanic", i, err)
+		}
+		for _, want := range []string{"job: test-gate-panic: workload panicked: ", "index out of range [3]", "TestWorkloadPanicIsRunError"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error lacks %q:\n%v", want, err)
+			}
+		}
+	}
+	if st := r.Stats(); st.Executions != 2 || st.Errors != 2 || r.Inflight() != 0 {
+		t.Errorf("stats %+v, %d in flight; want 2 executions, 2 errors, none in flight", st, r.Inflight())
 	}
 }

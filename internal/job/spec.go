@@ -79,7 +79,10 @@ type Spec struct {
 	// Balanced selects the balanced kernel thread-placement policy
 	// (program workload; named workloads carry placement in Args).
 	Balanced bool `json:"balanced,omitempty"`
-	// MaxCycles bounds the run (0 = unlimited).
+	// MaxCycles bounds the run on every workload: past it the run fails
+	// with an error wrapping timing.ErrCycleLimit, which is never cached.
+	// 0 keeps each workload's own bound: none for programs and the
+	// direct-execution workloads, stream.DefaultMaxCycles for stream.
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	// Outputs lists extra requested outputs (SnapshotOutput); sorted and
 	// deduplicated by Canonicalize.
@@ -137,9 +140,6 @@ func (s *Spec) canonicalize(d Defaults) (*Spec, error) {
 		}
 		if c.Balanced {
 			return nil, fmt.Errorf("job: Balanced is program-only; workload %q carries placement in its args", c.Workload)
-		}
-		if c.MaxCycles != 0 {
-			return nil, fmt.Errorf("job: MaxCycles is program-only; workload %q bounds its own runs", c.Workload)
 		}
 		if len(c.Outputs) > 0 {
 			return nil, fmt.Errorf("job: outputs are program-only; workload %q has none", c.Workload)

@@ -55,9 +55,9 @@ func DecodeResult(data []byte) (*Result, error) {
 // canonical spec plus the parsed configuration and policy. These are a
 // run's whole input: there is no process state for a workload to consult
 // (sweep workers and serve handlers run different points concurrently).
-// Engine is the Runner's instruction engine (Runner.Engine), for
-// workloads that boot a sim.Machine to pass to SetEngine; it never
-// changes a result.
+// Every workload hands Spec.MaxCycles to the machine it runs on. Engine
+// is the Runner's instruction engine (Runner.Engine), for workloads that
+// boot a sim.Machine to pass to SetEngine; it never changes a result.
 type RunContext struct {
 	Spec   *Spec
 	Config arch.Config

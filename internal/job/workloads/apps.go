@@ -72,7 +72,7 @@ func runMD(ctx *job.RunContext) (*job.Result, error) {
 		return nil, err
 	}
 	r, _, err := md.Run(md.Opts{
-		Config:     splash.Config{Threads: a.Threads, Balanced: a.Balanced, Chip: chip, Issue: ctx.Policy},
+		Config:     splash.Config{Threads: a.Threads, Balanced: a.Balanced, Chip: chip, Issue: ctx.Policy, MaxCycles: ctx.Spec.MaxCycles},
 		NParticles: a.Particles,
 		Steps:      a.Steps,
 	})
@@ -106,7 +106,7 @@ func runRay(ctx *job.RunContext) (*job.Result, error) {
 		return nil, err
 	}
 	r, _, err := ray.Render(ray.Opts{
-		Config: splash.Config{Threads: a.Threads, Balanced: a.Balanced, Chip: chip, Issue: ctx.Policy},
+		Config: splash.Config{Threads: a.Threads, Balanced: a.Balanced, Chip: chip, Issue: ctx.Policy, MaxCycles: ctx.Spec.MaxCycles},
 		Width:  a.Width,
 		Height: a.Height,
 	})

@@ -64,7 +64,7 @@ func runMicroBarrier(ctx *job.RunContext) (*job.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := splash.Config{Threads: a.Threads, Chip: chip, Issue: ctx.Policy}.Machine()
+	m, err := splash.Config{Threads: a.Threads, Chip: chip, Issue: ctx.Policy, MaxCycles: ctx.Spec.MaxCycles}.Machine()
 	if err != nil {
 		return nil, err
 	}

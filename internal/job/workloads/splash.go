@@ -114,6 +114,7 @@ func runSplash(ctx *job.RunContext) (*job.Result, error) {
 		Chip:         chip,
 		Issue:        ctx.Policy,
 		ProfileEvery: a.ProfileEvery,
+		MaxCycles:    ctx.Spec.MaxCycles,
 	}
 	var r *splash.Result
 	switch a.Kernel {

@@ -159,6 +159,7 @@ func runStream(ctx *job.RunContext) (*job.Result, error) {
 	eng := ctx.Engine
 	p.Engine = &eng
 	p.Issue = ctx.Policy
+	p.MaxCycles = ctx.Spec.MaxCycles
 	r, err := stream.RunOn(chip, p, place)
 	if err != nil {
 		return nil, err
@@ -188,11 +189,11 @@ func runStream(ctx *job.RunContext) (*job.Result, error) {
 
 // StreamSpec builds the job spec for one STREAM measurement. The
 // parameters' per-run Issue override folds into the spec's policy (nil
-// leaves it blank for the Runner's defaults). A timeline is a live object
-// no result carries, so TimelineEvery runs must keep calling stream.Run
-// directly. A spec names no engine — both give the same result — so an
-// Engine override is refused too: the oracle is Runner.Engine, or
-// stream.Run.
+// leaves it blank for the Runner's defaults), and their MaxCycles becomes
+// the spec's. A timeline is a live object no result carries, so
+// TimelineEvery runs must keep calling stream.Run directly. A spec names
+// no engine — both give the same result — so an Engine override is
+// refused too: the oracle is Runner.Engine, or stream.Run.
 func StreamSpec(p stream.Params, place kernel.Policy) (*job.Spec, error) {
 	if p.TimelineEvery != 0 {
 		return nil, fmt.Errorf("workloads: STREAM runs with a timeline have no spec; call stream.Run directly")
@@ -223,7 +224,7 @@ func StreamSpec(p stream.Params, place kernel.Policy) (*job.Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := &job.Spec{Workload: StreamName, Args: args}
+	spec := &job.Spec{Workload: StreamName, Args: args, MaxCycles: p.MaxCycles}
 	if p.Issue != nil {
 		spec.Policy = p.Issue.String()
 	}

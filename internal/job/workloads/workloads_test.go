@@ -3,6 +3,7 @@ package workloads_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"cyclops/internal/job"
 	"cyclops/internal/job/workloads"
 	"cyclops/internal/kernel"
+	"cyclops/internal/resultcache"
 	"cyclops/internal/sim"
 	"cyclops/internal/stream"
 	"cyclops/internal/timing"
@@ -167,6 +169,40 @@ func TestPolicyReachesTheMachine(t *testing.T) {
 			}
 			if fine, blocked := cycles("fine"), cycles("blocked/8"); blocked <= fine {
 				t.Errorf("blocked/8 = %d cycles, fine = %d: the policy did not reach the machine", blocked, fine)
+			}
+		})
+	}
+}
+
+// max_cycles means one thing on every workload: a limit the run passes
+// fails it with timing.ErrCycleLimit, and the failure is never cached, so
+// the same spec executes again; a limit it never reaches changes nothing
+// but the key.
+func TestMaxCyclesBoundsEveryWorkload(t *testing.T) {
+	for _, p := range points(t) {
+		t.Run(p.name, func(t *testing.T) {
+			_, free := runOn(t, job.NewRunner(), p.spec)
+			res, err := job.DecodeResult(free)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			r := job.NewRunner()
+			r.Cache = resultcache.OpenMemory(0)
+			bounded := *p.spec
+			bounded.MaxCycles = res.Cycles / 2
+			for i := 0; i < 2; i++ {
+				if _, err := r.Run(&bounded); !errors.Is(err, timing.ErrCycleLimit) {
+					t.Fatalf("run %d under max_cycles %d: %v, want the cycle limit", i, bounded.MaxCycles, err)
+				}
+			}
+			if st := r.Stats(); st.Executions != 2 || st.Errors != 2 {
+				t.Errorf("%d executions, %d errors; want 2 of each (a limit failure is never cached)", st.Executions, st.Errors)
+			}
+
+			bounded.MaxCycles = 1 << 40
+			if _, data := runOn(t, job.NewRunner(), &bounded); !bytes.Equal(data, free) {
+				t.Errorf("a limit the run never reaches moved its result:\n bounded %s\n free    %s", data, free)
 			}
 		})
 	}

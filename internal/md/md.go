@@ -61,6 +61,14 @@ func Run(opts Opts) (*splash.Result, *State, error) {
 	if dt == 0 {
 		dt = 0.002
 	}
+	mach, err := opts.Config.Machine()
+	if err != nil {
+		return nil, nil, err
+	}
+	eaPos, err := splash.AllocShared(mach, 32, n) // padded particle records
+	if err != nil {
+		return nil, nil, err
+	}
 	st := opts.State
 	if st == nil {
 		st = Lattice(n, density, 23)
@@ -75,13 +83,10 @@ func Run(opts Opts) (*splash.Result, *State, error) {
 	if opts.Threads > cellsPerSide*cellsPerSide*cellsPerSide {
 		return nil, nil, fmt.Errorf("md: %d threads exceed %d cells", opts.Threads, cellsPerSide*cellsPerSide*cellsPerSide)
 	}
-
-	mach, err := opts.Config.Machine()
+	eaCells, err := splash.AllocShared(mach, 16, cellsPerSide, cellsPerSide, cellsPerSide)
 	if err != nil {
 		return nil, nil, err
 	}
-	eaPos := mach.SharedAlloc(32 * n) // padded particle records
-	eaCells := mach.SharedAlloc(16 * cellsPerSide * cellsPerSide * cellsPerSide)
 	bar := splash.NewBarrier(mach, opts.Threads, opts.Barrier)
 
 	sim := &mdSim{st: st, n: n, cells: cellsPerSide, dt: dt}

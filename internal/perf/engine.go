@@ -32,8 +32,8 @@
 // into that body and back — no channel, no wake-up, nothing for the Go
 // scheduler to place — so state observed at time T is final and runs are
 // bit-for-bit reproducible whatever GOMAXPROCS is. Run unwinds every
-// coroutine it started before it returns, on success, deadlock or a
-// panicking body alike.
+// coroutine it started before it returns, on success, deadlock, the cycle
+// limit or a panicking body alike.
 //
 // # Bulk operations
 //
@@ -92,6 +92,11 @@ type Machine struct {
 	// Balanced selects the balanced thread-placement policy (deal
 	// spawned threads across quads) instead of sequential quad filling.
 	Balanced bool
+
+	// MaxCycles bounds Run by sim.Machine.MaxCycles's rule (0 means no
+	// limit): the run fails, wrapping timing.ErrCycleLimit, at the first
+	// resume it pops past the limit.
+	MaxCycles uint64
 
 	// Prof and TL are the attached guest profiler and telemetry
 	// timeline (see AttachProfile / AttachTimeline); nil means off.
@@ -153,10 +158,11 @@ func NewDefault() *Machine {
 
 // Alloc reserves n bytes of simulated memory, 64-byte aligned, addressed
 // through interest group g. The data itself lives in Go values; the
-// returned effective address drives cache and bank timing.
+// returned effective address drives cache and bank timing. A size that
+// does not fit, however large or negative, is an error.
 func (m *Machine) Alloc(n int, g arch.InterestGroup) (uint32, error) {
 	base := (m.brk + 63) &^ 63
-	if base+uint32(n) > m.allocLimit {
+	if n < 0 || uint64(base)+uint64(n) > uint64(m.allocLimit) {
 		return 0, fmt.Errorf("perf: allocation of %d bytes exceeds embedded memory (brk %#x, limit %#x)", n, base, m.allocLimit)
 	}
 	m.brk = base + uint32(n)
@@ -401,9 +407,10 @@ func (t *T) coro(yield func(msg) bool) {
 }
 
 // Run executes every spawned thread to completion. It returns an error on
-// deadlock (threads blocked with no runnable peer) and when a thread body
-// panics; either way the threads still suspended are unwound first, their
-// deferred calls run, and no coroutine outlives the call.
+// deadlock (threads blocked with no runnable peer), past MaxCycles and
+// when a thread body panics; in each case the threads still suspended are
+// unwound first, their deferred calls run, and no coroutine outlives the
+// call.
 func (m *Machine) Run() error {
 	if len(m.threads) == 0 {
 		return fmt.Errorf("perf: no threads spawned")
@@ -411,6 +418,7 @@ func (m *Machine) Run() error {
 	m.running = true
 	defer func() { m.running = false }()
 	m.pq, m.stats, m.failed = m.pq[:0], SchedStats{}, nil
+	limit := timing.Limit(m.MaxCycles)
 	for _, t := range m.threads {
 		t.next, t.stop = iter.Pull(t.coro)
 		m.schedule(0, t)
@@ -422,11 +430,15 @@ func (m *Machine) Run() error {
 			t.stop()
 		}
 	}()
-	for live := len(m.threads); live > 0; {
+	live := len(m.threads)
+	for live > 0 {
 		if len(m.pq) == 0 {
 			return fmt.Errorf("perf: deadlock: %d threads blocked on synchronisation", live)
 		}
 		ev := m.pq.pop()
+		if ev.at > limit {
+			break // with threads live: the cycle limit, below
+		}
 		if m.TL != nil && m.TL.Due(ev.at) {
 			m.TL.Tick(ev.at, m.counters())
 		}
@@ -453,6 +465,9 @@ func (m *Machine) Run() error {
 		default:
 			// msgBlock: parked until a peer's wakes requeue it.
 		}
+	}
+	if live > 0 {
+		return fmt.Errorf("perf: %w %d exceeded", timing.ErrCycleLimit, m.MaxCycles)
 	}
 	if m.TL != nil {
 		m.TL.Finish(m.Elapsed(), m.counters())

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -345,9 +346,93 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		if err := m.Run(); err == nil || !strings.Contains(err.Error(), "panicked: boom") {
 			t.Fatalf("Run = %v, want the body's panic", err)
 		}
+		if err := runawayMachine(nil).Run(); !errors.Is(err, timing.ErrCycleLimit) {
+			t.Fatalf("Run = %v, want the cycle limit", err)
+		}
 	}
 	if after := settled(); after > base {
-		t.Errorf("%d goroutines before, %d after ten normal, deadlocked and panicking runs", base, after)
+		t.Errorf("%d goroutines before, %d after ten normal, deadlocked, panicking and runaway runs", base, after)
+	}
+}
+
+// runawayMachine builds a machine under a 10,000-cycle limit whose four
+// threads loop on FMA forever, counting in *unwound the bodies that ran
+// their deferred calls.
+func runawayMachine(unwound *int) *Machine {
+	m := NewDefault()
+	m.MaxCycles = 10_000
+	m.SpawnN(4, func(th *T, i int) {
+		if unwound != nil {
+			defer func() { *unwound++ }()
+		}
+		v := th.FMA()
+		for {
+			v = th.FMA(v)
+		}
+	})
+	return m
+}
+
+func TestCycleLimitEndsRunawayRun(t *testing.T) {
+	unwound := 0
+	m := runawayMachine(&unwound)
+	err := m.Run()
+	if !errors.Is(err, timing.ErrCycleLimit) || err.Error() != "perf: cycle limit 10000 exceeded" {
+		t.Fatalf("Run = %v, want perf's cycle-limit error", err)
+	}
+	if unwound != 4 {
+		t.Errorf("%d of 4 bodies ran their deferred calls", unwound)
+	}
+	// Every resume Run made was at or before the limit; a thread reaches
+	// past it only inside its last hand-off.
+	if e := m.Elapsed(); e <= m.MaxCycles || e > m.MaxCycles+100 {
+		t.Errorf("Elapsed = %d, want just past the limit %d", e, m.MaxCycles)
+	}
+	// The same machine unbounded runs to the limit's absence: a finite
+	// workload under a limit it never reaches is unchanged by it.
+	ref, bounded := mixedMachine(), mixedMachine()
+	bounded.MaxCycles = 1 << 40
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bounded.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := snapshotJSON(t, ref), snapshotJSON(t, bounded); a != b {
+		t.Error("a limit the run never reaches changed its snapshot")
+	}
+}
+
+func snapshotJSON(t *testing.T, m *Machine) string {
+	t.Helper()
+	b, err := json.Marshal(m.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestTimelineSamplesRun: a timeline attached to the runtime ticks at
+// resumes and finishes at the run's end, its rows telescope to the
+// chip's end-of-run counters, and sampling changes nothing it observes.
+func TestTimelineSamplesRun(t *testing.T) {
+	ref, m := mixedMachine(), mixedMachine()
+	tl := prof.NewTimeline(500)
+	m.AttachTimeline(tl)
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tl.Rows()); n < 2 {
+		t.Fatalf("%d timeline rows, want several", n)
+	}
+	if got, want := tl.Sum(), m.counters(); got != want {
+		t.Errorf("rows sum to %+v, want the end-of-run counters %+v", got, want)
+	}
+	if a, b := snapshotJSON(t, ref), snapshotJSON(t, m); a != b {
+		t.Error("attaching a timeline changed the run's snapshot")
 	}
 }
 

@@ -296,8 +296,10 @@ func TestAllocator(t *testing.T) {
 	if arch.GroupOf(a).Mode != arch.GroupAll {
 		t.Error("SharedAlloc did not use the chip-wide group")
 	}
-	if _, err := m.Alloc(64<<20, arch.InterestGroup{}); err == nil {
-		t.Error("oversized allocation accepted")
+	for _, n := range []int{64 << 20, 1 << 32, 16 << 30, -1} { // two wrap to small uint32s
+		if _, err := m.Alloc(n, arch.InterestGroup{}); err == nil {
+			t.Errorf("allocation of %d bytes accepted", n)
+		}
 	}
 	own, err := m.Alloc(64, arch.InterestGroup{Mode: arch.GroupOwn})
 	if err != nil || arch.GroupOf(own).Mode != arch.GroupOwn {

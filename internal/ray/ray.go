@@ -111,16 +111,22 @@ func Render(opts Opts) (*splash.Result, []Vec, error) {
 		nSph = 16
 	}
 	scene := DefaultScene(nSph)
-	img := make([]Vec, w*h)
 
 	mach, err := opts.Config.Machine()
 	if err != nil {
 		return nil, nil, err
 	}
 	// Scene data lives in the chip-wide shared cache; the framebuffer is
-	// written through per-pixel.
-	eaScene := mach.SharedAlloc(64 * len(scene.Spheres))
-	eaImg := mach.SharedAlloc(32 * w * h)
+	// written through per-pixel, and is on the chip before on the host.
+	eaScene, err := splash.AllocShared(mach, 64, len(scene.Spheres))
+	if err != nil {
+		return nil, nil, err
+	}
+	eaImg, err := splash.AllocShared(mach, 32, w, h)
+	if err != nil {
+		return nil, nil, err
+	}
+	img := make([]Vec, w*h)
 	T := opts.Threads
 
 	err = mach.SpawnN(T, func(t *perf.T, p int) {

@@ -285,12 +285,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	rec.QueueSeconds = t.queueWait
 	rec.RunSeconds = t.runSeconds
 	if t.err != nil {
-		// Spec errors were caught above; what remains is a failed run
-		// (e.g. a deterministic guest trap) — the request is at fault,
-		// not the server.
+		// Spec errors were caught above; what remains is a failed run.
+		// A deterministic one (a guest trap, the cycle limit, a problem
+		// too large for the chip) is the request's fault; a workload
+		// panic is the server's.
 		s.runErrors.Inc()
-		httpError(w, http.StatusUnprocessableEntity, t.err)
-		finish(http.StatusUnprocessableEntity, t.err.Error())
+		status := http.StatusUnprocessableEntity
+		if errors.Is(t.err, job.ErrPanic) {
+			status = http.StatusInternalServerError
+		}
+		httpError(w, status, t.err)
+		finish(status, t.err.Error())
 		return
 	}
 	writeRun(w, &rec, t.data)

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -386,6 +387,115 @@ func TestQueueFullReturns429(t *testing.T) {
 
 // serveSlowRelease unblocks the test-serve-slow workload's blocking run.
 var serveSlowRelease = make(chan struct{})
+
+// servePanicGate is the channel a test-serve-panic run with "panic" set
+// waits on before it panics; each test run stores a fresh one.
+var servePanicGate sync.Map
+
+// A panicking workload answers 500, not a dead process: the request
+// coalesced onto the panicking run is released with the same 500, and the
+// next request on the same server is served.
+func TestWorkloadPanicReturns500(t *testing.T) {
+	type args struct {
+		Panic bool `json:"panic,omitempty"`
+	}
+	if _, ok := job.LookupWorkload("test-serve-panic"); !ok {
+		job.Register(job.Workload{
+			Name: "test-serve-panic",
+			Canon: func(raw json.RawMessage) (json.RawMessage, error) {
+				var a args
+				if err := json.Unmarshal(raw, &a); err != nil {
+					return nil, err
+				}
+				return json.Marshal(a)
+			},
+			Run: func(ctx *job.RunContext) (*job.Result, error) {
+				var a args
+				if err := json.Unmarshal(ctx.Spec.Args, &a); err != nil {
+					return nil, err
+				}
+				if a.Panic {
+					gate, _ := servePanicGate.Load("gate")
+					<-gate.(chan struct{})
+					panic("workload bug")
+				}
+				return &job.Result{Cycles: 9}, nil
+			},
+		})
+	}
+	release := make(chan struct{})
+	servePanicGate.Store("gate", release)
+	_, ts := newTestServer(t, serve.Config{Workers: 2})
+	bad := map[string]any{"workload": "test-serve-panic", "args": map[string]any{"panic": true}}
+
+	type reply struct {
+		code int
+		body string
+	}
+	replies := make(chan reply, 2)
+	send := func() {
+		resp := postSpec(t, ts.URL, bad, "")
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		replies <- reply{resp.StatusCode, string(body)}
+	}
+	go send()
+	waitPending(t, ts.URL, "job_inflight", 1)
+	go send()
+	waitPending(t, ts.URL, "job_coalesced", 1)
+	close(release)
+	for i := 0; i < 2; i++ {
+		r := <-replies
+		if r.code != http.StatusInternalServerError || !strings.Contains(r.body, "workload panicked: workload bug") {
+			t.Errorf("reply %d: HTTP %d %s; want 500 naming the panic", i, r.code, r.body)
+		}
+	}
+	if n := metricValue(t, ts.URL, "job_inflight"); n != 0 {
+		t.Errorf("job_inflight = %d after the panic, want 0", n)
+	}
+	good := map[string]any{"workload": "test-serve-panic", "args": map[string]any{}}
+	if rb := decodeRun(t, postSpec(t, ts.URL, good, "")); !strings.Contains(string(rb.Result), `"cycles":9`) {
+		t.Errorf("next request: %s", rb.Result)
+	}
+}
+
+// A direct-execution problem too large for the chip is the request's
+// fault: each kernel takes its chip memory, and fails there, before it
+// builds host data of the same size, so every row answers 4xx, never a
+// panic, and the server goes on serving.
+func TestOversizedSplashIsRefused(t *testing.T) {
+	_, ts := newTestServer(t, serve.Config{Workers: 1})
+	splash := func(args string) map[string]any {
+		return map[string]any{"workload": "splash", "args": json.RawMessage(args)}
+	}
+	rows := []struct {
+		name string
+		spec map[string]any
+	}{
+		{"fft", splash(`{"kernel":"fft","threads":4,"n":262144}`)},
+		{"fft 4^30 points", splash(`{"kernel":"fft","threads":4,"n":1152921504606846976}`)},
+		{"lu", splash(`{"kernel":"lu","threads":4,"n":1024}`)},
+		{"lu 2^31 square", splash(`{"kernel":"lu","threads":4,"n":2147483648}`)},
+		{"ocean", splash(`{"kernel":"ocean","threads":4,"n":1024}`)},
+		{"radix", splash(`{"kernel":"radix","threads":4,"n":2097152}`)},
+		{"barnes", splash(`{"kernel":"barnes","threads":4,"bodies":131072}`)},
+		{"fmm", splash(`{"kernel":"fmm","threads":4,"bodies":262144}`)},
+		{"md", map[string]any{"workload": "md", "args": map[string]any{"threads": 4, "particles": 1 << 20}}},
+		{"ray", map[string]any{"workload": "ray", "args": map[string]any{"threads": 4, "width": 1024, "height": 1024}}},
+	}
+	for _, row := range rows {
+		resp := postSpec(t, ts.URL, row.spec, "")
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 || !strings.Contains(string(body), "exceeds embedded memory") {
+			t.Errorf("%s: HTTP %d %s; want 4xx refusing the allocation", row.name, resp.StatusCode, body)
+		}
+	}
+	next := splash(`{"kernel":"fft","threads":4,"n":256}`)
+	if rb := decodeRun(t, postSpec(t, ts.URL, next, "")); !strings.Contains(string(rb.Result), `"cycles":`) {
+		t.Errorf("next request: %s", rb.Result)
+	}
+}
 
 // waitPending polls /metrics until the named gauge reaches want.
 func waitPending(t *testing.T, base, name string, want int) {

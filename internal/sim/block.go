@@ -94,7 +94,7 @@ const maxBlockOps = 256
 // blocks inline; multi-unit batches issue exactly one instruction per
 // unit, preserving contention and tie order bit-for-bit.
 func (m *Machine) runBlock() error {
-	m.setInlineMax() // no unit is parked between runs
+	m.inlineMax = m.limit // no unit is parked between runs
 	for len(m.active) > 0 && m.trap == nil {
 		// Advance to the earliest pending issue cycle, first booking the
 		// iterations at cycles where only parked units are due.
@@ -110,7 +110,7 @@ func (m *Machine) runBlock() error {
 			m.repeatAt = next
 		}
 		m.cycle = next
-		if m.MaxCycles > 0 && m.cycle > m.MaxCycles {
+		if m.cycle > m.limit {
 			return m.cycleLimit()
 		}
 		if m.parked > 0 && m.TL != nil && m.TL.Due(m.cycle) {
@@ -234,7 +234,7 @@ func (m *Machine) stepBlock(tu *TU, limit uint64) {
 			return
 		}
 		if next > m.inlineMax {
-			if m.MaxCycles > 0 && next > m.MaxCycles {
+			if next > m.limit {
 				// The outer loop raises the identical cycle-limit error.
 				return
 			}

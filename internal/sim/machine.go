@@ -157,8 +157,8 @@ type Machine struct {
 	// issue in the current batch; issuing is the unit whose generic op runs
 	// (the writer of a syscall's WriteBarrier). onWake, set by tests,
 	// observes each wake. inlineMax is the last cycle inline continuation
-	// may reach without a second look: MaxCycles (or never) while no unit
-	// is parked, 0 while some are, so one compare guards both cases.
+	// may reach without a second look: limit while no unit is parked, 0
+	// while some are, so one compare guards both cases.
 	park      *parking
 	parked    int
 	inlineMax uint64
@@ -198,6 +198,10 @@ type Machine struct {
 	TL   *prof.Timeline
 
 	trap error
+
+	// limit is MaxCycles resolved by Run (timing.Limit): the last cycle
+	// the run may reach, which every limit check compares against.
+	limit uint64
 }
 
 // New builds a machine over a chip, on the block engine and the
@@ -323,8 +327,10 @@ func (m *Machine) Trap(format string, args ...interface{}) {
 }
 
 // Run executes until every started thread halts, a trap fires, or the
-// cycle limit is hit. It returns the first trap, if any.
+// cycle limit is hit. It returns the first trap, if any; past the limit,
+// an error wrapping timing.ErrCycleLimit.
 func (m *Machine) Run() error {
+	m.limit = timing.Limit(m.MaxCycles)
 	switch m.engine {
 	case EngineBlock:
 		return m.runBlock()
@@ -364,8 +370,8 @@ func (m *Machine) runLegacy() error {
 			}
 		}
 		m.cycle = next
-		if m.MaxCycles > 0 && m.cycle > m.MaxCycles {
-			return fmt.Errorf("sim: cycle limit %d exceeded", m.MaxCycles)
+		if m.cycle > m.limit {
+			return m.cycleLimit()
 		}
 		m.tickTimeline()
 		// Issue every unit scheduled for this cycle, rotating the

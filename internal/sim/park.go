@@ -7,6 +7,7 @@ import (
 
 	"cyclops/internal/isa"
 	"cyclops/internal/obs"
+	"cyclops/internal/timing"
 )
 
 // Spin parking: how the block engine treats a thread unit waiting at the
@@ -282,7 +283,7 @@ func (m *Machine) bookPhantoms(a, b uint64) {
 // limit, and at once when the wheel is empty and nothing bounds the run:
 // every listed unit is parked, so nothing can ever change the register.
 func (m *Machine) skipPhantoms(next uint64) (uint64, error) {
-	if next == noEvent && m.MaxCycles == 0 {
+	if next == noEvent && m.limit == noEvent {
 		n := m.parked
 		m.wake(m.cycle+1, nil, wakeDeadlock)
 		return 0, fmt.Errorf("sim: deadlock: cycle %d, %d thread units spinning on the barrier register", m.cycle, n)
@@ -293,14 +294,12 @@ func (m *Machine) skipPhantoms(next uint64) (uint64, error) {
 		switch {
 		case d >= next:
 			return next, nil
-		case m.MaxCycles > 0 && d > m.MaxCycles:
+		case d > m.limit:
 			m.cycle = d
 			return 0, m.cycleLimit()
 		case m.TL == nil:
-			end := next
-			if m.MaxCycles > 0 {
-				end = min(end, m.MaxCycles+1)
-			}
+			// Through the limit, at most: d <= limit < next here.
+			end := min(next-1, m.limit) + 1
 			m.bookPhantoms(d, end)
 			from = end
 		case m.TL.Due(d):
@@ -315,21 +314,14 @@ func (m *Machine) skipPhantoms(next uint64) (uint64, error) {
 	}
 }
 
-// cycleLimit ends the run at m.cycle, past MaxCycles, with the parked units
-// replayed up to it, as the legacy engine leaves them.
+// cycleLimit ends the run at m.cycle, past the limit, with the parked
+// units replayed up to it, as the legacy engine leaves them. Both engines
+// raise the limit here.
 func (m *Machine) cycleLimit() error {
 	if m.parked > 0 {
 		m.wake(m.cycle, nil, wakeLimit)
 	}
-	return fmt.Errorf("sim: cycle limit %d exceeded", m.MaxCycles)
-}
-
-// setInlineMax sets inlineMax for a machine with no unit parked.
-func (m *Machine) setInlineMax() {
-	m.inlineMax = noEvent
-	if m.MaxCycles > 0 {
-		m.inlineMax = m.MaxCycles
-	}
+	return fmt.Errorf("sim: %w %d exceeded", timing.ErrCycleLimit, m.MaxCycles)
 }
 
 // rank is tu's place in the current scheduler iteration's visiting order.
@@ -372,7 +364,7 @@ func (m *Machine) wake(c uint64, by *TU, why wakeReason) {
 	}
 	clear(p.list)
 	p.list, p.groups, m.parked = p.list[:0], p.groups[:0], 0
-	m.setInlineMax()
+	m.inlineMax = m.limit
 	if len(m.joiners) > 0 {
 		m.eq.minAt = min(m.eq.minAt, c)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"cyclops/internal/arch"
 	"cyclops/internal/asm"
 	"cyclops/internal/core"
+	"cyclops/internal/timing"
 )
 
 // run assembles src, loads it, starts thread 2 at the entry point and runs
@@ -507,20 +509,25 @@ out:	.space 1024
 	}
 }
 
+// Both engines stop a runaway loop at its first issue past the limit with
+// the one error, which wraps timing.ErrCycleLimit.
 func TestRunRespectsMaxCycles(t *testing.T) {
-	_, err := tryRunWithLimit("spin: b spin", 5000)
-	if err == nil || !strings.Contains(err.Error(), "cycle limit") {
-		t.Errorf("runaway loop not stopped: %v", err)
+	for _, e := range Engines() {
+		m, err := tryRunWithLimit("spin: b spin", 5000, e)
+		if !errors.Is(err, timing.ErrCycleLimit) || err.Error() != "sim: cycle limit 5000 exceeded" || m.Cycle() != 5002 {
+			t.Errorf("%v: runaway loop ended at cycle %d with %v", e, m.Cycle(), err)
+		}
 	}
 }
 
-func tryRunWithLimit(src string, limit uint64) (*Machine, error) {
+func tryRunWithLimit(src string, limit uint64, engine Engine) (*Machine, error) {
 	p, err := asm.Assemble(src)
 	if err != nil {
 		return nil, err
 	}
 	chip := core.MustNew(arch.Default())
 	m := New(chip, nil)
+	m.SetEngine(engine)
 	m.MaxCycles = limit
 	chip.LoadImage(p.Origin, p.Bytes)
 	m.Start(2, p.Entry)

@@ -68,6 +68,14 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	eaBodies, err := AllocShared(mach, 64, n) // one padded line per body
+	if err != nil {
+		return nil, err
+	}
+	eaTree, err := AllocShared(mach, 64*2, n)
+	if err != nil {
+		return nil, err
+	}
 	bodies := opts.Bodies
 	if bodies == nil {
 		bodies = PlummerBodies(n, 99)
@@ -77,8 +85,6 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 	}
 
 	const dt = 0.01
-	eaBodies := mach.SharedAlloc(64 * n) // one padded line per body
-	eaTree := mach.SharedAlloc(64 * 2 * n)
 	tree := &octTree{}
 	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
 

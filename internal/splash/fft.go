@@ -48,6 +48,23 @@ func RunFFT(opts FFTOpts) (*Result, error) {
 		return nil, err
 	}
 
+	// A is the working matrix, B the transpose target; 16 bytes/point,
+	// on the chip before on the host.
+	eaA, err := AllocShared(mach, 16, n)
+	if err != nil {
+		return nil, err
+	}
+	eaB, err := AllocShared(mach, 16, n)
+	if err != nil {
+		return nil, err
+	}
+	scratch := make([]uint32, opts.Threads)
+	for p := range scratch {
+		if scratch[p], err = mach.Alloc(16*m, arch.InterestGroup{Mode: arch.GroupOwn}); err != nil {
+			return nil, err
+		}
+	}
+
 	data := opts.Data
 	if data == nil {
 		data = make([]complex128, n)
@@ -64,16 +81,9 @@ func RunFFT(opts FFTOpts) (*Result, error) {
 		return nil, fmt.Errorf("splash: FFT data length %d != N %d", len(data), n)
 	}
 
-	// A is the working matrix, B the transpose target; 16 bytes/point.
 	a := make([]complex128, n)
 	b := make([]complex128, n)
 	copy(a, data)
-	eaA := mach.SharedAlloc(16 * n)
-	eaB := mach.SharedAlloc(16 * n)
-	scratch := make([]uint32, opts.Threads)
-	for p := range scratch {
-		scratch[p] = mach.MustAlloc(16*m, arch.InterestGroup{Mode: arch.GroupOwn})
-	}
 	tw := twiddles(m)
 	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
 

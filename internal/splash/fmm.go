@@ -71,6 +71,18 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Simulated layout: one padded region per box per level.
+	coefBytes := 16 * (p + 1)
+	eaLevel := make([]uint32, levels+1)
+	for l := 0; l <= levels; l++ {
+		if eaLevel[l], err = AllocShared(mach, 2*coefBytes+64, boxCount(l)); err != nil {
+			return nil, err
+		}
+	}
+	eaCh, err := AllocShared(mach, 32, n)
+	if err != nil {
+		return nil, err
+	}
 	charges := opts.Charges
 	if charges == nil {
 		charges = RandomCharges(n, 17)
@@ -83,13 +95,6 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 	tree := newFMMTree(charges, levels, p)
 	phi := make([]float64, n)
 
-	// Simulated layout: one padded region per box per level.
-	coefBytes := 16 * (p + 1)
-	eaLevel := make([]uint32, levels+1)
-	for l := 0; l <= levels; l++ {
-		eaLevel[l] = mach.SharedAlloc(boxCount(l) * (2*coefBytes + 64))
-	}
-	eaCh := mach.SharedAlloc(32 * n)
 	boxEA := func(l, idx int) uint32 {
 		return eaLevel[l] + uint32(idx*(2*coefBytes+64))
 	}

@@ -37,6 +37,10 @@ func RunLU(opts LUOpts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ea, err := AllocShared(mach, 8, n, n)
+	if err != nil {
+		return nil, err
+	}
 	a := opts.A
 	if a == nil {
 		a = DominantMatrix(n)
@@ -46,7 +50,6 @@ func RunLU(opts LUOpts) (*Result, error) {
 	}
 
 	nb := n / bs
-	ea := mach.SharedAlloc(8 * n * n)
 	addr := func(i, j int) uint32 { return ea + uint32(8*(i*n+j)) }
 	owner := func(bi, bj int) int { return (bi + bj*nb) % opts.Threads }
 	bar := NewBarrier(mach, opts.Threads, opts.Barrier)

@@ -52,6 +52,10 @@ func RunOcean(opts OceanOpts) (*Result, error) {
 		return nil, fmt.Errorf("splash: %d threads exceed %d grid rows", opts.Threads, n)
 	}
 	stride := n + 2
+	ea, err := AllocShared(mach, 8, stride, stride)
+	if err != nil {
+		return nil, err
+	}
 	g := opts.Grid
 	if g == nil {
 		g = OceanGrid(n)
@@ -59,7 +63,6 @@ func RunOcean(opts OceanOpts) (*Result, error) {
 	if len(g) != stride*stride {
 		return nil, fmt.Errorf("splash: grid length %d != %d", len(g), stride*stride)
 	}
-	ea := mach.SharedAlloc(8 * stride * stride)
 	addr := func(i, j int) uint32 { return ea + uint32(8*(i*stride+j)) }
 	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
 

@@ -42,6 +42,22 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	buckets := 1 << rb
+	T := opts.Threads
+	eaSrc, err := AllocShared(mach, 4, n)
+	if err != nil {
+		return nil, err
+	}
+	eaDst, err := AllocShared(mach, 4, n)
+	if err != nil {
+		return nil, err
+	}
+	eaHist := make([]uint32, T)
+	for t := range eaHist {
+		if eaHist[t], err = AllocShared(mach, 4, buckets); err != nil {
+			return nil, err
+		}
+	}
 	keys := opts.Keys
 	if keys == nil {
 		keys = RandomKeys(n, 42)
@@ -50,21 +66,15 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 		return nil, fmt.Errorf("splash: key slice length %d != N %d", len(keys), n)
 	}
 
-	buckets := 1 << rb
 	passes := (32 + rb - 1) / rb
-	T := opts.Threads
 
 	src := make([]uint32, n)
 	dst := make([]uint32, n)
 	copy(src, keys)
-	eaSrc := mach.SharedAlloc(4 * n)
-	eaDst := mach.SharedAlloc(4 * n)
 	// hist[t][d]: thread t's count of digit d in the current pass.
 	hist := make([][]int, T)
-	eaHist := make([]uint32, T)
 	for t := 0; t < T; t++ {
 		hist[t] = make([]int, buckets)
-		eaHist[t] = mach.SharedAlloc(4 * buckets)
 	}
 	// rank[t][d]: global starting index for thread t's digit-d keys.
 	rank := make([][]int, T)

@@ -12,6 +12,7 @@ package splash
 
 import (
 	"fmt"
+	"math"
 
 	"cyclops/internal/arch"
 	"cyclops/internal/core"
@@ -91,6 +92,8 @@ type Config struct {
 	// likewise attaches the interval telemetry timeline.
 	ProfileEvery  uint64
 	TimelineEvery uint64
+	// MaxCycles bounds the run (perf.Machine.MaxCycles; 0 = no limit).
+	MaxCycles uint64
 }
 
 // Machine builds the direct-execution machine the options describe —
@@ -107,6 +110,7 @@ func (c Config) Machine() (*perf.Machine, error) {
 	m := perf.New(chip)
 	m.SetPolicy(c.Issue)
 	m.Balanced = c.Balanced
+	m.MaxCycles = c.MaxCycles
 	if c.ProfileEvery > 0 {
 		m.AttachProfile(prof.New(c.ProfileEvery))
 	}
@@ -114,6 +118,23 @@ func (c Config) Machine() (*perf.Machine, error) {
 		m.AttachTimeline(prof.NewTimeline(c.TimelineEvery))
 	}
 	return m, nil
+}
+
+// AllocShared reserves chip-wide shared memory on m for the product of
+// size and dims bytes: the chip allocation of every direct-execution
+// workload. Each makes its allocations before the host slices they
+// mirror, so a problem too large for the chip is refused before the host
+// builds it, and a product too large for the chip's 32-bit address space
+// is refused before it can overflow.
+func AllocShared(m *perf.Machine, size int, dims ...int) (uint32, error) {
+	n := size
+	for _, d := range dims {
+		if d < 0 || d > math.MaxInt32 || n > math.MaxInt32 {
+			return 0, fmt.Errorf("splash: allocation of %d x %v bytes exceeds embedded memory", size, dims)
+		}
+		n *= d
+	}
+	return m.Alloc(n, arch.InterestGroup{Mode: arch.GroupAll})
 }
 
 // Barrier adapts the two implementations behind one call.

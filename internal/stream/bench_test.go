@@ -41,7 +41,7 @@ func benchTriad(b *testing.B, p Params, cycles, insts uint64) {
 			b.Fatal(err)
 		}
 		k := kernel.New(core.MustNew(arch.Default()))
-		k.Machine().MaxCycles = 500_000_000
+		k.Machine().MaxCycles = DefaultMaxCycles
 		if err := k.Boot(prog); err != nil {
 			b.Fatal(err)
 		}

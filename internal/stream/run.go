@@ -90,9 +90,7 @@ func RunOn(chip *core.Chip, p Params, policy Policy) (*Result, error) {
 		k.Machine().SetEngine(*p.Engine)
 	}
 	k.Machine().SetPolicy(p.Issue)
-	// A generous ceiling: the slowest kernels move ~1 element per ~100
-	// cycles per thread at worst.
-	k.Machine().MaxCycles = 500_000_000
+	k.Machine().MaxCycles = p.MaxCycles
 	prog.File = "stream.s"
 	var pr *prof.Profile
 	var tl *prof.Timeline

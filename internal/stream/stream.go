@@ -117,6 +117,9 @@ type Params struct {
 	// Engine, when non-nil, selects the simulator execution engine of
 	// this run's machine; nil is block.
 	Engine *sim.Engine
+	// MaxCycles bounds the run (sim.Machine.MaxCycles); 0 defaults to
+	// DefaultMaxCycles.
+	MaxCycles uint64
 }
 
 // Vector placement: three 2 MB regions below the kernel stacks, staggered
@@ -131,12 +134,20 @@ const (
 // DefaultReps is the repetition count a zero Reps defaults to.
 const DefaultReps = 3
 
+// DefaultMaxCycles is the cycle limit a zero MaxCycles defaults to: a
+// generous ceiling, as the slowest kernels move ~1 element per ~100
+// cycles per thread at worst.
+const DefaultMaxCycles = 500_000_000
+
 func (p *Params) setDefaults() {
 	if p.Reps == 0 {
 		p.Reps = DefaultReps
 	}
 	if p.Unroll == 0 {
 		p.Unroll = 1
+	}
+	if p.MaxCycles == 0 {
+		p.MaxCycles = DefaultMaxCycles
 	}
 }
 

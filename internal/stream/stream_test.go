@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"cyclops/internal/core"
 	"cyclops/internal/isa"
 	"cyclops/internal/kernel"
+	"cyclops/internal/timing"
 )
 
 func TestGenerateAssemblesForAllVariants(t *testing.T) {
@@ -123,6 +125,20 @@ func TestRunSingleThreaded(t *testing.T) {
 	// low cycle count would mean the timed region missed the kernel.
 	if res.BestCycles < 256 {
 		t.Errorf("best = %d cycles for 256 elements: timing region wrong", res.BestCycles)
+	}
+}
+
+// A zero MaxCycles is the DefaultMaxCycles ceiling, like the other
+// defaults; a set one bounds the run with the machines' one error.
+func TestRunCycleLimit(t *testing.T) {
+	p := Params{Kernel: Copy, Threads: 1, N: 256, Reps: 2}
+	res, err := Run(p, 0)
+	if err != nil || res.Params.MaxCycles != DefaultMaxCycles {
+		t.Fatalf("unset MaxCycles ran under %d (%v), want %d", res.Params.MaxCycles, err, DefaultMaxCycles)
+	}
+	p.MaxCycles = res.BestCycles / 2
+	if _, err := Run(p, 0); !errors.Is(err, timing.ErrCycleLimit) {
+		t.Fatalf("MaxCycles %d: %v, want the cycle limit", p.MaxCycles, err)
 	}
 }
 
