@@ -39,15 +39,20 @@ import (
 
 // hotFuncs matches the functions whose alignment the benchmark has been
 // seen to feel: the block engine's dispatch loop and op bodies, the
-// memory system's single-access and run paths, the data cache's tag probe
-// and the direct-execution runtime's event queue.
-var hotFuncs = regexp.MustCompile(`^cyclops/internal/(` +
+// thread-unit scheduler's event queue, the memory system's single-access
+// and run paths, the data cache's tag probe, the direct-execution
+// runtime's event queue and its memory and FP runs, and the benchmark
+// binary's own calibration loop (main.reference and main.refStep), which
+// every wall_s is normalised by.
+var hotFuncs = regexp.MustCompile(`^(cyclops/internal/(` +
 	`sim\.\(\*Machine\)\.(stepBlock|runBlock)` +
 	`|sim\.mk[A-Za-z0-9]+\.func1` +
+	`|sim\.\(\*eventQueue\)\.(push|popBatch|next)` +
 	`|cache\.\(\*System\)\.(Load|Store|loadRun|storeRun)` +
 	`|cache\.\(\*DCache\)\.probe` +
 	`|perf\.\(\*eventQueue\)\.pop` +
-	`)$`)
+	`|perf\.\(\*T\)\.(bulk|fp)` +
+	`)|main\.(reference|refStep))$`)
 
 func main() {
 	selftest := flag.Bool("selftest", false, "check the comparison against embedded symbol tables, then exit")
@@ -147,6 +152,16 @@ func runSelftest() {
   4e0000 T cyclops/internal/cache.(*System).LoadRun
   520000 T cyclops/internal/perf.(*eventQueue).pop
   530000 D cyclops/internal/sim.mkFP.func1
+  540000 T cyclops/internal/sim.(*eventQueue).push
+  540100 T cyclops/internal/sim.(*eventQueue).popBatch
+  540200 T cyclops/internal/sim.(*eventQueue).next
+  540300 T cyclops/internal/sim.(*eventQueue).rebuild
+  550000 T cyclops/internal/perf.(*T).bulk
+  550100 T cyclops/internal/perf.(*T).fp
+  550200 T cyclops/internal/perf.(*T).bulk.func1
+  560000 T main.reference
+  560100 T main.refStep
+  560200 T main.main
 `
 	change := `
   504640 T cyclops/internal/sim.(*Machine).runBlock
@@ -160,18 +175,32 @@ func runSelftest() {
   4e0020 T cyclops/internal/cache.(*System).LoadRun
   520008 T cyclops/internal/perf.(*eventQueue).pop
   530020 D cyclops/internal/sim.mkFP.func1
+  540000 T cyclops/internal/sim.(*eventQueue).push
+  540120 T cyclops/internal/sim.(*eventQueue).popBatch
+  540200 T cyclops/internal/sim.(*eventQueue).next
+  540310 T cyclops/internal/sim.(*eventQueue).rebuild
+  550040 T cyclops/internal/perf.(*T).bulk
+  550110 T cyclops/internal/perf.(*T).fp
+  550220 T cyclops/internal/perf.(*T).bulk.func1
+  560000 T main.reference
+  560120 T main.refStep
+  560220 T main.main
 `
-	// runBlock stayed put and mkLD.func1 moved by a whole block; stepBlock,
-	// mkSD.func1, Load, storeRun and pop moved inside one; probe is gone
-	// (inlined) from the change; the clone, the second closure, LoadRun
-	// and a data symbol are not hot.
+	// runBlock, push, next and reference stayed put, and bulk and
+	// mkLD.func1 moved by a whole block; stepBlock, mkSD.func1, Load,
+	// storeRun, both pops, fp and refStep moved inside one; probe is gone
+	// (inlined) from the change; the clone, the second closure, LoadRun,
+	// rebuild, bulk's closure, main.main and a data symbol are not hot.
 	want := []string{
 		"cyclops/internal/cache.(*DCache).probe: only in the parent, at 0x4f0900 (0 mod 64)",
 		"cyclops/internal/cache.(*System).Load: 0x4f0160 -> 0x4f0180 (32 -> 0 mod 64)",
 		"cyclops/internal/cache.(*System).storeRun: 0x4f0500 -> 0x4f0520 (0 -> 32 mod 64)",
+		"cyclops/internal/perf.(*T).fp: 0x550100 -> 0x550110 (0 -> 16 mod 64)",
 		"cyclops/internal/perf.(*eventQueue).pop: 0x520000 -> 0x520008 (0 -> 8 mod 64)",
 		"cyclops/internal/sim.(*Machine).stepBlock: 0x504a40 -> 0x504a60 (0 -> 32 mod 64)",
+		"cyclops/internal/sim.(*eventQueue).popBatch: 0x540100 -> 0x540120 (0 -> 32 mod 64)",
 		"cyclops/internal/sim.mkSD.func1: 0x50b400 -> 0x50b420 (0 -> 32 mod 64)",
+		"main.refStep: 0x560100 -> 0x560120 (0 -> 32 mod 64)",
 	}
 	got := compare(hot(parent), hot(change))
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

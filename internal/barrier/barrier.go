@@ -122,3 +122,11 @@ func (p *Participant) Advance() { p.phase++ }
 
 // Phase returns the number of completed barrier cycles.
 func (p *Participant) Phase() uint { return p.phase }
+
+// Reset clears every thread's contribution, and so the OR'd register: the
+// network reads as NewWired's.
+func (w *Wired) Reset() {
+	clear(w.spr)
+	w.counts = [8]int{}
+	w.or = 0
+}

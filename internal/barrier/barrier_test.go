@@ -2,6 +2,7 @@ package barrier
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -164,5 +165,16 @@ func TestNonParticipants(t *testing.T) {
 	}
 	if !parts[0].Released(w.Read()) {
 		t.Error("idle threads blocked the barrier")
+	}
+}
+
+// Reset drops every contribution: the network reads as NewWired's.
+func TestResetMatchesNewWired(t *testing.T) {
+	w := NewWired(8)
+	w.Write(0, 0x81)
+	w.Write(7, 0x03)
+	w.Reset()
+	if !reflect.DeepEqual(w, NewWired(8)) {
+		t.Errorf("reset network %+v, want a fresh one", w)
 	}
 }

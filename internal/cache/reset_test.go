@@ -1,0 +1,84 @@
+package cache
+
+import (
+	"reflect"
+	"testing"
+
+	"cyclops/internal/arch"
+	"cyclops/internal/mem"
+)
+
+// Reset returns a used cache system to the state a reset of a new one
+// leaves, with the configuration's disabled quads (and only those) out of
+// service. A cache its use backed keeps its own tables, cleared; one never
+// used keeps sharing the zero table. Instruction caches likewise.
+func TestResetMatchesNewSystem(t *testing.T) {
+	cfg := arch.Default()
+	cfg.DisabledQuads = 2
+	m := mem.New(cfg)
+	s := NewSystem(cfg, m)
+	s.Reset()
+	if !s.QuadDisabled(0) || !s.QuadDisabled(1) || s.QuadDisabled(2) {
+		t.Fatal("Reset did not take quads 0 and 1 out of service")
+	}
+	now := uint64(0)
+	for i := 0; i < 64; i++ {
+		now = s.Load(now, uint32(i*4160), 8, 4).Done
+		s.Store(now, uint32(i*64), 8, 5)
+	}
+	s.PartitionScratch(6, 3)
+	s.DisableQuad(7)
+	ic, idle := NewICache(cfg), NewICache(cfg)
+	ic.Fetch(0)
+	ic.Fetch(0)
+	idle.Reset()
+	if idle.lru != nil {
+		t.Error("Reset backed an instruction cache nothing had used")
+	}
+	used := 0
+	for _, d := range s.Caches {
+		if d.Backed() {
+			used++
+		}
+	}
+	if used == 0 || used == len(s.Caches) {
+		t.Fatalf("%d of %d caches backed; the test needs both kinds", used, len(s.Caches))
+	}
+
+	s.Reset()
+	ic.Reset()
+	fresh := NewSystem(cfg, m)
+	fresh.Reset()
+	for i, d := range s.Caches {
+		if d.Backed() {
+			used--
+			if !allZero(d.tags) || !allZero(d.lru) || !allZero(d.readyAt) {
+				t.Errorf("cache %d: tables not cleared", i)
+			}
+			// The rest of the cache must match the fresh one's.
+			d.tags, d.lru, d.readyAt = fresh.Caches[i].tags, nil, nil
+		}
+	}
+	if used != 0 {
+		t.Errorf("Reset dropped %d caches' tables", used)
+	}
+	if !reflect.DeepEqual(s, fresh) {
+		t.Errorf("reset system %+v\nwant %+v", s, fresh)
+	}
+	if !allZero(ic.tags) || !allZero(ic.lru) || ic.stamp != 0 || ic.Hits != 0 || ic.Misses != 0 {
+		t.Errorf("reset instruction cache %+v", ic)
+	}
+	if ic.Fetch(0) {
+		t.Error("reset instruction cache still holds its line")
+	}
+}
+
+func allZero[T comparable](s []T) bool {
+	var zero T
+	for _, v := range s {
+		if v != zero {
+			return false
+		}
+	}
+	return true
+}

@@ -265,3 +265,53 @@ func (s *System) PortStats(c int) obs.ResourceStats {
 		WaitCycles: s.portWait[c],
 	}
 }
+
+// --- Reset ------------------------------------------------------------------
+//
+// A chip reused from run to run is reset between them (core.Chip.Reset). The
+// resets sit last in the package, after every access path, so that adding
+// them moved none of those in the binary (DESIGN.md section 2, code
+// placement).
+
+// Reset returns the cache system to power-on state for its configuration:
+// every cache empty (DCache.Reset), every port free with zero telemetry,
+// exactly the configuration's first DisabledQuads quads out of service (as
+// DisableQuad would leave them) and the outcome counts zero. It leaves the
+// memory behind it alone.
+func (s *System) Reset() {
+	for _, d := range s.Caches {
+		d.Reset()
+	}
+	clear(s.port)
+	clear(s.portBusy)
+	clear(s.portGrants)
+	clear(s.portConflicts)
+	clear(s.portWait)
+	for q := range s.disabled {
+		s.disabled[q] = q < s.Cfg.DisabledQuads
+	}
+	s.nDisabled = s.Cfg.DisabledQuads
+	s.Counts = [5]uint64{}
+}
+
+// Reset empties the cache, ends any scratch partitioning and zeroes its
+// stamp and counters. A backed cache keeps its tables, cleared in place, so
+// a cache reset between runs is not backed again by its next Install.
+func (d *DCache) Reset() {
+	if d.lru != nil {
+		clear(d.tags)
+		clear(d.lru)
+		clear(d.readyAt)
+	}
+	d.scratchWays, d.stamp, d.Hits, d.Misses = 0, 0, 0, 0
+}
+
+// Reset empties the cache and zeroes its stamp and counters. A backed cache
+// keeps its tables, cleared in place, as DCache.Reset does.
+func (ic *ICache) Reset() {
+	if ic.lru != nil {
+		clear(ic.tags)
+		clear(ic.lru)
+	}
+	ic.stamp, ic.Hits, ic.Misses = 0, 0, 0
+}

@@ -123,26 +123,24 @@ type Chip struct {
 	FPUs    []*FPU
 	Barrier *barrier.Wired
 	OffChip *mem.OffChip
-
-	disabledQuad []bool
 }
 
-// NewChip builds a chip for the configuration, booted with the
-// configuration's failed banks and disabled quads already out of service.
+// NewChip builds a chip for the configuration: it allocates the parts and
+// resets them (Reset), so the chip boots with the configuration's failed
+// banks and disabled quads already out of service and nothing backed.
 func NewChip(cfg arch.Config) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m := mem.New(cfg)
 	c := &Chip{
-		Cfg:          cfg,
-		Mem:          m,
-		Data:         cache.NewSystem(cfg, m),
-		ICaches:      make([]*cache.ICache, cfg.ICaches()),
-		FPUs:         make([]*FPU, cfg.Quads()),
-		Barrier:      barrier.NewWired(cfg.Threads),
-		OffChip:      mem.NewOffChip(cfg),
-		disabledQuad: make([]bool, cfg.Quads()),
+		Cfg:     cfg,
+		Mem:     m,
+		Data:    cache.NewSystem(cfg, m),
+		ICaches: make([]*cache.ICache, cfg.ICaches()),
+		FPUs:    make([]*FPU, cfg.Quads()),
+		Barrier: barrier.NewWired(cfg.Threads),
+		OffChip: mem.NewOffChip(cfg),
 	}
 	for i := range c.ICaches {
 		c.ICaches[i] = cache.NewICache(cfg)
@@ -150,16 +148,7 @@ func NewChip(cfg arch.Config) (*Chip, error) {
 	for i := range c.FPUs {
 		c.FPUs[i] = &FPU{}
 	}
-	for b := 0; b < cfg.FailedBanks; b++ {
-		if err := m.FailBank(b); err != nil {
-			return nil, err
-		}
-	}
-	for q := 0; q < cfg.DisabledQuads; q++ {
-		if err := c.DisableQuad(q); err != nil {
-			return nil, err
-		}
-	}
+	c.Reset()
 	return c, nil
 }
 
@@ -172,38 +161,59 @@ func MustNew(cfg arch.Config) *Chip {
 	return c
 }
 
+// Reset returns the chip to power-on state for its own configuration, the
+// state NewChip builds: memories zero, caches empty, ports, banks, FPUs,
+// barrier and off-chip channel idle, every counter zero, the code watch
+// and any scratch partitioning gone, and exactly the configuration's
+// failed banks and disabled quads out of service. It keeps the host
+// storage the chip's runs have backed — memory pages and cache tables,
+// cleared in place — so a chip reused for run after run allocates only
+// what no earlier run touched.
+func (c *Chip) Reset() {
+	c.Mem.Reset()
+	c.Data.Reset()
+	for _, ic := range c.ICaches {
+		ic.Reset()
+	}
+	for _, f := range c.FPUs {
+		*f = FPU{}
+	}
+	c.Barrier.Reset()
+	if c.OffChip != nil {
+		c.OffChip.Reset()
+	}
+}
+
 // DisableQuad implements the Section 5 fault model for a broken FPU: the
 // whole quad is taken out of service — its four thread units stop being
 // schedulable and its data cache is bypassed. Computation continues on the
 // remaining quads.
 func (c *Chip) DisableQuad(q int) error {
-	if q < 0 || q >= c.Cfg.Quads() {
+	switch {
+	case q < 0 || q >= c.Cfg.Quads():
 		return fmt.Errorf("core: no quad %d", q)
-	}
-	if c.disabledQuad[q] {
+	case c.Data.QuadDisabled(q):
 		return fmt.Errorf("core: quad %d already disabled", q)
-	}
-	if !c.Data.DisableQuad(q) {
+	case !c.Data.DisableQuad(q):
 		return fmt.Errorf("core: cannot disable quad %d (last one standing?)", q)
 	}
-	c.disabledQuad[q] = true
 	return nil
 }
 
 // QuadDisabled reports whether quad q is out of service.
-func (c *Chip) QuadDisabled(q int) bool { return c.disabledQuad[q] }
+func (c *Chip) QuadDisabled(q int) bool { return c.Data.QuadDisabled(q) }
 
 // ThreadUsable reports whether thread unit tid can be scheduled (its quad
 // is alive).
 func (c *Chip) ThreadUsable(tid int) bool {
-	return tid >= 0 && tid < c.Cfg.Threads && !c.disabledQuad[c.Cfg.QuadOf(tid)]
+	return tid >= 0 && tid < c.Cfg.Threads && !c.Data.QuadDisabled(c.Cfg.QuadOf(tid))
 }
 
 // UsableThreads counts schedulable thread units.
 func (c *Chip) UsableThreads() int {
 	n := 0
-	for _, d := range c.disabledQuad {
-		if !d {
+	for q := 0; q < c.Cfg.Quads(); q++ {
+		if !c.Data.QuadDisabled(q) {
 			n += c.Cfg.ThreadsPerQuad
 		}
 	}

@@ -229,7 +229,7 @@ func TestUtilizationReport(t *testing.T) {
 // TestNewChipAllocationBudget: functional memory is backed by the first
 // write to a page (internal/mem), and each data and instruction cache by its
 // first install (internal/cache), so a fresh cell costs its ports and small
-// tables, 17,120 B, not its 8 MB
+// tables, 17,056 B, not its 8 MB
 // or its caches' 260 KB of tags, LRU stamps and fill times. The largest
 // legal external memory adds its page table only (1 MB). Each budget is the
 // measured size plus less than 25%, so eager backing of any of them cannot

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"cyclops/internal/core"
 	"cyclops/internal/image"
 	"cyclops/internal/kernel"
 )
@@ -27,11 +26,7 @@ func runProgram(ctx *RunContext) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	chip, err := core.NewChip(ctx.Config)
-	if err != nil {
-		return nil, err
-	}
-	k := kernel.New(chip)
+	k := kernel.New(ctx.Chip)
 	if ctx.Spec.Balanced {
 		k.Policy = kernel.Balanced
 	}

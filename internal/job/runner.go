@@ -29,10 +29,23 @@ type Stats struct {
 }
 
 // ErrPanic is what a run fails with, wrapped, when its workload panics.
-// The Runner recovers the panic into an error that carries its value and
-// stack, so a workload can neither end the process nor leave the waiters
-// coalesced on its run hanging.
+// The Runner recovers the panic into a *PanicError, so a workload can
+// neither end the process nor leave the waiters coalesced on its run
+// hanging.
 var ErrPanic = errors.New("workload panicked")
+
+// PanicError is a recovered workload panic. Its message names the panic
+// value only, so it can go to a client as it is; the stack is for the
+// operator's log.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("%v: %v", ErrPanic, e.Value) }
+
+// Unwrap makes errors.Is(err, ErrPanic) hold.
+func (e *PanicError) Unwrap() error { return ErrPanic }
 
 // RunInfo reports how one submission was served.
 type RunInfo struct {
@@ -92,6 +105,10 @@ type Runner struct {
 
 	mu       sync.Mutex
 	inflight map[resultcache.Key]*call
+
+	// chips hands every execution its chip and keeps the chips of
+	// successful runs for reuse.
+	chips chipPool
 
 	hits, misses, coalesced, executions, errors atomic.Uint64
 }
@@ -406,7 +423,12 @@ func (r *Runner) execute(canon *Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := runWorkload(w, &RunContext{Spec: canon, Config: *canon.Config, Engine: r.Engine, Policy: pol})
+	var res *Result
+	chip, err := r.chips.get(*canon.Config)
+	if err == nil {
+		res, err = runWorkload(w, &RunContext{Spec: canon, Chip: chip, Engine: r.Engine, Policy: pol})
+		r.chips.put(chip, err == nil)
+	}
 	if err != nil {
 		r.errors.Add(1)
 		return nil, fmt.Errorf("job: %s: %w", canon.Workload, err)
@@ -414,12 +436,11 @@ func (r *Runner) execute(canon *Spec) (*Result, error) {
 	return res, nil
 }
 
-// runWorkload is w.Run with a panic recovered into an error wrapping
-// ErrPanic.
+// runWorkload is w.Run with a panic recovered into a *PanicError.
 func runWorkload(w Workload, ctx *RunContext) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("%w: %v\n\n%s", ErrPanic, p, debug.Stack())
+			res, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
 	return w.Run(ctx)

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"sync"
 
-	"cyclops/internal/arch"
+	"cyclops/internal/core"
 	"cyclops/internal/obs"
 	"cyclops/internal/sim"
 	"cyclops/internal/timing"
@@ -52,15 +52,18 @@ func DecodeResult(data []byte) (*Result, error) {
 }
 
 // RunContext hands a workload its resolved execution parameters: the
-// canonical spec plus the parsed configuration and policy. These are a
+// canonical spec, the chip to run on and the parsed policy. These are a
 // run's whole input: there is no process state for a workload to consult
 // (sweep workers and serve handlers run different points concurrently).
-// Every workload hands Spec.MaxCycles to the machine it runs on. Engine
-// is the Runner's instruction engine (Runner.Engine), for workloads that
-// boot a sim.Machine to pass to SetEngine; it never changes a result.
+// Chip is built for the spec's configuration (Chip.Cfg) and at power-on;
+// the run owns it until it returns, and the Runner may hand it to a later
+// run after a Reset, so a workload keeps no reference to it. Every
+// workload hands Spec.MaxCycles to the machine it runs on. Engine is the
+// Runner's instruction engine (Runner.Engine), for workloads that boot a
+// sim.Machine to pass to SetEngine; it never changes a result.
 type RunContext struct {
 	Spec   *Spec
-	Config arch.Config
+	Chip   *core.Chip
 	Engine sim.Engine
 	Policy timing.Policy
 }

@@ -67,12 +67,8 @@ func runMD(ctx *job.RunContext) (*job.Result, error) {
 	if err := strict(ctx.Spec.Args, &a); err != nil {
 		return nil, err
 	}
-	chip, err := chipFor(ctx)
-	if err != nil {
-		return nil, err
-	}
 	r, _, err := md.Run(md.Opts{
-		Config:     splash.Config{Threads: a.Threads, Balanced: a.Balanced, Chip: chip, Issue: ctx.Policy, MaxCycles: ctx.Spec.MaxCycles},
+		Config:     splash.Config{Threads: a.Threads, Balanced: a.Balanced, Chip: ctx.Chip, Issue: ctx.Policy, MaxCycles: ctx.Spec.MaxCycles},
 		NParticles: a.Particles,
 		Steps:      a.Steps,
 	})
@@ -101,12 +97,8 @@ func runRay(ctx *job.RunContext) (*job.Result, error) {
 	if err := strict(ctx.Spec.Args, &a); err != nil {
 		return nil, err
 	}
-	chip, err := chipFor(ctx)
-	if err != nil {
-		return nil, err
-	}
 	r, _, err := ray.Render(ray.Opts{
-		Config: splash.Config{Threads: a.Threads, Balanced: a.Balanced, Chip: chip, Issue: ctx.Policy, MaxCycles: ctx.Spec.MaxCycles},
+		Config: splash.Config{Threads: a.Threads, Balanced: a.Balanced, Chip: ctx.Chip, Issue: ctx.Policy, MaxCycles: ctx.Spec.MaxCycles},
 		Width:  a.Width,
 		Height: a.Height,
 	})

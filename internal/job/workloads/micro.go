@@ -60,15 +60,14 @@ func runMicroBarrier(ctx *job.RunContext) (*job.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	chip, err := chipFor(ctx)
+	m, err := splash.Config{Threads: a.Threads, Chip: ctx.Chip, Issue: ctx.Policy, MaxCycles: ctx.Spec.MaxCycles}.Machine()
 	if err != nil {
 		return nil, err
 	}
-	m, err := splash.Config{Threads: a.Threads, Chip: chip, Issue: ctx.Policy, MaxCycles: ctx.Spec.MaxCycles}.Machine()
+	b, err := splash.NewBarrier(m, a.Threads, kind)
 	if err != nil {
 		return nil, err
 	}
-	b := splash.NewBarrier(m, a.Threads, kind)
 	err = m.SpawnN(a.Threads, func(th *perf.T, i int) {
 		for p := 0; p < a.Phases; p++ {
 			b.Wait(th, i)

@@ -103,15 +103,11 @@ func runSplash(ctx *job.RunContext) (*job.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	chip, err := chipFor(ctx)
-	if err != nil {
-		return nil, err
-	}
 	cfg := splash.Config{
 		Threads:      a.Threads,
 		Barrier:      barrier,
 		Balanced:     a.Balanced,
-		Chip:         chip,
+		Chip:         ctx.Chip,
 		Issue:        ctx.Policy,
 		ProfileEvery: a.ProfileEvery,
 		MaxCycles:    ctx.Spec.MaxCycles,

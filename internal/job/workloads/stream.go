@@ -152,15 +152,11 @@ func runStream(ctx *job.RunContext) (*job.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	chip, err := chipFor(ctx)
-	if err != nil {
-		return nil, err
-	}
 	eng := ctx.Engine
 	p.Engine = &eng
 	p.Issue = ctx.Policy
 	p.MaxCycles = ctx.Spec.MaxCycles
-	r, err := stream.RunOn(chip, p, place)
+	r, err := stream.RunOn(ctx.Chip, p, place)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"cyclops/internal/core"
 	"cyclops/internal/job"
 	"cyclops/internal/prof"
 	"cyclops/internal/splash"
@@ -37,11 +36,6 @@ func strict(args json.RawMessage, v any) error {
 		return fmt.Errorf("trailing data after args")
 	}
 	return nil
-}
-
-// chipFor builds the run's chip from the canonical configuration.
-func chipFor(ctx *job.RunContext) (*core.Chip, error) {
-	return core.NewChip(ctx.Config)
 }
 
 // parseBarrier maps the canonical barrier spelling.

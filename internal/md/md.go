@@ -87,7 +87,10 @@ func Run(opts Opts) (*splash.Result, *State, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	bar := splash.NewBarrier(mach, opts.Threads, opts.Barrier)
+	bar, err := splash.NewBarrier(mach, opts.Threads, opts.Barrier)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	sim := &mdSim{st: st, n: n, cells: cellsPerSide, dt: dt}
 	T := opts.Threads

@@ -191,3 +191,45 @@ func (m *Memory) Write64(addr uint32, v uint64) error {
 	}
 	return nil
 }
+
+// --- Reset ------------------------------------------------------------------
+//
+// A chip reused from run to run is reset between them (core.Chip.Reset). The
+// resets sit last in the package, after every accessor, so that adding them
+// moved none of those in the binary (DESIGN.md section 2, code placement).
+
+// reset zeroes every backed page in place; it stays backed.
+func (s *paged) reset() {
+	for _, pg := range s.pages {
+		if pg != nil {
+			clear(pg[:])
+		}
+	}
+}
+
+// Reset returns the memory to power-on state for its configuration: every
+// byte zero, exactly the configuration's first FailedBanks banks re-mapped
+// out of service (as FailBank would leave them), every bank idle, no code
+// watched and every counter zero. A page some write backed stays backed,
+// cleared in place, so a memory reset between runs allocates no page its
+// earlier runs already had.
+func (m *Memory) Reset() {
+	m.store.reset()
+	m.live = m.live[:0]
+	for b := m.cfg.FailedBanks; b < m.cfg.MemBanks; b++ {
+		m.live = append(m.live, b)
+	}
+	m.size = uint32(len(m.live) * m.cfg.MemBankBytes)
+	clear(m.banks)
+	m.watchLo, m.watchHi, m.watchSet, m.codeGen = 0, 0, false, 0
+	m.LineFills, m.WriteBursts = 0, 0
+}
+
+// Reset returns the external memory to power-on state: every byte zero, the
+// channel idle, no transfer counted. Backed pages stay backed, cleared in
+// place, as in Memory.Reset.
+func (o *OffChip) Reset() {
+	o.store.reset()
+	clear(o.block)
+	*o = OffChip{cfg: o.cfg, store: o.store, block: o.block}
+}

@@ -82,8 +82,8 @@ type SWBarrier struct {
 // NewSWBarrier builds a tree barrier for n participants with the given
 // fan-in (4 is typical; 2 gives the deepest tree). Flags are 64-byte
 // padded and placed in the chip-wide shared interest group, the system
-// default.
-func NewSWBarrier(m *Machine, n, arity int) *SWBarrier {
+// default; it fails, as Alloc does, when they do not fit.
+func NewSWBarrier(m *Machine, n, arity int) (*SWBarrier, error) {
 	if arity < 2 {
 		arity = 2
 	}
@@ -99,10 +99,15 @@ func NewSWBarrier(m *Machine, n, arity int) *SWBarrier {
 	}
 	g := arch.InterestGroup{Mode: arch.GroupAll}
 	for i := 0; i < n; i++ {
-		b.arriveEA[i] = m.MustAlloc(64, g)
-		b.releaseEA[i] = m.MustAlloc(64, g)
+		var err error
+		if b.arriveEA[i], err = m.Alloc(64, g); err != nil {
+			return nil, err
+		}
+		if b.releaseEA[i], err = m.Alloc(64, g); err != nil {
+			return nil, err
+		}
 	}
-	return b
+	return b, nil
 }
 
 // children returns the tree children of node i as the index range

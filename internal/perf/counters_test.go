@@ -13,7 +13,7 @@ import (
 func TestPerfStallReasonsSum(t *testing.T) {
 	const n = 8
 	m := NewDefault()
-	b := NewSWBarrier(m, n, 4)
+	b := mustSWBarrier(m, n, 4)
 	data := m.SharedAlloc(n * 64)
 	m.SpawnN(n, func(th *T, i int) {
 		v := th.LoadF64(data + uint32(8*i))

@@ -167,7 +167,7 @@ func mixedMachine() *Machine {
 	data := m.SharedAlloc(1 << 16)
 	ctr := m.SharedAlloc(64)
 	hw := NewHWBarrier(n)
-	sw := NewSWBarrier(m, n, 3)
+	sw := mustSWBarrier(m, n, 3)
 	if err := m.SpawnN(n, func(th *T, i int) {
 		eas := make([]uint32, 40)
 		for phase := 0; phase < 3; phase++ {

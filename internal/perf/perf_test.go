@@ -157,10 +157,32 @@ func TestHWBarrierReusableAcrossPhases(t *testing.T) {
 	}
 }
 
+// mustSWBarrier is NewSWBarrier for test barriers known to fit.
+func mustSWBarrier(m *Machine, n, arity int) *SWBarrier {
+	b, err := NewSWBarrier(m, n, arity)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// A software barrier whose flags do not fit the memory left after the
+// kernel's own allocations is an allocation error, as the kernel's would
+// be, not a panic.
+func TestSWBarrierFlagsThatDoNotFitAreAnError(t *testing.T) {
+	for _, left := range []int{64, 3 * 64} {
+		m := NewDefault()
+		m.SharedAlloc(int(m.allocLimit-m.brk) - left)
+		if b, err := NewSWBarrier(m, 2, 2); err == nil || b != nil || !strings.Contains(err.Error(), "exceeds embedded memory") {
+			t.Errorf("%d B left for four flags: %v, %v; want an allocation error", left, b, err)
+		}
+	}
+}
+
 func TestSWBarrierSynchronises(t *testing.T) {
 	m := NewDefault()
 	const n = 16
-	b := NewSWBarrier(m, n, 4)
+	b := mustSWBarrier(m, n, 4)
 	order := []int{}
 	m.SpawnN(n, func(th *T, i int) {
 		th.Work(5 * (n - i)) // reverse-staggered
@@ -198,7 +220,7 @@ func TestSWBarrierCostsMoreStallThanHW(t *testing.T) {
 	}
 	runSW := func() (run, stall uint64) {
 		m := NewDefault()
-		b := NewSWBarrier(m, n, 4)
+		b := mustSWBarrier(m, n, 4)
 		m.SpawnN(n, func(th *T, i int) {
 			for p := 0; p < phases; p++ {
 				th.Work(20 + i)

@@ -28,10 +28,12 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net"
 	"net/http"
@@ -62,6 +64,10 @@ type Config struct {
 	AccessLog io.Writer
 	// RecentRuns bounds the /debug/runs ring (0 = DefaultRecentRuns).
 	RecentRuns int
+	// ErrorLog receives what a client is not sent: the stack of a
+	// workload panic, once per failed execution. Nil logs through the
+	// log package's standard logger.
+	ErrorLog *log.Logger
 	// Tracer overrides the server's span recorder — tests pin its seed
 	// and clock for golden traces; nil builds a fresh default tracer.
 	// The server's own clock (uptime, access-log stamps) is the
@@ -93,6 +99,7 @@ type Server struct {
 	mux     *http.ServeMux
 	recent  *runLog
 	access  *accessLog
+	errLog  *log.Logger
 	start   time.Time
 	workers int
 	limit   int
@@ -145,6 +152,7 @@ func New(cfg Config) (*Server, error) {
 		mux:     http.NewServeMux(),
 		recent:  newRunLog(recent),
 		access:  &accessLog{w: cfg.AccessLog},
+		errLog:  cmp.Or(cfg.ErrorLog, log.Default()),
 		workers: workers,
 		limit:   limit,
 	}
@@ -225,7 +233,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	finish := func(status int, errText string) {
 		rec.Status = status
-		rec.Error = errText
+		rec.Error = clip(errText)
 		rec.TotalSeconds = s.tracer.Now().Sub(started).Seconds()
 		root.Attr("status", strconv.Itoa(status))
 		s.requestSeconds.Observe(root.End().Dur)
@@ -288,11 +296,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// Spec errors were caught above; what remains is a failed run.
 		// A deterministic one (a guest trap, the cycle limit, a problem
 		// too large for the chip) is the request's fault; a workload
-		// panic is the server's.
+		// panic is the server's. Its stack goes to the error log, from
+		// the request that ran it, and never to a client.
 		s.runErrors.Inc()
 		status := http.StatusUnprocessableEntity
-		if errors.Is(t.err, job.ErrPanic) {
+		var pe *job.PanicError
+		if errors.As(t.err, &pe) {
 			status = http.StatusInternalServerError
+			if !t.info.Coalesced {
+				s.errLog.Printf("cyclops-serve: run %s (trace %s): %v\n%s", res.ID, rec.Trace, t.err, pe.Stack)
+			}
 		}
 		httpError(w, status, t.err)
 		finish(status, t.err.Error())
@@ -426,5 +439,18 @@ func writeJSON(w http.ResponseWriter, v any) {
 func httpError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+	_ = json.NewEncoder(w).Encode(map[string]string{"error": clip(err.Error())})
+}
+
+// maxErrorText bounds the error text of a reply and of a run record. Some
+// errors quote the request (an unknown field's name, a bad argument), and
+// what the server writes back or logs stays small whatever it was sent.
+const maxErrorText = 1 << 10
+
+// clip cuts msg to maxErrorText bytes, marking the cut.
+func clip(msg string) string {
+	if len(msg) <= maxErrorText {
+		return msg
+	}
+	return msg[:maxErrorText] + " [...]"
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -425,7 +426,9 @@ func TestWorkloadPanicReturns500(t *testing.T) {
 	}
 	release := make(chan struct{})
 	servePanicGate.Store("gate", release)
-	_, ts := newTestServer(t, serve.Config{Workers: 2})
+	var errLog lockedBuffer
+	var access lockedBuffer
+	_, ts := newTestServer(t, serve.Config{Workers: 2, ErrorLog: log.New(&errLog, "", 0), AccessLog: &access})
 	bad := map[string]any{"workload": "test-serve-panic", "args": map[string]any{"panic": true}}
 
 	type reply struct {
@@ -449,6 +452,22 @@ func TestWorkloadPanicReturns500(t *testing.T) {
 		if r.code != http.StatusInternalServerError || !strings.Contains(r.body, "workload panicked: workload bug") {
 			t.Errorf("reply %d: HTTP %d %s; want 500 naming the panic", i, r.code, r.body)
 		}
+		if len(r.body) >= 512 || strings.Contains(r.body, ".go:") || strings.Contains(r.body, "goroutine ") {
+			t.Errorf("reply %d carries more than the panic value (%d B): %s", i, len(r.body), r.body)
+		}
+	}
+	// The stack goes to the error log once, from the request that ran the
+	// workload, and nowhere a client or the access log can read it.
+	if logged := errLog.String(); strings.Count(logged, "workload panicked: workload bug\ngoroutine ") != 1 {
+		t.Errorf("error log holds %d panic stacks, want one:\n%s", strings.Count(logged, "workload panicked"), logged)
+	}
+	for _, rec := range debugRuns(t, ts.URL) {
+		if strings.Contains(rec.Error, ".go:") || strings.Contains(rec.Error, "goroutine ") {
+			t.Errorf("/debug/runs record carries a stack: %q", rec.Error)
+		}
+	}
+	if line := access.String(); strings.Contains(line, ".go:") || strings.Contains(line, "goroutine ") {
+		t.Errorf("access log carries a stack:\n%s", line)
 	}
 	if n := metricValue(t, ts.URL, "job_inflight"); n != 0 {
 		t.Errorf("job_inflight = %d after the panic, want 0", n)
@@ -478,6 +497,9 @@ func TestOversizedSplashIsRefused(t *testing.T) {
 		{"lu 2^31 square", splash(`{"kernel":"lu","threads":4,"n":2147483648}`)},
 		{"ocean", splash(`{"kernel":"ocean","threads":4,"n":1024}`)},
 		{"radix", splash(`{"kernel":"radix","threads":4,"n":2097152}`)},
+		// Fits the chip, but leaves no room for the software barrier's
+		// flags, which are taken last.
+		{"radix, no room for sw barrier flags", splash(`{"kernel":"radix","threads":4,"barrier":"sw","n":916417}`)},
 		{"barnes", splash(`{"kernel":"barnes","threads":4,"bodies":131072}`)},
 		{"fmm", splash(`{"kernel":"fmm","threads":4,"bodies":262144}`)},
 		{"md", map[string]any{"workload": "md", "args": map[string]any{"threads": 4, "particles": 1 << 20}}},
@@ -637,4 +659,23 @@ func TestMetricsAndHealthAndWorkloads(t *testing.T) {
 	if !found {
 		t.Errorf("workloads list %v is missing stream", wl.Workloads)
 	}
+}
+
+// lockedBuffer is a bytes.Buffer that server goroutines write and the test
+// reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

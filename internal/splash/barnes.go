@@ -86,7 +86,10 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 
 	const dt = 0.01
 	tree := &octTree{}
-	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
+	bar, err := NewBarrier(mach, opts.Threads, opts.Barrier)
+	if err != nil {
+		return nil, err
+	}
 
 	err = mach.SpawnN(opts.Threads, func(t *perf.T, p int) {
 		for s := 0; s < steps; s++ {

@@ -85,7 +85,10 @@ func RunFFT(opts FFTOpts) (*Result, error) {
 	b := make([]complex128, n)
 	copy(a, data)
 	tw := twiddles(m)
-	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
+	bar, err := NewBarrier(mach, opts.Threads, opts.Barrier)
+	if err != nil {
+		return nil, err
+	}
 
 	err = mach.SpawnN(opts.Threads, func(t *perf.T, p int) {
 		lo, hi := Span(m, p, opts.Threads)

@@ -98,7 +98,10 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 	boxEA := func(l, idx int) uint32 {
 		return eaLevel[l] + uint32(idx*(2*coefBytes+64))
 	}
-	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
+	bar, err := NewBarrier(mach, opts.Threads, opts.Barrier)
+	if err != nil {
+		return nil, err
+	}
 	T := opts.Threads
 
 	err = mach.SpawnN(T, func(t *perf.T, th int) {

@@ -52,7 +52,10 @@ func RunLU(opts LUOpts) (*Result, error) {
 	nb := n / bs
 	addr := func(i, j int) uint32 { return ea + uint32(8*(i*n+j)) }
 	owner := func(bi, bj int) int { return (bi + bj*nb) % opts.Threads }
-	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
+	bar, err := NewBarrier(mach, opts.Threads, opts.Barrier)
+	if err != nil {
+		return nil, err
+	}
 
 	err = mach.SpawnN(opts.Threads, func(t *perf.T, p int) {
 		for k := 0; k < nb; k++ {

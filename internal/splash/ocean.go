@@ -64,7 +64,10 @@ func RunOcean(opts OceanOpts) (*Result, error) {
 		return nil, fmt.Errorf("splash: grid length %d != %d", len(g), stride*stride)
 	}
 	addr := func(i, j int) uint32 { return ea + uint32(8*(i*stride+j)) }
-	bar := NewBarrier(mach, opts.Threads, opts.Barrier)
+	bar, err := NewBarrier(mach, opts.Threads, opts.Barrier)
+	if err != nil {
+		return nil, err
+	}
 
 	err = mach.SpawnN(opts.Threads, func(t *perf.T, p int) {
 		lo, hi := Span(n, p, opts.Threads)

@@ -83,7 +83,10 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 	}
 	// bucketBase[d]: prefix over all lower digits (built each pass).
 	bucketBase := make([]int, buckets+1)
-	bar := NewBarrier(mach, T, opts.Barrier)
+	bar, err := NewBarrier(mach, T, opts.Barrier)
+	if err != nil {
+		return nil, err
+	}
 
 	const chunk = 64
 	err = mach.SpawnN(T, func(t *perf.T, p int) {

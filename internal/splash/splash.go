@@ -143,12 +143,18 @@ type Barrier struct {
 	sw *perf.SWBarrier
 }
 
-// NewBarrier builds an n-thread barrier of the given kind on m.
-func NewBarrier(m *perf.Machine, n int, kind BarrierKind) *Barrier {
+// NewBarrier builds an n-thread barrier of the given kind on m. A
+// software barrier takes its flags from chip memory, and fails when they
+// do not fit.
+func NewBarrier(m *perf.Machine, n int, kind BarrierKind) (*Barrier, error) {
 	if kind == SW {
-		return &Barrier{sw: perf.NewSWBarrier(m, n, 4)}
+		sw, err := perf.NewSWBarrier(m, n, 4)
+		if err != nil {
+			return nil, err
+		}
+		return &Barrier{sw: sw}, nil
 	}
-	return &Barrier{hw: perf.NewHWBarrier(n)}
+	return &Barrier{hw: perf.NewHWBarrier(n)}, nil
 }
 
 // Wait blocks thread t (participant index) until all n have arrived.
