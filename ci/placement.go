@@ -40,16 +40,21 @@ import (
 // hotFuncs matches the functions whose alignment the benchmark has been
 // seen to feel: the block engine's dispatch loop and op bodies, the
 // thread-unit scheduler's event queue, the memory system's single-access
-// and run paths, the data cache's tag probe, the direct-execution
-// runtime's event queue and its memory and FP runs, and the benchmark
-// binary's own calibration loop (main.reference and main.refStep), which
-// every wall_s is normalised by.
+// and run paths, the data cache's tag probe, the interest-group lookup
+// every data access makes (arch.CacheFor), the FPU dispatch, the
+// embedded memory's word accessors the load and store ops call, the
+// direct-execution runtime's event queue and its memory and FP runs, and
+// the benchmark binary's own calibration loop (main.reference and
+// main.refStep), which every wall_s is normalised by.
 var hotFuncs = regexp.MustCompile(`^(cyclops/internal/(` +
 	`sim\.\(\*Machine\)\.(stepBlock|runBlock)` +
 	`|sim\.mk[A-Za-z0-9]+\.func1` +
 	`|sim\.\(\*eventQueue\)\.(push|popBatch|next)` +
 	`|cache\.\(\*System\)\.(Load|Store|loadRun|storeRun)` +
 	`|cache\.\(\*DCache\)\.probe` +
+	`|arch\.CacheFor` +
+	`|core\.\(\*FPU\)\.(Dispatch|DispatchRun)` +
+	`|mem\.\(\*Memory\)\.(Read32|Read64|Write32|Write64)` +
 	`|perf\.\(\*eventQueue\)\.pop` +
 	`|perf\.\(\*T\)\.(bulk|fp)` +
 	`)|main\.(reference|refStep))$`)
@@ -162,6 +167,11 @@ func runSelftest() {
   560000 T main.reference
   560100 T main.refStep
   560200 T main.main
+  570000 T cyclops/internal/arch.CacheFor
+  570100 T cyclops/internal/core.(*FPU).Dispatch
+  570200 T cyclops/internal/mem.(*Memory).Read64
+  570300 T cyclops/internal/mem.(*Memory).Write64
+  570400 T cyclops/internal/mem.(*Memory).WriteBank
 `
 	change := `
   504640 T cyclops/internal/sim.(*Machine).runBlock
@@ -185,16 +195,24 @@ func runSelftest() {
   560000 T main.reference
   560120 T main.refStep
   560220 T main.main
+  570000 T cyclops/internal/arch.CacheFor
+  570120 T cyclops/internal/core.(*FPU).Dispatch
+  570240 T cyclops/internal/mem.(*Memory).Read64
+  570320 T cyclops/internal/mem.(*Memory).Write64
+  570420 T cyclops/internal/mem.(*Memory).WriteBank
 `
-	// runBlock, push, next and reference stayed put, and bulk and
-	// mkLD.func1 moved by a whole block; stepBlock, mkSD.func1, Load,
-	// storeRun, both pops, fp and refStep moved inside one; probe is gone
-	// (inlined) from the change; the clone, the second closure, LoadRun,
-	// rebuild, bulk's closure, main.main and a data symbol are not hot.
+	// runBlock, push, next, reference and CacheFor stayed put, and bulk,
+	// mkLD.func1 and Read64 moved by a whole block; stepBlock,
+	// mkSD.func1, Load, storeRun, both pops, fp, refStep, Dispatch and
+	// Write64 moved inside one; probe is gone (inlined) from the change;
+	// the clone, the second closure, LoadRun, rebuild, bulk's closure,
+	// main.main, WriteBank and a data symbol are not hot.
 	want := []string{
 		"cyclops/internal/cache.(*DCache).probe: only in the parent, at 0x4f0900 (0 mod 64)",
 		"cyclops/internal/cache.(*System).Load: 0x4f0160 -> 0x4f0180 (32 -> 0 mod 64)",
 		"cyclops/internal/cache.(*System).storeRun: 0x4f0500 -> 0x4f0520 (0 -> 32 mod 64)",
+		"cyclops/internal/core.(*FPU).Dispatch: 0x570100 -> 0x570120 (0 -> 32 mod 64)",
+		"cyclops/internal/mem.(*Memory).Write64: 0x570300 -> 0x570320 (0 -> 32 mod 64)",
 		"cyclops/internal/perf.(*T).fp: 0x550100 -> 0x550110 (0 -> 16 mod 64)",
 		"cyclops/internal/perf.(*eventQueue).pop: 0x520000 -> 0x520008 (0 -> 8 mod 64)",
 		"cyclops/internal/sim.(*Machine).stepBlock: 0x504a40 -> 0x504a60 (0 -> 32 mod 64)",

@@ -39,8 +39,8 @@ func TestResetChipEqualsNewChip(t *testing.T) {
 				t.Errorf("  %s", d)
 			}
 		}
-		if c.Mem.BackedBytes() == 0 {
-			t.Errorf("%s: Reset dropped the backed pages", configName(cfg))
+		if c.Mem.HeldBytes() == 0 {
+			t.Errorf("%s: Reset dropped the pages writes had backed", configName(cfg))
 		}
 		// A reset chip runs as a fresh one does.
 		dirty(t, c)
@@ -115,7 +115,8 @@ func chipDiff(want, got *Chip) []string {
 // walkDiff compares a and b field by field, element by element, reading
 // unexported fields too. A nil pointer or slice matches a non-nil one
 // whose contents are all zero (a page or table kept by Reset against one
-// never backed); otherwise shapes and values must agree.
+// never backed, a list of zeroed spare pages against none); otherwise
+// shapes and values must agree.
 func walkDiff(a, b reflect.Value, path string, diffs *[]string) {
 	if len(*diffs) > 100 {
 		return
@@ -168,7 +169,8 @@ func walkDiff(a, b reflect.Value, path string, diffs *[]string) {
 	}
 }
 
-// zeroOrNil reports whether v is nil or points to or holds only zeros.
+// zeroOrNil reports whether v is nil or points to or holds only zeros, or
+// only pointers to zeros.
 func zeroOrNil(v reflect.Value) bool {
 	if v.IsNil() {
 		return true
@@ -177,7 +179,8 @@ func zeroOrNil(v reflect.Value) bool {
 		return v.Elem().IsZero()
 	}
 	for i := 0; i < v.Len(); i++ {
-		if !v.Index(i).IsZero() {
+		e := v.Index(i)
+		if e.Kind() == reflect.Pointer && !zeroOrNil(e) || e.Kind() != reflect.Pointer && !e.IsZero() {
 			return false
 		}
 	}

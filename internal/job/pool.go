@@ -14,7 +14,8 @@ import (
 // list, or builds one when there is none, and owns it until it ends, so
 // no two runs ever share a chip. Only a chip whose run succeeded comes
 // back: a run that errors, hits its cycle limit or panics may have left
-// its chip mid-operation, and the chip is dropped with it.
+// its chip mid-operation, and the chip is dropped with it. So is a chip
+// that holds more than keepBytes of memory.
 //
 // The list holds at most as many chips as the Runner has had runs in
 // flight at once (a sweep's workers, a server's executions), so a
@@ -49,10 +50,20 @@ func (p *chipPool) get(cfg arch.Config) (*core.Chip, error) {
 	return c, err
 }
 
+// keepBytes bounds the host storage behind a chip's embedded and external
+// memory that the idle list keeps. A reset chip holds the pages of the
+// largest footprint any run on it has had, so a chip that once ran a
+// large problem would hold them for as long as its configuration stays in
+// use; a chip past the bound is dropped instead. 8 MB is the whole
+// embedded memory of the paper's configuration, so only a larger
+// configuration or external-memory traffic can exceed it.
+const keepBytes = 8 << 20
+
 // put ends a run that took a chip from get, c (nil when get failed). A
-// chip whose run succeeded is reset and goes back on the list; any other
-// is dropped.
+// chip whose run succeeded is reset and goes back on the list, unless it
+// holds more than keepBytes; any other is dropped.
 func (p *chipPool) put(c *core.Chip, ok bool) {
+	ok = ok && heldBytes(c) <= keepBytes
 	if ok {
 		c.Reset()
 	}
@@ -65,4 +76,13 @@ func (p *chipPool) put(c *core.Chip, ok bool) {
 			p.idle = slices.Delete(p.idle, 0, 1)
 		}
 	}
+}
+
+// heldBytes is the host storage behind c's embedded and external memory.
+func heldBytes(c *core.Chip) int {
+	n := c.Mem.HeldBytes()
+	if c.OffChip != nil {
+		n += c.OffChip.HeldBytes()
+	}
+	return n
 }

@@ -14,7 +14,8 @@ import (
 // chipProbe records the chip each run of the test-chip-probe workload was
 // handed. A run checks that its chip came at power-on (memory word 0 is
 // zero, no data-cache miss counted), dirties it, and then ends as its
-// args say: "ok", "error" or "panic". With "gate" set, it waits on the
+// args say: "ok", "fill" (success after writing every page of memory),
+// "error" or "panic". With "gate" set, it waits on the
 // gate first, so that a test holds several runs in flight at once.
 var chipProbe struct {
 	mu    sync.Mutex
@@ -62,6 +63,12 @@ func init() {
 			}
 			c.Data.Load(0, 0, 8, 0)
 			switch a.End {
+			case "fill":
+				for addr := uint32(0); addr < c.Mem.Size(); addr += 1 << 14 {
+					if err := c.Mem.Write32(addr, 1); err != nil {
+						return nil, err
+					}
+				}
 			case "error":
 				return nil, fmt.Errorf("run %s failed", a.ID)
 			case "panic":
@@ -77,7 +84,7 @@ func probe(t *testing.T, r *job.Runner, id, end string, cfg *arch.Config) *core.
 	t.Helper()
 	args, _ := json.Marshal(probeArgs{ID: id, End: end})
 	_, err := r.Run(&job.Spec{Workload: "test-chip-probe", Args: args, Config: cfg})
-	if (err == nil) != (end == "ok") {
+	if (err == nil) != (end == "ok" || end == "fill") {
 		t.Fatalf("run %s (%s): error %v", id, end, err)
 	}
 	chipProbe.mu.Lock()
@@ -127,6 +134,26 @@ func TestFailedRunNeverReturnsItsChip(t *testing.T) {
 	defer chipProbe.mu.Unlock()
 	if len(chipProbe.dirty) > 0 {
 		t.Errorf("runs %v were handed a chip not at power-on", chipProbe.dirty)
+	}
+}
+
+// A chip that has backed more memory than the idle list keeps is dropped
+// after a successful run too: a 16 MB memory written in every page is
+// more than a full 8 MB one.
+func TestOversizedChipIsNotKept(t *testing.T) {
+	r := job.NewRunner()
+	big := arch.Default()
+	big.MemBanks = 32
+	a := probe(t, r, "big-a", "ok", &big)
+	if got := probe(t, r, "big-b", "fill", &big); got != a {
+		t.Fatal("the idle chip was not handed to the next run")
+	}
+	if got := probe(t, r, "big-c", "ok", &big); got == a {
+		t.Error("a chip with 16 MB of backed memory came back")
+	}
+	full := probe(t, r, "full-a", "fill", nil)
+	if got := probe(t, r, "full-b", "ok", nil); got != full {
+		t.Error("a chip with its whole 8 MB memory backed was not kept")
 	}
 }
 

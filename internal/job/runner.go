@@ -34,15 +34,18 @@ type Stats struct {
 // hanging.
 var ErrPanic = errors.New("workload panicked")
 
-// PanicError is a recovered workload panic. Its message names the panic
-// value only, so it can go to a client as it is; the stack is for the
-// operator's log.
+// PanicError is a recovered workload panic. Its message carries the panic
+// value and the stack, so a sweep or CLI that reports a failed point shows
+// where it broke; a server sends its clients Summary instead.
 type PanicError struct {
 	Value any
 	Stack []byte
 }
 
-func (e *PanicError) Error() string { return fmt.Sprintf("%v: %v", ErrPanic, e.Value) }
+func (e *PanicError) Error() string { return fmt.Sprintf("%s\n\n%s", e.Summary(), e.Stack) }
+
+// Summary is the message without the stack: it names the panic value only.
+func (e *PanicError) Summary() string { return fmt.Sprintf("%v: %v", ErrPanic, e.Value) }
 
 // Unwrap makes errors.Is(err, ErrPanic) hold.
 func (e *PanicError) Unwrap() error { return ErrPanic }

@@ -368,8 +368,8 @@ func TestErrorsPropagateAndAreNotCached(t *testing.T) {
 
 // A workload panic is a run error wrapping job.ErrPanic: the Runner
 // recovers it, drops the in-flight entry and caches nothing, so the same
-// spec executes again. The message names the panic's value only; the
-// stack rides the *job.PanicError for the operator's log.
+// spec executes again. The message carries the panic's value and stack;
+// the *job.PanicError's Summary names the value only.
 func TestWorkloadPanicIsRunError(t *testing.T) {
 	if _, ok := job.LookupWorkload("test-gate-panic"); !ok {
 		job.Register(job.Workload{
@@ -391,12 +391,14 @@ func TestWorkloadPanicIsRunError(t *testing.T) {
 		if !errors.Is(err, job.ErrPanic) {
 			t.Fatalf("run %d: %v, want ErrPanic", i, err)
 		}
-		if want := "job: test-gate-panic: workload panicked: runtime error: index out of range [3] with length 0"; err.Error() != want {
-			t.Errorf("error %q, want %q", err, want)
+		summary := "workload panicked: runtime error: index out of range [3] with length 0"
+		if want := "job: test-gate-panic: " + summary + "\n\ngoroutine "; !strings.HasPrefix(err.Error(), want) ||
+			!strings.Contains(err.Error(), "TestWorkloadPanicIsRunError") {
+			t.Errorf("error %q, want %q and the panicking stack", err, want)
 		}
 		var pe *job.PanicError
-		if !errors.As(err, &pe) || !strings.Contains(string(pe.Stack), "TestWorkloadPanicIsRunError") {
-			t.Errorf("run %d: no *job.PanicError with the panicking stack in %v", i, err)
+		if !errors.As(err, &pe) || pe.Summary() != summary {
+			t.Errorf("run %d: no *job.PanicError summarised %q in %v", i, summary, err)
 		}
 	}
 	if st := r.Stats(); st.Executions != 2 || st.Errors != 2 || r.Inflight() != 0 {

@@ -23,6 +23,9 @@ const (
 // before they call it.
 type paged struct {
 	pages []*[pageSize]byte
+	// spare holds zeroed pages a reset took out of the table; a write to
+	// an unbacked page takes one before it allocates (back).
+	spare []*[pageSize]byte
 }
 
 func newPaged(size int) paged {
@@ -44,8 +47,7 @@ func (s *paged) backedBytes() int {
 func (s *paged) page(addr uint32) *[pageSize]byte {
 	pg := s.pages[addr>>pageShift]
 	if pg == nil {
-		pg = new([pageSize]byte)
-		s.pages[addr>>pageShift] = pg
+		pg = s.back(addr >> pageShift)
 	}
 	return pg
 }
@@ -132,7 +134,10 @@ func (m *Memory) Write(addr uint32, p []byte) error {
 }
 
 // The word accessors take one table load and a nil check when the word lies
-// inside a page, which every aligned access does.
+// inside a page, which every aligned access does. Write32 comes last: the
+// write accessors are ~420 bytes shorter since a write takes spare pages
+// (back), and in this order Read64 and Write64, which the STREAM kernels
+// run on, kept their addresses mod 64 (DESIGN.md section 2, code placement).
 
 // Read32 loads the 32-bit word at addr, which need not be aligned.
 func (m *Memory) Read32(addr uint32) (uint32, error) {
@@ -147,20 +152,6 @@ func (m *Memory) Read32(addr uint32) (uint32, error) {
 		return binary.LittleEndian.Uint32(pg[off:]), nil
 	}
 	return 0, nil
-}
-
-// Write32 stores the 32-bit word at addr, which need not be aligned.
-func (m *Memory) Write32(addr uint32, v uint32) error {
-	if !m.inRange(addr, 4) {
-		return m.rangeErr(addr)
-	}
-	m.noteWrite(addr, 4)
-	if off := addr & pageMask; off > pageSize-4 {
-		m.store.writeAcross(addr, 4, uint64(v))
-	} else {
-		binary.LittleEndian.PutUint32(m.store.page(addr)[off:], v)
-	}
-	return nil
 }
 
 // Read64 loads the 64-bit doubleword at addr, which need not be aligned.
@@ -192,26 +183,62 @@ func (m *Memory) Write64(addr uint32, v uint64) error {
 	return nil
 }
 
+// Write32 stores the 32-bit word at addr, which need not be aligned.
+func (m *Memory) Write32(addr uint32, v uint32) error {
+	if !m.inRange(addr, 4) {
+		return m.rangeErr(addr)
+	}
+	m.noteWrite(addr, 4)
+	if off := addr & pageMask; off > pageSize-4 {
+		m.store.writeAcross(addr, 4, uint64(v))
+	} else {
+		binary.LittleEndian.PutUint32(m.store.page(addr)[off:], v)
+	}
+	return nil
+}
+
 // --- Reset ------------------------------------------------------------------
 //
 // A chip reused from run to run is reset between them (core.Chip.Reset). The
 // resets sit last in the package, after every accessor, so that adding them
 // moved none of those in the binary (DESIGN.md section 2, code placement).
 
-// reset zeroes every backed page in place; it stays backed.
+// reset zeroes every backed page and moves it from the table to the spare
+// list. The table is all nil again, as in a new store, so a read of a page
+// the next run never writes costs what it costs on a new chip: a nil check,
+// no host memory touched.
 func (s *paged) reset() {
-	for _, pg := range s.pages {
+	for i, pg := range s.pages {
 		if pg != nil {
 			clear(pg[:])
+			s.spare = append(s.spare, pg)
+			s.pages[i] = nil
 		}
 	}
+}
+
+// back backs page i for a write, with a spare page when there is one. The
+// store thus holds at most as many pages as the largest footprint a run
+// between two resets has had. It is never inlined, so that page, which
+// every write accessor inlines, stays a table load, a nil check and a call.
+//
+//go:noinline
+func (s *paged) back(i uint32) *[pageSize]byte {
+	var pg *[pageSize]byte
+	if n := len(s.spare); n > 0 {
+		pg, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		pg = new([pageSize]byte)
+	}
+	s.pages[i] = pg
+	return pg
 }
 
 // Reset returns the memory to power-on state for its configuration: every
 // byte zero, exactly the configuration's first FailedBanks banks re-mapped
 // out of service (as FailBank would leave them), every bank idle, no code
-// watched and every counter zero. A page some write backed stays backed,
-// cleared in place, so a memory reset between runs allocates no page its
+// watched and every counter zero. The pages writes backed are kept, zeroed,
+// for later writes, so a memory reset between runs allocates no page its
 // earlier runs already had.
 func (m *Memory) Reset() {
 	m.store.reset()
@@ -226,10 +253,24 @@ func (m *Memory) Reset() {
 }
 
 // Reset returns the external memory to power-on state: every byte zero, the
-// channel idle, no transfer counted. Backed pages stay backed, cleared in
-// place, as in Memory.Reset.
+// channel idle, no transfer counted. Its pages are kept for later writes,
+// as in Memory.Reset. It is not inlined into core.Chip.Reset: inlined, it
+// moved the code linked after it, the simulator's included, by 32 bytes
+// mod 64 (DESIGN.md section 2, code placement).
+//
+//go:noinline
 func (o *OffChip) Reset() {
 	o.store.reset()
 	clear(o.block)
 	*o = OffChip{cfg: o.cfg, store: o.store, block: o.block}
 }
+
+// HeldBytes returns the host storage the memory holds: the pages backing
+// it now (BackedBytes) and the spare pages earlier resets kept.
+func (m *Memory) HeldBytes() int { return m.store.heldBytes() }
+
+// HeldBytes returns the host storage the external memory holds, as
+// Memory.HeldBytes does for the embedded one.
+func (o *OffChip) HeldBytes() int { return o.store.heldBytes() }
+
+func (s *paged) heldBytes() int { return s.backedBytes() + len(s.spare)*pageSize }

@@ -9,7 +9,8 @@ import (
 
 // Reset returns a used memory to the state a reset of a new one leaves,
 // with the configuration's failed banks (and only those) out of service,
-// keeping its backed pages cleared in place; off-chip memory likewise.
+// and keeps its pages, zeroed and out of the page table, for later writes;
+// off-chip memory likewise.
 func TestResetMatchesNew(t *testing.T) {
 	cfg := arch.Default()
 	cfg.FailedBanks = 2
@@ -33,22 +34,34 @@ func TestResetMatchesNew(t *testing.T) {
 	if _, err := o.WriteBlock(0, m, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	backed, offBacked := m.BackedBytes(), o.store.backedBytes()
+	held, offHeld := m.BackedBytes(), o.store.backedBytes()
 	m.Reset()
 	o.Reset()
 
 	fresh, freshOff := New(cfg), NewOffChip(cfg)
 	fresh.Reset()
-	if m.BackedBytes() != backed || o.store.backedBytes() != offBacked {
-		t.Errorf("Reset kept %d and %d B backed, want %d and %d", m.BackedBytes(), o.store.backedBytes(), backed, offBacked)
+	if m.BackedBytes() != 0 || o.store.backedBytes() != 0 || m.HeldBytes() != held || o.HeldBytes() != offHeld {
+		t.Errorf("Reset left %d and %d B backed, %d and %d B held; want none backed, %d and %d B held",
+			m.BackedBytes(), o.store.backedBytes(), m.HeldBytes(), o.HeldBytes(), held, offHeld)
 	}
 	for _, s := range []*paged{&m.store, &o.store} {
-		for i, pg := range s.pages {
-			if pg != nil && *pg != ([pageSize]byte{}) {
-				t.Fatalf("page %d is not zero after Reset", i)
+		for i, pg := range s.spare {
+			if *pg != ([pageSize]byte{}) {
+				t.Fatalf("spare page %d is not zero after Reset", i)
 			}
 		}
 	}
+	// Writes after the reset take the kept pages and allocate none.
+	if n := testing.AllocsPerRun(1, func() {
+		for a := uint32(0); a < m.Size(); a += 1 << 16 {
+			if err := m.Write64(a, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 || m.HeldBytes() != held {
+		t.Errorf("writes after Reset made %v allocations and left %d B held, want none and %d B", n, m.HeldBytes(), held)
+	}
+	m.Reset()
 	m.store, fresh.store = paged{}, paged{}
 	o.store, freshOff.store = paged{}, paged{}
 	if !reflect.DeepEqual(m, fresh) {

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"cyclops/internal/job"
 	"cyclops/internal/serve"
 )
 
@@ -22,6 +22,11 @@ import (
 // an oversized FFT that once took the daemon down, a radix sort that
 // leaves no room for its software barrier's flags, and an unknown field
 // with a long name.
+//
+// The server has no wall-clock budget yet, so a spec may ask for as long a
+// run as it likes (a stream spec's reps, a barnes spec's steps). Every body
+// the server would run is therefore posted with its cycle limit held to
+// fuzzMaxCycles (boundCycles); a body it refuses goes as it came.
 func FuzzServeRun(f *testing.F) {
 	valid, err := json.Marshal(streamSpec())
 	if err != nil {
@@ -35,6 +40,8 @@ func FuzzServeRun(f *testing.F) {
 		string(valid) + " trailing-garbage",
 		string(valid) + " {}",
 		string(valid) + "}",
+		`{"workload":"stream","args":{"kernel":"copy","threads":2,"n":128,"reps":-3}}`,
+		`{"workload":"stream","args":{"kernel":"copy","threads":2,"n":128,"reps":100000000}}`,
 		string(valid),
 		`{"workload":"splash","args":{"kernel":"fft","threads":4,"n":262144}}`,
 		`{"workload":"splash","args":{"kernel":"radix","threads":4,"barrier":"sw","n":916417}}`,
@@ -45,12 +52,13 @@ func FuzzServeRun(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	srv, err := serve.New(serve.Config{Workers: 1, ErrorLog: log.New(io.Discard, "", 0)})
+	srv, err := serve.New(serve.Config{Workers: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
 	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
+		body = boundCycles(t, body)
 		rec := httptest.NewRecorder()
 		done := make(chan struct{})
 		go func() {
@@ -77,4 +85,35 @@ func FuzzServeRun(f *testing.F) {
 			t.Errorf("HTTP %d %s to %q", rec.Code, reply, body)
 		}
 	})
+}
+
+// fuzzMaxCycles bounds every run FuzzServeRun asks for. The slowest spec
+// found, 126 threads of software-barrier phases, takes about half a second
+// to reach it.
+const fuzzMaxCycles = 200_000
+
+// boundCycles returns body with its spec's max_cycles at most
+// fuzzMaxCycles, when body is a spec the server would decode (the same
+// strict decoding: no unknown field, nothing after the spec). Any other
+// body is returned as it is: the server refuses it before running
+// anything.
+func boundCycles(t *testing.T, body []byte) []byte {
+	var spec job.Spec
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&spec) != nil {
+		return body
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return body
+	}
+	if spec.MaxCycles != 0 && spec.MaxCycles <= fuzzMaxCycles {
+		return body
+	}
+	spec.MaxCycles = fuzzMaxCycles
+	bounded, err := json.Marshal(&spec)
+	if err != nil {
+		t.Fatalf("re-encoding a decoded spec: %v", err)
+	}
+	return bounded
 }

@@ -28,7 +28,6 @@ package serve
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,6 +37,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"cyclops/internal/job"
@@ -64,10 +64,6 @@ type Config struct {
 	AccessLog io.Writer
 	// RecentRuns bounds the /debug/runs ring (0 = DefaultRecentRuns).
 	RecentRuns int
-	// ErrorLog receives what a client is not sent: the stack of a
-	// workload panic, once per failed execution. Nil logs through the
-	// log package's standard logger.
-	ErrorLog *log.Logger
 	// Tracer overrides the server's span recorder — tests pin its seed
 	// and clock for golden traces; nil builds a fresh default tracer.
 	// The server's own clock (uptime, access-log stamps) is the
@@ -99,7 +95,6 @@ type Server struct {
 	mux     *http.ServeMux
 	recent  *runLog
 	access  *accessLog
-	errLog  *log.Logger
 	start   time.Time
 	workers int
 	limit   int
@@ -152,7 +147,6 @@ func New(cfg Config) (*Server, error) {
 		mux:     http.NewServeMux(),
 		recent:  newRunLog(recent),
 		access:  &accessLog{w: cfg.AccessLog},
-		errLog:  cmp.Or(cfg.ErrorLog, log.Default()),
 		workers: workers,
 		limit:   limit,
 	}
@@ -296,19 +290,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// Spec errors were caught above; what remains is a failed run.
 		// A deterministic one (a guest trap, the cycle limit, a problem
 		// too large for the chip) is the request's fault; a workload
-		// panic is the server's. Its stack goes to the error log, from
-		// the request that ran it, and never to a client.
+		// panic is the server's. Its stack goes to the standard logger,
+		// from the request that ran it, and never to a client.
 		s.runErrors.Inc()
 		status := http.StatusUnprocessableEntity
+		errText := t.err.Error()
 		var pe *job.PanicError
 		if errors.As(t.err, &pe) {
 			status = http.StatusInternalServerError
 			if !t.info.Coalesced {
-				s.errLog.Printf("cyclops-serve: run %s (trace %s): %v\n%s", res.ID, rec.Trace, t.err, pe.Stack)
+				log.Printf("cyclops-serve: run %s (trace %s): %s", res.ID, rec.Trace, errText)
 			}
+			errText = strings.Replace(errText, pe.Error(), pe.Summary(), 1)
 		}
-		httpError(w, status, t.err)
-		finish(status, t.err.Error())
+		httpError(w, status, errors.New(errText))
+		finish(status, errText)
 		return
 	}
 	writeRun(w, &rec, t.data)

@@ -226,6 +226,11 @@ func TestBadSpecsAre400(t *testing.T) {
 		string(valid) + " trailing-garbage",
 		string(valid) + " {}",
 		string(valid) + "}",
+		// A rep count the program cannot time: a negative one was a
+		// panic (500), a huge one an unrecoverable out-of-memory crash
+		// while the program text was generated.
+		`{"workload":"stream","args":{"kernel":"copy","threads":2,"n":128,"reps":-3}}`,
+		`{"workload":"stream","args":{"kernel":"copy","threads":2,"n":128,"reps":100000000}}`,
 	}
 	for i, body := range bad {
 		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
@@ -426,9 +431,11 @@ func TestWorkloadPanicReturns500(t *testing.T) {
 	}
 	release := make(chan struct{})
 	servePanicGate.Store("gate", release)
-	var errLog lockedBuffer
-	var access lockedBuffer
-	_, ts := newTestServer(t, serve.Config{Workers: 2, ErrorLog: log.New(&errLog, "", 0), AccessLog: &access})
+	var errLog, access lockedBuffer
+	defaultLog := log.Writer()
+	log.SetOutput(&errLog)
+	t.Cleanup(func() { log.SetOutput(defaultLog) })
+	_, ts := newTestServer(t, serve.Config{Workers: 2, AccessLog: &access})
 	bad := map[string]any{"workload": "test-serve-panic", "args": map[string]any{"panic": true}}
 
 	type reply struct {
@@ -456,9 +463,9 @@ func TestWorkloadPanicReturns500(t *testing.T) {
 			t.Errorf("reply %d carries more than the panic value (%d B): %s", i, len(r.body), r.body)
 		}
 	}
-	// The stack goes to the error log once, from the request that ran the
-	// workload, and nowhere a client or the access log can read it.
-	if logged := errLog.String(); strings.Count(logged, "workload panicked: workload bug\ngoroutine ") != 1 {
+	// The stack goes to the standard logger once, from the request that
+	// ran the workload, and nowhere a client or the access log can read it.
+	if logged := errLog.String(); strings.Count(logged, "workload panicked: workload bug\n\ngoroutine ") != 1 {
 		t.Errorf("error log holds %d panic stacks, want one:\n%s", strings.Count(logged, "workload panicked"), logged)
 	}
 	for _, rec := range debugRuns(t, ts.URL) {

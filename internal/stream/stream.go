@@ -131,8 +131,14 @@ const (
 	vecC = 0x500080
 )
 
-// DefaultReps is the repetition count a zero Reps defaults to.
-const DefaultReps = 3
+// DefaultReps is the repetition count a zero Reps defaults to, and MaxReps
+// the most a program can time: the stamp that ends rep i is stored at
+// offset 4(i+1) into the stamp table, and a store's offset is a 13-bit
+// signed immediate.
+const (
+	DefaultReps = 3
+	MaxReps     = 1023
+)
 
 // DefaultMaxCycles is the cycle limit a zero MaxCycles defaults to: a
 // generous ceiling, as the slowest kernels move ~1 element per ~100
@@ -157,6 +163,8 @@ func (p Params) Validate() error {
 	switch {
 	case p.Threads < 1:
 		return fmt.Errorf("stream: Threads = %d", p.Threads)
+	case p.Reps < 1 || p.Reps > MaxReps:
+		return fmt.Errorf("stream: Reps = %d, want 1 to %d", p.Reps, MaxReps)
 	case p.N < 8 || p.N%8 != 0:
 		return fmt.Errorf("stream: N = %d must be a positive multiple of 8", p.N)
 	case p.Unroll != 1 && p.Unroll != 4:

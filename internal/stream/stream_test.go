@@ -81,11 +81,29 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"cyclic unrolled", Params{Kernel: Copy, Threads: 8, N: 512, Partition: Cyclic, Unroll: 4}},
 		{"too big", Params{Kernel: Copy, Threads: 1, N: 1 << 21}},
 		{"independent too big", Params{Kernel: Copy, Threads: 126, N: 1 << 14, Independent: true}},
+		{"negative reps", Params{Kernel: Copy, Threads: 1, N: 64, Reps: -3}},
+		{"too many reps", Params{Kernel: Copy, Threads: 1, N: 64, Reps: MaxReps + 1}},
 	}
 	for _, c := range bad {
 		if err := c.p.Validate(); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
+	}
+}
+
+// The most reps Validate accepts still make a program that assembles and
+// ends below the vectors.
+func TestMaxRepsAssembles(t *testing.T) {
+	src, err := Generate(Params{Kernel: Triad, Threads: 8, N: 512, Unroll: 4, Reps: MaxReps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := int(prog.Origin) + len(prog.Bytes); end > vecA {
+		t.Errorf("a %d-rep program ends at %#x, past the vectors at %#x", MaxReps, end, vecA)
 	}
 }
 
