@@ -82,3 +82,23 @@ func allZero[T comparable](s []T) bool {
 	}
 	return true
 }
+
+// ResetTo brings a cache system built for one fault state to another of
+// its shape: reset to a configuration with three disabled quads, it equals
+// a new system of that configuration.
+func TestResetToAnotherFaultState(t *testing.T) {
+	cfg := arch.Default()
+	to := cfg
+	to.DisabledQuads = 3
+	m := mem.New(cfg)
+	s := NewSystem(cfg, m)
+	s.ResetTo(to)
+	if !s.QuadDisabled(2) || s.QuadDisabled(3) {
+		t.Fatal("ResetTo did not take quads 0 to 2 out of service")
+	}
+	fresh := NewSystem(to, m)
+	fresh.Reset()
+	if !reflect.DeepEqual(s, fresh) {
+		t.Errorf("system reset to the fault state %+v\nwant %+v", s, fresh)
+	}
+}

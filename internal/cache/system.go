@@ -294,6 +294,15 @@ func (s *System) Reset() {
 	s.Counts = [5]uint64{}
 }
 
+// ResetTo is Reset to cfg, a configuration that differs from the system's
+// own at most in its fault state (core.SameShape): the system comes back as
+// NewSystem(cfg) and Reset leave it, with cfg's disabled quads out of
+// service.
+func (s *System) ResetTo(cfg arch.Config) {
+	s.Cfg = cfg
+	s.Reset()
+}
+
 // Reset empties the cache, ends any scratch partitioning and zeroes its
 // stamp and counters. A backed cache keeps its tables, cleared in place, so
 // a cache reset between runs is not backed again by its next Install.

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"cyclops/internal/arch"
@@ -126,7 +127,7 @@ type Chip struct {
 }
 
 // NewChip builds a chip for the configuration: it allocates the parts and
-// resets them (Reset), so the chip boots with the configuration's failed
+// resets them (ResetTo), so the chip boots with the configuration's failed
 // banks and disabled quads already out of service and nothing backed.
 func NewChip(cfg arch.Config) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
@@ -148,8 +149,7 @@ func NewChip(cfg arch.Config) (*Chip, error) {
 	for i := range c.FPUs {
 		c.FPUs[i] = &FPU{}
 	}
-	c.Reset()
-	return c, nil
+	return c, c.ResetTo(cfg)
 }
 
 // MustNew builds a chip from a configuration known to be valid.
@@ -159,29 +159,6 @@ func MustNew(cfg arch.Config) *Chip {
 		panic(err)
 	}
 	return c
-}
-
-// Reset returns the chip to power-on state for its own configuration, the
-// state NewChip builds: memories zero, caches empty, ports, banks, FPUs,
-// barrier and off-chip channel idle, every counter zero, the code watch
-// and any scratch partitioning gone, and exactly the configuration's
-// failed banks and disabled quads out of service. It keeps the host
-// storage the chip's runs have backed — memory pages and cache tables,
-// cleared in place — so a chip reused for run after run allocates only
-// what no earlier run touched.
-func (c *Chip) Reset() {
-	c.Mem.Reset()
-	c.Data.Reset()
-	for _, ic := range c.ICaches {
-		ic.Reset()
-	}
-	for _, f := range c.FPUs {
-		*f = FPU{}
-	}
-	c.Barrier.Reset()
-	if c.OffChip != nil {
-		c.OffChip.Reset()
-	}
 }
 
 // DisableQuad implements the Section 5 fault model for a broken FPU: the
@@ -266,4 +243,59 @@ func (c *Chip) ResourceStats() []obs.ResourceStats {
 // LoadImage copies a program image into embedded memory.
 func (c *Chip) LoadImage(origin uint32, image []byte) error {
 	return c.Mem.Write(origin, image)
+}
+
+// --- Reset ------------------------------------------------------------------
+//
+// The job layer resets a chip between the runs that share it. The resets sit
+// last in the file, after every access path, so that adding them moved none
+// of those in the binary (DESIGN.md section 2, code placement).
+
+// Reset returns the chip to power-on state for its own configuration, the
+// state NewChip builds: memories zero, caches empty, ports, banks, FPUs,
+// barrier and off-chip channel idle, every counter zero, the code watch
+// and any scratch partitioning gone, and exactly the configuration's
+// failed banks and disabled quads out of service. It keeps the host
+// storage the chip's runs have backed — memory pages and cache tables,
+// cleared in place — so a chip reused for run after run allocates only
+// what no earlier run touched.
+func (c *Chip) Reset() {
+	c.Mem.ResetTo(c.Cfg)
+	c.Data.ResetTo(c.Cfg)
+	for _, ic := range c.ICaches {
+		ic.Reset()
+	}
+	for _, f := range c.FPUs {
+		*f = FPU{}
+	}
+	c.Barrier.Reset()
+	if c.OffChip != nil {
+		c.OffChip.ResetTo(c.Cfg)
+	}
+}
+
+// SameShape reports whether a and b build the same chip up to its fault
+// state: they differ at most in FailedBanks and DisabledQuads, which a
+// reset applies (ResetTo), so one chip serves both.
+func SameShape(a, b arch.Config) bool {
+	a.FailedBanks, a.DisabledQuads = b.FailedBanks, b.DisabledQuads
+	return a == b
+}
+
+// ResetTo is Reset to cfg, a valid configuration of the chip's shape
+// (SameShape): the chip comes back as NewChip(cfg) builds it, with cfg's
+// failed banks and disabled quads out of service, whatever fault state its
+// own configuration had. The paper treats both as boot-time state of the
+// same cell (Section 5), so a chip serves every fault configuration of its
+// shape. Any other configuration is an error, and leaves the chip as it was.
+func (c *Chip) ResetTo(cfg arch.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if !SameShape(c.Cfg, cfg) {
+		return errors.New("core: a chip cannot be reset to a configuration of another shape")
+	}
+	c.Cfg = cfg
+	c.Reset()
+	return nil
 }

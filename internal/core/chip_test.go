@@ -251,10 +251,46 @@ func TestNewChipAllocationBudget(t *testing.T) {
 		got := after.TotalAlloc - before.TotalAlloc
 		t.Logf("NewChip with %d B off chip: %d B", tc.offChip, got)
 		if got >= tc.budget {
-			t.Errorf("NewChip with %d B off chip allocated %d B, budget %d", tc.offChip, got, tc.budget)
+			overBudget(t, "NewChip with %d B off chip allocated %d B, budget %d", tc.offChip, got, tc.budget)
 		}
 		if c.Mem.BackedBytes() != 0 {
 			t.Errorf("a fresh chip has %d B of memory backed", c.Mem.BackedBytes())
 		}
 	}
+}
+
+// TestResetAllocationBudget: resetting a chip after a run, to its own
+// configuration or to another of its shape, allocates nothing once an
+// earlier reset has seen as many pages: every table and page it keeps is
+// cleared in place or moved to a spare list that has room for it.
+func TestResetAllocationBudget(t *testing.T) {
+	cfg := arch.Default()
+	cfg.OffChipBytes = 64 << 20
+	faulty := cfg
+	faulty.FailedBanks, faulty.DisabledQuads = 4, 8
+	c := MustNew(cfg)
+	for i, to := range []arch.Config{cfg, faulty, cfg, faulty, cfg} {
+		use(t, c)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.ResetTo(to)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got != 0 && i > 0 {
+			overBudget(t, "ResetTo(%s) allocated %d B, want none", configName(to), got)
+		}
+	}
+}
+
+// overBudget fails t, or under the race detector, whose instrumentation
+// allocates on its own, only logs the broken budget.
+func overBudget(t *testing.T, format string, args ...any) {
+	t.Helper()
+	if raceEnabled {
+		t.Logf("race detector on, budget not enforced: "+format, args...)
+		return
+	}
+	t.Errorf(format, args...)
 }

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"cyclops/internal/arch"
 	"cyclops/internal/cache"
 	"cyclops/internal/isa"
+	"cyclops/internal/statediff"
 )
 
 // TestResetChipEqualsNewChip: a chip driven through every kind of state it
@@ -29,11 +28,11 @@ func TestResetChipEqualsNewChip(t *testing.T) {
 	for _, cfg := range []arch.Config{arch.Default(), faulty, small} {
 		c := MustNew(cfg)
 		dirty(t, c)
-		if diffs := chipDiff(MustNew(cfg), c); len(diffs) == 0 {
+		if diffs := statediff.Diff(MustNew(cfg), c); len(diffs) == 0 {
 			t.Fatalf("%s: the dirtied chip equals a fresh one; dirty touches nothing", configName(cfg))
 		}
 		c.Reset()
-		if diffs := chipDiff(MustNew(cfg), c); len(diffs) > 0 {
+		if diffs := statediff.Diff(MustNew(cfg), c); len(diffs) > 0 {
 			t.Errorf("%s: Reset left %d fields unlike NewChip's:", configName(cfg), len(diffs))
 			for _, d := range diffs[:min(len(diffs), 20)] {
 				t.Errorf("  %s", d)
@@ -46,7 +45,7 @@ func TestResetChipEqualsNewChip(t *testing.T) {
 		dirty(t, c)
 		again := MustNew(cfg)
 		dirty(t, again)
-		if diffs := chipDiff(again, c); len(diffs) > 0 {
+		if diffs := statediff.Diff(again, c); len(diffs) > 0 {
 			t.Errorf("%s: after Reset the same work left %s", configName(cfg), diffs[0])
 		}
 	}
@@ -57,8 +56,21 @@ func configName(cfg arch.Config) string {
 		cfg.Threads, cfg.MemBanks, cfg.FailedBanks, cfg.DisabledQuads, cfg.OffChipBytes)
 }
 
-// dirty drives c through every part of its state.
+// dirty drives c through every part of its state: a run's use of it
+// (use), then run-time faults on top of the configured ones.
 func dirty(t *testing.T, c *Chip) {
+	t.Helper()
+	use(t, c)
+	if err := c.Mem.FailBank(c.Cfg.MemBanks - 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DisableQuad(c.Cfg.Quads() - 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// use drives c through everything a run can do to it.
+func use(t *testing.T, c *Chip) {
 	t.Helper()
 	cfg := c.Cfg
 	must := func(err error) {
@@ -101,88 +113,49 @@ func dirty(t *testing.T, c *Chip) {
 		_, err = c.OffChip.WriteBlock(now, c.Mem, 0, 3*blk) // leaves written bytes in flight
 		must(err)
 	}
-	must(c.Mem.FailBank(cfg.MemBanks - 1))
-	must(c.DisableQuad(cfg.Quads() - 2))
 }
 
-// chipDiff lists the paths at which got differs from want.
-func chipDiff(want, got *Chip) []string {
-	var diffs []string
-	walkDiff(reflect.ValueOf(want).Elem(), reflect.ValueOf(got).Elem(), "Chip", &diffs)
-	return diffs
-}
-
-// walkDiff compares a and b field by field, element by element, reading
-// unexported fields too. A nil pointer or slice matches a non-nil one
-// whose contents are all zero (a page or table kept by Reset against one
-// never backed, a list of zeroed spare pages against none); otherwise
-// shapes and values must agree.
-func walkDiff(a, b reflect.Value, path string, diffs *[]string) {
-	if len(*diffs) > 100 {
-		return
+// TestResetToEqualsNewChip: a chip dirtied under one configuration and
+// reset to another of its shape equals NewChip of that configuration, for
+// each fault configuration of the fault table (failed banks, disabled
+// quads and both) reached from each other one, and a configuration of
+// another shape, or an invalid one, is refused and leaves the chip alone.
+func TestResetToEqualsNewChip(t *testing.T) {
+	var cfgs []arch.Config
+	for _, f := range [][2]int{{0, 0}, {1, 0}, {2, 0}, {4, 0}, {0, 4}, {0, 8}, {4, 8}} {
+		cfg := arch.Default()
+		cfg.FailedBanks, cfg.DisabledQuads = f[0], f[1]
+		cfgs = append(cfgs, cfg)
 	}
-	switch a.Kind() {
-	case reflect.Pointer, reflect.Slice:
-		if a.IsNil() || b.IsNil() {
-			if !zeroOrNil(a) || !zeroOrNil(b) {
-				*diffs = append(*diffs, fmt.Sprintf("%s: nil on one side only, and the other side is not zero", path))
+	c := MustNew(cfgs[len(cfgs)-1])
+	for _, from := range cfgs {
+		for _, to := range cfgs {
+			if err := c.ResetTo(from); err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		if a.Kind() == reflect.Pointer {
-			walkDiff(a.Elem(), b.Elem(), "(*"+path+")", diffs)
-			return
-		}
-		if a.Len() != b.Len() {
-			*diffs = append(*diffs, fmt.Sprintf("%s: length %d, want %d", path, b.Len(), a.Len()))
-			return
-		}
-		fallthrough
-	case reflect.Array:
-		if a.Type().Elem().Kind() == reflect.Uint8 && (a.Kind() == reflect.Slice || a.CanAddr()) {
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				*diffs = append(*diffs, fmt.Sprintf("%s: bytes differ", path))
+			dirty(t, c)
+			if err := c.ResetTo(to); err != nil {
+				t.Fatalf("%s -> %s: %v", configName(from), configName(to), err)
 			}
-			return
-		}
-		for i := 0; i < a.Len(); i++ {
-			walkDiff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i), diffs)
-		}
-	case reflect.Struct:
-		for i := 0; i < a.NumField(); i++ {
-			walkDiff(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name, diffs)
-		}
-	case reflect.Bool:
-		if a.Bool() != b.Bool() {
-			*diffs = append(*diffs, fmt.Sprintf("%s: %v, want %v", path, b.Bool(), a.Bool()))
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if a.Int() != b.Int() {
-			*diffs = append(*diffs, fmt.Sprintf("%s: %d, want %d", path, b.Int(), a.Int()))
-		}
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		if a.Uint() != b.Uint() {
-			*diffs = append(*diffs, fmt.Sprintf("%s: %d, want %d", path, b.Uint(), a.Uint()))
-		}
-	default:
-		*diffs = append(*diffs, fmt.Sprintf("%s: a %s field, which this walk cannot compare", path, a.Kind()))
-	}
-}
-
-// zeroOrNil reports whether v is nil or points to or holds only zeros, or
-// only pointers to zeros.
-func zeroOrNil(v reflect.Value) bool {
-	if v.IsNil() {
-		return true
-	}
-	if v.Kind() == reflect.Pointer {
-		return v.Elem().IsZero()
-	}
-	for i := 0; i < v.Len(); i++ {
-		e := v.Index(i)
-		if e.Kind() == reflect.Pointer && !zeroOrNil(e) || e.Kind() != reflect.Pointer && !e.IsZero() {
-			return false
+			if diffs := statediff.Diff(MustNew(to), c); len(diffs) > 0 {
+				t.Fatalf("%s -> %s: ResetTo left %d fields unlike NewChip's, first %s",
+					configName(from), configName(to), len(diffs), diffs[0])
+			}
 		}
 	}
-	return true
+	other := arch.Default()
+	other.MemBanks = 8
+	invalid := arch.Default()
+	invalid.FailedBanks = invalid.MemBanks
+	for _, cfg := range []arch.Config{other, invalid} {
+		c.Reset()
+		dirty(t, c)
+		want := c.Cfg
+		if err := c.ResetTo(cfg); err == nil {
+			t.Errorf("ResetTo(%s) was accepted", configName(cfg))
+		}
+		if c.Cfg != want || c.Mem.BackedBytes() == 0 {
+			t.Errorf("a refused ResetTo(%s) changed the chip", configName(cfg))
+		}
+	}
 }

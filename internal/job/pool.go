@@ -6,48 +6,67 @@ import (
 
 	"cyclops/internal/arch"
 	"cyclops/internal/core"
+	"cyclops/internal/kernel"
 )
 
-// chipPool is a Runner's idle list: chips whose last run succeeded,
-// reset to power-on (core.Chip.Reset) and waiting for the next run of
-// their configuration. A run takes a chip of its configuration off the
-// list, or builds one when there is none, and owns it until it ends, so
-// no two runs ever share a chip. Only a chip whose run succeeded comes
-// back: a run that errors, hits its cycle limit or panics may have left
-// its chip mid-operation, and the chip is dropped with it. So is a chip
-// that holds more than keepBytes of memory.
+// chipPool is a Runner's idle list: chips whose last run succeeded, each
+// with the resident kernel an earlier run on it built (RunContext.Kernel),
+// waiting for the next run of their shape (core.SameShape). A run takes
+// the most recently returned chip of its configuration's shape off the
+// list and resets it, and its kernel, to that configuration
+// (core.Chip.ResetTo, kernel.Kernel.Reset), so one chip serves every fault
+// configuration of its shape; or it builds a chip when there is none. It
+// owns the chip until it ends, so no two runs ever share one. Only a chip
+// whose run succeeded comes back: a run that errors, hits its cycle limit
+// or panics may have left its chip mid-operation, and the chip is dropped
+// with it. So is a chip that holds more than keepBytes of memory.
 //
 // The list holds at most as many chips as the Runner has had runs in
 // flight at once (a sweep's workers, a server's executions), so a
 // one-worker sweep keeps one chip. When a returning chip would exceed
-// that, the chip that has idled longest goes, whatever its
-// configuration, so a sweep that moves on to another configuration
-// keeps chips of the new one.
+// that, the chip that has idled longest goes, whatever its shape, so a
+// sweep that moves on to another shape keeps chips of the new one.
 type chipPool struct {
 	mu            sync.Mutex
-	idle          []*core.Chip // least recently returned first
+	idle          []*pooledChip // least recently returned first
 	running, peak int
 }
 
-// get hands a run its chip for cfg: the most recently returned idle chip
-// of that configuration, else a new one.
-func (p *chipPool) get(cfg arch.Config) (*core.Chip, error) {
+// pooledChip is a chip and the kernel over it, built by the first run on
+// the chip that asked for one (nil until then).
+type pooledChip struct {
+	chip *core.Chip
+	kern *kernel.Kernel
+}
+
+// get hands a run its chip for cfg, at power-on for cfg: the most recently
+// returned idle chip of cfg's shape, reset to cfg, else a new one.
+func (p *chipPool) get(cfg arch.Config) (*pooledChip, error) {
 	p.mu.Lock()
 	p.running++
 	p.peak = max(p.peak, p.running)
 	for i := len(p.idle) - 1; i >= 0; i-- {
-		if c := p.idle[i]; c.Cfg == cfg {
+		if pc := p.idle[i]; core.SameShape(pc.chip.Cfg, cfg) {
 			p.idle = slices.Delete(p.idle, i, i+1)
 			p.mu.Unlock()
-			return c, nil
+			err := pc.chip.ResetTo(cfg)
+			if err != nil {
+				p.put(nil, false)
+				return nil, err
+			}
+			if pc.kern != nil {
+				pc.kern.Reset()
+			}
+			return pc, nil
 		}
 	}
 	p.mu.Unlock()
 	c, err := core.NewChip(cfg)
 	if err != nil {
 		p.put(nil, false)
+		return nil, err
 	}
-	return c, err
+	return &pooledChip{chip: c}, nil
 }
 
 // keepBytes bounds the host storage behind a chip's embedded and external
@@ -59,19 +78,17 @@ func (p *chipPool) get(cfg arch.Config) (*core.Chip, error) {
 // configuration or external-memory traffic can exceed it.
 const keepBytes = 8 << 20
 
-// put ends a run that took a chip from get, c (nil when get failed). A
-// chip whose run succeeded is reset and goes back on the list, unless it
-// holds more than keepBytes; any other is dropped.
-func (p *chipPool) put(c *core.Chip, ok bool) {
-	ok = ok && heldBytes(c) <= keepBytes
-	if ok {
-		c.Reset()
-	}
+// put ends a run that took pc from get (nil when get failed). A chip whose
+// run succeeded goes back on the list, as its run left it, unless it holds
+// more than keepBytes; any other is dropped. The next get of its shape
+// resets it.
+func (p *chipPool) put(pc *pooledChip, ok bool) {
+	ok = ok && heldBytes(pc.chip) <= keepBytes
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.running--
 	if ok {
-		p.idle = append(p.idle, c)
+		p.idle = append(p.idle, pc)
 		if len(p.idle) > p.peak {
 			p.idle = slices.Delete(p.idle, 0, 1)
 		}

@@ -3,6 +3,7 @@ package job_test
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -92,11 +93,11 @@ func probe(t *testing.T, r *job.Runner, id, end string, cfg *arch.Config) *core.
 	return chipProbe.chips[id]
 }
 
-// A run's chip goes back to the Runner's idle list, reset, only when the
-// run succeeds: the next run of its configuration gets it, at power-on. A
-// run that errors or panics drops its chip, and the list keeps only as
-// many chips as the Runner has had runs in flight, so a chip of another
-// configuration takes the place of the one before it.
+// A run's chip goes back to the Runner's idle list only when the run
+// succeeds: the next run of its configuration gets it, at power-on. A run
+// that errors or panics drops its chip, and the list keeps only as many
+// chips as the Runner has had runs in flight, so a chip of another shape
+// takes the place of the one before it.
 func TestFailedRunNeverReturnsItsChip(t *testing.T) {
 	r := job.NewRunner()
 	a := probe(t, r, "a", "ok", nil)
@@ -119,10 +120,10 @@ func TestFailedRunNeverReturnsItsChip(t *testing.T) {
 	}
 
 	other := arch.Default()
-	other.DisabledQuads = 1
+	other.MemBanks = 8
 	d := probe(t, r, "g", "ok", &other)
 	if d == c || d.Cfg != other {
-		t.Errorf("a run of another configuration got chip %p (config %+v)", d, d.Cfg)
+		t.Errorf("a run of another shape got chip %p (config %+v)", d, d.Cfg)
 	}
 	if got := probe(t, r, "h", "ok", nil); got == c || got == d {
 		t.Error("a one-at-a-time Runner kept two idle chips")
@@ -134,6 +135,36 @@ func TestFailedRunNeverReturnsItsChip(t *testing.T) {
 	defer chipProbe.mu.Unlock()
 	if len(chipProbe.dirty) > 0 {
 		t.Errorf("runs %v were handed a chip not at power-on", chipProbe.dirty)
+	}
+}
+
+// A chip serves every fault configuration of its shape: a run of another
+// configuration that differs only in failed banks and disabled quads gets
+// the idle chip, reset to that configuration (at power-on, with exactly
+// its faults applied), and so does the run after it that goes back.
+func TestFaultConfigurationsShareAChip(t *testing.T) {
+	r := job.NewRunner()
+	a := probe(t, r, "fault-a", "ok", nil)
+	faulty := arch.Default()
+	faulty.FailedBanks, faulty.DisabledQuads = 3, 2
+	if got := probe(t, r, "fault-b", "ok", &faulty); got != a {
+		t.Fatal("a run of a fault configuration of the same shape built a new chip")
+	}
+	if a.Cfg != faulty || a.Mem.LiveBanks() != faulty.MemBanks-3 || !a.QuadDisabled(1) || a.QuadDisabled(2) {
+		t.Errorf("the chip was not reset to the fault configuration: config %+v, %d live banks", a.Cfg, a.Mem.LiveBanks())
+	}
+	if got := probe(t, r, "fault-c", "ok", nil); got != a {
+		t.Fatal("the run after it built a new chip")
+	}
+	if a.Cfg != arch.Default() || a.Mem.LiveBanks() != faulty.MemBanks || a.QuadDisabled(0) {
+		t.Errorf("the chip was not reset back to the default configuration: config %+v", a.Cfg)
+	}
+	chipProbe.mu.Lock()
+	defer chipProbe.mu.Unlock()
+	for _, id := range chipProbe.dirty {
+		if strings.HasPrefix(id, "fault-") {
+			t.Errorf("run %s was handed a chip not at power-on", id)
+		}
 	}
 }
 
@@ -154,6 +185,14 @@ func TestOversizedChipIsNotKept(t *testing.T) {
 	full := probe(t, r, "full-a", "fill", nil)
 	if got := probe(t, r, "full-b", "ok", nil); got != full {
 		t.Error("a chip with its whole 8 MB memory backed was not kept")
+	}
+	// External memory counts as well; a chip that has some but holds none
+	// of it is kept.
+	off := arch.Default()
+	off.OffChipBytes = 1 << 20
+	o := probe(t, r, "off-a", "ok", &off)
+	if got := probe(t, r, "off-b", "ok", &off); got != o {
+		t.Error("a chip with external memory was not kept")
 	}
 }
 

@@ -26,7 +26,7 @@ func runProgram(ctx *RunContext) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := kernel.New(ctx.Chip)
+	k := ctx.Kernel()
 	if ctx.Spec.Balanced {
 		k.Policy = kernel.Balanced
 	}

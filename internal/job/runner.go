@@ -427,10 +427,10 @@ func (r *Runner) execute(canon *Spec) (*Result, error) {
 		return nil, err
 	}
 	var res *Result
-	chip, err := r.chips.get(*canon.Config)
+	pc, err := r.chips.get(*canon.Config)
 	if err == nil {
-		res, err = runWorkload(w, &RunContext{Spec: canon, Chip: chip, Engine: r.Engine, Policy: pol})
-		r.chips.put(chip, err == nil)
+		res, err = runWorkload(w, &RunContext{Spec: canon, Chip: pc.chip, Engine: r.Engine, Policy: pol, pooled: pc})
+		r.chips.put(pc, err == nil)
 	}
 	if err != nil {
 		r.errors.Add(1)

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"cyclops/internal/core"
+	"cyclops/internal/kernel"
 	"cyclops/internal/obs"
 	"cyclops/internal/sim"
 	"cyclops/internal/timing"
@@ -55,17 +56,37 @@ func DecodeResult(data []byte) (*Result, error) {
 // canonical spec, the chip to run on and the parsed policy. These are a
 // run's whole input: there is no process state for a workload to consult
 // (sweep workers and serve handlers run different points concurrently).
-// Chip is built for the spec's configuration (Chip.Cfg) and at power-on;
-// the run owns it until it returns, and the Runner may hand it to a later
-// run after a Reset, so a workload keeps no reference to it. Every
-// workload hands Spec.MaxCycles to the machine it runs on. Engine is the
-// Runner's instruction engine (Runner.Engine), for workloads that boot a
-// sim.Machine to pass to SetEngine; it never changes a result.
+// Chip is at power-on for the spec's configuration (Chip.Cfg); the run
+// owns it until it returns, and the Runner may reset it and hand it to a
+// later run, of that configuration or another of its shape
+// (core.SameShape), so a workload keeps no reference to it, nor to the
+// Kernel over it. Every workload hands Spec.MaxCycles to the machine it
+// runs on. Engine is the Runner's instruction engine (Runner.Engine), for
+// workloads that boot a sim.Machine to pass to SetEngine; it never changes
+// a result.
 type RunContext struct {
 	Spec   *Spec
 	Chip   *core.Chip
 	Engine sim.Engine
 	Policy timing.Policy
+
+	// pooled is the Runner's entry for Chip, which keeps the kernel an
+	// earlier run on the chip built; nil outside a Runner.
+	pooled *pooledChip
+}
+
+// Kernel returns the resident kernel over Chip, at kernel.New's defaults:
+// the one an earlier run on the chip built, reset with it, or a new one,
+// which later runs on the chip get in turn. A workload that boots guest
+// code takes its kernel and machine here instead of building them.
+func (ctx *RunContext) Kernel() *kernel.Kernel {
+	if ctx.pooled == nil {
+		ctx.pooled = &pooledChip{chip: ctx.Chip}
+	}
+	if ctx.pooled.kern == nil {
+		ctx.pooled.kern = kernel.New(ctx.Chip)
+	}
+	return ctx.pooled.kern
 }
 
 // Workload is one registered run kind.

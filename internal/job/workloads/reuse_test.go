@@ -99,42 +99,54 @@ func encoded(r *job.Runner, spec *job.Spec) string {
 }
 
 // TestRecycledChipResultsMatchFresh: every workload's result bytes are the
-// same on a chip an earlier run used and Reset as on a new one. On one
-// Runner each point runs after a run that failed, a run cut by its cycle
-// limit and a run of a different workload, whose chip it gets; then
-// again, on its own chip; and both results must equal a fresh Runner's.
+// same on a chip and kernel an earlier run used and Reset as on new ones.
+// On one Runner each point runs after a run that failed, a run cut by its
+// cycle limit and a run of a different workload under another issue
+// policy and a fault configuration (failed banks and disabled quads),
+// whose chip and kernel it gets; then again, on its own; then on that
+// fault configuration itself; and each result must equal a fresh Runner's.
 func TestRecycledChipResultsMatchFresh(t *testing.T) {
 	specs := reusePoints(t)
 	failing, err := workloads.SplashSpec(workloads.SplashArgs{Kernel: "radix", Threads: 4, N: 1 << 21})
 	if err != nil {
 		t.Fatal(err)
 	}
+	faulty := arch.Default()
+	faulty.FailedBanks, faulty.DisabledQuads = 2, 4
 	for i, spec := range specs {
-		prev := specs[(i+1)%len(specs)]
-		t.Run(fmt.Sprintf("%s after %s", name(spec), name(prev)), func(t *testing.T) {
-			want := encoded(job.NewRunner(), spec)
-			if strings.HasPrefix(want, "error") {
-				t.Fatal(want)
-			}
-			if spec.Workload == job.ProgramWorkload && !strings.Contains(want, `"output":"MA=="`) {
-				t.Fatalf("the program read a nonzero stale word on a new chip: %s", want)
+		prev := *specs[(i+1)%len(specs)]
+		prev.Policy, prev.Config = "blocked/2", &faulty
+		onFaulty := *spec
+		onFaulty.Config = &faulty
+		t.Run(fmt.Sprintf("%s after %s", name(spec), name(&prev)), func(t *testing.T) {
+			want, wantFaulty := encoded(job.NewRunner(), spec), encoded(job.NewRunner(), &onFaulty)
+			for _, w := range []string{want, wantFaulty} {
+				if strings.HasPrefix(w, "error") {
+					t.Fatal(w)
+				}
+				if spec.Workload == job.ProgramWorkload && !strings.Contains(w, `"output":"MA=="`) {
+					t.Fatalf("the program read a nonzero stale word on a new chip: %s", w)
+				}
 			}
 			r := job.NewRunner()
 			if got := encoded(r, failing); !strings.Contains(got, "exceeds embedded memory") {
 				t.Fatalf("the failing run: %s", got)
 			}
-			limited := *prev
+			limited := prev
 			limited.MaxCycles = 200
 			if _, err := r.Run(&limited); !errors.Is(err, timing.ErrCycleLimit) {
 				t.Fatalf("the cycle-limited run: %v", err)
 			}
-			if got := encoded(r, prev); strings.HasPrefix(got, "error") {
+			if got := encoded(r, &prev); strings.HasPrefix(got, "error") {
 				t.Fatal(got)
 			}
 			for pass := 0; pass < 2; pass++ {
 				if got := encoded(r, spec); got != want {
 					t.Errorf("pass %d on a recycled chip:\n got  %s\n want %s", pass, got, want)
 				}
+			}
+			if got := encoded(r, &onFaulty); got != wantFaulty {
+				t.Errorf("on the recycled chip reset to the fault configuration:\n got  %s\n want %s", got, wantFaulty)
 			}
 		})
 	}
@@ -152,9 +164,10 @@ func name(s *job.Spec) string {
 // FuzzChipReuse: two specs, each a small point on a configuration the
 // input picks (failed banks, disabled quads, off-chip memory, a slower
 // miss, an issue policy), run back to back on one Runner; the second's
-// result must be what it is on a fresh Runner. A set top bit of cb runs
-// the second on the first's configuration, so that it reuses the first's
-// chip.
+// result must be what it is on a fresh Runner. A set top bit of cb gives
+// the second the first's shape (off-chip memory and miss latency) under
+// its own fault configuration and policy, so that it runs on the first's
+// chip and kernel, reset to its configuration.
 func FuzzChipReuse(f *testing.F) {
 	for _, seed := range [][4]uint8{
 		{0, 0, 1, 0x80}, {10, 0, 0x15, 0x80}, {2, 6, 0x2a, 0xbf}, {9, 10, 0x7f, 0x80},
@@ -181,7 +194,7 @@ func FuzzChipReuse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, wa, wb, ca, cb uint8) {
 		a := configure(specs[int(wa)%len(specs)], ca)
 		if cb&0x80 != 0 {
-			cb = ca
+			cb = cb&^0x30 | ca&0x30
 		}
 		b := configure(specs[int(wb)%len(specs)], cb)
 		want := encoded(job.NewRunner(), b)

@@ -91,6 +91,17 @@ func canonSplash(args json.RawMessage) (json.RawMessage, error) {
 	if a.Kernel != "ocean" && a.Iters != 0 {
 		return nil, fmt.Errorf("iters applies to ocean only")
 	}
+	// A negative count would run no step at all (and be cached so); 0 is
+	// the kernel's default.
+	if a.Steps < 0 {
+		return nil, fmt.Errorf("steps = %d (want 0 for the default, or more)", a.Steps)
+	}
+	if a.Iters < 0 {
+		return nil, fmt.Errorf("iters = %d (want 0 for the default, or more)", a.Iters)
+	}
+	if a.Levels != 0 && (a.Levels < splash.FMMMinLevels || a.Levels > splash.FMMMaxLevels) {
+		return nil, fmt.Errorf("levels = %d (want 0 for the default, or %d to %d)", a.Levels, splash.FMMMinLevels, splash.FMMMaxLevels)
+	}
 	return json.Marshal(a)
 }
 

@@ -156,7 +156,7 @@ func runStream(ctx *job.RunContext) (*job.Result, error) {
 	p.Engine = &eng
 	p.Issue = ctx.Policy
 	p.MaxCycles = ctx.Spec.MaxCycles
-	r, err := stream.RunOn(ctx.Chip, p, place)
+	r, err := stream.RunKernel(ctx.Kernel(), p, place)
 	if err != nil {
 		return nil, err
 	}

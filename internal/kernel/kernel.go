@@ -56,20 +56,20 @@ type Kernel struct {
 	// Output receives console bytes (sysPutc / sysPutInt).
 	Output []byte
 
-	// allocation order, rebuilt when the policy changes.
+	// order is the worker allocation order, built by the first call that
+	// needs it from Policy and the chip's usable quads; Reset drops it.
 	order []int
-	// joinWaiters guards against joining unknown tids forever.
+	// spawned marks the units a thread was ever started on, so a join of
+	// a tid that never ran traps instead of waiting forever.
 	spawned map[int]bool
 }
 
-// New builds a kernel for a chip and creates the machine that runs it.
+// New builds a kernel for a chip and creates the machine that runs it, at
+// the defaults Reset restores.
 func New(chip *core.Chip) *Kernel {
-	k := &Kernel{
-		chip:       chip,
-		StackBytes: 8 << 10,
-		spawned:    make(map[int]bool),
-	}
+	k := &Kernel{chip: chip, spawned: make(map[int]bool)}
 	k.m = sim.New(chip, k)
+	k.Reset()
 	return k
 }
 
@@ -218,4 +218,18 @@ func (k *Kernel) freeWorker() int {
 		}
 	}
 	return -1
+}
+
+// Reset returns the kernel and its machine (sim.Machine.Reset) to the state
+// New builds: the default stack size and the sequential policy, no console
+// output, no thread ever spawned and no allocation order. It keeps what
+// New and its runs allocated, so a kernel reused from run to run over one
+// chip builds neither the machine nor the thread units again. Output is
+// dropped, not truncated: a result that took the last run's output keeps
+// it. Reset leaves the chip alone: reset it too (core.Chip.Reset or
+// ResetTo) before the next Boot.
+func (k *Kernel) Reset() {
+	k.StackBytes, k.Policy, k.Output, k.order = 8<<10, Sequential, nil, nil
+	clear(k.spawned)
+	k.m.Reset()
 }

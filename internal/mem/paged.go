@@ -3,6 +3,8 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+
+	"cyclops/internal/arch"
 )
 
 // Functional storage is demand-backed: the address space is a table of
@@ -263,6 +265,21 @@ func (o *OffChip) Reset() {
 	o.store.reset()
 	clear(o.block)
 	*o = OffChip{cfg: o.cfg, store: o.store, block: o.block}
+}
+
+// ResetTo is Reset to cfg, a configuration that differs from the memory's
+// own at most in its fault state (core.SameShape): the memory comes back
+// as New(cfg) and Reset leave it, with cfg's failed banks out of service.
+func (m *Memory) ResetTo(cfg arch.Config) {
+	m.cfg = cfg
+	m.Reset()
+}
+
+// ResetTo is Reset to cfg, a configuration of the external memory's shape,
+// as Memory.ResetTo is for the embedded one.
+func (o *OffChip) ResetTo(cfg arch.Config) {
+	o.cfg = cfg
+	o.Reset()
 }
 
 // HeldBytes returns the host storage the memory holds: the pages backing

@@ -71,3 +71,35 @@ func TestResetMatchesNew(t *testing.T) {
 		t.Errorf("reset off-chip memory %+v\nwant %+v", o, freshOff)
 	}
 }
+
+// ResetTo brings a memory built for one fault state to another of its
+// shape: a used memory and external memory reset to a configuration with
+// three failed banks equal new ones of that configuration.
+func TestResetToAnotherFaultState(t *testing.T) {
+	cfg := arch.Default()
+	cfg.OffChipBytes = 1 << 20
+	to := cfg
+	to.FailedBanks = 3
+	m, o := New(cfg), NewOffChip(cfg)
+	if err := m.Write64(0, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.WriteBlock(0, m, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.ResetTo(to)
+	o.ResetTo(to)
+	if m.LiveBanks() != to.MemBanks-3 || m.BankFor(0) != 3 {
+		t.Fatalf("ResetTo left %d live banks, address 0 on bank %d; want the first three failed", m.LiveBanks(), m.BankFor(0))
+	}
+	fresh, freshOff := New(to), NewOffChip(to)
+	fresh.Reset()
+	m.store, fresh.store = paged{}, paged{}
+	o.store, freshOff.store = paged{}, paged{}
+	if !reflect.DeepEqual(m, fresh) {
+		t.Errorf("memory reset to the fault state %+v\nwant %+v", m, fresh)
+	}
+	if !reflect.DeepEqual(o, freshOff) {
+		t.Errorf("off-chip memory reset to the fault state %+v\nwant %+v", o, freshOff)
+	}
+}

@@ -20,8 +20,8 @@ import (
 // error of at most a couple of kilobytes. No body may make a workload
 // panic (a 500). The seeds are TestBadSpecsAre400's bodies, a valid spec,
 // an oversized FFT that once took the daemon down, a radix sort that
-// leaves no room for its software barrier's flags, and an unknown field
-// with a long name.
+// leaves no room for its software barrier's flags, an unknown field with
+// a long name, and an fmm spec that sets its quadtree depth.
 //
 // The server has no wall-clock budget yet, so a spec may ask for as long a
 // run as it likes (a stream spec's reps, a barnes spec's steps). Every body
@@ -47,6 +47,11 @@ func FuzzServeRun(f *testing.F) {
 		`{"workload":"splash","args":{"kernel":"radix","threads":4,"barrier":"sw","n":916417}}`,
 		`{"workload":"splash","args":{"kernel":"lu","threads":4,"n":32},"max_cycles":1000}`,
 		`{"workload":"stream","args":{"kernel":"copy","threads":2,"n":128},"config":{"DisabledQuads":31}}`,
+		`{"workload":"splash","args":{"kernel":"barnes","threads":4,"bodies":64,"steps":-5}}`,
+		`{"workload":"splash","args":{"kernel":"ocean","threads":4,"n":18,"iters":-3}}`,
+		`{"workload":"splash","args":{"kernel":"fmm","threads":4,"bodies":64,"levels":-1}}`,
+		`{"workload":"splash","args":{"kernel":"fmm","threads":4,"bodies":64,"levels":9}}`,
+		`{"workload":"splash","args":{"kernel":"fmm","threads":4,"bodies":64,"levels":3}}`,
 		// An error that quotes the request is clipped.
 		`{"workload":"stream","` + strings.Repeat("x", 8<<10) + `":1}`,
 	} {

@@ -231,6 +231,14 @@ func TestBadSpecsAre400(t *testing.T) {
 		// while the program text was generated.
 		`{"workload":"stream","args":{"kernel":"copy","threads":2,"n":128,"reps":-3}}`,
 		`{"workload":"stream","args":{"kernel":"copy","threads":2,"n":128,"reps":100000000}}`,
+		// A negative step or sweep count ran nothing and was cached as a
+		// zero-cycle result; a quadtree depth the kernel refuses was a
+		// run-time 422.
+		`{"workload":"splash","args":{"kernel":"barnes","threads":4,"bodies":64,"steps":-5}}`,
+		`{"workload":"splash","args":{"kernel":"ocean","threads":4,"n":18,"iters":-3}}`,
+		`{"workload":"splash","args":{"kernel":"fmm","threads":4,"bodies":64,"levels":-1}}`,
+		`{"workload":"splash","args":{"kernel":"fmm","threads":4,"bodies":64,"levels":1}}`,
+		`{"workload":"splash","args":{"kernel":"fmm","threads":4,"bodies":64,"levels":9}}`,
 	}
 	for i, body := range bad {
 		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))

@@ -23,7 +23,7 @@ func TestNewAllocationBudget(t *testing.T) {
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("sim.New over %d units: %d B", chip.Cfg.Threads, got)
 	if got >= 12<<10 {
-		t.Errorf("sim.New allocated %d B, budget 12 KB", got)
+		overBudget(t, "sim.New allocated %d B, budget 12 KB", got)
 	}
 	for tid, tu := range m.tus {
 		if tu != nil {
@@ -38,6 +38,53 @@ func TestNewAllocationBudget(t *testing.T) {
 	m.Unit(2)
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<10 {
-		t.Errorf("building a unit allocated %d B, want at most 1 KB", got)
+		overBudget(t, "building a unit allocated %d B, want at most 1 KB", got)
 	}
+}
+
+// TestResetAllocationBudget: Reset allocates nothing, and a machine reset
+// over a reset chip runs a program again without building a unit, a
+// parking record or anything else the first run built but the compiled
+// blocks, which Reset drops: the rerun allocates less than the first run
+// by at least its units' 1 KB each.
+func TestResetAllocationBudget(t *testing.T) {
+	chip := core.MustNew(arch.Default())
+	m := New(chip, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resetRun(t, m)
+	runtime.ReadMemStats(&after)
+	first := after.TotalAlloc - before.TotalAlloc
+	units := 0
+	for _, tu := range m.tus {
+		if tu != nil {
+			units++
+		}
+	}
+	chip.Reset()
+	runtime.ReadMemStats(&before)
+	m.Reset()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got != 0 {
+		overBudget(t, "Machine.Reset allocated %d B, want none", got)
+	}
+	runtime.ReadMemStats(&before)
+	resetRun(t, m)
+	runtime.ReadMemStats(&after)
+	again := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a run that built %d units allocated %d B, and %d B again after Reset", units, first, again)
+	if again+uint64(units)<<10 > first {
+		overBudget(t, "the rerun allocated %d B of the first run's %d B; its %d units are %d B", again, first, units, units<<10)
+	}
+}
+
+// overBudget fails t, or under the race detector, whose instrumentation
+// allocates on its own, only logs the broken budget.
+func overBudget(t *testing.T, format string, args ...any) {
+	t.Helper()
+	if raceEnabled {
+		t.Logf("race detector on, budget not enforced: "+format, args...)
+		return
+	}
+	t.Errorf(format, args...)
 }

@@ -206,11 +206,13 @@ type Machine struct {
 
 // New builds a machine over a chip, on the block engine and the
 // fine-grained issue policy until SetEngine / SetPolicy select others.
-// Kernel may be nil for programs that make no syscalls.
+// Kernel may be nil for programs that make no syscalls. New allocates the
+// unit index and the timing wheel and then resets the machine (Reset), so
+// a new machine and a reset one start alike.
 func New(chip *core.Chip, kernel Syscaller) *Machine {
 	m := &Machine{Chip: chip, Kernel: kernel, mem: chip.Mem, bar: chip.Barrier,
 		tus: make([]*TU, chip.Cfg.Threads), eq: newEventQueue(chip.Cfg.Threads)}
-	m.SetPolicy(nil)
+	m.Reset()
 	return m
 }
 
@@ -219,7 +221,9 @@ func New(chip *core.Chip, kernel Syscaller) *Machine {
 // the chip's units, so New builds none: Start builds the unit it starts,
 // and any other first read builds the unit as it was before anything ran
 // (Idle, every register and counter zero, under the machine's issue policy
-// and profiler).
+// and profiler). A built unit lives as long as its machine: Reset returns
+// it to that first-read state in place, so a machine reused from run to
+// run builds only the units no earlier run started or read.
 func (m *Machine) Unit(tid int) *TU {
 	if tu := m.tus[tid]; tu != nil {
 		return tu
@@ -456,4 +460,41 @@ func (m *Machine) Snapshot() *obs.Snapshot {
 	}
 	s.Finish()
 	return s
+}
+
+// Reset returns the machine to the state New builds over its chip: no unit
+// running or listed, every built unit as Unit first builds it (idle, every
+// register, scoreboard entry and counter zero), the clock, the round-robin
+// counter, the wheel, spin parking and every host counter at zero, no
+// compiled block, no trap, no cycle limit, no tracer, profiler or timeline
+// attached, and the block engine and fine-grained issue policy selected.
+// It keeps the host storage its runs built — the units, the wheel's slots,
+// the parking records and the scheduler's lists — so a machine reused from
+// run to run builds only what no earlier run needed.
+//
+// Reset leaves the chip alone: reset it too (core.Chip.Reset or ResetTo),
+// before the next run loads a program. The compiled blocks are dropped
+// because a chip reset puts the memory's code generation back to zero, so
+// a block kept across it would survive a new program loaded at its PCs.
+func (m *Machine) Reset() {
+	for _, tu := range m.tus {
+		if tu != nil {
+			*tu = TU{ID: tu.ID, Quad: tu.Quad, pib: pibState{base: pibEmpty, words: tu.pib.words}, icache: tu.icache}
+		}
+	}
+	clear(m.active)
+	clear(m.batch)
+	clear(m.joiners)
+	m.active, m.batch, m.joiners = m.active[:0], m.batch[:0], m.joiners[:0]
+	m.eq.reset()
+	if m.park != nil {
+		m.park.reset()
+	}
+	m.cycle, m.rr, m.limit, m.MaxCycles = 0, 0, 0, 0
+	m.parked, m.inlineMax, m.iterN, m.repeatAt, m.issuing = 0, 0, 0, 0, nil
+	m.blocks, m.codeGen, m.blockCompiles, m.blockFlushes = nil, 0, 0, 0
+	m.generic = [isa.NumOps]uint64{}
+	m.engine, m.trap, m.onWake = EngineBlock, nil, nil
+	m.Trace, m.Prof, m.TL = nil, nil, nil
+	m.SetPolicy(nil)
 }

@@ -424,3 +424,15 @@ func (m *Machine) writeBarrier(by *TU, c uint64, tid int, v uint8) {
 func (m *Machine) WriteBarrier(tid int, v uint8) {
 	m.writeBarrier(m.issuing, m.cycle, tid, v)
 }
+
+// reset returns the parking state to what tryPark allocates, keeping the
+// units' records, zeroed, for the units that park next.
+func (p *parking) reset() {
+	for _, rec := range p.recs {
+		if rec != nil {
+			*rec = spinRec{}
+		}
+	}
+	clear(p.list)
+	*p = parking{recs: p.recs, list: p.list[:0], groups: p.groups[:0]}
+}

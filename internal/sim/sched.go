@@ -161,3 +161,11 @@ func (q *eventQueue) rebuild(active []*TU) {
 	q.minAt = q.next()
 	q.stats.Rebuilds++
 }
+
+// reset empties the queue and zeroes its counters, keeping its slots: the
+// queue newEventQueue builds.
+func (q *eventQueue) reset() {
+	clear(q.slots)
+	clear(q.over)
+	*q = eventQueue{words: q.words, slots: q.slots, minAt: noEvent, over: q.over[:0], overMin: noEvent}
+}

@@ -18,6 +18,13 @@ import (
 // L2L downward, and near-field P2P — run in parallel over box partitions
 // with barriers between them.
 
+// FMMMinLevels and FMMMaxLevels bound the quadtree depth RunFMM accepts:
+// FMMOpts.Levels when it is set, else the depth it picks from NBodies.
+const (
+	FMMMinLevels = 2
+	FMMMaxLevels = 8
+)
+
 // FMMOpts configures a run.
 type FMMOpts struct {
 	Config
@@ -64,8 +71,8 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 			levels++
 		}
 	}
-	if levels < 2 || levels > 8 {
-		return nil, fmt.Errorf("splash: fmm levels %d out of range [2,8]", levels)
+	if levels < FMMMinLevels || levels > FMMMaxLevels {
+		return nil, fmt.Errorf("splash: fmm levels %d out of range [%d,%d]", levels, FMMMinLevels, FMMMaxLevels)
 	}
 	mach, err := opts.Machine()
 	if err != nil {

@@ -67,6 +67,17 @@ func Run(p Params, policy Policy) (*Result, error) {
 // RunOn executes on the supplied chip (built fresh when nil), allowing
 // design-space exploration with non-default configurations.
 func RunOn(chip *core.Chip, p Params, policy Policy) (*Result, error) {
+	if chip == nil {
+		chip = core.MustNew(arch.Default())
+	}
+	return RunKernel(kernel.New(chip), p, policy)
+}
+
+// RunKernel executes on the chip of k, a kernel at power-on (kernel.New,
+// or a reset one over a reset chip), selecting its policy, engine, issue
+// policy and cycle limit from the arguments: the job layer runs each point
+// on a kernel it keeps with its chip.
+func RunKernel(k *kernel.Kernel, p Params, policy Policy) (*Result, error) {
 	p.setDefaults()
 	src, err := Generate(p)
 	if err != nil {
@@ -76,13 +87,10 @@ func RunOn(chip *core.Chip, p Params, policy Policy) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stream: generated program does not assemble: %w", err)
 	}
-	if chip == nil {
-		chip = core.MustNew(arch.Default())
-	}
+	chip := k.Machine().Chip
 	if p.Threads > chip.Cfg.WorkerThreads() {
 		return nil, fmt.Errorf("stream: %d threads exceed the %d usable workers", p.Threads, chip.Cfg.WorkerThreads())
 	}
-	k := kernel.New(chip)
 	k.Policy = policy
 	// Both must precede Boot: the engine and the per-unit trigger tables
 	// of the issue policy cannot change once threads are started.
