@@ -259,10 +259,11 @@ func TestNewChipAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestResetAllocationBudget: resetting a chip after a run, to its own
-// configuration or to another of its shape, allocates nothing once an
-// earlier reset has seen as many pages: every table and page it keeps is
-// cleared in place or moved to a spare list that has room for it.
+// TestResetAllocationBudget: a run-time bank failure, then resetting the
+// chip after its run, to its own configuration or to another of its
+// shape, allocates nothing once an earlier reset has seen as many pages:
+// the failure re-maps the banks in place, and every table and page a reset
+// keeps is cleared in place or moved to a spare list that has room for it.
 func TestResetAllocationBudget(t *testing.T) {
 	cfg := arch.Default()
 	cfg.OffChipBytes = 64 << 20
@@ -273,13 +274,17 @@ func TestResetAllocationBudget(t *testing.T) {
 		use(t, c)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		errFail := c.Mem.FailBank(c.Cfg.MemBanks - 1)
 		err := c.ResetTo(to)
 		runtime.ReadMemStats(&after)
+		if errFail != nil {
+			t.Fatal(errFail)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got != 0 && i > 0 {
-			overBudget(t, "ResetTo(%s) allocated %d B, want none", configName(to), got)
+			overBudget(t, "FailBank then ResetTo(%s) allocated %d B, want none", configName(to), got)
 		}
 	}
 }

@@ -18,6 +18,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"cyclops/internal/arch"
 	"cyclops/internal/obs"
@@ -91,7 +92,9 @@ func (m *Memory) FailBank(pb int) error {
 	}
 	for i, b := range m.live {
 		if b == pb {
-			m.live = append(m.live[:i:i], m.live[i+1:]...)
+			// In place: the slice keeps its array, so a later Reset
+			// refills it without allocating.
+			m.live = slices.Delete(m.live, i, i+1)
 			m.size = uint32(len(m.live) * m.cfg.MemBankBytes)
 			return nil
 		}

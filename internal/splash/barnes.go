@@ -92,6 +92,11 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 	}
 
 	err = mach.SpawnN(opts.Threads, func(t *perf.T, p int) {
+		// The thread's own traversal stack and gather buffer, reused
+		// for every body; never shared, since threads interleave
+		// inside a gather.
+		var stack []int32
+		var eas [32]uint32
 		for s := 0; s < steps; s++ {
 			// Phase 1: thread 0 rebuilds the tree.
 			if p == 0 {
@@ -106,17 +111,17 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 			// Phase 2: forces over my body span.
 			lo, hi := Span(n, p, opts.Threads)
 			for b := lo; b < hi; b++ {
-				visited, interactions := tree.force(&bodies[b], b, theta)
+				var visited, interactions int
+				visited, interactions, stack = tree.force(&bodies[b], b, theta, stack)
 				// Traversal loads: one line per visited node,
 				// gathered in chunks.
 				for v := 0; v < visited; v += 32 {
-					c := minInt(32, visited-v)
-					eas := make([]uint32, c)
-					for k := range eas {
+					c := minInt(len(eas), visited-v)
+					for k := 0; k < c; k++ {
 						idx := (b*7 + v + k) % (2 * n) // spread over the pool
 						eas[k] = eaTree + uint32(64*idx)
 					}
-					t.LoadGather(eas, 8)
+					t.LoadGather(eas[:c], 8)
 					t.Work(3 * c)
 				}
 				// ~16 multiply-add class ops per interaction
@@ -281,10 +286,11 @@ func (tr *octTree) summarize(nIdx int32, bodies []Body) (mass float64, com [3]fl
 const softening = 1e-4
 
 // force computes the acceleration on body b, returning the number of
-// nodes visited and interactions evaluated (for timing).
-func (tr *octTree) force(body *Body, b int, theta float64) (visited, interactions int) {
+// nodes visited and interactions evaluated (for timing). It traverses with
+// the caller's stack, returned grown for the next call.
+func (tr *octTree) force(body *Body, b int, theta float64, stack []int32) (visited, interactions int, _ []int32) {
 	var acc [3]float64
-	stack := []int32{0}
+	stack = append(stack[:0], 0)
 	for len(stack) > 0 {
 		nIdx := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -319,7 +325,7 @@ func (tr *octTree) force(body *Body, b int, theta float64) (visited, interaction
 		}
 	}
 	body.Acc = acc
-	return visited, interactions
+	return visited, interactions, stack
 }
 
 // DirectForces computes reference accelerations in O(n^2) (for tests).

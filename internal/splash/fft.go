@@ -27,13 +27,16 @@ type FFTOpts struct {
 	// matrix is square).
 	N int
 	// Data, when non-nil, supplies the input (length N); otherwise a
-	// deterministic pseudo-random signal is generated. The transform
-	// result is written back into it.
+	// deterministic pseudo-random signal is generated. The input is read
+	// once, into the kernel's working matrix, and the transform result is
+	// written back into Data only when the run succeeds.
 	Data []complex128
 }
 
 // RunFFT executes the kernel and returns the timing result; the
-// transformed data is left in opts.Data (when supplied).
+// transformed data is left in opts.Data (when supplied). Beyond the chip's
+// memory, a run allocates the two n-point working matrices A and B and
+// little else: no input copy and no twiddle table.
 func RunFFT(opts FFTOpts) (*Result, error) {
 	n := opts.N
 	m := intSqrt(n)
@@ -65,26 +68,23 @@ func RunFFT(opts FFTOpts) (*Result, error) {
 		}
 	}
 
-	data := opts.Data
-	if data == nil {
-		data = make([]complex128, n)
+	if opts.Data != nil && len(opts.Data) != n {
+		return nil, fmt.Errorf("splash: FFT data length %d != N %d", len(opts.Data), n)
+	}
+	a := make([]complex128, n)
+	b := make([]complex128, n)
+	if opts.Data != nil {
+		copy(a, opts.Data)
+	} else {
 		seed := uint32(12345)
-		for i := range data {
+		for i := range a {
 			seed = seed*1664525 + 1013904223
 			re := float64(seed>>16)/65536 - 0.5
 			seed = seed*1664525 + 1013904223
 			im := float64(seed>>16)/65536 - 0.5
-			data[i] = complex(re, im)
+			a[i] = complex(re, im)
 		}
 	}
-	if len(data) != n {
-		return nil, fmt.Errorf("splash: FFT data length %d != N %d", len(data), n)
-	}
-
-	a := make([]complex128, n)
-	b := make([]complex128, n)
-	copy(a, data)
-	tw := twiddles(m)
 	bar, err := NewBarrier(mach, opts.Threads, opts.Barrier)
 	if err != nil {
 		return nil, err
@@ -109,7 +109,7 @@ func RunFFT(opts FFTOpts) (*Result, error) {
 		// Step 2: FFT the rows of B.
 		phase("fft_rows", func() { fftRows(t, b, eaB, scratch[p], m, lo, hi, false) })
 		// Step 3: twiddle multiply B[i][j] *= w^(i*j).
-		phase("twiddle", func() { twiddleBand(t, b, eaB, tw, m, lo, hi) })
+		phase("twiddle", func() { twiddleBand(t, b, eaB, m, lo, hi) })
 		// Step 4: transpose B -> A.
 		phase("transpose", func() { transposeBand(t, b, a, eaB, eaA, m, lo, hi) })
 		// Step 5: FFT the rows of A.
@@ -123,10 +123,7 @@ func RunFFT(opts FFTOpts) (*Result, error) {
 	if err := mach.Run(); err != nil {
 		return nil, err
 	}
-	copy(data, b)
-	if opts.Data != nil {
-		copy(opts.Data, b)
-	}
+	copy(opts.Data, b)
 	return NewResult("FFT", fmt.Sprintf("%d points, %s barriers", n, opts.Barrier), opts.Threads, mach), nil
 }
 
@@ -140,18 +137,6 @@ func intSqrt(n int) int {
 		r++
 	}
 	return r
-}
-
-// twiddles precomputes w_n^(i*j) factors lazily per (i mod m, j) through a
-// row of m roots of w_n^i; storing all n would double the footprint.
-func twiddles(m int) []complex128 {
-	n := m * m
-	w := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		angle := -2 * math.Pi * float64(k) / float64(n)
-		w[k] = cmplx.Rect(1, angle)
-	}
-	return w
 }
 
 // transposeBand moves rows [lo,hi) of src into the columns of dst.
@@ -168,13 +153,16 @@ func transposeBand(t *perf.T, src, dst []complex128, eaSrc, eaDst uint32, m, lo,
 	}
 }
 
-// twiddleBand multiplies B[i][j] by w_n^(i*j) for rows [lo,hi).
-func twiddleBand(t *perf.T, b []complex128, ea uint32, tw []complex128, m, lo, hi int) {
+// twiddleBand multiplies B[i][j] by w_n^(i*j) for rows [lo,hi). Each
+// point is visited once, so each factor is computed where it is used, by
+// the one expression for w_n^k, rather than read from an n-entry table.
+func twiddleBand(t *perf.T, b []complex128, ea uint32, m, lo, hi int) {
 	n := m * m
 	for i := lo; i < hi; i++ {
 		v := t.LoadBlock(ea+uint32(16*i*m), 2*m, 8, 8)
 		for j := 0; j < m; j++ {
-			b[i*m+j] *= tw[(i*j)%n]
+			k := (i * j) % n
+			b[i*m+j] *= cmplx.Rect(1, -2*math.Pi*float64(k)/float64(n))
 		}
 		// Complex multiply: 4 mul + 2 add = ~3 FMA-class ops per point.
 		w := t.FPBlock(isa.PipeBoth, 3*m, v)

@@ -1,11 +1,16 @@
 package splash
 
 import (
+	"fmt"
+	"math"
 	"math/cmplx"
+	"reflect"
 	"testing"
 
 	"cyclops/internal/arch"
 	"cyclops/internal/core"
+	"cyclops/internal/isa"
+	"cyclops/internal/perf"
 )
 
 func maxErr(a, b []complex128) float64 {
@@ -151,4 +156,142 @@ func BenchmarkFFT16K(b *testing.B) {
 			}
 		}
 	}
+}
+
+// TestFFTMatchesTableTwiddles: computing each twiddle factor where it is
+// used, with the input read once into the working matrix, gives the same
+// transform, bit for bit, and the same timing as the kernel that read its
+// factors from an n-entry table and copied its input (fftWithTable), with
+// and without a supplied input.
+func TestFFTMatchesTableTwiddles(t *testing.T) {
+	for _, n := range []int{16, 256, 4096} {
+		for _, threads := range []int{1, 4, 16} {
+			if threads > intSqrt(n) {
+				continue // the kernel refuses it (points per processor >= sqrt(n))
+			}
+			opts := FFTOpts{Config: Config{Threads: threads}, N: n}
+			wantRes, want, err := fftWithTable(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotRes, err := RunFFT(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotRes, wantRes) {
+				t.Errorf("n=%d threads=%d, generated input: result %+v, table kernel %+v", n, threads, gotRes, wantRes)
+			}
+
+			in := make([]complex128, n)
+			for i := range in {
+				in[i] = complex(math.Sin(float64(i)), float64(i%11)-5)
+			}
+			opts.Data = append([]complex128(nil), in...)
+			wantRes, want, err = fftWithTable(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Data = append([]complex128(nil), in...)
+			gotRes, err = RunFFT(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotRes, wantRes) {
+				t.Errorf("n=%d threads=%d, supplied input: result %+v, table kernel %+v", n, threads, gotRes, wantRes)
+			}
+			for i, w := range want {
+				g := opts.Data[i]
+				if math.Float64bits(real(g)) != math.Float64bits(real(w)) || math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+					t.Fatalf("n=%d threads=%d: point %d is %v, table kernel %v", n, threads, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// fftWithTable is RunFFT as it was before its twiddle factors were
+// computed in place: the input is generated into (or taken from) a slice
+// of its own and copied into the working matrix, and the factors come
+// from a table of all n of them. It returns the transform whether or not
+// opts.Data is set.
+func fftWithTable(opts FFTOpts) (*Result, []complex128, error) {
+	n := opts.N
+	m := intSqrt(n)
+	mach, err := opts.Machine()
+	if err != nil {
+		return nil, nil, err
+	}
+	eaA, err := AllocShared(mach, 16, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	eaB, err := AllocShared(mach, 16, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	scratch := make([]uint32, opts.Threads)
+	for p := range scratch {
+		if scratch[p], err = mach.Alloc(16*m, arch.InterestGroup{Mode: arch.GroupOwn}); err != nil {
+			return nil, nil, err
+		}
+	}
+	data := opts.Data
+	if data == nil {
+		data = make([]complex128, n)
+		seed := uint32(12345)
+		for i := range data {
+			seed = seed*1664525 + 1013904223
+			re := float64(seed>>16)/65536 - 0.5
+			seed = seed*1664525 + 1013904223
+			im := float64(seed>>16)/65536 - 0.5
+			data[i] = complex(re, im)
+		}
+	}
+	a := make([]complex128, n)
+	b := make([]complex128, n)
+	copy(a, data)
+	tw := make([]complex128, n)
+	for k := range tw {
+		angle := -2 * math.Pi * float64(k) / float64(n)
+		tw[k] = cmplx.Rect(1, angle)
+	}
+	bar, err := NewBarrier(mach, opts.Threads, opts.Barrier)
+	if err != nil {
+		return nil, nil, err
+	}
+	err = mach.SpawnN(opts.Threads, func(t *perf.T, p int) {
+		lo, hi := Span(m, p, opts.Threads)
+		phase := func(name string, fn func()) {
+			end := t.Region(name)
+			fn()
+			end()
+			endB := t.Region("barrier")
+			bar.Wait(t, p)
+			endB()
+		}
+		phase("transpose", func() { transposeBand(t, a, b, eaA, eaB, m, lo, hi) })
+		phase("fft_rows", func() { fftRows(t, b, eaB, scratch[p], m, lo, hi, false) })
+		phase("twiddle", func() {
+			for i := lo; i < hi; i++ {
+				v := t.LoadBlock(eaB+uint32(16*i*m), 2*m, 8, 8)
+				for j := 0; j < m; j++ {
+					b[i*m+j] *= tw[(i*j)%n]
+				}
+				w := t.FPBlock(isa.PipeBoth, 3*m, v)
+				t.StoreBlock(eaB+uint32(16*i*m), 2*m, 8, 8, w)
+				t.Work(2 * m)
+			}
+		})
+		phase("transpose", func() { transposeBand(t, b, a, eaB, eaA, m, lo, hi) })
+		phase("fft_rows", func() { fftRows(t, a, eaA, scratch[p], m, lo, hi, false) })
+		phase("transpose", func() { transposeBand(t, a, b, eaA, eaB, m, lo, hi) })
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := mach.Run(); err != nil {
+		return nil, nil, err
+	}
+	copy(data, b)
+	return NewResult("FFT", fmt.Sprintf("%d points, %s barriers", n, opts.Barrier), opts.Threads, mach), b, nil
 }

@@ -112,6 +112,9 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 	T := opts.Threads
 
 	err = mach.SpawnN(T, func(t *perf.T, th int) {
+		// The thread's own list buffers, refilled for every box.
+		var ilBuf [36]int
+		var nbBuf [9]int
 		// Phase 1: P2M at the leaves.
 		nl := boxCount(levels)
 		lo, hi := Span(nl, th, T)
@@ -146,7 +149,7 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 			nb := boxCount(l)
 			lo, hi := Span(nb, th, T)
 			for b := lo; b < hi; b++ {
-				ilist := interactionList(l, b)
+				ilist := interactionList(l, b, &ilBuf)
 				for _, s := range ilist {
 					tree.m2l(l, s, b)
 					t.LoadBlock(boxEA(l, s), 2*(p+1), 8, 8)
@@ -177,7 +180,7 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 			t.FPBlock(isa.PipeBoth, 2*p*len(box.bodies))
 			// Near field: direct interactions with neighbour boxes.
 			pairs := 0
-			for _, nb := range neighbours(levels, b, true) {
+			for _, nb := range neighbours(levels, b, true, &nbBuf) {
 				other := &tree.boxes[levels][nb]
 				if len(other.bodies) == 0 {
 					continue
@@ -238,11 +241,12 @@ func parentIdx(l, b int) int {
 	return boxIdx(l-1, r/2, c/2)
 }
 
-// neighbours lists boxes adjacent to b at a level; includeSelf adds b.
-func neighbours(level, b int, includeSelf bool) []int {
+// neighbours lists boxes adjacent to b at a level, row by row; includeSelf
+// adds b. It fills out and returns the filled part.
+func neighbours(level, b int, includeSelf bool, out *[9]int) []int {
 	side := 1 << uint(level)
 	r, c := boxRC(level, b)
-	var out []int
+	k := 0
 	for dr := -1; dr <= 1; dr++ {
 		for dc := -1; dc <= 1; dc++ {
 			if dr == 0 && dc == 0 && !includeSelf {
@@ -250,31 +254,31 @@ func neighbours(level, b int, includeSelf bool) []int {
 			}
 			nr, nc := r+dr, c+dc
 			if nr >= 0 && nr < side && nc >= 0 && nc < side {
-				out = append(out, boxIdx(level, nr, nc))
+				out[k] = boxIdx(level, nr, nc)
+				k++
 			}
 		}
 	}
-	return out
+	return out[:k]
 }
 
 // interactionList returns the well-separated same-level boxes: children
-// of the parent's neighbours that are not adjacent to b.
-func interactionList(level, b int) []int {
-	parent := parentIdx(level, b)
-	adjacent := map[int]bool{}
-	for _, nb := range neighbours(level, b, true) {
-		adjacent[nb] = true
-	}
-	var out []int
-	for _, pn := range neighbours(level-1, parent, true) {
-		for k := 0; k < 4; k++ {
-			cand := childIdx(level-1, pn, k)
-			if !adjacent[cand] {
-				out = append(out, cand)
+// of the parent's neighbours that are not adjacent to b, in the parent's
+// neighbour order. It fills out and returns the filled part.
+func interactionList(level, b int, out *[36]int) []int {
+	r, c := boxRC(level, b)
+	var pn [9]int
+	k := 0
+	for _, p := range neighbours(level-1, parentIdx(level, b), true, &pn) {
+		for q := 0; q < 4; q++ {
+			cand := childIdx(level-1, p, q)
+			if cr, cc := boxRC(level, cand); cr-r > 1 || r-cr > 1 || cc-c > 1 || c-cc > 1 {
+				out[k] = cand
+				k++
 			}
 		}
 	}
-	return out
+	return out[:k]
 }
 
 // --- expansions ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 package splash
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -224,5 +225,55 @@ func TestOceanScales(t *testing.T) {
 	}
 	if s := par.Speedup(base); s < 5 {
 		t.Errorf("16-thread ocean speedup = %.2f, want > 5", s)
+	}
+}
+
+// TestRadixGeneratedKeysMatchSupplied: a run with no Keys sorts the keys
+// it generates in place, RandomKeys(N, 42), exactly as a run handed them.
+func TestRadixGeneratedKeysMatchSupplied(t *testing.T) {
+	const n = 3000
+	for _, threads := range []int{1, 4, 16} {
+		opts := RadixOpts{Config: Config{Threads: threads}, N: n}
+		gen, err := RunRadix(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Keys = RandomKeys(n, 42)
+		sup, err := RunRadix(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gen, sup) {
+			t.Errorf("threads=%d: generated keys %+v, supplied keys %+v", threads, gen, sup)
+		}
+		want := RandomKeys(n, 42)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		if !reflect.DeepEqual(opts.Keys, want) {
+			t.Errorf("threads=%d: output is not RandomKeys(%d, 42) sorted", threads, n)
+		}
+	}
+}
+
+// TestFailedRunLeavesInputUntouched: a run that does not finish writes
+// nothing back into the caller's FFT Data or Radix Keys.
+func TestFailedRunLeavesInputUntouched(t *testing.T) {
+	data := make([]complex128, 256)
+	for i := range data {
+		data[i] = complex(float64(i), 1)
+	}
+	orig := append([]complex128(nil), data...)
+	if _, err := RunFFT(FFTOpts{Config: Config{Threads: 4, MaxCycles: 100}, N: len(data), Data: data}); err == nil {
+		t.Fatal("FFT finished inside 100 cycles")
+	}
+	if !reflect.DeepEqual(data, orig) {
+		t.Error("a failed FFT run wrote into Data")
+	}
+	keys := RandomKeys(1000, 5)
+	origKeys := append([]uint32(nil), keys...)
+	if _, err := RunRadix(RadixOpts{Config: Config{Threads: 4, MaxCycles: 100}, N: len(keys), Keys: keys}); err == nil {
+		t.Fatal("Radix finished inside 100 cycles")
+	}
+	if !reflect.DeepEqual(keys, origKeys) {
+		t.Error("a failed Radix run wrote into Keys")
 	}
 }

@@ -2,6 +2,7 @@ package splash
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -209,20 +210,74 @@ func TestFMMRejectsBadInput(t *testing.T) {
 func TestFMMInteractionListGeometry(t *testing.T) {
 	for _, level := range []int{2, 3, 4} {
 		for b := 0; b < boxCount(level); b += 7 {
+			var nbBuf [9]int
+			var ilBuf [36]int
 			adj := map[int]bool{}
-			for _, nb := range neighbours(level, b, true) {
+			for _, nb := range neighbours(level, b, true, &nbBuf) {
 				adj[nb] = true
 			}
-			for _, s := range interactionList(level, b) {
+			for _, s := range interactionList(level, b, &ilBuf) {
 				if adj[s] {
 					t.Fatalf("level %d box %d: interaction list contains adjacent box %d", level, b, s)
 				}
 			}
 			if level == 2 && b == 0 {
-				if n := len(interactionList(level, b)); n == 0 {
+				if n := len(interactionList(level, b, &ilBuf)); n == 0 {
 					t.Error("corner box has empty interaction list")
 				}
 			}
 		}
 	}
+}
+
+// TestFMMListsMatchMapReference: the neighbour and interaction lists
+// filled into fixed arrays hold the boxes, in the order, of the lists
+// built by appending and by testing membership in a map of b's
+// neighbours, so the M2L sums add in the same order.
+func TestFMMListsMatchMapReference(t *testing.T) {
+	for level := 2; level <= 5; level++ {
+		for b := 0; b < boxCount(level); b++ {
+			var nbBuf [9]int
+			var ilBuf [36]int
+			for _, self := range []bool{false, true} {
+				if got, want := neighbours(level, b, self, &nbBuf), refNeighbours(level, b, self); !reflect.DeepEqual(got, want) {
+					t.Fatalf("level %d box %d: neighbours %v, reference %v", level, b, got, want)
+				}
+			}
+			adjacent := map[int]bool{}
+			for _, nb := range refNeighbours(level, b, true) {
+				adjacent[nb] = true
+			}
+			var want []int
+			for _, pn := range refNeighbours(level-1, parentIdx(level, b), true) {
+				for k := 0; k < 4; k++ {
+					if cand := childIdx(level-1, pn, k); !adjacent[cand] {
+						want = append(want, cand)
+					}
+				}
+			}
+			if got := interactionList(level, b, &ilBuf); !reflect.DeepEqual(got, want) {
+				t.Fatalf("level %d box %d: interaction list %v, map reference %v", level, b, got, want)
+			}
+		}
+	}
+}
+
+// refNeighbours is neighbours building its list by append.
+func refNeighbours(level, b int, includeSelf bool) []int {
+	side := 1 << uint(level)
+	r, c := boxRC(level, b)
+	var out []int
+	for dr := -1; dr <= 1; dr++ {
+		for dc := -1; dc <= 1; dc++ {
+			if dr == 0 && dc == 0 && !includeSelf {
+				continue
+			}
+			nr, nc := r+dr, c+dc
+			if nr >= 0 && nr < side && nc >= 0 && nc < side {
+				out = append(out, boxIdx(level, nr, nc))
+			}
+		}
+	}
+	return out
 }

@@ -21,7 +21,9 @@ type RadixOpts struct {
 	// RadixBits is the digit width (default 8: 256 buckets, 4 passes).
 	RadixBits int
 	// Keys, when non-nil, supplies the input and receives the sorted
-	// output.
+	// output; otherwise RandomKeys(N, 42) is sorted. The input is read
+	// once, into the kernel's source array, and the sorted keys are
+	// written back into Keys only when the run succeeds.
 	Keys []uint32
 }
 
@@ -58,19 +60,19 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 			return nil, err
 		}
 	}
-	keys := opts.Keys
-	if keys == nil {
-		keys = RandomKeys(n, 42)
-	}
-	if len(keys) != n {
-		return nil, fmt.Errorf("splash: key slice length %d != N %d", len(keys), n)
+	if opts.Keys != nil && len(opts.Keys) != n {
+		return nil, fmt.Errorf("splash: key slice length %d != N %d", len(opts.Keys), n)
 	}
 
 	passes := (32 + rb - 1) / rb
 
 	src := make([]uint32, n)
 	dst := make([]uint32, n)
-	copy(src, keys)
+	if opts.Keys != nil {
+		copy(src, opts.Keys)
+	} else {
+		fillRandomKeys(src, 42)
+	}
 	// hist[t][d]: thread t's count of digit d in the current pass.
 	hist := make([][]int, T)
 	for t := 0; t < T; t++ {
@@ -95,6 +97,12 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 		// arrays are shared, the swap below is thread-local.
 		src, dst := src, dst
 		eaSrc, eaDst := eaSrc, eaDst
+		// The thread's own address and cursor buffers, sized once for
+		// every pass: a gather over T histograms, a scatter of one
+		// chunk. Never shared, since threads interleave inside a
+		// gather.
+		eas := make([]uint32, max(T, chunk))
+		next := make([]int, buckets)
 		for pass := 0; pass < passes; pass++ {
 			shift := uint(pass * rb)
 			mask := uint32(buckets - 1)
@@ -120,11 +128,10 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 			dLo, dHi := Span(buckets, p, T)
 			for d := dLo; d < dHi; d++ {
 				sum := 0
-				eas := make([]uint32, T)
 				for q := 0; q < T; q++ {
 					eas[q] = eaHist[q] + uint32(4*d)
 				}
-				t.LoadGather(eas, 4)
+				t.LoadGather(eas[:T], 4)
 				for q := 0; q < T; q++ {
 					rank[q][d] = sum
 					sum += hist[q][d]
@@ -148,12 +155,10 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 			bar.Wait(t, p)
 
 			// Phase 3: permute into dst.
-			next := make([]int, buckets)
 			copy(next, rank[p])
 			for i := lo; i < hi; i += chunk {
 				c := minInt(chunk, hi-i)
 				t.LoadBlock(eaSrc+uint32(4*i), c, 4, 4)
-				eas := make([]uint32, c)
 				for k := 0; k < c; k++ {
 					key := src[i+k]
 					d := int((key >> shift) & mask)
@@ -162,7 +167,7 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 					dst[pos] = key
 					eas[k] = eaDst + uint32(4*pos)
 				}
-				t.StoreScatter(eas, 4)
+				t.StoreScatter(eas[:c], 4)
 				t.Work(4 * c)
 			}
 			bar.Wait(t, p)
@@ -191,10 +196,15 @@ func RunRadix(opts RadixOpts) (*Result, error) {
 // RandomKeys builds a deterministic pseudo-random key set.
 func RandomKeys(n int, seed uint32) []uint32 {
 	keys := make([]uint32, n)
+	fillRandomKeys(keys, seed)
+	return keys
+}
+
+// fillRandomKeys writes RandomKeys(len(keys), seed) into keys.
+func fillRandomKeys(keys []uint32, seed uint32) {
 	s := seed
 	for i := range keys {
 		s = s*1664525 + 1013904223
 		keys[i] = s
 	}
-	return keys
 }
