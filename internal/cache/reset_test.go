@@ -37,7 +37,7 @@ func TestResetMatchesNewSystem(t *testing.T) {
 	}
 	used := 0
 	for _, d := range s.Caches {
-		if d.Backed() {
+		if d.lru != nil {
 			used++
 		}
 	}
@@ -45,15 +45,32 @@ func TestResetMatchesNewSystem(t *testing.T) {
 		t.Fatalf("%d of %d caches backed; the test needs both kinds", used, len(s.Caches))
 	}
 
+	// A backed data cache holds a tag, LRU stamp and fill time per line,
+	// an instruction cache a tag and stamp; an unbacked one holds nothing.
+	dHeld, iHeld := 16*cfg.DCacheBytes/cfg.DCacheLine, 8*cfg.ICacheBytes/cfg.ICacheLine
+	for i, d := range s.Caches {
+		if want := map[bool]int{true: dHeld}[d.lru != nil]; d.HeldBytes() != want {
+			t.Errorf("cache %d holds %d B, want %d", i, d.HeldBytes(), want)
+		}
+	}
+	if ic.HeldBytes() != iHeld || idle.HeldBytes() != 0 {
+		t.Errorf("instruction caches hold %d and %d B, want %d and 0", ic.HeldBytes(), idle.HeldBytes(), iHeld)
+	}
 	s.Reset()
 	ic.Reset()
+	if ic.HeldBytes() != iHeld {
+		t.Errorf("a reset instruction cache holds %d B, want the %d its tables keep", ic.HeldBytes(), iHeld)
+	}
 	fresh := NewSystem(cfg, m)
 	fresh.Reset()
 	for i, d := range s.Caches {
-		if d.Backed() {
+		if d.lru != nil {
 			used--
 			if !allZero(d.tags) || !allZero(d.lru) || !allZero(d.readyAt) {
 				t.Errorf("cache %d: tables not cleared", i)
+			}
+			if d.HeldBytes() != dHeld {
+				t.Errorf("reset cache %d holds %d B, want the %d its tables keep", i, d.HeldBytes(), dHeld)
 			}
 			// The rest of the cache must match the fresh one's.
 			d.tags, d.lru, d.readyAt = fresh.Caches[i].tags, nil, nil

@@ -214,7 +214,7 @@ func checkRun(t *testing.T, warm int64, spec uint64, seen *reached) {
 	la, lb := timing.Ledger{Pol: c.pol}, timing.Ledger{Pol: c.pol}
 	unbacked := make([]bool, len(sa.Caches))
 	for i, d := range sa.Caches {
-		unbacked[i] = !d.Backed()
+		unbacked[i] = d.HeldBytes() == 0
 	}
 
 	var r cache.RunSummary
@@ -296,7 +296,7 @@ func checkRun(t *testing.T, warm int64, spec uint64, seen *reached) {
 		t.Errorf("System state after the run differs from after single accesses")
 	}
 	for i, d := range sa.Caches {
-		if unbacked[i] && d.Backed() {
+		if unbacked[i] && d.HeldBytes() > 0 {
 			seen.backed = true
 			seen.backedScratch = seen.backedScratch || d.ScratchWays() > 0
 		}

@@ -324,3 +324,22 @@ func (ic *ICache) Reset() {
 	}
 	ic.stamp, ic.Hits, ic.Misses = 0, 0, 0
 }
+
+// HeldBytes returns the host storage of the cache's own tables: its tag,
+// LRU and fill tables once an Install backed them, none before. A reset
+// keeps them (Reset).
+func (d *DCache) HeldBytes() int {
+	if d.lru == nil {
+		return 0
+	}
+	return 4*len(d.tags) + 4*len(d.lru) + 8*len(d.readyAt)
+}
+
+// HeldBytes returns the host storage of the cache's own tables: its tag
+// and LRU tables once a miss backed them, none before.
+func (ic *ICache) HeldBytes() int {
+	if ic.lru == nil {
+		return 0
+	}
+	return 4*len(ic.tags) + 4*len(ic.lru)
+}

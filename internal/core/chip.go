@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cyclops/internal/arch"
 	"cyclops/internal/barrier"
@@ -197,12 +198,13 @@ func (c *Chip) UsableThreads() int {
 	return n
 }
 
-// WorkerOrder lists the schedulable worker units — usable and past the
-// reserved ones — in allocation order: quad by quad, or, balanced, dealt
-// one slot at a time across the quads.
-func (c *Chip) WorkerOrder(balanced bool) []int {
+// AppendWorkerOrder appends the schedulable worker units — usable and
+// past the reserved ones — to dst in allocation order: quad by quad, or,
+// balanced, dealt one slot at a time across the quads. It grows dst once,
+// to room for every unit, so a dst that already has it allocates nothing.
+func (c *Chip) AppendWorkerOrder(dst []int, balanced bool) []int {
 	cfg := c.Cfg
-	order := make([]int, 0, cfg.Threads)
+	order := slices.Grow(dst, cfg.Threads)
 	if balanced {
 		for slot := 0; slot < cfg.ThreadsPerQuad; slot++ {
 			for q := 0; q < cfg.Quads(); q++ {
@@ -298,4 +300,24 @@ func (c *Chip) ResetTo(cfg arch.Config) error {
 	c.Cfg = cfg
 	c.Reset()
 	return nil
+}
+
+// HeldBytes returns the host storage the chip's runs have backed and a
+// reset keeps: the pages of its embedded and external memory, spare pages
+// included (mem.Memory.HeldBytes), and the tables of every data and
+// instruction cache a run backed (~256 KB when all of the paper's are).
+// A new chip holds none. It is what a chip kept for a later run costs the
+// host beyond its fixed parts.
+func (c *Chip) HeldBytes() int {
+	n := c.Mem.HeldBytes()
+	if c.OffChip != nil {
+		n += c.OffChip.HeldBytes()
+	}
+	for _, d := range c.Data.Caches {
+		n += d.HeldBytes()
+	}
+	for _, ic := range c.ICaches {
+		n += ic.HeldBytes()
+	}
+	return n
 }

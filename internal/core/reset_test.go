@@ -27,11 +27,18 @@ func TestResetChipEqualsNewChip(t *testing.T) {
 	small.Threads, small.MemBanks, small.DCacheAssoc = 32, 4, 4
 	for _, cfg := range []arch.Config{arch.Default(), faulty, small} {
 		c := MustNew(cfg)
+		if n := c.HeldBytes(); n != 0 {
+			t.Errorf("%s: a new chip holds %d B", configName(cfg), n)
+		}
 		dirty(t, c)
 		if diffs := statediff.Diff(MustNew(cfg), c); len(diffs) == 0 {
 			t.Fatalf("%s: the dirtied chip equals a fresh one; dirty touches nothing", configName(cfg))
 		}
+		held := c.HeldBytes()
 		c.Reset()
+		if c.HeldBytes() != held {
+			t.Errorf("%s: the chip held %d B before Reset and %d after; a reset keeps it all", configName(cfg), held, c.HeldBytes())
+		}
 		if diffs := statediff.Diff(MustNew(cfg), c); len(diffs) > 0 {
 			t.Errorf("%s: Reset left %d fields unlike NewChip's:", configName(cfg), len(diffs))
 			for _, d := range diffs[:min(len(diffs), 20)] {
@@ -157,5 +164,29 @@ func TestResetToEqualsNewChip(t *testing.T) {
 		if c.Cfg != want || c.Mem.BackedBytes() == 0 {
 			t.Errorf("a refused ResetTo(%s) changed the chip", configName(cfg))
 		}
+	}
+}
+
+// HeldBytes counts every store a reset keeps: the embedded and external
+// memory's pages, spare ones included, and the tables of each cache a run
+// backed. TestResetChipEqualsNewChip holds a new chip to none.
+func TestHeldBytesCountsPagesAndCacheTables(t *testing.T) {
+	cfg := arch.Default()
+	cfg.OffChipBytes = 64 << 20
+	c := MustNew(cfg)
+	use(t, c)
+	dTables, iTables := 0, 0
+	for _, d := range c.Data.Caches {
+		dTables += d.HeldBytes()
+	}
+	for _, ic := range c.ICaches {
+		iTables += ic.HeldBytes()
+	}
+	mem, off := c.Mem.HeldBytes(), c.OffChip.HeldBytes()
+	if dTables == 0 || iTables == 0 || mem == 0 || off == 0 {
+		t.Fatalf("use backed %d B of data-cache tables, %d of instruction-cache tables, %d of memory and %d off chip; the test needs all four", dTables, iTables, mem, off)
+	}
+	if got, want := c.HeldBytes(), mem+off+dTables+iTables; got != want {
+		t.Errorf("HeldBytes = %d, want %d", got, want)
 	}
 }

@@ -95,9 +95,9 @@ func probe(t *testing.T, r *job.Runner, id, end string, cfg *arch.Config) *core.
 
 // A run's chip goes back to the Runner's idle list only when the run
 // succeeds: the next run of its configuration gets it, at power-on. A run
-// that errors or panics drops its chip, and the list keeps only as many
-// chips as the Runner has had runs in flight, so a chip of another shape
-// takes the place of the one before it.
+// that errors or panics drops its chip. The list keeps a chip of each
+// shape, so a run of another shape builds its own and the next default
+// run gets the default chip back.
 func TestFailedRunNeverReturnsItsChip(t *testing.T) {
 	r := job.NewRunner()
 	a := probe(t, r, "a", "ok", nil)
@@ -125,11 +125,11 @@ func TestFailedRunNeverReturnsItsChip(t *testing.T) {
 	if d == c || d.Cfg != other {
 		t.Errorf("a run of another shape got chip %p (config %+v)", d, d.Cfg)
 	}
-	if got := probe(t, r, "h", "ok", nil); got == c || got == d {
-		t.Error("a one-at-a-time Runner kept two idle chips")
+	if got := probe(t, r, "h", "ok", nil); got != c || got.Cfg != arch.Default() {
+		t.Errorf("after a run of another shape a default run got chip %p (config %+v), not the default chip", got, got.Cfg)
 	}
-	if got := probe(t, r, "i", "ok", nil); got.Cfg != arch.Default() {
-		t.Errorf("a default run got a chip of config %+v", got.Cfg)
+	if got := probe(t, r, "i", "ok", &other); got != d {
+		t.Error("the chip of the other shape was not kept beside the default one")
 	}
 	chipProbe.mu.Lock()
 	defer chipProbe.mu.Unlock()

@@ -26,6 +26,9 @@ type Stats struct {
 	Executions uint64
 	// Errors counts executions that failed (failures are never cached).
 	Errors uint64
+	// ChipsBuilt counts the chips executions built; every other execution
+	// ran on an idle chip of its shape, reset (see chipPool).
+	ChipsBuilt uint64
 }
 
 // ErrPanic is what a run fails with, wrapped, when its workload panics.
@@ -457,6 +460,7 @@ func (r *Runner) Stats() Stats {
 		Coalesced:  r.coalesced.Load(),
 		Executions: r.executions.Load(),
 		Errors:     r.errors.Load(),
+		ChipsBuilt: r.chips.built.Load(),
 	}
 }
 

@@ -56,8 +56,9 @@ type Kernel struct {
 	// Output receives console bytes (sysPutc / sysPutInt).
 	Output []byte
 
-	// order is the worker allocation order, built by the first call that
-	// needs it from Policy and the chip's usable quads; Reset drops it.
+	// order is the worker allocation order, computed by the first call
+	// that needs it from Policy and the chip's usable quads; Reset empties
+	// it and keeps the array for the next run's order.
 	order []int
 	// spawned marks the units a thread was ever started on, so a join of
 	// a tid that never ran traps instead of waiting forever.
@@ -78,8 +79,8 @@ func (k *Kernel) Machine() *sim.Machine { return k.m }
 
 // workerOrder lists usable worker thread units in allocation order.
 func (k *Kernel) workerOrder() []int {
-	if k.order == nil {
-		k.order = k.chip.WorkerOrder(k.Policy == Balanced)
+	if len(k.order) == 0 {
+		k.order = k.chip.AppendWorkerOrder(k.order, k.Policy == Balanced)
 	}
 	return k.order
 }
@@ -223,13 +224,13 @@ func (k *Kernel) freeWorker() int {
 // Reset returns the kernel and its machine (sim.Machine.Reset) to the state
 // New builds: the default stack size and the sequential policy, no console
 // output, no thread ever spawned and no allocation order. It keeps what
-// New and its runs allocated, so a kernel reused from run to run over one
-// chip builds neither the machine nor the thread units again. Output is
-// dropped, not truncated: a result that took the last run's output keeps
-// it. Reset leaves the chip alone: reset it too (core.Chip.Reset or
-// ResetTo) before the next Boot.
+// New and its runs allocated, the order's array included, so a kernel
+// reused from run to run over one chip builds neither the machine, the
+// thread units nor the order again. Output is dropped, not truncated: a
+// result that took the last run's output keeps it. Reset leaves the chip
+// alone: reset it too (core.Chip.Reset or ResetTo) before the next Boot.
 func (k *Kernel) Reset() {
-	k.StackBytes, k.Policy, k.Output, k.order = 8<<10, Sequential, nil, nil
+	k.StackBytes, k.Policy, k.Output, k.order = 8<<10, Sequential, nil, k.order[:0]
 	clear(k.spawned)
 	k.m.Reset()
 }

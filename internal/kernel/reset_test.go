@@ -77,3 +77,27 @@ func TestResetKernelEqualsNew(t *testing.T) {
 		t.Errorf("the reset kernel ran unlike a new one:\n got  %s\n want %s", runs[0], runs[1])
 	}
 }
+
+// A reset kernel computes its next allocation order into the array the
+// last one used, under the policy of its next run, so a kernel reused from
+// run to run allocates no order.
+func TestResetKernelKeepsItsOrderArray(t *testing.T) {
+	chip := core.MustNew(arch.Default())
+	k := New(chip)
+	runPrint(t, k)
+	kept := &k.order[0]
+	chip.Reset()
+	k.Reset()
+	if got, want := k.workerOrder(), chip.AppendWorkerOrder(nil, false); !slices.Equal(got, want) {
+		t.Errorf("the reset kernel's sequential order is %v, want %v", got, want)
+	}
+	if &k.order[0] != kept {
+		t.Error("the reset kernel allocated a new order array")
+	}
+	chip.Reset()
+	k.Reset()
+	runPrint(t, k)
+	if want := chip.AppendWorkerOrder(nil, true); !slices.Equal(k.order, want) || &k.order[0] != kept {
+		t.Errorf("the next run's balanced order is %v in a new array %v, want %v in the kept one", k.order, &k.order[0] != kept, want)
+	}
+}

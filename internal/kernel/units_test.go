@@ -121,7 +121,7 @@ worker:	li   a0, 0
 out:	.word 0
 tids:	.space 512
 	`)
-	order := k.chip.WorkerOrder(false)
+	order := k.chip.AppendWorkerOrder(nil, false)
 	if order[0] != 12 {
 		t.Fatalf("main thread on unit %d, want 12, the first unit of quad 3", order[0])
 	}

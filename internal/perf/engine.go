@@ -266,7 +266,7 @@ func (m *Machine) SpawnN(n int, fn func(t *T, index int)) error {
 // placeThread returns the hardware unit for the next spawned thread.
 func (m *Machine) placeThread() (int, error) {
 	if m.order == nil {
-		m.order = m.Chip.WorkerOrder(m.Balanced)
+		m.order = m.Chip.AppendWorkerOrder(nil, m.Balanced)
 	}
 	if m.nextTid >= len(m.order) {
 		return 0, fmt.Errorf("perf: no free thread units (have %d)", len(m.order))

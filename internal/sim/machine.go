@@ -243,6 +243,18 @@ func (m *Machine) Unit(tid int) *TU {
 	return tu
 }
 
+// BuiltUnits counts the thread units Unit has built: the units a reset
+// keeps, about 1 KB of host storage each.
+func (m *Machine) BuiltUnits() int {
+	n := 0
+	for _, tu := range m.tus {
+		if tu != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // Cycle returns the current simulation cycle.
 func (m *Machine) Cycle() uint64 { return m.cycle }
 

@@ -94,7 +94,11 @@ func TestResetMachineEqualsNew(t *testing.T) {
 	if same := statediff.Same(fresh, m); !slices.Equal(same, []string{"Chip", "Kernel", "mem", "bar"}) {
 		t.Fatalf("the run left fields %v as New has them; only New's arguments may be", same)
 	}
+	built := m.BuiltUnits()
 	m.Reset()
+	if fresh.BuiltUnits() != 0 || built == 0 || m.BuiltUnits() != built {
+		t.Errorf("a new machine built %d units; the run built %d and the reset machine keeps %d", fresh.BuiltUnits(), built, m.BuiltUnits())
+	}
 	for tid := range chip.Cfg.Threads {
 		m.Unit(tid)
 		fresh.Unit(tid)

@@ -75,3 +75,23 @@ func allocated(f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
+
+// TestTreeBuildAllocatesItsNodesOnce: the first build of a Barnes tree
+// sizes its node array from the body count instead of growing it by
+// appending, so it allocates at most 1.5x the array it ends with.
+func TestTreeBuildAllocatesItsNodesOnce(t *testing.T) {
+	for _, n := range []int{64, 256, 1024} {
+		bodies := PlummerBodies(n, 99)
+		tr := &octTree{}
+		got := allocated(func() { tr.build(bodies) })
+		final := uint64(len(tr.nodes)) * uint64(unsafe.Sizeof(octNode{}))
+		if got > final*3/2 {
+			msg := "%d bodies: the first build allocated %d B for a %d B node array"
+			if raceEnabled {
+				t.Logf("race detector on, bound not enforced: "+msg, n, got, final)
+				continue
+			}
+			t.Errorf(msg, n, got, final)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package splash
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cyclops/internal/isa"
 	"cyclops/internal/perf"
@@ -30,7 +31,7 @@ type BarnesOpts struct {
 	Steps   int
 	Theta   float64
 	// Bodies, when non-nil, supplies initial states and receives the
-	// final ones.
+	// final ones when the run succeeds.
 	Bodies []Body
 }
 
@@ -76,12 +77,14 @@ func RunBarnes(opts BarnesOpts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bodies := opts.Bodies
+	if opts.Bodies != nil && len(opts.Bodies) != n {
+		return nil, fmt.Errorf("splash: bodies length %d != %d", len(opts.Bodies), n)
+	}
+	// The steps move their own copy of supplied bodies, written back only
+	// when the run succeeds.
+	bodies := slices.Clone(opts.Bodies)
 	if bodies == nil {
 		bodies = PlummerBodies(n, 99)
-	}
-	if len(bodies) != n {
-		return nil, fmt.Errorf("splash: bodies length %d != %d", len(bodies), n)
 	}
 
 	const dt = 0.01
@@ -160,7 +163,13 @@ type octTree struct {
 	nodes []octNode
 }
 
+// build builds the tree over bodies into the node array of the last step.
+// The first step sizes it at two nodes a body, which a Plummer sphere's
+// tree (about 1.5 a body) fits, so it does not grow by appending.
 func (tr *octTree) build(bodies []Body) {
+	if tr.nodes == nil {
+		tr.nodes = make([]octNode, 0, 2*len(bodies))
+	}
 	tr.nodes = tr.nodes[:0]
 	// Bounding cube.
 	var lo, hi [3]float64

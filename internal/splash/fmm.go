@@ -211,9 +211,6 @@ func RunFMM(opts FMMOpts) (*Result, error) {
 	if opts.Phi != nil {
 		copy(opts.Phi, phi)
 	}
-	if opts.Charges != nil {
-		copy(opts.Charges, charges)
-	}
 	return NewResult("FMM", fmt.Sprintf("%d charges, %d levels, p=%d", n, levels, p), T, mach), nil
 }
 

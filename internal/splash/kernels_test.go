@@ -2,6 +2,7 @@ package splash
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -255,7 +256,9 @@ func TestRadixGeneratedKeysMatchSupplied(t *testing.T) {
 }
 
 // TestFailedRunLeavesInputUntouched: a run that does not finish writes
-// nothing back into the caller's FFT Data or Radix Keys.
+// nothing back into the caller's FFT Data, Radix Keys, LU matrix, Barnes
+// Bodies, Ocean Grid, or FMM Charges and Phi. Each limit stops the run
+// after its threads have started work on the input.
 func TestFailedRunLeavesInputUntouched(t *testing.T) {
 	data := make([]complex128, 256)
 	for i := range data {
@@ -275,5 +278,38 @@ func TestFailedRunLeavesInputUntouched(t *testing.T) {
 	}
 	if !reflect.DeepEqual(keys, origKeys) {
 		t.Error("a failed Radix run wrote into Keys")
+	}
+	a := DominantMatrix(32)
+	origA := slices.Clone(a)
+	if _, err := RunLU(LUOpts{Config: Config{Threads: 4, MaxCycles: 2000}, N: 32, A: a}); err == nil {
+		t.Fatal("LU finished inside 2,000 cycles")
+	}
+	if !slices.Equal(a, origA) {
+		t.Error("a failed LU run wrote into A")
+	}
+	bodies := PlummerBodies(64, 99)
+	origBodies := slices.Clone(bodies)
+	if _, err := RunBarnes(BarnesOpts{Config: Config{Threads: 4, MaxCycles: 20000}, NBodies: 64, Bodies: bodies}); err == nil {
+		t.Fatal("Barnes finished inside 20,000 cycles")
+	}
+	if !slices.Equal(bodies, origBodies) {
+		t.Error("a failed Barnes run wrote into Bodies")
+	}
+	grid := OceanGrid(16)
+	origGrid := slices.Clone(grid)
+	if _, err := RunOcean(OceanOpts{Config: Config{Threads: 4, MaxCycles: 2000}, N: 16, Grid: grid}); err == nil {
+		t.Fatal("Ocean finished inside 2,000 cycles")
+	}
+	if !slices.Equal(grid, origGrid) {
+		t.Error("a failed Ocean run wrote into Grid")
+	}
+	charges := RandomCharges(64, 17)
+	origCharges := slices.Clone(charges)
+	phi := make([]float64, 64)
+	if _, err := RunFMM(FMMOpts{Config: Config{Threads: 4, MaxCycles: 2000}, NBodies: 64, Charges: charges, Phi: phi}); err == nil {
+		t.Fatal("FMM finished inside 2,000 cycles")
+	}
+	if !slices.Equal(charges, origCharges) || slices.ContainsFunc(phi, func(v float64) bool { return v != 0 }) {
+		t.Error("a failed FMM run wrote into Charges or Phi")
 	}
 }

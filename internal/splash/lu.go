@@ -2,6 +2,7 @@ package splash
 
 import (
 	"fmt"
+	"slices"
 
 	"cyclops/internal/isa"
 	"cyclops/internal/perf"
@@ -20,7 +21,7 @@ type LUOpts struct {
 	// N is the matrix dimension; Block the block size (default 16).
 	N, Block int
 	// A, when non-nil, supplies the matrix in row-major order and
-	// receives the packed LU factors.
+	// receives the packed LU factors when the run succeeds.
 	A []float64
 }
 
@@ -41,12 +42,14 @@ func RunLU(opts LUOpts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := opts.A
+	if opts.A != nil && len(opts.A) != n*n {
+		return nil, fmt.Errorf("splash: LU matrix length %d != %d", len(opts.A), n*n)
+	}
+	// The factorization works on its own copy of a supplied matrix and
+	// writes it back only when the run succeeds.
+	a := slices.Clone(opts.A)
 	if a == nil {
 		a = DominantMatrix(n)
-	}
-	if len(a) != n*n {
-		return nil, fmt.Errorf("splash: LU matrix length %d != %d", len(a), n*n)
 	}
 
 	nb := n / bs

@@ -2,6 +2,7 @@ package splash
 
 import (
 	"fmt"
+	"slices"
 
 	"cyclops/internal/isa"
 	"cyclops/internal/perf"
@@ -26,7 +27,7 @@ type OceanOpts struct {
 	// Omega is the SOR factor (default 1.5).
 	Omega float64
 	// Grid, when non-nil, supplies the (n+2)*(n+2) initial grid and
-	// receives the relaxed result.
+	// receives the relaxed result when the run succeeds.
 	Grid []float64
 }
 
@@ -56,12 +57,14 @@ func RunOcean(opts OceanOpts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := opts.Grid
+	if opts.Grid != nil && len(opts.Grid) != stride*stride {
+		return nil, fmt.Errorf("splash: grid length %d != %d", len(opts.Grid), stride*stride)
+	}
+	// The relaxation works on its own copy of a supplied grid and writes
+	// it back only when the run succeeds.
+	g := slices.Clone(opts.Grid)
 	if g == nil {
 		g = OceanGrid(n)
-	}
-	if len(g) != stride*stride {
-		return nil, fmt.Errorf("splash: grid length %d != %d", len(g), stride*stride)
 	}
 	addr := func(i, j int) uint32 { return ea + uint32(8*(i*stride+j)) }
 	bar, err := NewBarrier(mach, opts.Threads, opts.Barrier)
