@@ -8,7 +8,7 @@ import (
 	"cyclops/internal/mem"
 )
 
-// Reset returns a used cache system to the state a reset of a new one
+// ResetTo returns a used cache system to the state a reset of a new one
 // leaves, with the configuration's disabled quads (and only those) out of
 // service. A cache its use backed keeps its own tables, cleared; one never
 // used keeps sharing the zero table. Instruction caches likewise.
@@ -17,7 +17,7 @@ func TestResetMatchesNewSystem(t *testing.T) {
 	cfg.DisabledQuads = 2
 	m := mem.New(cfg)
 	s := NewSystem(cfg, m)
-	s.Reset()
+	s.ResetTo(s.Cfg)
 	if !s.QuadDisabled(0) || !s.QuadDisabled(1) || s.QuadDisabled(2) {
 		t.Fatal("Reset did not take quads 0 and 1 out of service")
 	}
@@ -56,13 +56,13 @@ func TestResetMatchesNewSystem(t *testing.T) {
 	if ic.HeldBytes() != iHeld || idle.HeldBytes() != 0 {
 		t.Errorf("instruction caches hold %d and %d B, want %d and 0", ic.HeldBytes(), idle.HeldBytes(), iHeld)
 	}
-	s.Reset()
+	s.ResetTo(s.Cfg)
 	ic.Reset()
 	if ic.HeldBytes() != iHeld {
 		t.Errorf("a reset instruction cache holds %d B, want the %d its tables keep", ic.HeldBytes(), iHeld)
 	}
 	fresh := NewSystem(cfg, m)
-	fresh.Reset()
+	fresh.ResetTo(fresh.Cfg)
 	for i, d := range s.Caches {
 		if d.lru != nil {
 			used--
@@ -114,7 +114,7 @@ func TestResetToAnotherFaultState(t *testing.T) {
 		t.Fatal("ResetTo did not take quads 0 to 2 out of service")
 	}
 	fresh := NewSystem(to, m)
-	fresh.Reset()
+	fresh.ResetTo(fresh.Cfg)
 	if !reflect.DeepEqual(s, fresh) {
 		t.Errorf("system reset to the fault state %+v\nwant %+v", s, fresh)
 	}

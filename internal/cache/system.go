@@ -268,17 +268,19 @@ func (s *System) PortStats(c int) obs.ResourceStats {
 
 // --- Reset ------------------------------------------------------------------
 //
-// A chip reused from run to run is reset between them (core.Chip.Reset). The
-// resets sit last in the package, after every access path, so that adding
+// A chip reused from run to run is reset between them (core.Chip.ResetTo).
+// The resets sit last in the package, after every access path, so that adding
 // them moved none of those in the binary (DESIGN.md section 2, code
 // placement).
 
-// Reset returns the cache system to power-on state for its configuration:
-// every cache empty (DCache.Reset), every port free with zero telemetry,
-// exactly the configuration's first DisabledQuads quads out of service (as
-// DisableQuad would leave them) and the outcome counts zero. It leaves the
-// memory behind it alone.
-func (s *System) Reset() {
+// ResetTo returns the cache system to power-on state for cfg, a
+// configuration that differs from the system's own at most in its fault
+// state (core.SameShape): the state NewSystem(cfg) builds, with every cache
+// empty (DCache.Reset), every port free with zero telemetry, exactly cfg's
+// first DisabledQuads quads out of service (as DisableQuad would leave
+// them) and the outcome counts zero. It leaves the memory behind it alone.
+func (s *System) ResetTo(cfg arch.Config) {
+	s.Cfg = cfg
 	for _, d := range s.Caches {
 		d.Reset()
 	}
@@ -292,15 +294,6 @@ func (s *System) Reset() {
 	}
 	s.nDisabled = s.Cfg.DisabledQuads
 	s.Counts = [5]uint64{}
-}
-
-// ResetTo is Reset to cfg, a configuration that differs from the system's
-// own at most in its fault state (core.SameShape): the system comes back as
-// NewSystem(cfg) and Reset leave it, with cfg's disabled quads out of
-// service.
-func (s *System) ResetTo(cfg arch.Config) {
-	s.Cfg = cfg
-	s.Reset()
 }
 
 // Reset empties the cache, ends any scratch partitioning and zeroes its

@@ -253,29 +253,6 @@ func (c *Chip) LoadImage(origin uint32, image []byte) error {
 // last in the file, after every access path, so that adding them moved none
 // of those in the binary (DESIGN.md section 2, code placement).
 
-// Reset returns the chip to power-on state for its own configuration, the
-// state NewChip builds: memories zero, caches empty, ports, banks, FPUs,
-// barrier and off-chip channel idle, every counter zero, the code watch
-// and any scratch partitioning gone, and exactly the configuration's
-// failed banks and disabled quads out of service. It keeps the host
-// storage the chip's runs have backed — memory pages and cache tables,
-// cleared in place — so a chip reused for run after run allocates only
-// what no earlier run touched.
-func (c *Chip) Reset() {
-	c.Mem.ResetTo(c.Cfg)
-	c.Data.ResetTo(c.Cfg)
-	for _, ic := range c.ICaches {
-		ic.Reset()
-	}
-	for _, f := range c.FPUs {
-		*f = FPU{}
-	}
-	c.Barrier.Reset()
-	if c.OffChip != nil {
-		c.OffChip.ResetTo(c.Cfg)
-	}
-}
-
 // SameShape reports whether a and b build the same chip up to its fault
 // state: they differ at most in FailedBanks and DisabledQuads, which a
 // reset applies (ResetTo), so one chip serves both.
@@ -284,12 +261,18 @@ func SameShape(a, b arch.Config) bool {
 	return a == b
 }
 
-// ResetTo is Reset to cfg, a valid configuration of the chip's shape
-// (SameShape): the chip comes back as NewChip(cfg) builds it, with cfg's
-// failed banks and disabled quads out of service, whatever fault state its
-// own configuration had. The paper treats both as boot-time state of the
-// same cell (Section 5), so a chip serves every fault configuration of its
-// shape. Any other configuration is an error, and leaves the chip as it was.
+// ResetTo returns the chip to power-on state for cfg, a valid
+// configuration of its shape (SameShape): the state NewChip(cfg) builds,
+// with memories zero, caches empty, ports, banks, FPUs, barrier and
+// off-chip channel idle, every counter zero, the code watch and any scratch
+// partitioning gone, and exactly cfg's failed banks and disabled quads out
+// of service, whatever fault state its own configuration had. The paper
+// treats both as boot-time state of the same cell (Section 5), so a chip
+// serves every fault configuration of its shape; ResetTo(c.Cfg) resets it
+// to its own. Any other configuration is an error, and leaves the chip as
+// it was. It keeps the host storage the chip's runs have backed — memory
+// pages and cache tables, cleared in place — so a chip reused for run
+// after run allocates only what no earlier run touched.
 func (c *Chip) ResetTo(cfg arch.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -298,7 +281,18 @@ func (c *Chip) ResetTo(cfg arch.Config) error {
 		return errors.New("core: a chip cannot be reset to a configuration of another shape")
 	}
 	c.Cfg = cfg
-	c.Reset()
+	c.Mem.ResetTo(cfg)
+	c.Data.ResetTo(cfg)
+	for _, ic := range c.ICaches {
+		ic.Reset()
+	}
+	for _, f := range c.FPUs {
+		*f = FPU{}
+	}
+	c.Barrier.Reset()
+	if c.OffChip != nil {
+		c.OffChip.ResetTo(cfg)
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -229,11 +230,14 @@ func TestUtilizationReport(t *testing.T) {
 // TestNewChipAllocationBudget: functional memory is backed by the first
 // write to a page (internal/mem), and each data and instruction cache by its
 // first install (internal/cache), so a fresh cell costs its ports and small
-// tables, 17,056 B, not its 8 MB
+// tables, 17,088 B, not its 8 MB
 // or its caches' 260 KB of tags, LRU stamps and fill times. The largest
 // legal external memory adds its page table only (1 MB). Each budget is the
 // measured size plus less than 25%, so eager backing of any of them cannot
-// come back unnoticed.
+// come back unnoticed. A TotalAlloc delta also counts whatever else the
+// process allocates meanwhile, so each is an upper bound on what NewChip
+// allocates: the least of five builds is the closest reading, and never
+// an under-count.
 func TestNewChipAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
 		offChip int
@@ -241,20 +245,23 @@ func TestNewChipAllocationBudget(t *testing.T) {
 	}{{0, 20 << 10}, {2 << 30, 1280 << 10}} {
 		cfg := arch.Default()
 		cfg.OffChipBytes = tc.offChip
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		c, err := NewChip(cfg)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		got := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c, err := NewChip(cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+			if c.Mem.BackedBytes() != 0 {
+				t.Errorf("a fresh chip has %d B of memory backed", c.Mem.BackedBytes())
+			}
 		}
-		got := after.TotalAlloc - before.TotalAlloc
 		t.Logf("NewChip with %d B off chip: %d B", tc.offChip, got)
 		if got >= tc.budget {
 			overBudget(t, "NewChip with %d B off chip allocated %d B, budget %d", tc.offChip, got, tc.budget)
-		}
-		if c.Mem.BackedBytes() != 0 {
-			t.Errorf("a fresh chip has %d B of memory backed", c.Mem.BackedBytes())
 		}
 	}
 }

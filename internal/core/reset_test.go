@@ -13,12 +13,12 @@ import (
 // TestResetChipEqualsNewChip: a chip driven through every kind of state it
 // keeps — memory and off-chip writes, D- and I-cache installs, scratch
 // partitioning, a watched-code write, barrier writes, FPU dispatch, run
-// faults on top of the configured ones — and then Reset must equal a
-// fresh NewChip of its configuration in every field, exported or not. The
-// walk is by reflection, so a field Reset forgets fails here without an
-// edit to this test. Only host backing may differ: a table or page Reset
-// kept and cleared against the shared zero table or the nil a fresh chip
-// has.
+// faults on top of the configured ones — and then reset to its own
+// configuration must equal a fresh NewChip of it in every field, exported
+// or not. The walk is by reflection, so a field ResetTo forgets fails here
+// without an edit to this test. Only host backing may differ: a table or
+// page ResetTo kept and cleared against the shared zero table or the nil a
+// fresh chip has.
 func TestResetChipEqualsNewChip(t *testing.T) {
 	faulty := arch.Default()
 	faulty.FailedBanks, faulty.DisabledQuads = 3, 2
@@ -35,25 +35,27 @@ func TestResetChipEqualsNewChip(t *testing.T) {
 			t.Fatalf("%s: the dirtied chip equals a fresh one; dirty touches nothing", configName(cfg))
 		}
 		held := c.HeldBytes()
-		c.Reset()
+		if err := c.ResetTo(c.Cfg); err != nil {
+			t.Fatal(err)
+		}
 		if c.HeldBytes() != held {
-			t.Errorf("%s: the chip held %d B before Reset and %d after; a reset keeps it all", configName(cfg), held, c.HeldBytes())
+			t.Errorf("%s: the chip held %d B before ResetTo and %d after; a reset keeps it all", configName(cfg), held, c.HeldBytes())
 		}
 		if diffs := statediff.Diff(MustNew(cfg), c); len(diffs) > 0 {
-			t.Errorf("%s: Reset left %d fields unlike NewChip's:", configName(cfg), len(diffs))
+			t.Errorf("%s: ResetTo left %d fields unlike NewChip's:", configName(cfg), len(diffs))
 			for _, d := range diffs[:min(len(diffs), 20)] {
 				t.Errorf("  %s", d)
 			}
 		}
 		if c.Mem.HeldBytes() == 0 {
-			t.Errorf("%s: Reset dropped the pages writes had backed", configName(cfg))
+			t.Errorf("%s: ResetTo dropped the pages writes had backed", configName(cfg))
 		}
 		// A reset chip runs as a fresh one does.
 		dirty(t, c)
 		again := MustNew(cfg)
 		dirty(t, again)
 		if diffs := statediff.Diff(again, c); len(diffs) > 0 {
-			t.Errorf("%s: after Reset the same work left %s", configName(cfg), diffs[0])
+			t.Errorf("%s: after ResetTo the same work left %s", configName(cfg), diffs[0])
 		}
 	}
 }
@@ -155,7 +157,9 @@ func TestResetToEqualsNewChip(t *testing.T) {
 	invalid := arch.Default()
 	invalid.FailedBanks = invalid.MemBanks
 	for _, cfg := range []arch.Config{other, invalid} {
-		c.Reset()
+		if err := c.ResetTo(c.Cfg); err != nil {
+			t.Fatal(err)
+		}
 		dirty(t, c)
 		want := c.Cfg
 		if err := c.ResetTo(cfg); err == nil {

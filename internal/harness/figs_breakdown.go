@@ -10,18 +10,10 @@ import (
 	"cyclops/internal/obs"
 	"cyclops/internal/splash"
 	"cyclops/internal/stream"
+	"cyclops/internal/timing"
 )
 
-// bd is one workload's accounting: run and stall cycles summed over all
-// thread units, the stall cycles by reason and the memory-wait
-// attribution.
-type bd struct {
-	run, stall uint64
-	stalls     obs.Breakdown
-	memWaits   obs.MemWaits
-}
-
-// bdColumns returns lead followed by the columns bd.row fills: the run
+// bdColumns returns lead followed by the columns bdRow fills: the run
 // share, a share per stall reason, a count per memory-wait location and
 // the cycle total.
 func bdColumns(lead ...string) []string {
@@ -35,26 +27,26 @@ func bdColumns(lead ...string) []string {
 	return append(cols, "cycles")
 }
 
-// row returns lead followed by r's cells, each share taken over the
-// run+stall total. It fails when the per-reason stalls do not sum to the
-// stall total.
-func (r bd) row(lead ...string) ([]string, error) {
-	if got := r.stalls.Total(); got != r.stall {
+// bdRow returns lead followed by the cells of one workload's accounting,
+// each share taken over the run+stall total. It fails when the per-reason
+// stalls do not sum to the stall total.
+func bdRow(r timing.Totals, lead ...string) ([]string, error) {
+	if got := r.Stalls.Total(); got != r.Stall {
 		return nil, fmt.Errorf("harness: %s: per-reason stalls sum to %d, legacy total is %d",
-			strings.Join(lead, ", "), got, r.stall)
+			strings.Join(lead, ", "), got, r.Stall)
 	}
-	total := r.run + r.stall
+	total := r.Run + r.Stall
 	pct := func(v uint64) string {
 		if total == 0 {
 			return "-"
 		}
 		return f1(100 * float64(v) / float64(total))
 	}
-	row := append(lead, pct(r.run))
-	for _, v := range r.stalls {
+	row := append(lead, pct(r.Run))
+	for _, v := range r.Stalls {
 		row = append(row, pct(v))
 	}
-	for _, v := range r.memWaits {
+	for _, v := range r.MemWaits {
 		row = append(row, fmt.Sprintf("%d", v))
 	}
 	return append(row, fmt.Sprintf("%d", total)), nil
@@ -83,49 +75,49 @@ func Breakdown(s Scale) (*Table, error) {
 	type point struct {
 		workload, engine string
 		threads          int
-		run              func() (bd, error)
+		run              func() (timing.Totals, error)
 	}
 	pts := make([]point, 0, len(streamThreads)+2)
 	for _, tc := range streamThreads {
 		tc := tc
-		pts = append(pts, point{"STREAM Copy", "sim", tc, func() (bd, error) {
+		pts = append(pts, point{"STREAM Copy", "sim", tc, func() (timing.Totals, error) {
 			p := stream.Params{
 				Kernel: stream.Copy, Threads: tc, N: tc * 1000, Local: true, Reps: 2,
 			}
 			spec, err := workloads.StreamSpec(p, kernel.Sequential)
 			if err != nil {
-				return bd{}, err
+				return timing.Totals{}, err
 			}
 			r, err := runStreamJob(spec, p)
 			if err != nil {
-				return bd{}, err
+				return timing.Totals{}, err
 			}
-			return bd{r.Run, r.Stall, r.Stalls, r.MemWaits}, nil
+			return r.Totals, nil
 		}})
 	}
 	for _, kind := range []splash.BarrierKind{splash.HW, splash.SW} {
 		kind := kind
-		pts = append(pts, point{"FFT " + kind.String() + " barrier", "perf", fftThreads, func() (bd, error) {
+		pts = append(pts, point{"FFT " + kind.String() + " barrier", "perf", fftThreads, func() (timing.Totals, error) {
 			spec, err := workloads.SplashSpec(workloads.SplashArgs{
 				Kernel: "fft", Threads: fftThreads, Barrier: kind.String(), N: fftN,
 			})
 			if err != nil {
-				return bd{}, err
+				return timing.Totals{}, err
 			}
 			r, err := runSplashJob(spec)
 			if err != nil {
-				return bd{}, err
+				return timing.Totals{}, err
 			}
-			return bd{r.Run, r.Stall, r.Stalls, r.MemWaits}, nil
+			return r.Totals, nil
 		}})
 	}
 
-	res, err := sweep.Map(pts, func(p point) (bd, error) { return p.run() })
+	res, err := sweep.Map(pts, func(p point) (timing.Totals, error) { return p.run() })
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range pts {
-		row, err := res[i].row(p.workload, p.engine, fmt.Sprintf("%d", p.threads))
+		row, err := bdRow(res[i], p.workload, p.engine, fmt.Sprintf("%d", p.threads))
 		if err != nil {
 			return nil, err
 		}

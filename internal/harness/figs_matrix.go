@@ -68,7 +68,7 @@ func Matrix(s Scale) (*Table, error) {
 		pol              timing.Policy
 		lat              string
 		threads          int
-		run              func() (bd, error)
+		run              func() (timing.Totals, error)
 	}
 	var pts []point
 	lats := matrixLatencies(s)
@@ -77,46 +77,46 @@ func Matrix(s Scale) (*Table, error) {
 		for _, model := range lats {
 			cfg := model.Apply(Runner.Defaults.Config)
 			lat := model.Diff(lats[0])
-			pts = append(pts, point{"STREAM Triad", "sim", pol, lat, streamThreads, func() (bd, error) {
+			pts = append(pts, point{"STREAM Triad", "sim", pol, lat, streamThreads, func() (timing.Totals, error) {
 				p := stream.Params{
 					Kernel: stream.Triad, Threads: streamThreads, N: streamThreads * 1000,
 					Local: true, Reps: 2, Issue: pol,
 				}
 				spec, err := workloads.StreamSpec(p, kernel.Sequential)
 				if err != nil {
-					return bd{}, err
+					return timing.Totals{}, err
 				}
 				spec.Config = &cfg
 				r, err := runStreamJob(spec, p)
 				if err != nil {
-					return bd{}, err
+					return timing.Totals{}, err
 				}
-				return bd{r.Run, r.Stall, r.Stalls, r.MemWaits}, nil
+				return r.Totals, nil
 			}})
-			pts = append(pts, point{"FFT HW barrier", "perf", pol, lat, fftThreads, func() (bd, error) {
+			pts = append(pts, point{"FFT HW barrier", "perf", pol, lat, fftThreads, func() (timing.Totals, error) {
 				spec, err := workloads.SplashSpec(workloads.SplashArgs{
 					Kernel: "fft", Threads: fftThreads, Barrier: "hw", N: fftN,
 				})
 				if err != nil {
-					return bd{}, err
+					return timing.Totals{}, err
 				}
 				spec.Config = &cfg
 				spec.Policy = pol.String()
 				r, err := runSplashJob(spec)
 				if err != nil {
-					return bd{}, err
+					return timing.Totals{}, err
 				}
-				return bd{r.Run, r.Stall, r.Stalls, r.MemWaits}, nil
+				return r.Totals, nil
 			}})
 		}
 	}
 
-	res, err := sweep.Map(pts, func(p point) (bd, error) { return p.run() })
+	res, err := sweep.Map(pts, func(p point) (timing.Totals, error) { return p.run() })
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range pts {
-		row, err := res[i].row(p.workload, p.engine, p.pol.String(), p.lat, fmt.Sprintf("%d", p.threads))
+		row, err := bdRow(res[i], p.workload, p.engine, p.pol.String(), p.lat, fmt.Sprintf("%d", p.threads))
 		if err != nil {
 			return nil, err
 		}

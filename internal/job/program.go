@@ -45,8 +45,8 @@ func runProgram(ctx *RunContext) (*Result, error) {
 	res := &Result{
 		Cycles: k.Machine().Cycle(),
 		Insts:  k.Machine().TotalInsts(),
+		Totals: t,
 		Output: k.Output,
-		Run:    t.Run, Stall: t.Stall, Stalls: t.Stalls, MemWaits: t.MemWaits,
 	}
 	if ctx.Spec.wantOutput(SnapshotOutput) {
 		var buf bytes.Buffer

@@ -7,7 +7,6 @@ import (
 
 	"cyclops/internal/core"
 	"cyclops/internal/kernel"
-	"cyclops/internal/obs"
 	"cyclops/internal/sim"
 	"cyclops/internal/timing"
 )
@@ -23,13 +22,9 @@ type Result struct {
 	// instruction stream).
 	Cycles uint64 `json:"cycles"`
 	Insts  uint64 `json:"insts,omitempty"`
-	// Run and Stall are the cycle-accounting totals summed over thread
-	// units; Stalls splits Stall by reason and MemWaits sub-attributes
-	// memory waits by location.
-	Run      uint64        `json:"run,omitempty"`
-	Stall    uint64        `json:"stall,omitempty"`
-	Stalls   obs.Breakdown `json:"stalls"`
-	MemWaits obs.MemWaits  `json:"mem_waits"`
+	// Totals is the cycle accounting summed over thread units; embedded,
+	// its fields encode inline at this position.
+	timing.Totals
 	// Output is the console output (program workload).
 	Output []byte `json:"output,omitempty"`
 	// Snapshot is the deterministic stats snapshot JSON, when requested.

@@ -109,19 +109,7 @@ func runRay(ctx *job.RunContext) (*job.Result, error) {
 }
 
 // MDSpec builds the job spec for one molecular-dynamics run.
-func MDSpec(a MDArgs) (*job.Spec, error) {
-	args, err := json.Marshal(a)
-	if err != nil {
-		return nil, err
-	}
-	return &job.Spec{Workload: MDName, Args: args}, nil
-}
+func MDSpec(a MDArgs) (*job.Spec, error) { return argsSpec(MDName, a) }
 
 // RaySpec builds the job spec for one raytrace run.
-func RaySpec(a RayArgs) (*job.Spec, error) {
-	args, err := json.Marshal(a)
-	if err != nil {
-		return nil, err
-	}
-	return &job.Spec{Workload: RayName, Args: args}, nil
-}
+func RaySpec(a RayArgs) (*job.Spec, error) { return argsSpec(RayName, a) }

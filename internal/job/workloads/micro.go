@@ -84,10 +84,4 @@ func runMicroBarrier(ctx *job.RunContext) (*job.Result, error) {
 }
 
 // MicroBarrierSpec builds the job spec for one barrier measurement.
-func MicroBarrierSpec(a MicroBarrierArgs) (*job.Spec, error) {
-	args, err := json.Marshal(a)
-	if err != nil {
-		return nil, err
-	}
-	return &job.Spec{Workload: MicroBarrierName, Args: args}, nil
-}
+func MicroBarrierSpec(a MicroBarrierArgs) (*job.Spec, error) { return argsSpec(MicroBarrierName, a) }

@@ -151,10 +151,4 @@ func runSplash(ctx *job.RunContext) (*job.Result, error) {
 }
 
 // SplashSpec builds the job spec for one SPLASH-2 kernel run.
-func SplashSpec(a SplashArgs) (*job.Spec, error) {
-	args, err := json.Marshal(a)
-	if err != nil {
-		return nil, err
-	}
-	return &job.Spec{Workload: SplashName, Args: args}, nil
-}
+func SplashSpec(a SplashArgs) (*job.Spec, error) { return argsSpec(SplashName, a) }

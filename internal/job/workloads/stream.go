@@ -173,13 +173,10 @@ func runStream(ctx *job.RunContext) (*job.Result, error) {
 		return nil, err
 	}
 	return &job.Result{
-		Cycles:   r.BestCycles,
-		Insts:    r.Insts,
-		Run:      r.Run,
-		Stall:    r.Stall,
-		Stalls:   r.Stalls,
-		MemWaits: r.MemWaits,
-		Extra:    extra,
+		Cycles: r.BestCycles,
+		Insts:  r.Insts,
+		Totals: r.Totals,
+		Extra:  extra,
 	}, nil
 }
 
@@ -244,9 +241,6 @@ func StreamResult(p stream.Params, r *job.Result) (*stream.Result, error) {
 		RepCycles:  extra.RepCycles,
 		TotalBytes: extra.TotalBytes,
 		Insts:      r.Insts,
-		Run:        r.Run,
-		Stall:      r.Stall,
-		Stalls:     r.Stalls,
-		MemWaits:   r.MemWaits,
+		Totals:     r.Totals,
 	}, nil
 }

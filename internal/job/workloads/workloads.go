@@ -49,16 +49,21 @@ func parseBarrier(s string) (splash.BarrierKind, error) {
 	return splash.HW, fmt.Errorf("barrier %q (want hw or sw)", s)
 }
 
+// argsSpec builds the job spec that runs workload on args a: the body of
+// SplashSpec, MDSpec, RaySpec and MicroBarrierSpec, whose specs are their
+// arguments alone.
+func argsSpec(workload string, a any) (*job.Spec, error) {
+	args, err := json.Marshal(a)
+	if err != nil {
+		return nil, err
+	}
+	return &job.Spec{Workload: workload, Args: args}, nil
+}
+
 // splashResult maps the common direct-execution accounting into the
 // generic result form.
 func splashResult(r *splash.Result) *job.Result {
-	return &job.Result{
-		Cycles:   r.Cycles,
-		Run:      r.Run,
-		Stall:    r.Stall,
-		Stalls:   r.Stalls,
-		MemWaits: r.MemWaits,
-	}
+	return &job.Result{Cycles: r.Cycles, Totals: r.Totals}
 }
 
 // SplashResult rebuilds the direct-execution result view from a generic
@@ -66,13 +71,7 @@ func splashResult(r *splash.Result) *job.Result {
 // harness code that renders splash.Result fields (Speedup and the
 // run/stall breakdowns).
 func SplashResult(r *job.Result) *splash.Result {
-	return &splash.Result{
-		Cycles:   r.Cycles,
-		Run:      r.Run,
-		Stall:    r.Stall,
-		Stalls:   r.Stalls,
-		MemWaits: r.MemWaits,
-	}
+	return &splash.Result{Cycles: r.Cycles, Totals: r.Totals}
 }
 
 // profileExtra is the Result.Extra of a profiled direct-execution run;

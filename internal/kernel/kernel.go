@@ -228,7 +228,7 @@ func (k *Kernel) freeWorker() int {
 // reused from run to run over one chip builds neither the machine, the
 // thread units nor the order again. Output is dropped, not truncated: a
 // result that took the last run's output keeps it. Reset leaves the chip
-// alone: reset it too (core.Chip.Reset or ResetTo) before the next Boot.
+// alone: reset it too (core.Chip.ResetTo) before the next Boot.
 func (k *Kernel) Reset() {
 	k.StackBytes, k.Policy, k.Output, k.order = 8<<10, Sequential, nil, k.order[:0]
 	clear(k.spawned)

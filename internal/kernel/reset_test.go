@@ -70,7 +70,9 @@ func TestResetKernelEqualsNew(t *testing.T) {
 	}
 	var runs [2]string
 	for i, kk := range []*Kernel{k, New(chip)} {
-		chip.Reset()
+		if err := chip.ResetTo(chip.Cfg); err != nil {
+			t.Fatal(err)
+		}
 		runs[i] = runPrint(t, kk)
 	}
 	if runs[0] != runs[1] {
@@ -86,7 +88,9 @@ func TestResetKernelKeepsItsOrderArray(t *testing.T) {
 	k := New(chip)
 	runPrint(t, k)
 	kept := &k.order[0]
-	chip.Reset()
+	if err := chip.ResetTo(chip.Cfg); err != nil {
+		t.Fatal(err)
+	}
 	k.Reset()
 	if got, want := k.workerOrder(), chip.AppendWorkerOrder(nil, false); !slices.Equal(got, want) {
 		t.Errorf("the reset kernel's sequential order is %v, want %v", got, want)
@@ -94,7 +98,9 @@ func TestResetKernelKeepsItsOrderArray(t *testing.T) {
 	if &k.order[0] != kept {
 		t.Error("the reset kernel allocated a new order array")
 	}
-	chip.Reset()
+	if err := chip.ResetTo(chip.Cfg); err != nil {
+		t.Fatal(err)
+	}
 	k.Reset()
 	runPrint(t, k)
 	if want := chip.AppendWorkerOrder(nil, true); !slices.Equal(k.order, want) || &k.order[0] != kept {

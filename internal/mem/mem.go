@@ -92,7 +92,7 @@ func (m *Memory) FailBank(pb int) error {
 	}
 	for i, b := range m.live {
 		if b == pb {
-			// In place: the slice keeps its array, so a later Reset
+			// In place: the slice keeps its array, so a later ResetTo
 			// refills it without allocating.
 			m.live = slices.Delete(m.live, i, i+1)
 			m.size = uint32(len(m.live) * m.cfg.MemBankBytes)

@@ -201,9 +201,10 @@ func (m *Memory) Write32(addr uint32, v uint32) error {
 
 // --- Reset ------------------------------------------------------------------
 //
-// A chip reused from run to run is reset between them (core.Chip.Reset). The
-// resets sit last in the package, after every accessor, so that adding them
-// moved none of those in the binary (DESIGN.md section 2, code placement).
+// A chip reused from run to run is reset between them (core.Chip.ResetTo).
+// The resets sit last in the package, after every accessor, so that adding
+// them moved none of those in the binary (DESIGN.md section 2, code
+// placement).
 
 // reset zeroes every backed page and moves it from the table to the spare
 // list. The table is all nil again, as in a new store, so a read of a page
@@ -236,50 +237,39 @@ func (s *paged) back(i uint32) *[pageSize]byte {
 	return pg
 }
 
-// Reset returns the memory to power-on state for its configuration: every
-// byte zero, exactly the configuration's first FailedBanks banks re-mapped
-// out of service (as FailBank would leave them), every bank idle, no code
-// watched and every counter zero. The pages writes backed are kept, zeroed,
-// for later writes, so a memory reset between runs allocates no page its
-// earlier runs already had.
-func (m *Memory) Reset() {
-	m.store.reset()
+// ResetTo returns the memory to power-on state for cfg, a configuration
+// that differs from the memory's own at most in its fault state
+// (core.SameShape): the state New(cfg) builds, with every byte zero,
+// exactly cfg's first FailedBanks banks re-mapped out of service (as
+// FailBank would leave them), every bank idle, no code watched and every
+// counter zero. The pages writes backed are kept, zeroed, for later writes,
+// so a memory reset between runs allocates no page its earlier runs
+// already had.
+func (m *Memory) ResetTo(cfg arch.Config) {
+	m.cfg = cfg
 	m.live = m.live[:0]
-	for b := m.cfg.FailedBanks; b < m.cfg.MemBanks; b++ {
+	for b := cfg.FailedBanks; b < cfg.MemBanks; b++ {
 		m.live = append(m.live, b)
 	}
-	m.size = uint32(len(m.live) * m.cfg.MemBankBytes)
+	m.size = uint32(len(m.live) * cfg.MemBankBytes)
+	m.store.reset()
 	clear(m.banks)
 	m.watchLo, m.watchHi, m.watchSet, m.codeGen = 0, 0, false, 0
 	m.LineFills, m.WriteBursts = 0, 0
 }
 
-// Reset returns the external memory to power-on state: every byte zero, the
-// channel idle, no transfer counted. Its pages are kept for later writes,
-// as in Memory.Reset. It is not inlined into core.Chip.Reset: inlined, it
+// ResetTo returns the external memory to power-on state for cfg, a
+// configuration of its shape, as Memory.ResetTo does the embedded one:
+// every byte zero, the channel idle, no transfer counted, its pages kept
+// for later writes. It is not inlined into core.Chip.ResetTo: inlined, it
 // moved the code linked after it, the simulator's included, by 32 bytes
 // mod 64 (DESIGN.md section 2, code placement).
 //
 //go:noinline
-func (o *OffChip) Reset() {
+func (o *OffChip) ResetTo(cfg arch.Config) {
 	o.store.reset()
 	clear(o.block)
-	*o = OffChip{cfg: o.cfg, store: o.store, block: o.block}
-}
-
-// ResetTo is Reset to cfg, a configuration that differs from the memory's
-// own at most in its fault state (core.SameShape): the memory comes back
-// as New(cfg) and Reset leave it, with cfg's failed banks out of service.
-func (m *Memory) ResetTo(cfg arch.Config) {
-	m.cfg = cfg
-	m.Reset()
-}
-
-// ResetTo is Reset to cfg, a configuration of the external memory's shape,
-// as Memory.ResetTo is for the embedded one.
-func (o *OffChip) ResetTo(cfg arch.Config) {
-	o.cfg = cfg
-	o.Reset()
+	*o = OffChip{cfg: cfg, store: o.store, block: o.block}
 }
 
 // HeldBytes returns the host storage the memory holds: the pages backing

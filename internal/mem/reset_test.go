@@ -7,7 +7,7 @@ import (
 	"cyclops/internal/arch"
 )
 
-// Reset returns a used memory to the state a reset of a new one leaves,
+// ResetTo returns a used memory to the state a reset of a new one leaves,
 // with the configuration's failed banks (and only those) out of service,
 // and keeps its pages, zeroed and out of the page table, for later writes;
 // off-chip memory likewise.
@@ -16,7 +16,7 @@ func TestResetMatchesNew(t *testing.T) {
 	cfg.FailedBanks = 2
 	cfg.OffChipBytes = 1 << 20
 	m, o := New(cfg), NewOffChip(cfg)
-	m.Reset()
+	m.ResetTo(m.cfg)
 	if m.LiveBanks() != cfg.MemBanks-2 || m.BankFor(0) != 2 {
 		t.Fatalf("Reset left %d live banks, address 0 on bank %d; want the first two failed", m.LiveBanks(), m.BankFor(0))
 	}
@@ -35,11 +35,11 @@ func TestResetMatchesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	held, offHeld := m.BackedBytes(), o.store.backedBytes()
-	m.Reset()
-	o.Reset()
+	m.ResetTo(m.cfg)
+	o.ResetTo(o.cfg)
 
 	fresh, freshOff := New(cfg), NewOffChip(cfg)
-	fresh.Reset()
+	fresh.ResetTo(fresh.cfg)
 	if m.BackedBytes() != 0 || o.store.backedBytes() != 0 || m.HeldBytes() != held || o.HeldBytes() != offHeld {
 		t.Errorf("Reset left %d and %d B backed, %d and %d B held; want none backed, %d and %d B held",
 			m.BackedBytes(), o.store.backedBytes(), m.HeldBytes(), o.HeldBytes(), held, offHeld)
@@ -61,7 +61,7 @@ func TestResetMatchesNew(t *testing.T) {
 	}); n != 0 || m.HeldBytes() != held {
 		t.Errorf("writes after Reset made %v allocations and left %d B held, want none and %d B", n, m.HeldBytes(), held)
 	}
-	m.Reset()
+	m.ResetTo(m.cfg)
 	m.store, fresh.store = paged{}, paged{}
 	o.store, freshOff.store = paged{}, paged{}
 	if !reflect.DeepEqual(m, fresh) {
@@ -93,7 +93,7 @@ func TestResetToAnotherFaultState(t *testing.T) {
 		t.Fatalf("ResetTo left %d live banks, address 0 on bank %d; want the first three failed", m.LiveBanks(), m.BankFor(0))
 	}
 	fresh, freshOff := New(to), NewOffChip(to)
-	fresh.Reset()
+	fresh.ResetTo(fresh.cfg)
 	m.store, fresh.store = paged{}, paged{}
 	o.store, freshOff.store = paged{}, paged{}
 	if !reflect.DeepEqual(m, fresh) {

@@ -61,7 +61,9 @@ func TestResetAllocationBudget(t *testing.T) {
 			units++
 		}
 	}
-	chip.Reset()
+	if err := chip.ResetTo(chip.Cfg); err != nil {
+		t.Fatal(err)
+	}
 	runtime.ReadMemStats(&before)
 	m.Reset()
 	runtime.ReadMemStats(&after)

@@ -484,7 +484,7 @@ func (m *Machine) Snapshot() *obs.Snapshot {
 // the parking records and the scheduler's lists — so a machine reused from
 // run to run builds only what no earlier run needed.
 //
-// Reset leaves the chip alone: reset it too (core.Chip.Reset or ResetTo),
+// Reset leaves the chip alone: reset it too (core.Chip.ResetTo),
 // before the next run loads a program. The compiled blocks are dropped
 // because a chip reset puts the memory's code generation back to zero, so
 // a block kept across it would survive a new program loaded at its PCs.

@@ -113,7 +113,9 @@ func TestResetMachineEqualsNew(t *testing.T) {
 	// Both over a reset chip, the reset machine and a new one run alike.
 	var runs [2]string
 	for i, mm := range []*Machine{m, New(chip, nil)} {
-		chip.Reset()
+		if err := chip.ResetTo(chip.Cfg); err != nil {
+			t.Fatal(err)
+		}
 		mm.SetPolicy(pol)
 		err := resetRun(t, mm)
 		runs[i] = diffState(mm, err)

@@ -48,8 +48,9 @@ func TestKernelHostAllocationBudget(t *testing.T) {
 	} {
 		var err error
 		run := func() {
-			cfg.Chip.Reset()
-			err = k.run()
+			if err = cfg.Chip.ResetTo(cfg.Chip.Cfg); err == nil {
+				err = k.run()
+			}
 		}
 		run() // the chip backs the pages and lines the run touches
 		got := allocated(run)

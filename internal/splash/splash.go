@@ -16,7 +16,6 @@ import (
 
 	"cyclops/internal/arch"
 	"cyclops/internal/core"
-	"cyclops/internal/obs"
 	"cyclops/internal/perf"
 	"cyclops/internal/prof"
 	"cyclops/internal/timing"
@@ -46,13 +45,9 @@ type Result struct {
 	Problem string
 	// Cycles is the elapsed virtual time of the slowest thread.
 	Cycles uint64
-	// Run and Stall are summed over threads (Figure 7's bars).
-	Run, Stall uint64
-	// Stalls splits Stall by reason; it sums to Stall exactly.
-	Stalls obs.Breakdown
-	// MemWaits sub-attributes memory-system waits by location
-	// (port/bank/fill/hop), summed over threads.
-	MemWaits obs.MemWaits
+	// Totals is the cycle accounting summed over threads (Figure 7's
+	// bars).
+	timing.Totals
 	// Profile, Regions and Timeline are the attached profiler outputs
 	// (nil unless Config asked for them); Regions symbolizes the
 	// profile's synthetic region PCs.
@@ -171,16 +166,12 @@ func (b *Barrier) Wait(t *perf.T, index int) {
 // here, the Section 5 applications (internal/md, internal/ray) and the
 // barrier microbenchmark.
 func NewResult(name, problem string, threads int, m *perf.Machine) *Result {
-	t := m.Totals()
 	return &Result{
 		Name:     name,
 		Threads:  threads,
 		Problem:  problem,
 		Cycles:   m.Elapsed(),
-		Run:      t.Run,
-		Stall:    t.Stall,
-		Stalls:   t.Stalls,
-		MemWaits: t.MemWaits,
+		Totals:   m.Totals(),
 		Profile:  m.Prof,
 		Regions:  m.Regions,
 		Timeline: m.TL,

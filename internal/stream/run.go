@@ -7,8 +7,8 @@ import (
 	"cyclops/internal/asm"
 	"cyclops/internal/core"
 	"cyclops/internal/kernel"
-	"cyclops/internal/obs"
 	"cyclops/internal/prof"
+	"cyclops/internal/timing"
 )
 
 // Result reports one STREAM measurement.
@@ -22,13 +22,9 @@ type Result struct {
 	TotalBytes int
 	// Insts is the total instructions the run issued (all reps).
 	Insts uint64
-	// Run and Stall are the Figure 7 cycle totals summed over every
-	// thread unit (workers plus the spawning main thread); Stalls splits
-	// Stall by reason and sums to it exactly. MemWaits sub-attributes
-	// memory-system waits by location (port/bank/fill/hop).
-	Run, Stall uint64
-	Stalls     obs.Breakdown
-	MemWaits   obs.MemWaits
+	// Totals is the Figure 7 cycle accounting summed over every thread
+	// unit (workers plus the spawning main thread).
+	timing.Totals
 	// Profile and Timeline are the attached profiler outputs (nil
 	// unless Params asked for them); Prog is the assembled program,
 	// whose line table symbolizes the profile.
@@ -128,8 +124,8 @@ func RunKernel(k *kernel.Kernel, p Params, policy Policy) (*Result, error) {
 	}
 	t := k.Machine().Totals()
 	res := &Result{
-		Params: p, Insts: k.Machine().TotalInsts(), Profile: pr, Timeline: tl, Prog: prog,
-		Run: t.Run, Stall: t.Stall, Stalls: t.Stalls, MemWaits: t.MemWaits,
+		Params: p, Insts: k.Machine().TotalInsts(), Totals: t,
+		Profile: pr, Timeline: tl, Prog: prog,
 	}
 	total := p.N
 	if p.Independent {

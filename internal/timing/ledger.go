@@ -204,11 +204,14 @@ func (l *Ledger) observe(w cache.Wait) {
 
 // Totals is the cycle accounting summed over a machine's threads: run and
 // stall cycles, the stall split by reason and the memory-wait attribution.
-// Both frontends' Machine.Totals return one.
+// Both frontends' Machine.Totals return one, and it is the one form of the
+// accounting from there to the served bytes: the STREAM, SPLASH-2 and job
+// results embed it, and its tags are job.Result's canonical encoding.
 type Totals struct {
-	Run, Stall uint64
-	Stalls     obs.Breakdown
-	MemWaits   obs.MemWaits
+	Run      uint64        `json:"run,omitempty"`
+	Stall    uint64        `json:"stall,omitempty"`
+	Stalls   obs.Breakdown `json:"stalls"`
+	MemWaits obs.MemWaits  `json:"mem_waits"`
 }
 
 // Add sums one thread's ledger into the totals.
