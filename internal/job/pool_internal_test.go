@@ -34,7 +34,7 @@ func TestResultOutputSurvivesTheNextRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runProgram(&RunContext{Spec: spec, Chip: pc.chip, pooled: pc})
+		res, err := runProgram(&RunContext{Spec: spec, Chip: pc.chip, pooled: pc}, nil)
 		p.put(pc, err == nil)
 		if err != nil {
 			t.Fatal(err)
@@ -48,6 +48,30 @@ func TestResultOutputSurvivesTheNextRun(t *testing.T) {
 	}
 	if string(a.Output) != "12345" || string(b.Output) != "9" {
 		t.Errorf("outputs %q and %q, want \"12345\" and \"9\"", a.Output, b.Output)
+	}
+}
+
+// RunContext.Kernel puts the machine it hands out on the Runner's engine,
+// for every run, on a new chip and on a reused one: a program run on the
+// block engine compiles blocks, and one on the legacy engine none.
+func TestKernelRunsOnTheRunnersEngine(t *testing.T) {
+	p, err := asm.Assemble("\tli a0, 2\n\tli a1, 7\n\tsyscall\n\tli a0, 0\n\tsyscall\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &Spec{Workload: ProgramWorkload, Program: image.Encode(p)}
+	for _, e := range []sim.Engine{sim.EngineLegacy, sim.EngineBlock} {
+		r := NewRunner()
+		r.Engine = e
+		for run := range 2 {
+			if _, err := r.Run(spec); err != nil {
+				t.Fatal(err)
+			}
+			compiles, _ := r.chips.idle[0].kern.Machine().BlockStats()
+			if (compiles > 0) != (e == sim.EngineBlock) {
+				t.Errorf("engine %v, run %d: %d blocks compiled", e, run, compiles)
+			}
+		}
 	}
 }
 
@@ -88,30 +112,22 @@ type budgetArgs struct {
 }
 
 func init() {
-	Register(Workload{
-		Name:  "test-pool-budget",
-		Canon: func(raw json.RawMessage) (json.RawMessage, error) { return raw, nil },
-		Run: func(ctx *RunContext) (*Result, error) {
-			var a budgetArgs
-			if err := json.Unmarshal(ctx.Spec.Args, &a); err != nil {
+	Define("test-pool-budget", nil, func(ctx *RunContext, a *budgetArgs) (*Result, error) {
+		c, m := ctx.Chip, ctx.Kernel().Machine()
+		budgetRun.pc = ctx.pooled
+		budgetRun.powerOn = c.Mem.BackedBytes() == 0 && c.Data.Caches[0].Misses == 0 && m.Cycle() == 0
+		for tid := range a.Units {
+			tu := m.Unit(tid)
+			budgetRun.powerOn = budgetRun.powerOn && tu.State == sim.Idle && tu.Regs[5] == 0
+			tu.Regs[5] = 1
+		}
+		for page := range a.Pages {
+			if err := c.Mem.Write32(uint32(page)<<14, 1); err != nil {
 				return nil, err
 			}
-			c, m := ctx.Chip, ctx.Kernel().Machine()
-			budgetRun.pc = ctx.pooled
-			budgetRun.powerOn = c.Mem.BackedBytes() == 0 && c.Data.Caches[0].Misses == 0 && m.Cycle() == 0
-			for tid := range a.Units {
-				tu := m.Unit(tid)
-				budgetRun.powerOn = budgetRun.powerOn && tu.State == sim.Idle && tu.Regs[5] == 0
-				tu.Regs[5] = 1
-			}
-			for page := range a.Pages {
-				if err := c.Mem.Write32(uint32(page)<<14, 1); err != nil {
-					return nil, err
-				}
-			}
-			c.Data.Load(0, 0, 8, 0)
-			return &Result{Cycles: 1}, nil
-		},
+		}
+		c.Data.Load(0, 0, 8, 0)
+		return &Result{Cycles: 1}, nil
 	})
 }
 

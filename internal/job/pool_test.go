@@ -34,49 +34,35 @@ type probeArgs struct {
 
 func init() {
 	chipProbe.chips = map[string]*core.Chip{}
-	job.Register(job.Workload{
-		Name: "test-chip-probe",
-		Canon: func(raw json.RawMessage) (json.RawMessage, error) {
-			var a probeArgs
-			if err := json.Unmarshal(raw, &a); err != nil {
-				return nil, err
-			}
-			return json.Marshal(a)
-		},
-		Run: func(ctx *job.RunContext) (*job.Result, error) {
-			var a probeArgs
-			if err := json.Unmarshal(ctx.Spec.Args, &a); err != nil {
-				return nil, err
-			}
-			if a.Gate {
-				chipProbe.in <- struct{}{}
-				<-chipProbe.gate
-			}
-			c := ctx.Chip
-			chipProbe.mu.Lock()
-			chipProbe.chips[a.ID] = c
-			if v, _ := c.Mem.Read32(0); v != 0 || c.Data.Caches[0].Misses != 0 {
-				chipProbe.dirty = append(chipProbe.dirty, a.ID)
-			}
-			chipProbe.mu.Unlock()
-			if err := c.Mem.Write32(0, 0xdead); err != nil {
-				return nil, err
-			}
-			c.Data.Load(0, 0, 8, 0)
-			switch a.End {
-			case "fill":
-				for addr := uint32(0); addr < c.Mem.Size(); addr += 1 << 14 {
-					if err := c.Mem.Write32(addr, 1); err != nil {
-						return nil, err
-					}
+	job.Define("test-chip-probe", nil, func(ctx *job.RunContext, a *probeArgs) (*job.Result, error) {
+		if a.Gate {
+			chipProbe.in <- struct{}{}
+			<-chipProbe.gate
+		}
+		c := ctx.Chip
+		chipProbe.mu.Lock()
+		chipProbe.chips[a.ID] = c
+		if v, _ := c.Mem.Read32(0); v != 0 || c.Data.Caches[0].Misses != 0 {
+			chipProbe.dirty = append(chipProbe.dirty, a.ID)
+		}
+		chipProbe.mu.Unlock()
+		if err := c.Mem.Write32(0, 0xdead); err != nil {
+			return nil, err
+		}
+		c.Data.Load(0, 0, 8, 0)
+		switch a.End {
+		case "fill":
+			for addr := uint32(0); addr < c.Mem.Size(); addr += 1 << 14 {
+				if err := c.Mem.Write32(addr, 1); err != nil {
+					return nil, err
 				}
-			case "error":
-				return nil, fmt.Errorf("run %s failed", a.ID)
-			case "panic":
-				panic("run " + a.ID + " panicked")
 			}
-			return &job.Result{Cycles: 1}, nil
-		},
+		case "error":
+			return nil, fmt.Errorf("run %s failed", a.ID)
+		case "panic":
+			panic("run " + a.ID + " panicked")
+		}
+		return &job.Result{Cycles: 1}, nil
 	})
 }
 

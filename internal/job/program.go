@@ -2,26 +2,21 @@ package job
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"cyclops/internal/image"
 	"cyclops/internal/kernel"
 )
 
-func init() {
-	Register(Workload{
-		Name:  ProgramWorkload,
-		Canon: func(args json.RawMessage) (json.RawMessage, error) { return nil, nil }, // program specs carry no args
-		Run:   runProgram,
-	})
-}
+// A program spec carries no args (Canonicalize refuses them): its A is
+// empty and it needs no check.
+func init() { Define(ProgramWorkload, nil, runProgram) }
 
 // runProgram boots a CYC1 image under the resident kernel — the
 // cyclops-sim execution path without the interactive outputs — and
 // collects the console output, the cycle accounting, and the stats
 // snapshot when requested.
-func runProgram(ctx *RunContext) (*Result, error) {
+func runProgram(ctx *RunContext, _ *struct{}) (*Result, error) {
 	prog, err := image.Decode(ctx.Spec.Program)
 	if err != nil {
 		return nil, err
@@ -30,7 +25,6 @@ func runProgram(ctx *RunContext) (*Result, error) {
 	if ctx.Spec.Balanced {
 		k.Policy = kernel.Balanced
 	}
-	k.Machine().SetEngine(ctx.Engine)
 	k.Machine().SetPolicy(ctx.Policy)
 	k.Machine().MaxCycles = ctx.Spec.MaxCycles
 	if err := k.Boot(prog); err != nil {

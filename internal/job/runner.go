@@ -86,11 +86,11 @@ type Runner struct {
 	Defaults Defaults
 
 	// Engine is the test-only oracle override: the instruction engine
-	// the Runner's sim-backed workloads (stream, program) run on. The
-	// zero value is the block engine; tests set the legacy engine to hold
-	// the block engine to the oracle. It is deliberately not part of the
-	// key: both engines produce the same result bytes. Set it before the
-	// first Run.
+	// RunContext.Kernel selects for the machine the Runner's sim-backed
+	// workloads (stream, program) run on. The zero value is the block
+	// engine; tests set the legacy engine to hold the block engine to the
+	// oracle. It is deliberately not part of the key: both engines produce
+	// the same result bytes. Set it before the first Run.
 	Engine sim.Engine
 
 	// Cache, when non-nil, fronts execution. Set it before the first Run;
@@ -100,9 +100,10 @@ type Runner struct {
 	// Tracer, when non-nil, records every run as a span tree:
 	// canonicalize, cache_lookup (with the cache's tier sub-spans),
 	// coalesce_wait, execute, encode and store, parented under the span
-	// passed to RunEncodedTraced — or under a fresh root per run when
-	// none is (the cyclops-bench -trace-runs mode). Nil tracing costs a
-	// handful of nil checks per run. Set it before the first Run.
+	// passed to ResolveTraced and RunResolvedTraced — or under a fresh
+	// root per run when none is, as for every Run (the cyclops-bench
+	// -trace-runs mode). Nil tracing costs a handful of nil checks per
+	// run. Set it before the first Run.
 	Tracer *obs.Tracer
 
 	// metrics, when set by Instrument, receives per-stage and
@@ -254,32 +255,27 @@ func (r *Runner) observeRun(workload string, d time.Duration) {
 // Run never calls into the sweep pool itself, so it is safe to call from
 // inside a sweep.Map worker (the harness experiments do exactly that).
 func (r *Runner) Run(spec *Spec) (*Result, error) {
-	data, _, err := r.RunEncodedTraced(spec, nil)
+	data, _, err := r.run(spec, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return DecodeResult(data)
 }
 
-// RunEncodedTraced is Run without the final decode, with tracing and
-// full serving info: it returns the canonical encoded result — the exact
-// bytes the cache stores and the serve daemon ships; callers must not
-// mutate the slice — every stage becomes a child span of parent (see
-// Tracer), and the returned RunInfo says whether the cache or a
+// RunResolvedTraced is Run for a submission already resolved by
+// ResolveTraced, without the final decode, with tracing and full serving
+// info: it returns the canonical encoded result — the exact bytes the
+// cache stores and the serve daemon ships; callers must not mutate the
+// slice — every stage after canonicalize becomes a child span of parent
+// (see Tracer), and the returned RunInfo says whether the cache or a
 // coalesced execution served the bytes. With a nil parent and a non-nil
-// Tracer each run roots its own trace.
-func (r *Runner) RunEncodedTraced(spec *Spec, parent *obs.ActiveSpan) ([]byte, RunInfo, error) {
-	return r.run(spec, nil, parent)
-}
-
-// RunResolvedTraced is RunEncodedTraced for a submission already resolved
-// by ResolveTraced: the same stages, entered after canonicalize.
+// Tracer the run roots its own trace.
 func (r *Runner) RunResolvedTraced(res *Resolved, parent *obs.ActiveSpan) ([]byte, RunInfo, error) {
 	return r.run(res.Spec, res, parent)
 }
 
-// run is the body of RunEncodedTraced and RunResolvedTraced; res is nil
-// until spec is resolved.
+// run is the body of Run and RunResolvedTraced; res is nil until spec is
+// resolved.
 func (r *Runner) run(spec *Spec, res *Resolved, parent *obs.ActiveSpan) ([]byte, RunInfo, error) {
 	var info RunInfo
 	root := parent
@@ -421,7 +417,7 @@ func (r *Runner) CachedTraced(res *Resolved, parent *obs.ActiveSpan) ([]byte, bo
 // execute performs one real run and returns the decoded result.
 func (r *Runner) execute(canon *Spec) (*Result, error) {
 	r.executions.Add(1)
-	w, ok := LookupWorkload(canon.Workload)
+	w, ok := lookupWorkload(canon.Workload)
 	if !ok {
 		return nil, fmt.Errorf("job: unknown workload %q", canon.Workload)
 	}
@@ -442,14 +438,14 @@ func (r *Runner) execute(canon *Spec) (*Result, error) {
 	return res, nil
 }
 
-// runWorkload is w.Run with a panic recovered into a *PanicError.
-func runWorkload(w Workload, ctx *RunContext) (res *Result, err error) {
+// runWorkload is w.run with a panic recovered into a *PanicError.
+func runWorkload(w workload, ctx *RunContext) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return w.Run(ctx)
+	return w.run(ctx)
 }
 
 // Stats snapshots the counters.

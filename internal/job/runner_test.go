@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -32,6 +33,21 @@ func smallStreamSpec(t *testing.T) *job.Spec {
 	return spec
 }
 
+// runEncoded resolves spec on r and runs it, returning the canonical
+// result bytes and how they were served.
+func runEncoded(t *testing.T, r *job.Runner, spec *job.Spec) ([]byte, job.RunInfo) {
+	t.Helper()
+	res, err := r.ResolveTraced(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, info, err := r.RunResolvedTraced(&res, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, info
+}
+
 // The hit≡miss contract, and why the engine is not part of the key: on
 // the block engine the bytes a cold execution returns are the bytes the
 // warm cache returns, and an uncached Runner on the legacy oracle
@@ -46,17 +62,11 @@ func TestHitMissByteIdenticalAcrossEngines(t *testing.T) {
 	t.Run("block", func(t *testing.T) {
 		r := job.NewRunner()
 		r.Cache = resultcache.OpenMemory(0)
-		cold, info, err := r.RunEncodedTraced(spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cold, info := runEncoded(t, r, spec)
 		if info.Cached {
 			t.Fatal("cold run reported cached")
 		}
-		warm, info, err := r.RunEncodedTraced(spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		warm, info := runEncoded(t, r, spec)
 		if !info.Cached {
 			t.Fatal("warm run missed the cache")
 		}
@@ -67,6 +77,7 @@ func TestHitMissByteIdenticalAcrossEngines(t *testing.T) {
 		if st.Executions != 1 || st.Hits != 1 || st.Misses != 1 {
 			t.Fatalf("stats = %+v; want 1 execution, 1 hit, 1 miss", st)
 		}
+		var err error
 		if _, refKey, err = r.Resolve(spec); err != nil {
 			t.Fatal(err)
 		}
@@ -85,10 +96,7 @@ func TestHitMissByteIdenticalAcrossEngines(t *testing.T) {
 		if key != refKey {
 			t.Fatalf("the engine override moved the key: %s, block %s", key, refKey)
 		}
-		got, _, err := r.RunEncodedTraced(spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, _ := runEncoded(t, r, spec)
 		if st := r.Stats(); st.Executions != 1 {
 			t.Fatalf("stats = %+v; want 1 execution", st)
 		}
@@ -140,15 +148,9 @@ func TestCachedServesOnlyDecodableEntries(t *testing.T) {
 // way a test reaches the legacy oracle through the job layer.
 func TestRunnerEngineReachesTheWorkload(t *testing.T) {
 	var seen []sim.Engine
-	job.Register(job.Workload{
-		Name: "test-engine",
-		Canon: func(args json.RawMessage) (json.RawMessage, error) {
-			return json.RawMessage(`{}`), nil
-		},
-		Run: func(ctx *job.RunContext) (*job.Result, error) {
-			seen = append(seen, ctx.Engine)
-			return &job.Result{}, nil
-		},
+	job.Define("test-engine", nil, func(ctx *job.RunContext, _ *struct{}) (*job.Result, error) {
+		seen = append(seen, ctx.Engine)
+		return &job.Result{}, nil
 	})
 	spec := &job.Spec{Workload: "test-engine", Args: json.RawMessage(`{}`)}
 	for _, e := range sim.Engines() {
@@ -255,22 +257,16 @@ type gate struct {
 func registerGate(t *testing.T, name string) *gate {
 	t.Helper()
 	g := &gate{started: make(chan struct{}), release: make(chan struct{})}
-	job.Register(job.Workload{
-		Name: name,
-		Canon: func(args json.RawMessage) (json.RawMessage, error) {
-			return json.RawMessage(`{}`), nil
-		},
-		Run: func(ctx *job.RunContext) (*job.Result, error) {
-			g.mu.Lock()
-			g.runs++
-			runs := g.runs
-			g.mu.Unlock()
-			if runs == 1 {
-				close(g.started)
-				<-g.release
-			}
-			return &job.Result{Cycles: 42}, nil
-		},
+	job.Define(name, nil, func(ctx *job.RunContext, _ *struct{}) (*job.Result, error) {
+		g.mu.Lock()
+		g.runs++
+		runs := g.runs
+		g.mu.Unlock()
+		if runs == 1 {
+			close(g.started)
+			<-g.release
+		}
+		return &job.Result{Cycles: 42}, nil
 	})
 	return g
 }
@@ -330,17 +326,11 @@ func TestConcurrentDuplicatesCoalesce(t *testing.T) {
 // not be cached.
 func TestErrorsPropagateAndAreNotCached(t *testing.T) {
 	fail := true
-	job.Register(job.Workload{
-		Name: "test-gate-error",
-		Canon: func(args json.RawMessage) (json.RawMessage, error) {
-			return json.RawMessage(`{}`), nil
-		},
-		Run: func(ctx *job.RunContext) (*job.Result, error) {
-			if fail {
-				return nil, fmt.Errorf("deterministic guest trap")
-			}
-			return &job.Result{Cycles: 7}, nil
-		},
+	job.Define("test-gate-error", nil, func(ctx *job.RunContext, _ *struct{}) (*job.Result, error) {
+		if fail {
+			return nil, fmt.Errorf("deterministic guest trap")
+		}
+		return &job.Result{Cycles: 7}, nil
 	})
 	r := job.NewRunner()
 	r.Cache = resultcache.OpenMemory(0)
@@ -371,16 +361,10 @@ func TestErrorsPropagateAndAreNotCached(t *testing.T) {
 // spec executes again. The message carries the panic's value and stack;
 // the *job.PanicError's Summary names the value only.
 func TestWorkloadPanicIsRunError(t *testing.T) {
-	if _, ok := job.LookupWorkload("test-gate-panic"); !ok {
-		job.Register(job.Workload{
-			Name: "test-gate-panic",
-			Canon: func(args json.RawMessage) (json.RawMessage, error) {
-				return json.RawMessage(`{}`), nil
-			},
-			Run: func(ctx *job.RunContext) (*job.Result, error) {
-				var eas []uint32
-				return &job.Result{Cycles: uint64(eas[3])}, nil // index out of range
-			},
+	if !slices.Contains(job.WorkloadNames(), "test-gate-panic") {
+		job.Define("test-gate-panic", nil, func(ctx *job.RunContext, _ *struct{}) (*job.Result, error) {
+			var eas []uint32
+			return &job.Result{Cycles: uint64(eas[3])}, nil // index out of range
 		})
 	}
 	r := job.NewRunner()

@@ -123,7 +123,7 @@ func (s *Spec) canonicalize(d Defaults) (*Spec, error) {
 		return s, nil
 	}
 	c := *s
-	w, ok := LookupWorkload(c.Workload)
+	w, ok := lookupWorkload(c.Workload)
 	if !ok {
 		return nil, fmt.Errorf("job: unknown workload %q (have %v)", c.Workload, WorkloadNames())
 	}
@@ -144,7 +144,7 @@ func (s *Spec) canonicalize(d Defaults) (*Spec, error) {
 		if len(c.Outputs) > 0 {
 			return nil, fmt.Errorf("job: outputs are program-only; workload %q has none", c.Workload)
 		}
-		args, err := w.Canon(c.Args)
+		args, err := w.canon(c.Args)
 		if err != nil {
 			return nil, fmt.Errorf("job: workload %q args: %w", c.Workload, err)
 		}

@@ -44,7 +44,7 @@ func TestRunnerSpanTaxonomy(t *testing.T) {
 	r.Tracer = obs.NewTracerSeeded(obs.DefaultTraceCapacity, 7)
 	spec := smallStreamSpec(t)
 
-	if _, _, err := r.RunEncodedTraced(spec, nil); err != nil {
+	if _, err := r.Run(spec); err != nil {
 		t.Fatal(err)
 	}
 	spans := r.Tracer.Snapshot()
@@ -74,8 +74,8 @@ func TestRunnerSpanTaxonomy(t *testing.T) {
 	}
 
 	before := r.Tracer.Recorded()
-	if _, info, err := r.RunEncodedTraced(spec, nil); err != nil || !info.Cached {
-		t.Fatalf("warm run: cached=%t err=%v; want hit", info.Cached, err)
+	if _, err := r.Run(spec); err != nil || r.Stats().Hits != 1 {
+		t.Fatalf("warm run: %d hits, err=%v; want a hit", r.Stats().Hits, err)
 	}
 	var warmTrace string
 	for _, sp := range r.Tracer.Snapshot()[before:] {
@@ -108,7 +108,7 @@ func TestCoalesceWaitSpans(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = r.RunEncodedTraced(spec, nil)
+			_, errs[i] = r.Run(spec)
 		}(i)
 	}
 	<-g.started
@@ -152,11 +152,10 @@ func TestInstrumentStageHistograms(t *testing.T) {
 		t.Fatal("Instrument left Tracer nil")
 	}
 	spec := smallStreamSpec(t)
-	if _, _, err := r.RunEncodedTraced(spec, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.RunEncodedTraced(spec, nil); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if _, err := r.Run(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	wantCounts := map[string]uint64{

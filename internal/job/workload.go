@@ -1,7 +1,9 @@
 package job
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"sort"
 	"sync"
 
@@ -56,9 +58,8 @@ func DecodeResult(data []byte) (*Result, error) {
 // later run, of that configuration or another of its shape
 // (core.SameShape), so a workload keeps no reference to it, nor to the
 // Kernel over it. Every workload hands Spec.MaxCycles to the machine it
-// runs on. Engine is the Runner's instruction engine (Runner.Engine), for
-// workloads that boot a sim.Machine to pass to SetEngine; it never changes
-// a result.
+// runs on. Engine is the Runner's instruction engine (Runner.Engine), which
+// Kernel selects on the machine it hands out; it never changes a result.
 type RunContext struct {
 	Spec   *Spec
 	Chip   *core.Chip
@@ -70,10 +71,11 @@ type RunContext struct {
 	pooled *pooledChip
 }
 
-// Kernel returns the resident kernel over Chip, at kernel.New's defaults:
-// the one an earlier run on the chip built, reset with it, or a new one,
-// which later runs on the chip get in turn. A workload that boots guest
-// code takes its kernel and machine here instead of building them.
+// Kernel returns the resident kernel over Chip, at kernel.New's defaults
+// with its machine on the Runner's Engine: the one an earlier run on the
+// chip built, reset with it, or a new one, which later runs on the chip
+// get in turn. A workload that boots guest code takes its kernel and
+// machine here, once, before Boot, instead of building them.
 func (ctx *RunContext) Kernel() *kernel.Kernel {
 	if ctx.pooled == nil {
 		ctx.pooled = &pooledChip{chip: ctx.Chip}
@@ -81,41 +83,86 @@ func (ctx *RunContext) Kernel() *kernel.Kernel {
 	if ctx.pooled.kern == nil {
 		ctx.pooled.kern = kernel.New(ctx.Chip)
 	}
+	ctx.pooled.kern.Machine().SetEngine(ctx.Engine)
 	return ctx.pooled.kern
 }
 
-// Workload is one registered run kind.
-type Workload struct {
-	// Name is the spec spelling.
-	Name string
-	// Canon re-encodes args through the workload's argument schema,
-	// validating them; equivalent spellings must encode identically.
-	Canon func(args json.RawMessage) (json.RawMessage, error)
-	// Run executes one canonicalized point.
-	Run func(ctx *RunContext) (*Result, error)
+// workload is one registered run kind: canon re-encodes a spec's args in
+// their canonical spelling, run executes a canonical spec.
+type workload struct {
+	canon func(args json.RawMessage) (json.RawMessage, error)
+	run   func(ctx *RunContext) (*Result, error)
 }
 
 var (
 	workloadMu  sync.RWMutex
-	workloads   = map[string]Workload{}
+	workloads   = map[string]workload{}
 	workloadIDs []string
 )
 
-// Register adds a workload. Duplicate names panic: registration happens
-// in package init, where a collision is a programming error.
-func Register(w Workload) {
+// Define registers the workload name, whose args are an A. It is the one
+// definition of what a spec's args mean: Canonicalize decodes them into
+// an A strictly (unknown fields and trailing data refused), hands it to
+// check, which refuses what the workload cannot run and makes every
+// defaultable field explicit, and encodes the checked A with json.Marshal
+// as the canonical args; so equivalent spellings key identically. A nil
+// check accepts any A as it decodes. A run decodes the canonical args
+// into an A for run (a program spec carries none, so its A stays zero).
+// Duplicate names panic: registration happens in package init, where a
+// collision is a programming error.
+func Define[A any](name string, check func(*A) error, run func(*RunContext, *A) (*Result, error)) {
+	w := workload{
+		canon: func(args json.RawMessage) (json.RawMessage, error) {
+			var a A
+			if err := strict(args, &a); err != nil {
+				return nil, err
+			}
+			if check != nil {
+				if err := check(&a); err != nil {
+					return nil, err
+				}
+			}
+			return json.Marshal(&a)
+		},
+		run: func(ctx *RunContext) (*Result, error) {
+			var a A
+			if len(ctx.Spec.Args) > 0 {
+				if err := json.Unmarshal(ctx.Spec.Args, &a); err != nil {
+					return nil, err
+				}
+			}
+			return run(ctx, &a)
+		},
+	}
 	workloadMu.Lock()
 	defer workloadMu.Unlock()
-	if _, dup := workloads[w.Name]; dup {
-		panic("job: duplicate workload " + w.Name)
+	if _, dup := workloads[name]; dup {
+		panic("job: duplicate workload " + name)
 	}
-	workloads[w.Name] = w
-	workloadIDs = append(workloadIDs, w.Name)
+	workloads[name] = w
+	workloadIDs = append(workloadIDs, name)
 	sort.Strings(workloadIDs)
 }
 
-// LookupWorkload finds a registered workload.
-func LookupWorkload(name string) (Workload, bool) {
+// strict decodes args into v, rejecting unknown fields and trailing data:
+// the canonical-spelling guarantee starts here.
+func strict(args json.RawMessage, v any) error {
+	if len(args) == 0 {
+		return fmt.Errorf("missing args")
+	}
+	dec := json.NewDecoder(bytes.NewReader(args))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return fmt.Errorf("trailing data after args")
+	}
+	return nil
+}
+
+// lookupWorkload finds a registered workload.
+func lookupWorkload(name string) (workload, bool) {
 	workloadMu.RLock()
 	defer workloadMu.RUnlock()
 	w, ok := workloads[name]

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"cyclops/internal/job"
@@ -36,37 +35,21 @@ type RayArgs struct {
 }
 
 func init() {
-	job.Register(job.Workload{
-		Name:  MDName,
-		Canon: canonMD,
-		Run:   runMD,
-	})
-	job.Register(job.Workload{
-		Name:  RayName,
-		Canon: canonRay,
-		Run:   runRay,
-	})
+	job.Define(MDName, checkMD, runMD)
+	job.Define(RayName, checkRay, runRay)
 }
 
-func canonMD(args json.RawMessage) (json.RawMessage, error) {
-	var a MDArgs
-	if err := strict(args, &a); err != nil {
-		return nil, err
-	}
+func checkMD(a *MDArgs) error {
 	if a.Threads < 1 {
-		return nil, fmt.Errorf("threads = %d", a.Threads)
+		return fmt.Errorf("threads = %d", a.Threads)
 	}
 	if a.Particles < 1 {
-		return nil, fmt.Errorf("particles = %d", a.Particles)
+		return fmt.Errorf("particles = %d", a.Particles)
 	}
-	return json.Marshal(a)
+	return nil
 }
 
-func runMD(ctx *job.RunContext) (*job.Result, error) {
-	var a MDArgs
-	if err := strict(ctx.Spec.Args, &a); err != nil {
-		return nil, err
-	}
+func runMD(ctx *job.RunContext, a *MDArgs) (*job.Result, error) {
 	r, _, err := md.Run(md.Opts{
 		Config:     splash.Config{Threads: a.Threads, Balanced: a.Balanced, Chip: ctx.Chip, Issue: ctx.Policy, MaxCycles: ctx.Spec.MaxCycles},
 		NParticles: a.Particles,
@@ -78,25 +61,17 @@ func runMD(ctx *job.RunContext) (*job.Result, error) {
 	return splashResult(r), nil
 }
 
-func canonRay(args json.RawMessage) (json.RawMessage, error) {
-	var a RayArgs
-	if err := strict(args, &a); err != nil {
-		return nil, err
-	}
+func checkRay(a *RayArgs) error {
 	if a.Threads < 1 {
-		return nil, fmt.Errorf("threads = %d", a.Threads)
+		return fmt.Errorf("threads = %d", a.Threads)
 	}
 	if a.Width < 1 || a.Height < 1 {
-		return nil, fmt.Errorf("image %dx%d", a.Width, a.Height)
+		return fmt.Errorf("image %dx%d", a.Width, a.Height)
 	}
-	return json.Marshal(a)
+	return nil
 }
 
-func runRay(ctx *job.RunContext) (*job.Result, error) {
-	var a RayArgs
-	if err := strict(ctx.Spec.Args, &a); err != nil {
-		return nil, err
-	}
+func runRay(ctx *job.RunContext, a *RayArgs) (*job.Result, error) {
 	r, _, err := ray.Render(ray.Opts{
 		Config: splash.Config{Threads: a.Threads, Balanced: a.Balanced, Chip: ctx.Chip, Issue: ctx.Policy, MaxCycles: ctx.Spec.MaxCycles},
 		Width:  a.Width,

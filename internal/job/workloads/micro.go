@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"cyclops/internal/job"
@@ -23,40 +22,25 @@ type MicroBarrierArgs struct {
 	Phases  int    `json:"phases"`
 }
 
-func init() {
-	job.Register(job.Workload{
-		Name:  MicroBarrierName,
-		Canon: canonMicroBarrier,
-		Run:   runMicroBarrier,
-	})
-}
+func init() { job.Define(MicroBarrierName, checkMicroBarrier, runMicroBarrier) }
 
-func canonMicroBarrier(args json.RawMessage) (json.RawMessage, error) {
-	var a MicroBarrierArgs
-	if err := strict(args, &a); err != nil {
-		return nil, err
-	}
+func checkMicroBarrier(a *MicroBarrierArgs) error {
 	if a.Threads < 1 {
-		return nil, fmt.Errorf("threads = %d", a.Threads)
+		return fmt.Errorf("threads = %d", a.Threads)
 	}
 	if a.Phases < 1 {
-		return nil, fmt.Errorf("phases = %d", a.Phases)
+		return fmt.Errorf("phases = %d", a.Phases)
 	}
-	if _, err := parseBarrier(a.Barrier); err != nil {
-		return nil, err
+	kind, err := splash.ParseBarrier(a.Barrier)
+	if err != nil {
+		return err
 	}
-	if a.Barrier == "" {
-		a.Barrier = "hw"
-	}
-	return json.Marshal(a)
+	a.Barrier = kind.String()
+	return nil
 }
 
-func runMicroBarrier(ctx *job.RunContext) (*job.Result, error) {
-	var a MicroBarrierArgs
-	if err := strict(ctx.Spec.Args, &a); err != nil {
-		return nil, err
-	}
-	kind, err := parseBarrier(a.Barrier)
+func runMicroBarrier(ctx *job.RunContext, a *MicroBarrierArgs) (*job.Result, error) {
+	kind, err := splash.ParseBarrier(a.Barrier)
 	if err != nil {
 		return nil, err
 	}

@@ -91,7 +91,11 @@ func reusePoints(t testing.TB) []*job.Spec {
 
 // encoded runs spec on r, returning its result bytes or its error text.
 func encoded(r *job.Runner, spec *job.Spec) string {
-	data, _, err := r.RunEncodedTraced(spec, nil)
+	res, err := r.ResolveTraced(spec, nil)
+	var data []byte
+	if err == nil {
+		data, _, err = r.RunResolvedTraced(&res, nil)
+	}
 	if err != nil {
 		return "error: " + err.Error()
 	}

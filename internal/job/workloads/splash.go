@@ -39,13 +39,7 @@ type SplashArgs struct {
 	ProfileEvery uint64 `json:"profile_every,omitempty"`
 }
 
-func init() {
-	job.Register(job.Workload{
-		Name:  SplashName,
-		Canon: canonSplash,
-		Run:   runSplash,
-	})
-}
+func init() { job.Define(SplashName, checkSplash, runSplash) }
 
 // splashNBody reports whether the kernel sizes itself with Bodies.
 func splashNBody(kernel string) (nbody, ok bool) {
@@ -58,59 +52,51 @@ func splashNBody(kernel string) (nbody, ok bool) {
 	return false, false
 }
 
-func canonSplash(args json.RawMessage) (json.RawMessage, error) {
-	var a SplashArgs
-	if err := strict(args, &a); err != nil {
-		return nil, err
-	}
+func checkSplash(a *SplashArgs) error {
 	nbody, ok := splashNBody(a.Kernel)
 	if !ok {
-		return nil, fmt.Errorf("kernel %q (want barnes, fft, fmm, lu, ocean or radix)", a.Kernel)
+		return fmt.Errorf("kernel %q (want barnes, fft, fmm, lu, ocean or radix)", a.Kernel)
 	}
 	if a.Threads < 1 {
-		return nil, fmt.Errorf("threads = %d", a.Threads)
+		return fmt.Errorf("threads = %d", a.Threads)
 	}
-	if _, err := parseBarrier(a.Barrier); err != nil {
-		return nil, err
+	barrier, err := splash.ParseBarrier(a.Barrier)
+	if err != nil {
+		return err
 	}
-	if a.Barrier == "" {
-		a.Barrier = "hw"
-	}
+	a.Barrier = barrier.String()
 	if nbody && (a.Bodies < 1 || a.N != 0) {
-		return nil, fmt.Errorf("%s takes bodies, not n", a.Kernel)
+		return fmt.Errorf("%s takes bodies, not n", a.Kernel)
 	}
 	if !nbody && (a.N < 1 || a.Bodies != 0) {
-		return nil, fmt.Errorf("%s takes n, not bodies", a.Kernel)
+		return fmt.Errorf("%s takes n, not bodies", a.Kernel)
 	}
 	if a.Kernel != "barnes" && a.Steps != 0 {
-		return nil, fmt.Errorf("steps applies to barnes only")
+		return fmt.Errorf("steps applies to barnes only")
 	}
 	if a.Kernel != "fmm" && a.Levels != 0 {
-		return nil, fmt.Errorf("levels applies to fmm only")
+		return fmt.Errorf("levels applies to fmm only")
 	}
 	if a.Kernel != "ocean" && a.Iters != 0 {
-		return nil, fmt.Errorf("iters applies to ocean only")
+		return fmt.Errorf("iters applies to ocean only")
 	}
 	// A negative count would run no step at all (and be cached so); 0 is
 	// the kernel's default.
 	if a.Steps < 0 {
-		return nil, fmt.Errorf("steps = %d (want 0 for the default, or more)", a.Steps)
+		return fmt.Errorf("steps = %d (want 0 for the default, or more)", a.Steps)
 	}
 	if a.Iters < 0 {
-		return nil, fmt.Errorf("iters = %d (want 0 for the default, or more)", a.Iters)
+		return fmt.Errorf("iters = %d (want 0 for the default, or more)", a.Iters)
 	}
-	if a.Levels != 0 && (a.Levels < splash.FMMMinLevels || a.Levels > splash.FMMMaxLevels) {
-		return nil, fmt.Errorf("levels = %d (want 0 for the default, or %d to %d)", a.Levels, splash.FMMMinLevels, splash.FMMMaxLevels)
+	if a.Kernel == "fmm" {
+		_, err := splash.FMMLevels(a.Bodies, a.Levels)
+		return err
 	}
-	return json.Marshal(a)
+	return nil
 }
 
-func runSplash(ctx *job.RunContext) (*job.Result, error) {
-	var a SplashArgs
-	if err := strict(ctx.Spec.Args, &a); err != nil {
-		return nil, err
-	}
-	barrier, err := parseBarrier(a.Barrier)
+func runSplash(ctx *job.RunContext, a *SplashArgs) (*job.Result, error) {
+	barrier, err := splash.ParseBarrier(a.Barrier)
 	if err != nil {
 		return nil, err
 	}

@@ -50,55 +50,37 @@ type StreamExtra struct {
 	Profile *prof.Report `json:"profile,omitempty"`
 }
 
-func init() {
-	job.Register(job.Workload{
-		Name:  StreamName,
-		Canon: canonStream,
-		Run:   runStream,
-	})
-}
+func init() { job.Define(StreamName, checkStream, runStream) }
 
-func parseStreamKernel(s string) (stream.Kernel, error) {
-	switch strings.ToLower(s) {
-	case "copy":
-		return stream.Copy, nil
-	case "scale":
-		return stream.Scale, nil
-	case "add":
-		return stream.Add, nil
-	case "triad":
-		return stream.Triad, nil
+// streamArgs is the args spelling of p and place.
+func streamArgs(p stream.Params, place kernel.Policy) StreamArgs {
+	return StreamArgs{
+		Kernel:       strings.ToLower(p.Kernel.String()),
+		Threads:      p.Threads,
+		N:            p.N,
+		Partition:    p.Partition.String(),
+		Local:        p.Local,
+		Unroll:       p.Unroll,
+		Independent:  p.Independent,
+		Reps:         p.Reps,
+		Placement:    place.String(),
+		ProfileEvery: p.ProfileEvery,
 	}
-	return stream.Copy, fmt.Errorf("kernel %q (want copy, scale, add or triad)", s)
 }
 
-func parsePlacement(s string) (kernel.Policy, error) {
-	switch s {
-	case "", "sequential":
-		return kernel.Sequential, nil
-	case "balanced":
-		return kernel.Balanced, nil
-	}
-	return kernel.Sequential, fmt.Errorf("placement %q (want sequential or balanced)", s)
-}
-
-// streamParams converts canonical args back to run parameters.
-func (a StreamArgs) streamParams() (stream.Params, kernel.Policy, error) {
-	k, err := parseStreamKernel(a.Kernel)
+// params reads a's run parameters: streamArgs's inverse.
+func (a *StreamArgs) params() (stream.Params, kernel.Policy, error) {
+	k, err := stream.ParseKernel(a.Kernel)
 	if err != nil {
 		return stream.Params{}, 0, err
 	}
-	place, err := parsePlacement(a.Placement)
+	part, err := stream.ParsePartition(a.Partition)
 	if err != nil {
 		return stream.Params{}, 0, err
 	}
-	part := stream.Blocked
-	switch a.Partition {
-	case "", "blocked":
-	case "cyclic":
-		part = stream.Cyclic
-	default:
-		return stream.Params{}, 0, fmt.Errorf("partition %q (want blocked or cyclic)", a.Partition)
+	place, err := kernel.ParsePolicy(a.Placement)
+	if err != nil {
+		return stream.Params{}, 0, err
 	}
 	p := stream.Params{
 		Kernel:       k,
@@ -114,46 +96,27 @@ func (a StreamArgs) streamParams() (stream.Params, kernel.Policy, error) {
 	return p, place, nil
 }
 
-func canonStream(args json.RawMessage) (json.RawMessage, error) {
-	var a StreamArgs
-	if err := strict(args, &a); err != nil {
-		return nil, err
-	}
-	p, _, err := a.streamParams()
+// checkStream validates a as stream.Params and spells it again from them,
+// with their defaults made explicit (MaxCycles's is the spec's and not in
+// the args).
+func checkStream(a *StreamArgs) error {
+	p, place, err := a.params()
 	if err != nil {
-		return nil, err
+		return err
 	}
+	p.SetDefaults()
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	// Make the defaults explicit.
-	a.Kernel = strings.ToLower(p.Kernel.String())
-	if a.Partition == "" {
-		a.Partition = "blocked"
-	}
-	if a.Unroll == 0 {
-		a.Unroll = 1
-	}
-	if a.Reps == 0 {
-		a.Reps = stream.DefaultReps
-	}
-	if a.Placement == "" {
-		a.Placement = "sequential"
-	}
-	return json.Marshal(a)
+	*a = streamArgs(p, place)
+	return nil
 }
 
-func runStream(ctx *job.RunContext) (*job.Result, error) {
-	var a StreamArgs
-	if err := strict(ctx.Spec.Args, &a); err != nil {
-		return nil, err
-	}
-	p, place, err := a.streamParams()
+func runStream(ctx *job.RunContext, a *StreamArgs) (*job.Result, error) {
+	p, place, err := a.params()
 	if err != nil {
 		return nil, err
 	}
-	eng := ctx.Engine
-	p.Engine = &eng
 	p.Issue = ctx.Policy
 	p.MaxCycles = ctx.Spec.MaxCycles
 	r, err := stream.RunKernel(ctx.Kernel(), p, place)
@@ -194,30 +157,11 @@ func StreamSpec(p stream.Params, place kernel.Policy) (*job.Spec, error) {
 	if p.Engine != nil {
 		return nil, fmt.Errorf("workloads: a spec names no engine; set job.Runner.Engine or call stream.Run directly")
 	}
-	placement := "sequential"
-	if place == kernel.Balanced {
-		placement = "balanced"
-	}
-	partition := "blocked"
-	if p.Partition == stream.Cyclic {
-		partition = "cyclic"
-	}
-	args, err := json.Marshal(StreamArgs{
-		Kernel:       strings.ToLower(p.Kernel.String()),
-		Threads:      p.Threads,
-		N:            p.N,
-		Partition:    partition,
-		Local:        p.Local,
-		Unroll:       p.Unroll,
-		Independent:  p.Independent,
-		Reps:         p.Reps,
-		Placement:    placement,
-		ProfileEvery: p.ProfileEvery,
-	})
+	spec, err := argsSpec(StreamName, streamArgs(p, place))
 	if err != nil {
 		return nil, err
 	}
-	spec := &job.Spec{Workload: StreamName, Args: args, MaxCycles: p.MaxCycles}
+	spec.MaxCycles = p.MaxCycles
 	if p.Issue != nil {
 		spec.Policy = p.Issue.String()
 	}

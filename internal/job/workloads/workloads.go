@@ -1,10 +1,16 @@
-// Package workloads registers the named simulation workloads with the
-// job layer: the STREAM generator ("stream"), the SPLASH-2 kernels
+// Package workloads defines the named simulation workloads of the job
+// layer: the STREAM generator ("stream"), the SPLASH-2 kernels
 // ("splash"), the Section 5 applications ("md", "ray") and the barrier
-// microbenchmark ("microbarrier"). Each registration supplies a strict
-// argument schema — unknown fields are rejected, defaultable fields are
-// made explicit — so equivalent argument spellings canonicalize to one
-// encoding and therefore one cache key.
+// microbenchmark ("microbarrier"). Each is one job.Define: an argument
+// struct (StreamArgs, SplashArgs, ...), whose JSON form is the spec's
+// args, a check that refuses what the workload cannot run and makes every
+// defaultable field explicit, and a run over the checked struct. The job
+// layer does the rest (strict decoding, the canonical encoding, decoding
+// for the run), so equivalent argument spellings canonicalize to one
+// encoding and therefore one cache key. An enum argument is a string in
+// its type's own spelling (splash.BarrierKind, stream.Partition,
+// kernel.Policy; stream.Kernel's in lower case), read by that type's
+// parse function.
 //
 // The package also exports the spec builders and result decoders the
 // harness figure sweeps and the CI lanes use to go through
@@ -12,7 +18,6 @@
 package workloads
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -21,37 +26,9 @@ import (
 	"cyclops/internal/splash"
 )
 
-// strict decodes args through v's schema, rejecting unknown fields and
-// trailing data — the canonical-spelling guarantee starts here.
-func strict(args json.RawMessage, v any) error {
-	if len(args) == 0 {
-		return fmt.Errorf("missing args")
-	}
-	dec := json.NewDecoder(bytes.NewReader(args))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after args")
-	}
-	return nil
-}
-
-// parseBarrier maps the canonical barrier spelling.
-func parseBarrier(s string) (splash.BarrierKind, error) {
-	switch s {
-	case "", "hw":
-		return splash.HW, nil
-	case "sw":
-		return splash.SW, nil
-	}
-	return splash.HW, fmt.Errorf("barrier %q (want hw or sw)", s)
-}
-
 // argsSpec builds the job spec that runs workload on args a: the body of
 // SplashSpec, MDSpec, RaySpec and MicroBarrierSpec, whose specs are their
-// arguments alone.
+// arguments alone, and of StreamSpec.
 func argsSpec(workload string, a any) (*job.Spec, error) {
 	args, err := json.Marshal(a)
 	if err != nil {

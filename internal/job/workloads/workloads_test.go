@@ -82,15 +82,15 @@ func points(t *testing.T) []struct {
 // runOn resolves and runs spec on r, returning its key and result bytes.
 func runOn(t *testing.T, r *job.Runner, spec *job.Spec) (string, []byte) {
 	t.Helper()
-	_, key, err := r.Resolve(spec)
+	res, err := r.ResolveTraced(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := r.RunEncodedTraced(spec, nil)
+	data, _, err := r.RunResolvedTraced(&res, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return key.String(), data
+	return res.ID, data
 }
 
 // The spec is the whole input: nothing but the spec — not the Runner it

@@ -42,6 +42,20 @@ func (p Policy) String() string {
 	return "sequential"
 }
 
+// ParsePolicy reads String's spelling of a Policy; "" is Sequential, the
+// default.
+func ParsePolicy(s string) (Policy, error) {
+	for p := Sequential; p <= Balanced; p++ {
+		if s == p.String() {
+			return p, nil
+		}
+	}
+	if s == "" {
+		return Sequential, nil
+	}
+	return Sequential, fmt.Errorf("placement %q (want %s or %s)", s, Sequential, Balanced)
+}
+
 // Kernel implements sim.Syscaller and owns thread placement, stacks and
 // the console.
 type Kernel struct {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -239,6 +240,11 @@ func TestBadSpecsAre400(t *testing.T) {
 		`{"workload":"splash","args":{"kernel":"fmm","threads":4,"bodies":64,"levels":-1}}`,
 		`{"workload":"splash","args":{"kernel":"fmm","threads":4,"bodies":64,"levels":1}}`,
 		`{"workload":"splash","args":{"kernel":"fmm","threads":4,"bodies":64,"levels":9}}`,
+		// FMM charge counts its default depth cannot serve: one charge,
+		// and more than 1,048,576, whose default depth would be 9. Both
+		// were run-time 422s.
+		`{"workload":"splash","args":{"kernel":"fmm","threads":4,"bodies":1}}`,
+		`{"workload":"splash","args":{"kernel":"fmm","threads":4,"bodies":1048577}}`,
 	}
 	for i, body := range bad {
 		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
@@ -321,32 +327,16 @@ func TestNewRefusesNonCacheDir(t *testing.T) {
 // produce 429 + Retry-After, and the queued request must still finish
 // correctly.
 func TestQueueFullReturns429(t *testing.T) {
-	job.Register(job.Workload{
-		Name: "test-serve-slow",
-		Canon: func(args json.RawMessage) (json.RawMessage, error) {
-			// Distinct specs (no coalescing): echo the args through.
-			var a struct {
-				ID    int  `json:"id"`
-				Block bool `json:"block,omitempty"`
-			}
-			if err := json.Unmarshal(args, &a); err != nil {
-				return nil, err
-			}
-			return json.Marshal(a)
-		},
-		Run: func(ctx *job.RunContext) (*job.Result, error) {
-			var a struct {
-				ID    int  `json:"id"`
-				Block bool `json:"block,omitempty"`
-			}
-			if err := json.Unmarshal(ctx.Spec.Args, &a); err != nil {
-				return nil, err
-			}
-			if a.Block {
-				<-serveSlowRelease
-			}
-			return &job.Result{Cycles: uint64(a.ID)}, nil
-		},
+	// Distinct specs (no coalescing): the args carry an ID.
+	type slowArgs struct {
+		ID    int  `json:"id"`
+		Block bool `json:"block,omitempty"`
+	}
+	job.Define("test-serve-slow", nil, func(ctx *job.RunContext, a *slowArgs) (*job.Result, error) {
+		if a.Block {
+			<-serveSlowRelease
+		}
+		return &job.Result{Cycles: uint64(a.ID)}, nil
 	})
 	_, ts := newTestServer(t, serve.Config{Workers: 1, QueueLimit: 1})
 
@@ -413,28 +403,14 @@ func TestWorkloadPanicReturns500(t *testing.T) {
 	type args struct {
 		Panic bool `json:"panic,omitempty"`
 	}
-	if _, ok := job.LookupWorkload("test-serve-panic"); !ok {
-		job.Register(job.Workload{
-			Name: "test-serve-panic",
-			Canon: func(raw json.RawMessage) (json.RawMessage, error) {
-				var a args
-				if err := json.Unmarshal(raw, &a); err != nil {
-					return nil, err
-				}
-				return json.Marshal(a)
-			},
-			Run: func(ctx *job.RunContext) (*job.Result, error) {
-				var a args
-				if err := json.Unmarshal(ctx.Spec.Args, &a); err != nil {
-					return nil, err
-				}
-				if a.Panic {
-					gate, _ := servePanicGate.Load("gate")
-					<-gate.(chan struct{})
-					panic("workload bug")
-				}
-				return &job.Result{Cycles: 9}, nil
-			},
+	if !slices.Contains(job.WorkloadNames(), "test-serve-panic") {
+		job.Define("test-serve-panic", nil, func(ctx *job.RunContext, a *args) (*job.Result, error) {
+			if a.Panic {
+				gate, _ := servePanicGate.Load("gate")
+				<-gate.(chan struct{})
+				panic("workload bug")
+			}
+			return &job.Result{Cycles: 9}, nil
 		})
 	}
 	release := make(chan struct{})

@@ -25,6 +25,27 @@ const (
 	FMMMaxLevels = 8
 )
 
+// FMMLevels is the quadtree depth RunFMM runs nBodies charges at: levels
+// when it is set, else the shallowest depth from 2 whose 4^levels leaves
+// hold at most 16 charges each on average. It refuses fewer than 2
+// charges and a depth outside [FMMMinLevels, FMMMaxLevels], so more than
+// 1,048,576 charges need levels set.
+func FMMLevels(nBodies, levels int) (int, error) {
+	if nBodies < 2 {
+		return 0, fmt.Errorf("splash: fmm needs at least 2 charges, got %d", nBodies)
+	}
+	if levels == 0 {
+		levels = 2
+		for levels <= FMMMaxLevels && (1<<(2*uint(levels+1)))*4 < nBodies {
+			levels++
+		}
+	}
+	if levels < FMMMinLevels || levels > FMMMaxLevels {
+		return 0, fmt.Errorf("splash: fmm levels %d out of range [%d,%d]", levels, FMMMinLevels, FMMMaxLevels)
+	}
+	return levels, nil
+}
+
 // FMMOpts configures a run.
 type FMMOpts struct {
 	Config
@@ -57,22 +78,13 @@ type fmmBox struct {
 // RunFMM executes the kernel.
 func RunFMM(opts FMMOpts) (*Result, error) {
 	n := opts.NBodies
-	if n < 2 {
-		return nil, fmt.Errorf("splash: fmm needs at least 2 charges, got %d", n)
+	levels, err := FMMLevels(n, opts.Levels)
+	if err != nil {
+		return nil, err
 	}
 	p := opts.P
 	if p == 0 {
 		p = 8
-	}
-	levels := opts.Levels
-	if levels == 0 {
-		levels = 2
-		for (1<<(2*uint(levels+1)))*4 < n {
-			levels++
-		}
-	}
-	if levels < FMMMinLevels || levels > FMMMaxLevels {
-		return nil, fmt.Errorf("splash: fmm levels %d out of range [%d,%d]", levels, FMMMinLevels, FMMMaxLevels)
 	}
 	mach, err := opts.Machine()
 	if err != nil {

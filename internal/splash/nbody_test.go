@@ -203,6 +203,18 @@ func TestFMMRejectsBadInput(t *testing.T) {
 	if _, err := RunFMM(FMMOpts{Config: Config{Threads: 1}, NBodies: 100, Levels: 20}); err == nil {
 		t.Error("level 20 accepted")
 	}
+	// The default depth: at most 16 charges a leaf on average, and no
+	// deeper than FMMMaxLevels, so the largest counts need levels set
+	// (math.MaxInt used to spin forever as the leaf count overflowed).
+	for _, tc := range []struct{ n, levels, want int }{
+		{2, 0, 2}, {1024, 0, 3}, {1025, 0, 4}, {1 << 20, 0, 8}, {1<<20 + 1, 0, -1}, {math.MaxInt, 0, -1},
+		{1<<20 + 1, 8, 8}, {64, 1, -1},
+	} {
+		got, err := FMMLevels(tc.n, tc.levels)
+		if tc.want < 0 && err == nil || tc.want >= 0 && (err != nil || got != tc.want) {
+			t.Errorf("FMMLevels(%d, %d) = %d, %v; want %d (-1: an error)", tc.n, tc.levels, got, err, tc.want)
+		}
+	}
 }
 
 // Interaction-list geometry: well-separated boxes are never adjacent and

@@ -38,6 +38,20 @@ func (k BarrierKind) String() string {
 	return "hw"
 }
 
+// ParseBarrier reads String's spelling of a BarrierKind; "" is HW, the
+// default.
+func ParseBarrier(s string) (BarrierKind, error) {
+	for k := HW; k <= SW; k++ {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	if s == "" {
+		return HW, nil
+	}
+	return HW, fmt.Errorf("barrier %q (want %s or %s)", s, HW, SW)
+}
+
 // Result reports one kernel execution.
 type Result struct {
 	Name    string

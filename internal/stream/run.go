@@ -74,7 +74,7 @@ func RunOn(chip *core.Chip, p Params, policy Policy) (*Result, error) {
 // policy and cycle limit from the arguments: the job layer runs each point
 // on a kernel it keeps with its chip.
 func RunKernel(k *kernel.Kernel, p Params, policy Policy) (*Result, error) {
-	p.setDefaults()
+	p.SetDefaults()
 	src, err := Generate(p)
 	if err != nil {
 		return nil, err

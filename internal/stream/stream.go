@@ -55,6 +55,17 @@ func (k Kernel) String() string {
 	return "?"
 }
 
+// ParseKernel reads String's spelling of a Kernel, in any case ("triad",
+// "Triad").
+func ParseKernel(s string) (Kernel, error) {
+	for _, k := range Kernels {
+		if strings.EqualFold(s, k.String()) {
+			return k, nil
+		}
+	}
+	return Copy, fmt.Errorf("kernel %q (want one of %v, in any case)", s, Kernels)
+}
+
 // BytesPerElement returns the STREAM-convention counted traffic.
 func (k Kernel) BytesPerElement() int {
 	if k == Add || k == Triad {
@@ -82,6 +93,20 @@ func (p Partition) String() string {
 		return "cyclic"
 	}
 	return "blocked"
+}
+
+// ParsePartition reads String's spelling of a Partition; "" is Blocked, the
+// default.
+func ParsePartition(s string) (Partition, error) {
+	for p := Blocked; p <= Cyclic; p++ {
+		if s == p.String() {
+			return p, nil
+		}
+	}
+	if s == "" {
+		return Blocked, nil
+	}
+	return Blocked, fmt.Errorf("partition %q (want %s or %s)", s, Blocked, Cyclic)
 }
 
 // Params configures one STREAM program.
@@ -145,7 +170,9 @@ const (
 // cycles per thread at worst.
 const DefaultMaxCycles = 500_000_000
 
-func (p *Params) setDefaults() {
+// SetDefaults makes the defaulted fields explicit: a zero Reps is
+// DefaultReps, a zero Unroll 1 and a zero MaxCycles DefaultMaxCycles.
+func (p *Params) SetDefaults() {
 	if p.Reps == 0 {
 		p.Reps = DefaultReps
 	}
@@ -159,7 +186,7 @@ func (p *Params) setDefaults() {
 
 // Validate reports the first problem with the parameters.
 func (p Params) Validate() error {
-	p.setDefaults()
+	p.SetDefaults()
 	switch {
 	case p.Threads < 1:
 		return fmt.Errorf("stream: Threads = %d", p.Threads)
@@ -198,7 +225,7 @@ func (p Params) ea(phys uint32) uint32 {
 
 // Generate emits the Cyclops assembly program for the parameters.
 func Generate(p Params) (string, error) {
-	p.setDefaults()
+	p.SetDefaults()
 	if err := p.Validate(); err != nil {
 		return "", err
 	}

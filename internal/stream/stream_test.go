@@ -58,7 +58,7 @@ func TestSourceBytesBoundsEveryProgram(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%+v: %v", p, err)
 					}
-					p.setDefaults()
+					p.SetDefaults()
 					if n := sourceBytes(p); len(src) > n || n > 2*len(src) {
 						t.Errorf("%+v: %d-byte program, bound %d", p, len(src), n)
 					}
